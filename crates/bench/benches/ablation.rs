@@ -7,7 +7,8 @@
 //! * Algorithm-1 optimized pivots versus naive random pivots.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpssn_core::algorithm::QueryOptions;
+use gpssn_bench::run_query;
+use gpssn_core::algorithm::{QueryMode, QueryOptions};
 use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery};
 use gpssn_index::PivotSelectConfig;
 use gpssn_ssn::{DatasetKind, SpatialSocialNetwork};
@@ -67,7 +68,7 @@ fn bench_pruning_ablation(c: &mut Criterion) {
     group.sample_size(10);
     for (name, opts) in variants {
         group.bench_with_input(BenchmarkId::from_parameter(name), &opts, |b, opts| {
-            b.iter(|| black_box(eng.query_with_options(&q, opts)));
+            b.iter(|| black_box(run_query(&eng, &q, opts)));
         });
     }
     group.finish();
@@ -98,9 +99,11 @@ fn bench_pivot_quality(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
     group.sample_size(10);
-    group.bench_function("random_pivots", |b| b.iter(|| black_box(random.query(&q))));
+    group.bench_function("random_pivots", |b| {
+        b.iter(|| black_box(run_query(&random, &q, &QueryOptions::default())))
+    });
     group.bench_function("algorithm1_pivots", |b| {
-        b.iter(|| black_box(optimized.query(&q)))
+        b.iter(|| black_box(run_query(&optimized, &q, &QueryOptions::default())))
     });
     group.finish();
 }
@@ -115,19 +118,24 @@ fn bench_refinement_modes(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
     group.sample_size(10);
-    group.bench_function("exact_enumeration", |b| b.iter(|| black_box(eng.query(&q))));
-    group.bench_function("subset_sampling_32", |b| {
-        b.iter(|| black_box(eng.query_approximate(&q, 32, 7)))
+    group.bench_function("exact_enumeration", |b| {
+        b.iter(|| black_box(run_query(&eng, &q, &QueryOptions::default())))
     });
-    group.bench_function("subset_sampling_128", |b| {
-        b.iter(|| black_box(eng.query_approximate(&q, 128, 7)))
-    });
+    for samples in [32, 128] {
+        let sampled = QueryOptions {
+            mode: QueryMode::Approximate { samples, seed: 7 },
+            ..Default::default()
+        };
+        group.bench_function(format!("subset_sampling_{samples}"), |b| {
+            b.iter(|| black_box(run_query(&eng, &q, &sampled)))
+        });
+    }
     group.bench_function("tight_mbr_test", |b| {
         let opts = QueryOptions {
             use_tight_mbr_test: true,
             ..Default::default()
         };
-        b.iter(|| black_box(eng.query_with_options(&q, &opts)))
+        b.iter(|| black_box(run_query(&eng, &q, &opts)))
     });
     group.finish();
 }
@@ -147,8 +155,12 @@ fn bench_buffer_pool(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
     group.sample_size(10);
-    group.bench_function("no_pool", |b| b.iter(|| black_box(raw.query(&q))));
-    group.bench_function("lru_256_pages", |b| b.iter(|| black_box(pooled.query(&q))));
+    group.bench_function("no_pool", |b| {
+        b.iter(|| black_box(run_query(&raw, &q, &QueryOptions::default())))
+    });
+    group.bench_function("lru_256_pages", |b| {
+        b.iter(|| black_box(run_query(&pooled, &q, &QueryOptions::default())))
+    });
     group.finish();
 }
 

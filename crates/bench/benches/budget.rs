@@ -42,7 +42,7 @@ fn bench_budget_overhead(c: &mut Criterion) {
         ("deadline", &deadline),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(eng.try_query(&q, budget).unwrap()));
+            b.iter(|| black_box(eng.try_query(&q, &Default::default(), budget).unwrap()));
         });
     }
     group.finish();

@@ -78,30 +78,12 @@ fn bench_subgraph_enumeration(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_alt_vs_dijkstra(c: &mut Criterion) {
-    use gpssn_graph::AltOracle;
-    let g = random_graph(30_000, 30_000, 17);
-    let alt = AltOracle::new(&g, &[0, 7_500, 15_000, 22_500]);
-    let target: NodeId = 29_999;
-    let mut group = c.benchmark_group("point_to_point");
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.sample_size(20);
-    group.bench_function("dijkstra_targets", |b| {
-        b.iter(|| black_box(dijkstra_targets(&g, &[(0, 0.0)], &[target])));
-    });
-    group.bench_function("alt", |b| {
-        b.iter(|| black_box(alt.distance(&g, &[(0, 0.0)], target)));
-    });
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(10);
-    targets = bench_dijkstra, bench_bfs, bench_subgraph_enumeration, bench_alt_vs_dijkstra
+    targets = bench_dijkstra, bench_bfs, bench_subgraph_enumeration
 }
 criterion_main!(benches);

@@ -16,7 +16,8 @@
 //! `obs_report` emits the same comparison as `BENCH_obs.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery};
+use gpssn_bench::run_query;
+use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryOptions};
 use gpssn_obs::{Obs, ObsConfig};
 use gpssn_ssn::{DatasetKind, SpatialSocialNetwork};
 use std::sync::Arc;
@@ -47,7 +48,7 @@ fn workload() -> Vec<GpSsnQuery> {
 
 fn run(eng: &GpSsnEngine, queries: &[GpSsnQuery]) {
     for q in queries {
-        black_box(eng.query(q));
+        black_box(run_query(eng, q, &QueryOptions::default()));
     }
 }
 

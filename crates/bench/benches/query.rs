@@ -2,7 +2,8 @@
 //! settings (the Criterion counterpart of Figures 8–11).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery};
+use gpssn_bench::run_query;
+use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryOptions};
 use gpssn_ssn::{DatasetKind, SpatialSocialNetwork};
 
 const SCALE: f64 = 0.05;
@@ -21,7 +22,7 @@ fn bench_datasets(c: &mut Criterion) {
         let eng = engine(&ssn);
         let q = GpSsnQuery::with_defaults(11);
         group.bench_with_input(BenchmarkId::from_parameter(kind.name()), &q, |b, q| {
-            b.iter(|| black_box(eng.query(q)));
+            b.iter(|| black_box(run_query(&eng, q, &QueryOptions::default())));
         });
     }
     group.finish();
@@ -40,7 +41,7 @@ fn bench_tau(c: &mut Criterion) {
             ..GpSsnQuery::with_defaults(11)
         };
         group.bench_with_input(BenchmarkId::from_parameter(tau), &q, |b, q| {
-            b.iter(|| black_box(eng.query(q)));
+            b.iter(|| black_box(run_query(&eng, q, &QueryOptions::default())));
         });
     }
     group.finish();
@@ -59,7 +60,7 @@ fn bench_radius(c: &mut Criterion) {
             ..GpSsnQuery::with_defaults(11)
         };
         group.bench_with_input(BenchmarkId::from_parameter(r), &q, |b, q| {
-            b.iter(|| black_box(eng.query(q)));
+            b.iter(|| black_box(run_query(&eng, q, &QueryOptions::default())));
         });
     }
     group.finish();

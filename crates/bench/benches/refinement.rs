@@ -5,6 +5,7 @@
 //! measures what that exactness costs or saves.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use gpssn_bench::run_query;
 use gpssn_core::{DistanceCacheConfig, EngineConfig, GpSsnEngine, GpSsnQuery, QueryOptions};
 use gpssn_ssn::{DatasetKind, SpatialSocialNetwork};
 
@@ -55,7 +56,7 @@ fn bench_threads(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(threads), &o, |b, o| {
             b.iter(|| {
                 for q in &queries {
-                    black_box(eng.query_with_options(q, o));
+                    black_box(run_query(&eng, q, o));
                 }
             });
         });
@@ -79,7 +80,7 @@ fn bench_cache(c: &mut Criterion) {
     group.bench_function("disabled", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(uncached.query(q));
+                black_box(run_query(&uncached, q, &QueryOptions::default()));
             }
         });
     });
@@ -87,14 +88,14 @@ fn bench_cache(c: &mut Criterion) {
     let cached = engine(&ssn, Some(DistanceCacheConfig::default()));
     let mut tallies = (0u64, 0u64);
     for q in &queries {
-        let out = cached.query(q); // priming pass
+        let out = run_query(&cached, q, &QueryOptions::default()); // priming pass
         tallies.0 += out.metrics.cache.ball_hits + out.metrics.cache.dist_hits;
         tallies.1 += out.metrics.cache.ball_misses + out.metrics.cache.dist_misses;
     }
     group.bench_function("warm", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(cached.query(q));
+                black_box(run_query(&cached, q, &QueryOptions::default()));
             }
         });
     });
@@ -102,7 +103,9 @@ fn bench_cache(c: &mut Criterion) {
     let mut hits = 0u64;
     let mut misses = 0u64;
     for q in &queries {
-        let cs = cached.query(q).metrics.cache;
+        let cs = run_query(&cached, q, &QueryOptions::default())
+            .metrics
+            .cache;
         hits += cs.ball_hits + cs.dist_hits;
         misses += cs.ball_misses + cs.dist_misses;
     }
@@ -131,19 +134,19 @@ fn bench_combined(c: &mut Criterion) {
     group.bench_function("plain", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(plain.query_with_options(q, &opts(1)));
+                black_box(run_query(&plain, q, &opts(1)));
             }
         });
     });
 
     let fast = engine(&ssn, Some(DistanceCacheConfig::default()));
     for q in &queries {
-        fast.query(q); // prime
+        run_query(&fast, q, &QueryOptions::default()); // prime
     }
     group.bench_function("parallel4_warm_cache", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(fast.query_with_options(q, &opts(4)));
+                black_box(run_query(&fast, q, &opts(4)));
             }
         });
     });

@@ -93,8 +93,8 @@
 
 use gpssn_core::{
     serve_jsonl, suggest_parameters, Completion, DegradationPolicy, EngineConfig, GpSsnEngine,
-    GpSsnError, GpSsnQuery, OverloadPolicy, QueryBudget, QueryOptions, QueryOutcome, ServeConfig,
-    ServeObs, ServeObsConfig,
+    GpSsnError, GpSsnQuery, OverloadPolicy, QueryBudget, QueryMode, QueryOptions, QueryOutcome,
+    ServeConfig, ServeObs, ServeObsConfig,
 };
 use gpssn_obs::{FlightConfig, Obs, ObsConfig, Registry, TailConfig};
 use gpssn_ssn::{load_ssn, DatasetStats, SpatialSocialNetwork};
@@ -301,36 +301,27 @@ fn main() {
         metrics_out,
         log_jsonl,
     };
-    if let Some(samples) = approx {
-        let out = match engine.try_query_approximate(&q, samples, 7, &budget) {
-            Ok(out) => out,
-            Err(e) => {
-                // Failed queries are when the trace matters most —
-                // flush before the error exit.
-                emit_telemetry(&sinks, &engine, &q, "approximate", None);
-                fail(&e)
-            }
-        };
-        emit_telemetry(&sinks, &engine, &q, "approximate", Some(&out));
-        let code = report_completion(&out.completion);
-        report(
-            "approximate",
-            &out.answer,
-            out.metrics.io_pages,
-            out.metrics.cpu,
-        );
-        std::process::exit(code);
-    }
-    if top_k > 1 {
-        let out = match engine.try_query_top_k(&q, top_k, &budget) {
-            Ok(out) => out,
-            Err(e) => {
-                emit_telemetry(&sinks, &engine, &q, "top_k", None);
-                fail(&e)
-            }
-        };
-        emit_telemetry(&sinks, &engine, &q, "top_k", None);
-        let code = report_completion(&out.completion);
+    let path = if let Some(samples) = approx {
+        opts.mode = QueryMode::Approximate { samples, seed: 7 };
+        "approximate"
+    } else if top_k > 1 {
+        opts.mode = QueryMode::TopK(top_k);
+        "top_k"
+    } else {
+        "exact"
+    };
+    let out = match engine.try_query(&q, &opts, &budget) {
+        Ok(out) => out,
+        Err(e) => {
+            // Failed queries are when the trace matters most —
+            // flush before the error exit.
+            emit_telemetry(&sinks, &engine, &q, path, None);
+            fail(&e)
+        }
+    };
+    emit_telemetry(&sinks, &engine, &q, path, Some(&out));
+    let code = report_completion(&out.completion);
+    if let QueryMode::TopK(_) = opts.mode {
         if out.answers.is_empty() {
             println!("no feasible answers");
         }
@@ -345,21 +336,13 @@ fn main() {
         }
         std::process::exit(code);
     }
-    let out = match engine.try_query_with_options(&q, &opts, &budget) {
-        Ok(out) => out,
-        Err(e) => {
-            emit_telemetry(&sinks, &engine, &q, "exact", None);
-            fail(&e)
-        }
-    };
-    emit_telemetry(&sinks, &engine, &q, "exact", Some(&out));
-    let code = report_completion(&out.completion);
-    let mode = match out.completion {
-        Completion::Exact => "exact",
-        Completion::DegradedSampling => "degraded",
+    let mode = match (opts.mode, &out.completion) {
+        (QueryMode::Approximate { .. }, _) => "approximate",
+        (_, Completion::Exact) => "exact",
+        (_, Completion::DegradedSampling) => "degraded",
         _ => "anytime",
     };
-    report(mode, &out.answer, out.metrics.io_pages, out.metrics.cpu);
+    report(mode, out.answer(), out.metrics.io_pages, out.metrics.cpu);
     std::process::exit(code);
 }
 
@@ -436,7 +419,7 @@ fn jsonl_line(
             out.metrics.backend_served.ch_settles,
             out.metrics.cache.hit_rate(),
         ));
-        match &out.answer {
+        match out.answer() {
             Some(ans) => line.push_str(&format!(
                 ",\"maxdist\":{},\"group_size\":{},\"pois\":{}",
                 ans.maxdist,
@@ -787,7 +770,7 @@ fn flush_serve_telemetry(
     }
 }
 
-fn report(mode: &str, answer: &Option<gpssn_core::GpSsnAnswer>, io: u64, cpu: std::time::Duration) {
+fn report(mode: &str, answer: Option<&gpssn_core::GpSsnAnswer>, io: u64, cpu: std::time::Duration) {
     match answer {
         Some(ans) => println!(
             "{mode} answer: maxdist={:.4} S={:?} R={:?}",

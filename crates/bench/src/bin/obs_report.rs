@@ -22,7 +22,8 @@
 //!     [--scale F] [--seed N] [--reps N] [--out BENCH_obs.json]
 //! ```
 
-use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryOutcome};
+use gpssn_bench::run_query;
+use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryOptions, QueryOutcome};
 use gpssn_obs::{
     FlightConfig, FlightCounters, FlightRecord, FlightRecorder, Obs, ObsConfig, ServeClass,
     SloConfig, SloMonitor, TailConfig, TailSampler, WindowConfig,
@@ -70,7 +71,7 @@ fn corpus(ssn: &SpatialSocialNetwork) -> Vec<GpSsnQuery> {
 
 fn run(eng: &GpSsnEngine, queries: &[GpSsnQuery]) {
     for q in queries {
-        std::hint::black_box(eng.query(q));
+        std::hint::black_box(run_query(eng, q, &QueryOptions::default()));
     }
 }
 
@@ -113,7 +114,7 @@ impl Continuous {
             queue_wait_ns: 0,
             io_pages: m.io_pages,
             heap_pops: m.heap_pops,
-            settles: m.total_settles(),
+            settles: m.backend_served.total_settles(),
             cache_hits: m.cache.ball_hits + m.cache.dist_hits,
             cache_misses: m.cache.ball_misses + m.cache.dist_misses,
             counters: FlightCounters {
@@ -135,7 +136,7 @@ impl Continuous {
 
 fn run_recorded(eng: &GpSsnEngine, queries: &[GpSsnQuery], cont: &Continuous) {
     for (i, q) in queries.iter().enumerate() {
-        let out = std::hint::black_box(eng.query(q));
+        let out = std::hint::black_box(run_query(eng, q, &QueryOptions::default()));
         cont.record(i as u64, &out);
     }
 }

@@ -1,35 +1,33 @@
 //! Batch-scheduling report distilled into `BENCH_serve.json`: how the
-//! work-stealing batch scheduler compares to static chunking on a
-//! skewed 64-query batch.
+//! work-pulling batch (`GpSsnEngine::try_query_batch`, which runs on the
+//! `serve()` worker pool) compares to static chunking on a skewed
+//! 64-query batch.
 //!
 //! The batch front-loads a handful of expensive large-radius queries
 //! into the first contiguous chunk — the adversarial case for static
 //! chunking, where one worker inherits every heavy query while the
 //! rest go idle. The report records, per thread count:
 //!
-//! * **measured wall-clock** for both schedules (honest numbers —
-//!   meaningless as a speedup on a single-core container, where all
-//!   workers share one CPU);
+//! * **measured wall-clock** of the batch (honest numbers — not a
+//!   speedup when the machine has fewer cores than workers);
 //! * **simulated makespan** from the *measured per-query sequential
 //!   costs*: static chunking's makespan is the largest per-chunk cost
-//!   sum, work-stealing's is greedy list scheduling in submission
-//!   order (each next query goes to the earliest-free worker — the
-//!   shared-cursor discipline). On a machine with ≥`threads` real
-//!   cores the simulated makespan *is* the wall-clock, so this is the
-//!   apples-to-apples comparison the container cannot measure
-//!   directly.
+//!   sum, work pulling's is greedy list scheduling in submission order
+//!   (each next query goes to the earliest-free worker — the shared
+//!   queue's discipline). On a machine with ≥`threads` real cores the
+//!   simulated makespan *is* the wall-clock, so this is the
+//!   apples-to-apples comparison a small machine cannot measure
+//!   directly. Static chunking is simulated only; no code path runs it.
 //!
-//! Both schedules are asserted bit-identical to the sequential run
-//! before any number is reported.
+//! Every batch is asserted bit-identical to the sequential run before
+//! any number is reported.
 //!
 //! ```text
 //! cargo run --release -p gpssn-bench --bin serve_report -- \
 //!     [--scale F] [--seed N] [--out BENCH_serve.json]
 //! ```
 
-use gpssn_core::{
-    BatchSchedule, EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget, QueryOptions, QueryOutcome,
-};
+use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget, QueryOptions, QueryOutcome};
 use gpssn_ssn::DatasetKind;
 use std::io::Write;
 use std::time::Instant;
@@ -69,7 +67,7 @@ fn static_makespan(costs: &[f64], threads: usize) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// Greedy list scheduling in submission order: work-stealing's
+/// Greedy list scheduling in submission order: work pulling's
 /// idealized makespan (each next query goes to the earliest-free
 /// worker).
 fn stealing_makespan(costs: &[f64], threads: usize) -> f64 {
@@ -92,7 +90,7 @@ fn same_outcomes(
 ) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| match (x, y) {
-            (Ok(ox), Ok(oy)) => ox.answer == oy.answer,
+            (Ok(ox), Ok(oy)) => ox.answers == oy.answers,
             (Err(_), Err(_)) => true,
             _ => false,
         })
@@ -155,30 +153,26 @@ fn main() {
 
     // Warm-up pass, then measure per-query sequential costs — the
     // inputs to the makespan simulation.
-    std::hint::black_box(engine.try_query_batch_scheduled(
-        &queries,
-        1,
-        &opts,
-        &budget,
-        BatchSchedule::WorkStealing,
-    ));
+    std::hint::black_box(engine.try_query_batch(&queries, 1, &opts, &budget));
     let mut measured = Vec::with_capacity(queries.len());
     for q in &queries {
         let t = Instant::now();
-        std::hint::black_box(engine.try_query_with_options(q, &opts, &budget).ok());
+        std::hint::black_box(engine.try_query(q, &opts, &budget).ok());
         measured.push(t.elapsed().as_secs_f64());
     }
     // Submission order for the comparison: heaviest first. This is the
     // adversarial arrangement for static chunking (the heaviest
     // queries all land in the first worker's chunk) and matches how a
     // cost-aware client would submit; work-stealing needs no such
-    // knowledge — greedy claiming handles any order.
+    // knowledge — greedy pulling handles any order.
     let mut order: Vec<usize> = (0..queries.len()).collect();
     order.sort_by(|&a, &b| measured[b].total_cmp(&measured[a]));
     let queries: Vec<GpSsnQuery> = order.iter().map(|&i| queries[i].clone()).collect();
     let costs: Vec<f64> = order.iter().map(|&i| measured[i]).collect();
-    let baseline =
-        engine.try_query_batch_scheduled(&queries, 1, &opts, &budget, BatchSchedule::WorkStealing);
+    let baseline: Vec<_> = queries
+        .iter()
+        .map(|q| engine.try_query(q, &opts, &budget))
+        .collect();
     let sequential: f64 = costs.iter().sum();
     let heavy_cost: f64 = costs[..HEAVY].iter().sum();
     eprintln!(
@@ -189,33 +183,18 @@ fn main() {
 
     let mut rows = String::new();
     for &threads in &[2usize, 4, 8] {
-        let ta = Instant::now();
-        let stat = engine.try_query_batch_scheduled(
-            &queries,
-            threads,
-            &opts,
-            &budget,
-            BatchSchedule::StaticChunk,
-        );
-        let static_wall = ta.elapsed().as_secs_f64();
         let tb = Instant::now();
-        let steal = engine.try_query_batch_scheduled(
-            &queries,
-            threads,
-            &opts,
-            &budget,
-            BatchSchedule::WorkStealing,
-        );
+        let steal = engine.try_query_batch(&queries, threads, &opts, &budget);
         let steal_wall = tb.elapsed().as_secs_f64();
         assert!(
-            same_outcomes(&baseline, &stat) && same_outcomes(&baseline, &steal),
-            "schedules must be bit-identical to sequential"
+            same_outcomes(&baseline, &steal),
+            "the batch must be bit-identical to sequential"
         );
         let sim_static = static_makespan(&costs, threads);
         let sim_steal = stealing_makespan(&costs, threads);
         eprintln!(
             "threads {threads}: simulated makespan static {sim_static:.3}s vs stealing {sim_steal:.3}s \
-             ({:.2}x); measured wall static {static_wall:.3}s vs stealing {steal_wall:.3}s",
+             ({:.2}x); measured batch wall {steal_wall:.3}s",
             sim_static / sim_steal
         );
         if !rows.is_empty() {
@@ -223,7 +202,7 @@ fn main() {
         }
         rows.push_str(&format!(
             "{{\"threads\":{threads},\"sim_static_s\":{sim_static:.6},\"sim_stealing_s\":{sim_steal:.6},\
-             \"sim_speedup\":{:.4},\"wall_static_s\":{static_wall:.6},\"wall_stealing_s\":{steal_wall:.6}}}",
+             \"sim_speedup\":{:.4},\"wall_stealing_s\":{steal_wall:.6}}}",
             sim_static / sim_steal
         ));
     }

@@ -6,7 +6,7 @@ pub mod fig8;
 pub mod sweeps;
 pub mod tables;
 
-use crate::runner::ExperimentContext;
+use crate::runner::{run_query, ExperimentContext};
 use gpssn_core::algorithm::QueryOptions;
 use gpssn_core::{GpSsnEngine, GpSsnQuery};
 
@@ -59,10 +59,10 @@ pub fn run_queries(
             user: u,
             ..base.clone()
         };
-        let out = engine.query_with_options(&q, &opts);
+        let out = run_query(engine, &q, &opts);
         acc.cpu_seconds += out.metrics.cpu.as_secs_f64() / n;
         acc.io_pages += out.metrics.io_pages as f64 / n;
-        if out.answer.is_some() {
+        if out.answer().is_some() {
             acc.hit_rate += 1.0 / n;
         }
         let s = &out.metrics.stats;

@@ -13,4 +13,4 @@
 pub mod experiments;
 pub mod runner;
 
-pub use runner::{ExperimentContext, Table};
+pub use runner::{run_query, ExperimentContext, Table};

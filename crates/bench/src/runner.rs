@@ -1,10 +1,23 @@
 //! Shared experiment plumbing: context, engine construction, query
 //! sampling, and aligned-table printing.
 
-use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery};
+use gpssn_core::{
+    EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget, QueryOptions, QueryOutcome,
+};
 use gpssn_index::{PivotSelectConfig, RoadIndexConfig, SocialIndexConfig};
 use gpssn_ssn::SpatialSocialNetwork;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// Runs `q` under `opts` and an unlimited budget. A query proven
+/// infeasible before any index work counts as an exact empty answer at
+/// zero cost; any other rejection is a harness bug and panics.
+pub fn run_query(engine: &GpSsnEngine<'_>, q: &GpSsnQuery, opts: &QueryOptions) -> QueryOutcome {
+    match engine.try_query(q, opts, &QueryBudget::unlimited()) {
+        Ok(out) => out,
+        Err(GpSsnError::Infeasible { .. }) => QueryOutcome::infeasible(),
+        Err(e) => panic!("harness query rejected: {e}"),
+    }
+}
 
 /// Global knobs every experiment respects.
 #[derive(Debug, Clone)]

@@ -38,14 +38,14 @@ use crate::pruning::{
 };
 use crate::query::{GpSsnAnswer, GpSsnQuery};
 use crate::refinement::{verify_center, CenterVerification, ChBackend, VerifyContext};
-use crate::stats::BackendServed;
-use crate::stats::{binomial_f64, PruningStats, QueryMetrics, QueryOutcome, TopKOutcome};
+use crate::serve::{ServeConfig, ServeObs, ServeObsConfig, ServeRequest, Submission};
+use crate::stats::{binomial_f64, BackendServed, PruningStats, QueryMetrics, QueryOutcome};
 use gpssn_graph::DijkstraWorkspace;
 use gpssn_index::{
     select_road_pivots, select_social_pivots, IoCounter, PivotSelectConfig, RoadIndex,
     RoadIndexConfig, SocialIndex, SocialIndexConfig,
 };
-use gpssn_obs::Obs;
+use gpssn_obs::{Obs, TailConfig};
 use gpssn_road::{PoiId, RoadPivots};
 use gpssn_social::{SocialPivots, UserId};
 use gpssn_spatial::Entry;
@@ -142,25 +142,6 @@ pub enum DistanceBackend {
     Ch,
 }
 
-/// How a batch of queries is distributed over worker threads.
-///
-/// Both schedules answer every query by the same single-query path, so
-/// per-slot results are bit-identical to each other and to the
-/// sequential sweep; only wall-clock and worker utilization differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchSchedule {
-    /// Workers claim one query at a time off a shared atomic cursor.
-    /// Skewed per-query costs (exactly what the paper's pruning lemmas
-    /// induce: one large-radius query can cost orders of magnitude more
-    /// than its neighbors) no longer strand cheap queries behind an
-    /// overloaded worker. The default.
-    #[default]
-    WorkStealing,
-    /// The legacy schedule: `ceil(n/threads)` contiguous chunks, one per
-    /// worker. Kept for A/B comparison in tests and `serve_report`.
-    StaticChunk,
-}
-
 /// What to serve when the exact pipeline cannot produce an answer.
 ///
 /// The engine degrades along a fixed ladder of rungs, each strictly
@@ -187,6 +168,47 @@ pub enum DegradationPolicy {
     /// counted as a fault), and a query that would fail outright gets
     /// the bounded sampling pass before giving up.
     Ladder,
+}
+
+/// Which refinement a query runs. Every mode shares Algorithm 2's
+/// social and road pruning phases; only the refinement over the
+/// surviving candidate centers differs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum QueryMode {
+    /// The exact optimum (Algorithm 2). The default.
+    #[default]
+    Exact,
+    /// The `k` best answers over *distinct candidate centers* (each
+    /// center contributes its optimal feasible group), ascending by
+    /// `maxdist`; `TopK(1)` coincides with [`QueryMode::Exact`]'s
+    /// optimum. Runs with δ-pruning off (a δ cut is only sound for the
+    /// single best answer). `TopK(0)` is rejected as
+    /// [`GpSsnError::InvalidQuery`]. Under truncation the answers are
+    /// all verified and the completion carries the gap of the `k`-th
+    /// slot (`f64::INFINITY` when fewer than `k` were verified).
+    TopK(usize),
+    /// The paper's §5 future-work *subset sampling*: refinement draws
+    /// `samples` random connected groups per center (seeded by `seed`)
+    /// instead of enumerating, on plain Dijkstra. Any answer satisfies
+    /// Definition 5 exactly but may be suboptimal or missed; sampled
+    /// draws count against `max_groups_enumerated`.
+    Approximate {
+        /// Random groups drawn per candidate center.
+        samples: usize,
+        /// RNG seed: the same seed gives the same answer.
+        seed: u64,
+    },
+}
+
+impl QueryMode {
+    /// The `path` label this mode's queries carry in the registry.
+    fn label(self) -> &'static str {
+        match self {
+            QueryMode::Exact => "exact",
+            QueryMode::TopK(_) => "top_k",
+            QueryMode::Approximate { .. } => "approximate",
+        }
+    }
 }
 
 /// Per-query switches (ablations and stats collection).
@@ -227,6 +249,8 @@ pub struct QueryOptions {
     /// (see [`DegradationPolicy`]). The default, `FailFast`, preserves
     /// the legacy failure behavior exactly.
     pub degradation: DegradationPolicy,
+    /// Which refinement runs (see [`QueryMode`]).
+    pub mode: QueryMode,
 }
 
 impl Default for QueryOptions {
@@ -241,6 +265,7 @@ impl Default for QueryOptions {
             refine_threads: 1,
             distance_backend: DistanceBackend::Ch,
             degradation: DegradationPolicy::default(),
+            mode: QueryMode::default(),
         }
     }
 }
@@ -381,7 +406,7 @@ impl<'a> GpSsnEngine<'a> {
         ) else {
             return;
         };
-        let reg = o.registry();
+        let reg = o.base_registry();
         let life = cache.lifetime_stats();
         for (kind, hits, misses, evictions) in [
             (
@@ -464,43 +489,27 @@ impl<'a> GpSsnEngine<'a> {
         &self.social_index
     }
 
-    /// Runs a query with default options, panicking on invalid input.
-    /// Prefer [`GpSsnEngine::try_query`] in serving paths.
-    pub fn query(&self, q: &GpSsnQuery) -> QueryOutcome {
-        self.query_with_options(q, &QueryOptions::default())
-    }
-
-    /// Runs a query with explicit options, panicking on invalid input.
-    /// Prefer [`GpSsnEngine::try_query_with_options`] in serving paths.
-    pub fn query_with_options(&self, q: &GpSsnQuery, opts: &QueryOptions) -> QueryOutcome {
-        unwrap_outcome(self.try_query_with_options(q, opts, &QueryBudget::unlimited()))
-    }
-
-    /// Fallible query with default options under a resource budget.
+    /// Answers one GP-SSN query under a resource budget — the engine's
+    /// single query entry point. [`QueryOptions::mode`] picks the
+    /// refinement (the exact optimum by default, top-`k`, or subset
+    /// sampling); the social and road pruning phases are shared.
     ///
     /// Validation failures return `Err` ([`GpSsnError::InvalidQuery`],
     /// [`GpSsnError::UnknownUser`], [`GpSsnError::RadiusOutOfIndexRange`],
     /// [`GpSsnError::Infeasible`]); a query that *starts* always returns
     /// `Ok` and reports budget trips through
     /// [`QueryOutcome::completion`] — the anytime contract: the best
-    /// verified answer so far plus an optimality-gap bound, or
+    /// verified answers so far plus an optimality-gap bound, or
     /// [`Completion::Failed`] when nothing was verified in time.
     pub fn try_query(
-        &self,
-        q: &GpSsnQuery,
-        budget: &QueryBudget,
-    ) -> Result<QueryOutcome, GpSsnError> {
-        self.try_query_with_options(q, &QueryOptions::default(), budget)
-    }
-
-    /// Fallible query with explicit options under a resource budget. See
-    /// [`GpSsnEngine::try_query`] for the error/anytime contract.
-    pub fn try_query_with_options(
         &self,
         q: &GpSsnQuery,
         opts: &QueryOptions,
         budget: &QueryBudget,
     ) -> Result<QueryOutcome, GpSsnError> {
+        if opts.mode == QueryMode::TopK(0) {
+            return Err(GpSsnError::InvalidQuery("k must be positive".to_string()));
+        }
         self.validate_query(q)?;
         self.validate_radius(q)?;
         self.check_static_feasibility(q)?;
@@ -521,20 +530,50 @@ impl<'a> GpSsnEngine<'a> {
         let candidates = gpssn_obs::phase(obs, "prune_social", || {
             self.social_phase(q, opts, &io, &mut stats)
         });
-        let (mut answer, delta, mut completion) =
-            self.road_phase(q, opts, &candidates, &io, &mut stats, &meter, obs);
+        let (mut answers, delta, outstanding) = match opts.mode {
+            QueryMode::Exact => {
+                let (answer, delta, outstanding) =
+                    self.road_phase(q, opts, &candidates, &io, &mut stats, &meter, obs);
+                (answer.into_iter().collect(), delta, outstanding)
+            }
+            QueryMode::TopK(k) => {
+                self.refine_top_k(q, k, opts, &candidates, &io, &mut stats, &meter, obs)
+            }
+            QueryMode::Approximate { samples, seed } => {
+                let (mut centers, outstanding, delta) = gpssn_obs::phase(obs, "prune_road", || {
+                    self.collect_centers(q, opts, &candidates, &io, &mut stats, &meter)
+                });
+                centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                stats.candidate_pois = centers.len();
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let (answer, unresolved) = gpssn_obs::phase(obs, "sample", || {
+                    self.sample_centers(q, &candidates, &centers, samples, &mut rng, &meter)
+                });
+                (
+                    answer.into_iter().collect(),
+                    delta,
+                    outstanding.min(unresolved),
+                )
+            }
+        };
+        let k = if let QueryMode::TopK(k) = opts.mode {
+            k
+        } else {
+            1
+        };
+        let mut completion = completion_of(&meter, &answers, k, outstanding);
 
         // Bottom rung of the degradation ladder: the exact pipeline
         // failed outright, so spend a small fresh budget on the sampling
         // estimator before reporting failure.
-        if opts.degradation == DegradationPolicy::Ladder
-            && answer.is_none()
+        if opts.mode == QueryMode::Exact
+            && opts.degradation == DegradationPolicy::Ladder
             && matches!(completion, Completion::Failed(_))
         {
             if let Some(ans) = gpssn_obs::phase(obs, "degrade_sampling", || {
                 self.sampling_rescue(q, opts, &candidates, &io)
             }) {
-                answer = Some(ans);
+                answers.push(ans);
                 completion = Completion::DegradedSampling;
             }
         }
@@ -547,12 +586,60 @@ impl<'a> GpSsnEngine<'a> {
         stats.candidate_users = candidates.len();
 
         let out = QueryOutcome {
-            answer,
+            answers,
             completion,
             metrics: finish_metrics(start, &io, &meter, stats),
         };
-        record_query(obs, "exact", &out, &meter);
+        record_query(obs, opts.mode.label(), &out, &meter);
         Ok(out)
+    }
+
+    /// Answers a batch of queries on `threads` serve workers (`0` = the
+    /// machine's available parallelism; counts beyond the batch size
+    /// are clamped), one result per query in input order.
+    ///
+    /// The batch is a [`serve()`](crate::serve::serve) call over the
+    /// queries: workers pull one query at a time, so a costly query
+    /// never strands cheap ones behind it; each query is answered as by
+    /// [`GpSsnEngine::try_query`] and panic-isolated, so a panic
+    /// surfaces as [`GpSsnError::Internal`] in its slot while the rest
+    /// of the batch completes. Every trace the queries emit is kept.
+    ///
+    /// `budget.deadline` is measured **from submission**, as for every
+    /// serve request: time a query spends queued behind the others
+    /// counts against it, a query whose deadline has passed before a
+    /// worker picks it up is shed with [`GpSsnError::DeadlineExpired`]
+    /// without engine work, and a zero deadline is shed on arrival.
+    pub fn try_query_batch(
+        &self,
+        queries: &[GpSsnQuery],
+        threads: usize,
+        opts: &QueryOptions,
+        budget: &QueryBudget,
+    ) -> Vec<Result<QueryOutcome, GpSsnError>> {
+        let keep_every_trace = ServeObsConfig {
+            tail: TailConfig {
+                head_rate: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let cfg = ServeConfig {
+            threads: resolve_threads(threads, queries.len()),
+            options: opts.clone(),
+            telemetry: Arc::new(ServeObs::new(&keep_every_trace)),
+            ..Default::default()
+        };
+        let submissions = queries.iter().enumerate().map(|(i, q)| {
+            Submission::Request(ServeRequest {
+                id: i as u64,
+                query: q.clone(),
+                budget: budget.clone(),
+            })
+        });
+        let mut results = Vec::with_capacity(queries.len());
+        crate::serve::serve(self, &cfg, submissions, |resp| results.push(resp.result));
+        results
     }
 
     /// `Err(InvalidQuery)` / `Err(UnknownUser)` for malformed parameters.
@@ -605,308 +692,34 @@ impl<'a> GpSsnEngine<'a> {
         Ok(())
     }
 
-    /// Answers a batch of queries in parallel on `threads` OS threads
-    /// (the engine is immutable after construction, so queries share the
-    /// indexes freely). `threads = 0` uses the machine's available
-    /// parallelism, and thread counts beyond the batch size are clamped.
-    /// Results come back in input order. Errors panic per the legacy
-    /// contract; prefer [`GpSsnEngine::try_query_batch`] in serving
-    /// paths.
-    pub fn query_batch(&self, queries: &[GpSsnQuery], threads: usize) -> Vec<QueryOutcome> {
-        self.try_query_batch(queries, threads, &QueryBudget::unlimited())
-            .into_iter()
-            .map(unwrap_outcome)
-            .collect()
-    }
-
-    /// Panic-isolated parallel batch under a shared per-query budget.
-    ///
-    /// Each query is answered as by [`GpSsnEngine::try_query`];
-    /// `threads = 0` means available parallelism and larger counts are
-    /// clamped to the batch size. A panic inside one query is caught at
-    /// that query's boundary and surfaced as [`GpSsnError::Internal`] in
-    /// its slot — the rest of the batch still completes, in input order.
-    pub fn try_query_batch(
-        &self,
-        queries: &[GpSsnQuery],
-        threads: usize,
-        budget: &QueryBudget,
-    ) -> Vec<Result<QueryOutcome, GpSsnError>> {
-        self.try_query_batch_with_options(queries, threads, &QueryOptions::default(), budget)
-    }
-
-    /// [`GpSsnEngine::try_query_batch`] with explicit per-query options —
-    /// notably [`QueryOptions::degradation`]: under
-    /// [`DegradationPolicy::Ladder`] refinement faults degrade answers
-    /// down the ladder instead of surfacing as `Internal` errors in the
-    /// slot. Queries are scheduled by work stealing (see
-    /// [`BatchSchedule::WorkStealing`]); answers are bit-identical to
-    /// the sequential path either way.
-    pub fn try_query_batch_with_options(
-        &self,
-        queries: &[GpSsnQuery],
-        threads: usize,
-        opts: &QueryOptions,
-        budget: &QueryBudget,
-    ) -> Vec<Result<QueryOutcome, GpSsnError>> {
-        self.try_query_batch_scheduled(queries, threads, opts, budget, BatchSchedule::WorkStealing)
-    }
-
-    /// [`GpSsnEngine::try_query_batch_with_options`] with an explicit
-    /// [`BatchSchedule`]. The static-chunk schedule exists for A/B
-    /// comparison (equivalence tests, the `serve_report` bench); serving
-    /// paths should let the default work stealing balance skewed
-    /// per-query costs.
-    // Audited expect: the workers fill every slot exactly once before
-    // the scope exits (each index is claimed by exactly one worker); an
-    // empty slot is unreachable.
-    #[allow(clippy::expect_used)]
-    pub fn try_query_batch_scheduled(
-        &self,
-        queries: &[GpSsnQuery],
-        threads: usize,
-        opts: &QueryOptions,
-        budget: &QueryBudget,
-        schedule: BatchSchedule,
-    ) -> Vec<Result<QueryOutcome, GpSsnError>> {
-        let threads = resolve_threads(threads, queries.len());
-        let _capture = crate::panic_capture::capture_scope();
-        let run_one = |q: &GpSsnQuery| -> Result<QueryOutcome, GpSsnError> {
-            run_isolated(self, q, opts, budget)
-        };
-        if threads == 1 || queries.len() <= 1 {
-            return queries.iter().map(run_one).collect();
-        }
-        // Each worker accumulates metrics into a private registry; the
-        // merge below folds them into the base registry in worker order.
-        // Counter and histogram merges are element-wise additions, so
-        // batch totals are reproducible under any thread interleaving
-        // and any schedule (see `Obs::with_registry`).
-        let obs = self.obs().filter(|o| o.metrics_on());
-        let worker_regs: Vec<Arc<gpssn_obs::Registry>> = (0..threads)
-            .map(|_| Arc::new(gpssn_obs::Registry::new()))
-            .collect();
-        let mut slots: Vec<Option<Result<QueryOutcome, GpSsnError>>> =
-            (0..queries.len()).map(|_| None).collect();
-        let run_one = &run_one;
-        let redirect = obs.is_some();
-        // Work stealing: a shared cursor hands out one query at a time,
-        // so a worker stuck on a skewed query (large radius, dense
-        // social neighborhood) never strands a tail of cheap queries
-        // behind it — the other workers drain them. Static chunking
-        // precomputes contiguous ranges instead.
-        let cursor = AtomicUsize::new(0);
-        let chunk = queries.len().div_ceil(threads);
-        let spawned = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let reg = Arc::clone(&worker_regs[t]);
-                    let cursor = &cursor;
-                    scope.spawn(move || {
-                        let mut claimed: Vec<(usize, Result<QueryOutcome, GpSsnError>)> =
-                            Vec::new();
-                        let mut run = || match schedule {
-                            BatchSchedule::WorkStealing => loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= queries.len() {
-                                    break;
-                                }
-                                claimed.push((i, run_one(&queries[i])));
-                            },
-                            BatchSchedule::StaticChunk => {
-                                let lo = (t * chunk).min(queries.len());
-                                let hi = ((t + 1) * chunk).min(queries.len());
-                                for (i, q) in queries.iter().enumerate().take(hi).skip(lo) {
-                                    claimed.push((i, run_one(q)));
-                                }
-                            }
-                        };
-                        if redirect {
-                            Obs::with_registry(reg, &mut run);
-                        } else {
-                            run();
-                        }
-                        claimed
-                    })
-                })
-                .collect();
-            let spawned = handles.len();
-            for h in handles {
-                let claimed = h
-                    .join()
-                    .expect("batch workers never panic: every query is panic-isolated");
-                for (i, r) in claimed {
-                    debug_assert!(slots[i].is_none(), "query {i} claimed twice");
-                    slots[i] = Some(r);
-                }
-            }
-            spawned
-        });
-        // One registry per spawned worker, no more, no less — the old
-        // static-chunk path derived the two counts independently (both
-        // from `div_ceil`), which left ghost registries when trailing
-        // chunks were empty.
-        assert_eq!(
-            worker_regs.len(),
-            spawned,
-            "metrics registry per spawned worker"
-        );
-        if let Some(o) = obs {
-            for reg in &worker_regs {
-                o.base_registry().merge_from(reg);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every slot filled"))
-            .collect()
-    }
-
-    /// Approximate query using the paper's future-work *subset sampling*
-    /// (Section 5): the index traversal is unchanged, but refinement
-    /// draws `samples_per_center` random connected groups instead of
-    /// enumerating. Any returned answer satisfies Definition 5 exactly;
-    /// it may be suboptimal (or missed) — see the ablation benches for
-    /// the quality/time trade-off.
-    pub fn query_approximate(
-        &self,
-        q: &GpSsnQuery,
-        samples_per_center: usize,
-        seed: u64,
-    ) -> QueryOutcome {
-        unwrap_outcome(self.try_query_approximate(
-            q,
-            samples_per_center,
-            seed,
-            &QueryBudget::unlimited(),
-        ))
-    }
-
-    /// Fallible [`GpSsnEngine::query_approximate`] under a resource
-    /// budget; same error/anytime contract as [`GpSsnEngine::try_query`]
-    /// (sampled draws count against `max_groups_enumerated`).
-    pub fn try_query_approximate(
-        &self,
-        q: &GpSsnQuery,
-        samples_per_center: usize,
-        seed: u64,
-        budget: &QueryBudget,
-    ) -> Result<QueryOutcome, GpSsnError> {
-        self.validate_query(q)?;
-        self.validate_radius(q)?;
-        self.check_static_feasibility(q)?;
-        let meter = BudgetState::new(budget);
-        let obs = self.obs();
-        let _qspan = obs
-            .filter(|o| o.tracing_on())
-            .map(|o| o.tracer().span("query"));
-        let start = Instant::now();
-        let io = IoCounter::new();
-        let opts = QueryOptions::default();
-        let mut stats = PruningStats {
-            users_total: self.ssn.social().num_users(),
-            pois_total: self.ssn.pois().len(),
-            ..Default::default()
-        };
-        let candidates = gpssn_obs::phase(obs, "prune_social", || {
-            self.social_phase(q, &opts, &io, &mut stats)
-        });
-        let (mut centers, mut outstanding) = gpssn_obs::phase(obs, "prune_road", || {
-            self.collect_centers(q, &opts, &candidates, &io, &mut stats, &meter)
-        });
-        centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut best: Option<GpSsnAnswer> = None;
-        let mut best_val = f64::INFINITY;
-        gpssn_obs::phase(obs, "sample", || {
-            for &(lb, center) in &centers {
-                if lb >= best_val {
-                    break;
-                }
-                if meter.is_tripped() {
-                    outstanding = outstanding.min(lb);
-                    break;
-                }
-                let filtered = self.filter_candidates_for_center(&candidates, center, best_val);
-                if let Some(ans) = crate::sampling::verify_center_sampled(
-                    self.ssn,
-                    q,
-                    &filtered,
-                    center,
-                    best_val,
-                    samples_per_center,
-                    &mut rng,
-                    &meter,
-                ) {
-                    best_val = ans.maxdist;
-                    best = Some(ans);
-                }
-                if meter.is_tripped() {
-                    outstanding = outstanding.min(lb);
-                    break;
-                }
-            }
-        });
-        let completion = completion_of(&meter, best_val, outstanding);
-        let out = QueryOutcome {
-            answer: best,
-            completion,
-            metrics: finish_metrics(start, &io, &meter, stats),
-        };
-        record_query(obs, "approximate", &out, &meter);
-        Ok(out)
-    }
-
-    /// Top-`k` GP-SSN: the `k` best answers over *distinct candidate
-    /// centers* (each center contributes its optimal feasible group),
-    /// sorted by ascending `maxdist`. `k = 1` coincides with
-    /// [`GpSsnEngine::query`]'s optimum.
-    pub fn query_top_k(&self, q: &GpSsnQuery, k: usize) -> Vec<GpSsnAnswer> {
-        assert!(k >= 1, "k must be positive");
-        match self.try_query_top_k(q, k, &QueryBudget::unlimited()) {
-            Ok(out) => out.answers,
-            Err(GpSsnError::Infeasible { .. }) => Vec::new(),
-            Err(e) => panic_like_legacy(e),
-        }
-    }
-
-    /// Fallible top-`k` under a resource budget. Under truncation the
-    /// returned answers are all verified; [`TopKOutcome::completion`]
-    /// carries the optimality gap of the `k`-th slot
-    /// (`f64::INFINITY` when fewer than `k` answers were verified).
-    // Audited expects: `best_k.last()` is only read behind explicit
-    // `best_k.len() >= k` (k >= 1) guards.
-    #[allow(clippy::expect_used)]
-    pub fn try_query_top_k(
+    /// [`QueryMode::TopK`] refinement: collects every candidate center
+    /// with δ-pruning off, then verifies them in ascending `lb` order
+    /// until the `k`-th best answer beats the next lower bound. Returns
+    /// the answers (ascending `maxdist`, distinct groups), `δ`, and the
+    /// smallest lower bound left unresolved.
+    // Audited expect: `best_k.last()` is only read behind an explicit
+    // `best_k.len() >= k` (k >= 1) guard.
+    #[allow(clippy::expect_used, clippy::too_many_arguments)]
+    fn refine_top_k(
         &self,
         q: &GpSsnQuery,
         k: usize,
-        budget: &QueryBudget,
-    ) -> Result<TopKOutcome, GpSsnError> {
-        if k == 0 {
-            return Err(GpSsnError::InvalidQuery("k must be positive".to_string()));
-        }
-        self.validate_query(q)?;
-        self.validate_radius(q)?;
-        self.check_static_feasibility(q)?;
-        let meter = BudgetState::new(budget);
-        let obs = self.obs();
-        let _qspan = obs
-            .filter(|o| o.tracing_on())
-            .map(|o| o.tracer().span("query"));
-        let io = IoCounter::new();
+        opts: &QueryOptions,
+        candidates: &[UserId],
+        io: &IoCounter,
+        stats: &mut PruningStats,
+        meter: &BudgetState,
+        obs: Option<&Obs>,
+    ) -> (Vec<GpSsnAnswer>, f64, f64) {
         let opts = QueryOptions {
             use_delta_pruning: false,
-            ..Default::default()
+            ..opts.clone()
         };
-        let mut stats = PruningStats::default();
-        let candidates = gpssn_obs::phase(obs, "prune_social", || {
-            self.social_phase(q, &opts, &io, &mut stats)
-        });
-        let (mut centers, mut outstanding) = gpssn_obs::phase(obs, "prune_road", || {
-            self.collect_centers(q, &opts, &candidates, &io, &mut stats, &meter)
+        let (mut centers, mut outstanding, delta) = gpssn_obs::phase(obs, "prune_road", || {
+            self.collect_centers(q, &opts, candidates, io, stats, meter)
         });
         centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        stats.candidate_pois = centers.len();
         let refine_span = obs
             .filter(|o| o.tracing_on())
             .map(|o| o.tracer().span("refine"));
@@ -922,7 +735,7 @@ impl<'a> GpSsnEngine<'a> {
             }),
             cache: self.distance_cache.as_ref(),
             breaker: Some(&self.ch_breaker),
-            budget: &meter,
+            budget: meter,
             obs,
             span_parent,
         };
@@ -943,7 +756,7 @@ impl<'a> GpSsnEngine<'a> {
             let Some(v) = verify_center_guarded(
                 self.ssn,
                 q,
-                &candidates,
+                candidates,
                 center,
                 bound,
                 self.cfg.enumeration_cap,
@@ -953,6 +766,7 @@ impl<'a> GpSsnEngine<'a> {
                 outstanding = outstanding.min(lb);
                 continue;
             };
+            stats.pairs_refined += v.subsets_examined;
             if let Some(ans) = v.answer {
                 if !best_k
                     .iter()
@@ -975,31 +789,47 @@ impl<'a> GpSsnEngine<'a> {
             ws.recycles() + chws.recycles(),
             chws.unpacks(),
         );
-        if let Some(o) = obs.filter(|o| o.metrics_on()) {
-            o.inc("gpssn_queries_total", &[("path", "top_k")], 1);
+        (best_k, delta, outstanding)
+    }
+
+    /// Subset-sampling refinement (the paper's §5 estimator) over
+    /// centers sorted ascending by `lb`: draws `samples` random
+    /// connected groups per center and keeps the best feasible one.
+    /// Returns the answer and the smallest lower bound left unresolved
+    /// when the budget tripped (`f64::INFINITY` otherwise).
+    fn sample_centers(
+        &self,
+        q: &GpSsnQuery,
+        candidates: &[UserId],
+        centers: &[(f64, PoiId)],
+        samples: usize,
+        rng: &mut rand::rngs::StdRng,
+        meter: &BudgetState,
+    ) -> (Option<GpSsnAnswer>, f64) {
+        let mut best: Option<GpSsnAnswer> = None;
+        let mut best_val = f64::INFINITY;
+        let mut unresolved = f64::INFINITY;
+        for &(lb, center) in centers {
+            if lb >= best_val {
+                break;
+            }
+            if meter.is_tripped() {
+                unresolved = lb;
+                break;
+            }
+            let filtered = self.filter_candidates_for_center(candidates, center, best_val);
+            if let Some(ans) = crate::sampling::verify_center_sampled(
+                self.ssn, q, &filtered, center, best_val, samples, rng, meter,
+            ) {
+                best_val = ans.maxdist;
+                best = Some(ans);
+            }
+            if meter.is_tripped() {
+                unresolved = lb;
+                break;
+            }
         }
-        let kth_val = if best_k.len() >= k {
-            best_k.last().expect("non-empty").maxdist
-        } else {
-            f64::INFINITY
-        };
-        // Absorbed refinement faults count as cuts too: the faulted
-        // centers' lower bounds are folded into `outstanding`, so the
-        // exactness claim stays honest without a budget trip.
-        let cut = meter.trip().is_some() || meter.faults() > 0;
-        let completion = if !cut || outstanding >= kth_val {
-            Completion::Exact
-        } else if best_k.is_empty() {
-            Completion::Failed(cut_error(&meter))
-        } else if best_k.len() < k {
-            Completion::TruncatedWithGap(f64::INFINITY)
-        } else {
-            Completion::TruncatedWithGap(kth_val - outstanding)
-        };
-        Ok(TopKOutcome {
-            answers: best_k,
-            completion,
-        })
+        (best, unresolved)
     }
 
     /// The ladder's sampling rung: re-collects candidate centers under a
@@ -1028,38 +858,20 @@ impl<'a> GpSsnEngine<'a> {
         };
         let meter = BudgetState::new(&budget);
         let mut stats = PruningStats::default();
-        let (mut centers, _) = self.collect_centers(q, opts, candidates, io, &mut stats, &meter);
+        let (mut centers, _, _) = self.collect_centers(q, opts, candidates, io, &mut stats, &meter);
         centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        centers.truncate(RESCUE_CENTERS);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_0000 ^ u64::from(q.user));
-        let mut best: Option<GpSsnAnswer> = None;
-        let mut best_val = f64::INFINITY;
-        for &(lb, center) in centers.iter().take(RESCUE_CENTERS) {
-            if lb >= best_val || meter.is_tripped() {
-                break;
-            }
-            let filtered = self.filter_candidates_for_center(candidates, center, best_val);
-            if let Some(ans) = crate::sampling::verify_center_sampled(
-                self.ssn,
-                q,
-                &filtered,
-                center,
-                best_val,
-                RESCUE_SAMPLES,
-                &mut rng,
-                &meter,
-            ) {
-                best_val = ans.maxdist;
-                best = Some(ans);
-            }
-        }
-        best
+        self.sample_centers(q, candidates, &centers, RESCUE_SAMPLES, &mut rng, &meter)
+            .0
     }
 
     /// Traversal-only road phase: collects candidate centers with their
     /// lower bounds, without refinement (shared by the approximate and
-    /// top-k paths). δ-cut items are dropped, not deferred. The second
-    /// return value is the smallest lower bound left unexplored when the
-    /// budget tripped mid-traversal (`f64::INFINITY` otherwise).
+    /// top-k modes and the sampling rung). δ-cut items are dropped, not
+    /// deferred. Also returns the smallest lower bound left unexplored
+    /// when the budget tripped mid-traversal (`f64::INFINITY` otherwise)
+    /// and the final `δ`.
     fn collect_centers(
         &self,
         q: &GpSsnQuery,
@@ -1068,7 +880,7 @@ impl<'a> GpSsnEngine<'a> {
         io: &IoCounter,
         stats: &mut PruningStats,
         meter: &BudgetState,
-    ) -> (Vec<(f64, PoiId)>, f64) {
+    ) -> (Vec<(f64, PoiId)>, f64, f64) {
         let idx = &self.road_index;
         let uq_interest = self.ssn.social().interest(q.user);
         let uq_rn = self.social_index.user_rn_dists(q.user);
@@ -1116,7 +928,7 @@ impl<'a> GpSsnEngine<'a> {
                 Item::Center(o) => centers.push((lb, o)),
             }
         }
-        (centers, outstanding)
+        (centers, outstanding, delta)
     }
 
     // ------------------------------------------------------------------
@@ -1249,7 +1061,7 @@ impl<'a> GpSsnEngine<'a> {
         stats: &mut PruningStats,
         meter: &BudgetState,
         obs: Option<&Obs>,
-    ) -> (Option<GpSsnAnswer>, f64, Completion) {
+    ) -> (Option<GpSsnAnswer>, f64, f64) {
         let idx = &self.road_index;
         let uq_interest = self.ssn.social().interest(q.user);
         let uq_rn = self.social_index.user_rn_dists(q.user);
@@ -1259,7 +1071,7 @@ impl<'a> GpSsnEngine<'a> {
         // `None` means the check itself ran out of budget — proceed; the
         // traversal below trips on its first pop and degrades cleanly.
         if self.any_feasible_group(q, candidates, stats, meter) == Some(false) {
-            return (None, f64::INFINITY, Completion::Exact);
+            return (None, f64::INFINITY, f64::INFINITY);
         }
 
         // Eq. 16's `max_{u_j ∈ S}` term. The loosest sound choice is the
@@ -1469,8 +1281,7 @@ impl<'a> GpSsnEngine<'a> {
         }
 
         stats.candidate_pois = centers.len();
-        let completion = completion_of(meter, best_val, outstanding);
-        (best, delta, completion)
+        (best, delta, outstanding)
     }
 
     /// Records an access to index page `page`: a physical read unless the
@@ -1964,23 +1775,18 @@ fn finish_metrics(
     stats: PruningStats,
 ) -> QueryMetrics {
     let (ch_batches, ch_settles) = meter.ch_tallies();
-    let dijkstra_settles = meter.settles().saturating_sub(ch_settles);
     let (ws_resets, heap_recycles, ch_unpacks) = meter.workspace_tallies();
-    let backend_served = BackendServed {
-        dijkstra_batches: meter.dijkstra_batches(),
-        dijkstra_settles,
-        ch_batches,
-        ch_settles,
-    };
     QueryMetrics {
         cpu: start.elapsed(),
         io_pages: io.count(),
         heap_pops: meter.pops(),
         groups_enumerated: meter.groups(),
-        dijkstra_settles,
-        ch_batches,
-        ch_settles,
-        backend_served,
+        backend_served: BackendServed {
+            dijkstra_batches: meter.dijkstra_batches(),
+            dijkstra_settles: meter.settles().saturating_sub(ch_settles),
+            ch_batches,
+            ch_settles,
+        },
         ws_resets,
         heap_recycles,
         ch_unpacks,
@@ -2069,15 +1875,14 @@ fn cut_error(meter: &BudgetState) -> GpSsnError {
 
 /// Folds one finished query into the metrics registry — called once per
 /// query at outcome assembly, so the hot traversal and refinement paths
-/// never touch the registry. Under [`Obs::with_registry`] redirection
-/// (batch workers) this lands in the calling thread's private registry.
+/// never touch the registry.
 fn record_query(obs: Option<&Obs>, path: &'static str, out: &QueryOutcome, meter: &BudgetState) {
     let Some(o) = obs.filter(|o| o.metrics_on()) else {
         return;
     };
     let m = &out.metrics;
     o.inc("gpssn_queries_total", &[("path", path)], 1);
-    if out.answer.is_some() {
+    if !out.answers.is_empty() {
         o.inc("gpssn_answers_total", &[("path", path)], 1);
     }
     let class = out.completion.rung();
@@ -2247,59 +2052,41 @@ fn atomic_min_f64(best: &AtomicU64, v: f64) {
 
 /// Derives the completion state after a (possibly tripped) search.
 ///
-/// `best_val` is the best *verified* objective (`f64::INFINITY` when no
-/// answer was verified); `outstanding` is the smallest lower bound left
-/// unresolved by the trip (`f64::INFINITY` when the search space was
-/// exhausted anyway). No trip means the answer is exact; with a trip, an
-/// answer whose value is `<=` every unresolved bound is still provably
-/// optimal, otherwise the answer carries the gap `best_val − outstanding`
-/// (the true optimum lies within it). A trip with nothing verified and
-/// work left unresolved is a failure — there is no anytime answer to
-/// degrade to.
+/// `answers` are the verified answers in ascending `maxdist` (at most
+/// `k`; `k = 1` outside [`QueryMode::TopK`]); `outstanding` is the
+/// smallest lower bound left unresolved by the trip (`f64::INFINITY`
+/// when the search space was exhausted anyway). No cut means the
+/// answers are exact; with a cut, a `k`-th answer whose value is `<=`
+/// every unresolved bound is still provably exact, otherwise the
+/// completion carries the gap `kth − outstanding` (the true `k`-th
+/// value lies within it; `f64::INFINITY` when fewer than `k` answers
+/// were verified). A cut with nothing verified and work left
+/// unresolved is a failure — there is no anytime answer to degrade to.
 /// Absorbed refinement faults count as cuts alongside budget trips: the
 /// faulted centers' lower bounds were folded into `outstanding`, so an
 /// answer that beats every unresolved bound is still provably optimal,
 /// and anything else degrades honestly.
-fn completion_of(meter: &BudgetState, best_val: f64, outstanding: f64) -> Completion {
+fn completion_of(
+    meter: &BudgetState,
+    answers: &[GpSsnAnswer],
+    k: usize,
+    outstanding: f64,
+) -> Completion {
+    let kth = answers.get(k - 1).map_or(f64::INFINITY, |a| a.maxdist);
     let cut = meter.trip().is_some() || meter.faults() > 0;
-    if !cut || outstanding >= best_val {
+    if !cut || outstanding >= kth {
         Completion::Exact
-    } else if best_val.is_finite() {
-        Completion::TruncatedWithGap((best_val - outstanding).max(0.0))
-    } else {
+    } else if answers.is_empty() {
         Completion::Failed(cut_error(meter))
-    }
-}
-
-/// Collapses a `try_` result into the legacy panicking API: infeasible
-/// queries degrade to an exact "no answer" outcome; validation errors
-/// panic with the historical messages.
-fn unwrap_outcome(res: Result<QueryOutcome, GpSsnError>) -> QueryOutcome {
-    match res {
-        Ok(out) => out,
-        Err(GpSsnError::Infeasible { .. }) => QueryOutcome::infeasible(),
-        Err(e) => panic_like_legacy(e),
-    }
-}
-
-/// Panics with the historical message for each error class (so code and
-/// tests written against the panicking API keep their expectations).
-fn panic_like_legacy(e: GpSsnError) -> ! {
-    match e {
-        GpSsnError::InvalidQuery(_) | GpSsnError::UnknownUser { .. } => {
-            panic!("invalid query parameters: {e}")
-        }
-        GpSsnError::RadiusOutOfIndexRange { .. } => {
-            panic!("query radius outside the index's [r_min, r_max] range: {e}")
-        }
-        other => panic!("{other}"),
+    } else {
+        Completion::TruncatedWithGap((kth - outstanding).max(0.0))
     }
 }
 
 /// Resolves a requested thread count against the number of work items:
 /// `0` means the machine's available parallelism, and counts beyond the
 /// item count are clamped (one item still gets one thread). Every
-/// multi-threaded entry point — the batch paths, the serving layer, and
+/// multi-threaded entry point — the batch call, the serving layer, and
 /// intra-query [`QueryOptions::refine_threads`] — resolves through this
 /// one helper so `threads == 0` cannot drift between them.
 pub(crate) fn resolve_threads(requested: usize, items: usize) -> usize {
@@ -2325,7 +2112,7 @@ pub(crate) fn run_isolated(
 ) -> Result<QueryOutcome, GpSsnError> {
     crate::panic_capture::clear_last_message(); // drop stale captures
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.try_query_with_options(q, opts, budget)
+        engine.try_query(q, opts, budget)
     }))
     .unwrap_or_else(|payload| {
         Err(GpSsnError::Internal(crate::panic_capture::panic_message(
@@ -2403,6 +2190,12 @@ mod tests {
         GpSsnEngine::build(ssn, cfg)
     }
 
+    fn run(engine: &GpSsnEngine<'_>, q: &GpSsnQuery, opts: &QueryOptions) -> QueryOutcome {
+        engine
+            .try_query(q, opts, &QueryBudget::unlimited())
+            .expect("valid query")
+    }
+
     #[test]
     fn answers_validate_against_definition5() {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 11);
@@ -2414,8 +2207,8 @@ mod tests {
             theta: 0.3,
             radius: 3.0,
         };
-        let out = engine.query(&q);
-        if let Some(ans) = &out.answer {
+        let out = run(&engine, &q, &QueryOptions::default());
+        if let Some(ans) = out.answer() {
             crate::query::check_answer(&ssn, &q, ans).expect("answer must satisfy Definition 5");
         }
         assert!(out.metrics.io_pages > 0);
@@ -2433,7 +2226,9 @@ mod tests {
             theta: 0.1,
             radius: 3.0,
         };
-        assert!(engine.query(&q).answer.is_none());
+        assert!(run(&engine, &q, &QueryOptions::default())
+            .answers
+            .is_empty());
     }
 
     #[test]
@@ -2451,7 +2246,7 @@ mod tests {
             collect_stats: true,
             ..Default::default()
         };
-        let out = engine.query_with_options(&q, &opts);
+        let out = run(&engine, &q, &opts);
         let s = &out.metrics.stats;
         assert_eq!(s.users_total, ssn.social().num_users());
         assert_eq!(s.pois_total, ssn.pois().len());
@@ -2469,8 +2264,9 @@ mod tests {
             theta: 0.3,
             radius: 2.5,
         };
-        let full = engine.query(&q);
-        let no_prune = engine.query_with_options(
+        let full = run(&engine, &q, &QueryOptions::default());
+        let no_prune = run(
+            &engine,
             &q,
             &QueryOptions {
                 use_interest_pruning: false,
@@ -2482,9 +2278,10 @@ mod tests {
                 refine_threads: 1,
                 distance_backend: DistanceBackend::Dijkstra,
                 degradation: DegradationPolicy::FailFast,
+                mode: QueryMode::Exact,
             },
         );
-        match (&full.answer, &no_prune.answer) {
+        match (full.answer(), no_prune.answer()) {
             (Some(a), Some(b)) => {
                 assert!(
                     (a.maxdist - b.maxdist).abs() < 1e-6,
@@ -2499,7 +2296,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "radius outside")]
     fn rejects_radius_outside_index_range() {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 11);
         let engine = small_engine(&ssn);
@@ -2510,7 +2306,10 @@ mod tests {
             theta: 0.3,
             radius: 100.0,
         };
-        engine.query(&q);
+        assert!(matches!(
+            engine.try_query(&q, &QueryOptions::default(), &QueryBudget::unlimited()),
+            Err(GpSsnError::RadiusOutOfIndexRange { .. })
+        ));
     }
 
     #[test]
@@ -2526,14 +2325,13 @@ mod tests {
                 radius: 2.5,
             })
             .collect();
-        let sequential = engine.query_batch(&queries, 1);
-        let parallel = engine.query_batch(&queries, 4);
-        assert_eq!(sequential.len(), parallel.len());
-        for (s, p) in sequential.iter().zip(parallel.iter()) {
-            assert_eq!(
-                s.answer.as_ref().map(|a| (a.users.clone(), a.pois.clone())),
-                p.answer.as_ref().map(|a| (a.users.clone(), a.pois.clone()))
-            );
+        let opts = QueryOptions::default();
+        let budget = QueryBudget::unlimited();
+        let parallel = engine.try_query_batch(&queries, 4, &opts, &budget);
+        assert_eq!(queries.len(), parallel.len());
+        for (q, p) in queries.iter().zip(parallel) {
+            let (s, p) = (run(&engine, q, &opts), p.expect("valid query"));
+            assert_eq!(s.answers, p.answers);
             assert_eq!(s.metrics.io_pages, p.metrics.io_pages);
         }
     }

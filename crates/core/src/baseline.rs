@@ -154,7 +154,7 @@ pub fn try_exact_baseline_with_obs(
 
 /// Exhaustive top-`k`: the best feasible answer of every candidate
 /// center, globally sorted by objective, truncated to `k` — the oracle
-/// for [`crate::GpSsnEngine::query_top_k`]'s semantics.
+/// for [`crate::QueryMode::TopK`]'s semantics.
 pub fn exact_baseline_top_k(
     ssn: &SpatialSocialNetwork,
     q: &GpSsnQuery,

@@ -59,7 +59,7 @@ pub enum GpSsnError {
     },
     /// The serving layer's bounded submission queue was full and the
     /// overload policy sheds instead of blocking; the request never
-    /// reached the engine. Only produced by [`crate::serve`].
+    /// reached the engine. Only produced by [`crate::serve()`].
     Overloaded {
         /// Queue depth observed at rejection.
         depth: usize,
@@ -70,7 +70,7 @@ pub enum GpSsnError {
     /// was spent on it (at submission, or after waiting in the serving
     /// queue), so admission control shed it. Distinct from
     /// [`GpSsnError::DeadlineExceeded`], which reports a deadline that
-    /// tripped *mid-query*. Only produced by [`crate::serve`].
+    /// tripped *mid-query*. Only produced by [`crate::serve()`].
     DeadlineExpired,
     /// A persisted index failed its per-section checksum (or parse) on
     /// load. `section` names the corrupt section (`"cfg"`, `"pivots"`,
@@ -81,9 +81,10 @@ pub enum GpSsnError {
         /// Which serialized section failed verification.
         section: String,
     },
-    /// A query panicked inside a batch; the payload message is preserved.
-    /// Only produced by [`crate::GpSsnEngine::try_query_batch`], which
-    /// isolates the panic to the offending slot.
+    /// A query panicked inside a serve call; the payload message is
+    /// preserved. Produced by [`crate::serve()`] (and so by
+    /// [`crate::GpSsnEngine::try_query_batch`]), which isolates the panic
+    /// to the offending request.
     Internal(String),
 }
 

@@ -14,7 +14,10 @@
 //!   [`pruning::road_distance`] (Lemmas 5, 7; Eqs. 5–6, 16–17).
 //! * [`algorithm`] — [`GpSsnEngine`]: index construction plus the
 //!   synchronized dual-index traversal of Algorithm 2 with the min-heap on
-//!   `lb_maxdist` and the pruning threshold `δ`.
+//!   `lb_maxdist` and the pruning threshold `δ`. One query entry point,
+//!   [`GpSsnEngine::try_query`], whose [`QueryMode`] picks exact, top-`k`,
+//!   or subset-sampling refinement; [`GpSsnEngine::try_query_batch`] runs
+//!   a batch on the [`serve()`] worker pool.
 //! * [`refinement`] — candidate enumeration and exact verification.
 //! * [`baseline`] — the exact brute-force Baseline (small inputs) and the
 //!   paper's 100-sample extrapolated cost estimate (large inputs).
@@ -22,7 +25,9 @@
 //!   experiment harness (Figures 7–11).
 //! * [`error`] — the typed error hierarchy ([`GpSsnError`]), resource
 //!   budgets with deadlines ([`QueryBudget`]), and the anytime-completion
-//!   taxonomy ([`Completion`]) behind the engine's `try_*` serving API.
+//!   taxonomy ([`Completion`]) behind the engine's serving API.
+//! * [`mod@serve`] — the work-pulling worker pool, admission control, and
+//!   JSONL front-end every batch and service call runs on.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
@@ -44,7 +49,7 @@ pub mod telemetry;
 pub mod tuning;
 
 pub use algorithm::{
-    BatchSchedule, DegradationPolicy, DistanceBackend, EngineConfig, GpSsnEngine, QueryOptions,
+    DegradationPolicy, DistanceBackend, EngineConfig, GpSsnEngine, QueryMode, QueryOptions,
 };
 pub use baseline::{
     estimate_baseline_cost, exact_baseline, exact_baseline_top_k, try_exact_baseline,
@@ -60,5 +65,5 @@ pub use serve::{
     serve, serve_jsonl, OverloadPolicy, ServeConfig, ServeObs, ServeObsConfig, ServeRequest,
     ServeResponse, ServeStats, Submission,
 };
-pub use stats::{BackendServed, CacheStats, PruningStats, QueryMetrics, QueryOutcome, TopKOutcome};
+pub use stats::{BackendServed, CacheStats, PruningStats, QueryMetrics, QueryOutcome};
 pub use tuning::{suggest_parameters, TunedParameters};

@@ -99,7 +99,7 @@ pub struct ChBackend<'a> {
 /// rows (the CH oracle unpacks shortcuts and refolds original edge
 /// weights in Dijkstra's exact operation order); settles are charged to
 /// the same budget either way, with CH batches additionally tallied for
-/// [`crate::QueryMetrics::ch_batches`].
+/// [`crate::BackendServed::ch_batches`].
 fn dist_batch(
     ssn: &SpatialSocialNetwork,
     ctx: &mut VerifyContext<'_>,

@@ -9,12 +9,11 @@
 //! service:
 //!
 //! * **Scheduling** — worker threads pull requests off a shared bounded
-//!   queue one at a time (the same work-stealing discipline as
-//!   [`crate::BatchSchedule::WorkStealing`]), so a skewed request never
-//!   strands cheap ones behind it. Responses are delivered strictly in
-//!   submission order through a reorder buffer, and each response is
-//!   released as soon as it *and everything before it* is done —
-//!   streaming, not batch-at-the-end.
+//!   queue one at a time, so a skewed request never strands cheap ones
+//!   behind it; [`GpSsnEngine::try_query_batch`] runs on this same pool.
+//!   Responses are delivered strictly in submission order through a
+//!   reorder buffer, and each response is released as soon as it *and
+//!   everything before it* is done — streaming, not batch-at-the-end.
 //! * **Admission control** — the submission queue is bounded
 //!   ([`ServeConfig::queue_capacity`]). A full queue either blocks the
 //!   submitter (backpressure, the default) or sheds the request with
@@ -23,10 +22,9 @@
 //!   waiting in the queue — are shed with [`GpSsnError::DeadlineExpired`]
 //!   *before any engine work is spent on them*; a request that is
 //!   dispatched late runs under its remaining deadline only.
-//! * **Isolation** — every request runs panic-isolated (the batch
-//!   contract): a panic inside one query surfaces as
-//!   [`GpSsnError::Internal`] in that request's response and the service
-//!   keeps draining. The scoped panic-capture hook is held for the
+//! * **Isolation** — every request runs panic-isolated: a panic inside
+//!   one query surfaces as [`GpSsnError::Internal`] in that request's
+//!   response and the service keeps draining. The scoped panic-capture hook is held for the
 //!   serve call only (see [`crate::panic_capture`]).
 //! * **Telemetry** — when the engine carries a live metrics sink:
 //!   `gpssn_serve_queue_depth` (gauge), `gpssn_serve_submitted_total`,
@@ -56,9 +54,11 @@
 //! submission exactly once.
 //!
 //! Chaos: the `serve::queue_full` fail-point (armed with `--features
-//! failpoints`) simulates a full submission queue at admission time; the
-//! affected request is shed with [`GpSsnError::Overloaded`] under either
-//! overload policy, exercising the shedding path without real pressure.
+//! failpoints`) simulates a full submission queue at admission time.
+//! Under [`OverloadPolicy::Shed`] the affected request is shed with
+//! [`GpSsnError::Overloaded`], exercising the shedding path without real
+//! pressure; under [`OverloadPolicy::Block`] a full queue only delays
+//! the submitter, so the fault is counted but admits the request.
 
 use crate::algorithm::{resolve_threads, run_isolated, GpSsnEngine, QueryOptions};
 use crate::error::{Completion, GpSsnError, QueryBudget};
@@ -498,9 +498,11 @@ where
                 }
                 let deadline_at = req.budget.deadline.map(|d| now + d);
                 // Fault site: pretend the queue is full at admission.
-                // Shed under either policy — blocking on a fault that
-                // nothing will ever clear would wedge the submitter.
-                let forced_full = gpssn_failpoint::failpoint!("serve::queue_full");
+                // Only `Shed` turns a full queue into a response; a
+                // blocking submitter would merely wait for a slot, and
+                // waiting on a fault nothing will clear would wedge it.
+                let forced_full = gpssn_failpoint::failpoint!("serve::queue_full")
+                    && cfg.overload == OverloadPolicy::Shed;
                 let mut st = lock(&state);
                 let admitted = if forced_full {
                     false
@@ -694,7 +696,7 @@ fn shed(obs: Option<&Obs>, reason: &'static str) {
 
 fn note_depth(obs: Option<&Obs>, depth: i64) {
     if let Some(o) = obs {
-        o.registry()
+        o.base_registry()
             .set_gauge("gpssn_serve_queue_depth", &[], depth as f64);
     }
 }
@@ -804,7 +806,7 @@ fn record_completion(
                 backend_label(out),
                 out.metrics.io_pages,
                 out.metrics.heap_pops,
-                out.metrics.total_settles(),
+                out.metrics.backend_served.total_settles(),
                 c.ball_hits + c.dist_hits,
                 c.ball_misses + c.dist_misses,
                 flight_counters(out),
@@ -971,7 +973,7 @@ pub(crate) fn response_line(resp: &ServeResponse) -> String {
             if let crate::Completion::TruncatedWithGap(gap) = out.completion {
                 line.push_str(&format!(",\"gap\":{gap}"));
             }
-            push_answer(&mut line, out.answer.as_ref());
+            push_answer(&mut line, out.answer());
             line.push_str(&format!(
                 ",\"cpu_us\":{},\"io_pages\":{}",
                 out.metrics.cpu.as_micros(),
@@ -1185,11 +1187,11 @@ mod tests {
         let ok = ServeResponse {
             id: 1,
             result: Ok(QueryOutcome {
-                answer: Some(GpSsnAnswer {
+                answers: vec![GpSsnAnswer {
                     users: vec![0, 2],
                     pois: vec![5],
                     maxdist: 1.25,
-                }),
+                }],
                 completion: crate::Completion::Exact,
                 metrics: Default::default(),
             }),

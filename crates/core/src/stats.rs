@@ -190,20 +190,11 @@ pub struct QueryMetrics {
     /// Connected user subsets enumerated (the unit of
     /// [`crate::QueryBudget::max_groups_enumerated`]).
     pub groups_enumerated: u64,
-    /// Vertices settled by *plain Dijkstra* refinement-time runs —
-    /// disjoint from [`QueryMetrics::ch_settles`]; the budget unit
-    /// [`crate::QueryBudget::max_dijkstra_settles`] charges their sum
-    /// ([`QueryMetrics::total_settles`]).
-    pub dijkstra_settles: u64,
-    /// Multi-target batches served by the contraction-hierarchy oracle
-    /// (zero under [`crate::DistanceBackend::Dijkstra`] or when the road
-    /// index carries no oracle).
-    pub ch_batches: u64,
-    /// Vertices settled by those CH batches — disjoint from
-    /// [`QueryMetrics::dijkstra_settles`].
-    pub ch_settles: u64,
-    /// Per-backend batch/settle breakdown (the same numbers as the four
-    /// fields above, grouped; see [`BackendServed`]).
+    /// Per-backend distance batches and settles (see [`BackendServed`];
+    /// CH counts are zero under [`crate::DistanceBackend::Dijkstra`] or
+    /// when the road index carries no oracle). The budget unit
+    /// [`crate::QueryBudget::max_dijkstra_settles`] charges
+    /// [`BackendServed::total_settles`].
     pub backend_served: BackendServed,
     /// Workspace runs prepared during refinement (Dijkstra + CH).
     pub ws_resets: u64,
@@ -219,22 +210,15 @@ pub struct QueryMetrics {
     pub stats: PruningStats,
 }
 
-impl QueryMetrics {
-    /// Vertices settled across both distance backends — the value the
-    /// settle budget charged.
-    pub fn total_settles(&self) -> u64 {
-        self.dijkstra_settles.saturating_add(self.ch_settles)
-    }
-}
-
 /// The result of running a GP-SSN query.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    /// The best verified answer — the optimum when
+    /// The verified answers in ascending `maxdist` order: at most one,
+    /// except under [`crate::QueryMode::TopK`]. The optimum when
     /// [`QueryOutcome::completion`] is [`Completion::Exact`], otherwise
-    /// the best found before the budget tripped. `None` when no feasible
+    /// the best found before the budget tripped. Empty when no feasible
     /// pair exists (exact) or none was verified in time (truncated).
-    pub answer: Option<GpSsnAnswer>,
+    pub answers: Vec<GpSsnAnswer>,
     /// How the search terminated (exact, truncated with an optimality-gap
     /// bound, or failed on a budget with nothing to show).
     pub completion: Completion,
@@ -247,23 +231,16 @@ impl QueryOutcome {
     /// an exact "no answer" with empty metrics.
     pub fn infeasible() -> Self {
         QueryOutcome {
-            answer: None,
+            answers: Vec::new(),
             completion: Completion::Exact,
             metrics: Default::default(),
         }
     }
-}
 
-/// The result of a top-`k` query under a budget.
-#[derive(Debug, Clone)]
-pub struct TopKOutcome {
-    /// Up to `k` answers over distinct candidate centers, ascending
-    /// `maxdist`.
-    pub answers: Vec<GpSsnAnswer>,
-    /// [`Completion::Exact`] when the list is the true top-`k`; under
-    /// truncation with fewer than `k` answers the gap is
-    /// `f64::INFINITY`.
-    pub completion: Completion,
+    /// The best answer (the first of [`QueryOutcome::answers`]).
+    pub fn answer(&self) -> Option<&GpSsnAnswer> {
+        self.answers.first()
+    }
 }
 
 /// `C(n, k)` in `f64` (saturating to `f64::INFINITY` for huge values) —
@@ -347,12 +324,6 @@ mod tests {
         };
         assert_eq!(b.total_settles(), 140);
         assert_eq!(b.total_batches(), 5);
-        let m = QueryMetrics {
-            dijkstra_settles: 100,
-            ch_settles: 40,
-            ..Default::default()
-        };
-        assert_eq!(m.total_settles(), 140);
     }
 
     #[test]

@@ -23,7 +23,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod alt;
 pub mod bfs;
 pub mod ch;
 pub mod components;
@@ -36,7 +35,6 @@ pub mod sampling;
 pub mod subgraph;
 pub mod workspace;
 
-pub use alt::AltOracle;
 pub use bfs::{bounded_hops, hop_distances};
 pub use ch::{ChBuildStats, ChOracle, ChSearch};
 pub use components::{connected_components, is_connected_subset};

@@ -36,9 +36,6 @@ pub use window::{
     RollingWindow, ServeClass, SloConfig, SloMonitor, SloSnapshot, WindowConfig, WindowHistogram,
 };
 
-use std::cell::RefCell;
-use std::sync::Arc;
-
 /// Which telemetry the attached [`Obs`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
@@ -78,11 +75,6 @@ impl ObsConfig {
             trace_capacity: 1 << 16,
         }
     }
-}
-
-thread_local! {
-    /// Per-thread registry override stack (see [`Obs::with_registry`]).
-    static LOCAL_REGISTRY: RefCell<Vec<Arc<Registry>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// One observability domain: a tracer plus a metrics registry, shared
@@ -149,44 +141,16 @@ impl Obs {
         &self.tracer
     }
 
-    /// The registry to record into: the innermost [`Obs::with_registry`]
-    /// override on this thread, else the base registry.
-    pub fn registry(&self) -> RegistryHandle<'_> {
-        let local = LOCAL_REGISTRY.with(|s| s.borrow().last().cloned());
-        match local {
-            Some(reg) => RegistryHandle::Local(reg),
-            None => RegistryHandle::Base(&self.registry),
-        }
-    }
-
-    /// The base (merged) registry, ignoring thread-local overrides.
+    /// The metrics registry every recording lands in.
     pub fn base_registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// Runs `f` with all metric recording on this thread redirected to
-    /// `reg`. Batch workers use this so each thread accumulates into a
-    /// private registry that the caller then merges in a fixed order —
-    /// making batch telemetry deterministic under any interleaving.
-    pub fn with_registry<T>(reg: Arc<Registry>, f: impl FnOnce() -> T) -> T {
-        LOCAL_REGISTRY.with(|s| s.borrow_mut().push(reg));
-        struct Pop;
-        impl Drop for Pop {
-            fn drop(&mut self) {
-                LOCAL_REGISTRY.with(|s| {
-                    s.borrow_mut().pop();
-                });
-            }
-        }
-        let _pop = Pop;
-        f()
     }
 
     /// Adds `n` to a counter when metrics are on.
     #[inline]
     pub fn inc(&self, name: &str, labels: &[(&str, &str)], n: u64) {
         if self.metrics_on() {
-            self.registry().inc(name, labels, n);
+            self.registry.inc(name, labels, n);
         }
     }
 
@@ -194,7 +158,7 @@ impl Obs {
     #[inline]
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], v: u64) {
         if self.metrics_on() {
-            self.registry().observe(name, labels, v);
+            self.registry.observe(name, labels, v);
         }
     }
 
@@ -211,27 +175,10 @@ impl Obs {
         let out = f();
         if self.metrics_on() {
             let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.registry()
+            self.registry
                 .observe("gpssn_phase_duration_ns", &[("phase", name)], ns);
         }
         out
-    }
-}
-
-/// Either the base registry or a thread-local override; derefs to
-/// [`Registry`] either way.
-pub enum RegistryHandle<'a> {
-    Base(&'a Registry),
-    Local(Arc<Registry>),
-}
-
-impl std::ops::Deref for RegistryHandle<'_> {
-    type Target = Registry;
-    fn deref(&self) -> &Registry {
-        match self {
-            RegistryHandle::Base(r) => r,
-            RegistryHandle::Local(r) => r,
-        }
     }
 }
 
@@ -271,39 +218,5 @@ mod tests {
         obs.observe("gpssn_phase_duration_ns", &[("phase", "x")], 5);
         assert!(obs.tracer().records().is_empty());
         assert_eq!(obs.base_registry().snapshot(), Snapshot::default());
-    }
-
-    #[test]
-    fn with_registry_redirects_and_merges_deterministically() {
-        let obs = Arc::new(Obs::with_metrics());
-        let locals: Vec<Arc<Registry>> = (0..4).map(|_| Arc::new(Registry::new())).collect();
-        std::thread::scope(|s| {
-            for (i, reg) in locals.iter().enumerate() {
-                let obs = Arc::clone(&obs);
-                let reg = Arc::clone(reg);
-                s.spawn(move || {
-                    Obs::with_registry(reg, || {
-                        obs.inc("gpssn_queries_total", &[], (i + 1) as u64);
-                    });
-                });
-            }
-        });
-        // Nothing reached the base registry while redirected...
-        assert_eq!(
-            obs.base_registry()
-                .snapshot()
-                .counter("gpssn_queries_total", &[]),
-            0
-        );
-        // ...and merging in slot order gives the interleaving-free total.
-        for reg in &locals {
-            obs.base_registry().merge_from(reg);
-        }
-        assert_eq!(
-            obs.base_registry()
-                .snapshot()
-                .counter("gpssn_queries_total", &[]),
-            1 + 2 + 3 + 4
-        );
     }
 }

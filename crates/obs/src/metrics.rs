@@ -1,5 +1,5 @@
 //! Metrics: atomic counters/gauges, a fixed-bucket log2 histogram
-//! mergeable across threads, and a registry with Prometheus text-format
+//! observable from any thread, and a registry with Prometheus text-format
 //! and JSON snapshot writers.
 //!
 //! The registry is a mutexed `BTreeMap` keyed by `(name, sorted
@@ -84,8 +84,7 @@ impl Gauge {
 }
 
 /// Fixed-bucket log2 histogram with atomic cells: observe from any
-/// thread, merge per-thread instances losslessly (bucket counts, total
-/// count, and sum all add).
+/// thread.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Vec<AtomicU64>,
@@ -115,17 +114,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Adds every cell of `other` into `self`.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             buckets: self
@@ -148,19 +136,6 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Sum of observed values (wrapping add, like Prometheus `_sum`).
     pub sum: u64,
-}
-
-impl HistogramSnapshot {
-    fn add(&mut self, other: &HistogramSnapshot) {
-        if self.buckets.is_empty() {
-            self.buckets = vec![0; HIST_BUCKETS];
-        }
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
 }
 
 /// A metric identity: name plus sorted label pairs.
@@ -275,24 +250,6 @@ impl Registry {
         h.buckets[bucket_index(v)] += 1;
         h.count += 1;
         h.sum += v;
-    }
-
-    /// Folds `other` into `self`: counters and histograms add, gauges
-    /// take `other`'s value (last write wins). Merging per-thread
-    /// registries in a fixed order therefore yields identical totals
-    /// regardless of how threads interleaved.
-    pub fn merge_from(&self, other: &Registry) {
-        let theirs = other.snapshot();
-        let mut inner = self.lock();
-        for (id, v) in theirs.counters {
-            *inner.counters.entry(id).or_insert(0) += v;
-        }
-        for (id, v) in theirs.gauges {
-            inner.gauges.insert(id, v);
-        }
-        for (id, h) in theirs.histograms {
-            inner.histograms.entry(id).or_default().add(&h);
-        }
     }
 
     /// A consistent plain-data copy of everything recorded so far.
@@ -500,28 +457,20 @@ mod tests {
     }
 
     #[test]
-    fn histogram_observe_and_merge() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        for v in [0u64, 1, 5, 1000] {
-            a.observe(v);
+    fn histogram_observe_counts_and_sums() {
+        let h = Histogram::new();
+        for v in [0u64, 1, 5, 1000, 2, 1_000_000] {
+            h.observe(v);
         }
-        for v in [2u64, 1_000_000] {
-            b.observe(v);
-        }
-        a.merge_from(&b);
-        let s = a.snapshot();
+        let s = h.snapshot();
         assert_eq!(s.count, 6);
         assert_eq!(s.sum, 1_001_008);
-        let whole = Histogram::new();
-        for v in [0u64, 1, 5, 1000, 2, 1_000_000] {
-            whole.observe(v);
-        }
-        assert_eq!(s, whole.snapshot());
+        assert_eq!(s.buckets.iter().sum::<u64>(), 6);
+        assert_eq!(s.buckets[bucket_index(1000)], 1);
     }
 
     #[test]
-    fn registry_is_deterministic_and_merges() {
+    fn registry_is_deterministic() {
         let make = || {
             let r = Registry::new();
             r.inc("gpssn_queries_total", &[("path", "exact")], 2);
@@ -533,14 +482,13 @@ mod tests {
         let a = make();
         let b = make();
         assert_eq!(a.snapshot(), b.snapshot());
-        a.merge_from(&b);
         let s = a.snapshot();
-        assert_eq!(s.counter("gpssn_queries_total", &[("path", "exact")]), 4);
+        assert_eq!(s.counter("gpssn_queries_total", &[("path", "exact")]), 2);
         assert_eq!(
             s.histogram("gpssn_phase_ns", &[("phase", "refine")])
                 .unwrap()
                 .count,
-            2
+            1
         );
         assert_eq!(s.gauge("gpssn_cache_entries", &[("shard", "0")]), Some(7.0));
     }

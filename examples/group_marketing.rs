@@ -10,7 +10,7 @@
 //! cargo run --release --example group_marketing
 //! ```
 
-use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnQuery};
+use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget};
 use gpssn::ssn::{synthetic, SyntheticConfig};
 
 const CATEGORIES: [&str; 5] = [
@@ -48,8 +48,14 @@ fn main() {
             user: customer,
             ..campaign.clone()
         };
-        let outcome = engine.query(&q);
-        match outcome.answer {
+        let outcome = match engine.try_query(&q, &Default::default(), &QueryBudget::unlimited()) {
+            Ok(out) => out,
+            Err(e) => {
+                println!("customer {customer}: query rejected ({e}) — not targeted");
+                continue;
+            }
+        };
+        match outcome.answer() {
             Some(ans) => {
                 sent += 1;
                 let dominant = dominant_category(&ssn, customer);

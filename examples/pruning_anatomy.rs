@@ -7,21 +7,23 @@
 //! ```
 
 use gpssn::core::algorithm::QueryOptions;
-use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnQuery};
+use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget};
 use gpssn::ssn::{synthetic, SyntheticConfig};
 
-fn main() {
+fn main() -> Result<(), GpSsnError> {
     let ssn = synthetic(&SyntheticConfig::uni().scaled(0.05), 21);
     let engine = GpSsnEngine::build(&ssn, EngineConfig::default());
     let q = GpSsnQuery::with_defaults(17);
 
-    let full = engine.query_with_options(
+    let budget = QueryBudget::unlimited();
+    let full = engine.try_query(
         &q,
         &QueryOptions {
             collect_stats: true,
             ..Default::default()
         },
-    );
+        &budget,
+    )?;
     let s = &full.metrics.stats;
     println!("query: {q:?}\n");
     println!("-- pruning anatomy (all rules on) --");
@@ -57,7 +59,7 @@ fn main() {
     );
     println!(
         "\nanswer: {:?}",
-        full.answer.as_ref().map(|a| (a.users.clone(), a.maxdist))
+        full.answer().map(|a| (&a.users, a.maxdist))
     );
     println!(
         "cost:   {:.2?}, {} page accesses",
@@ -103,11 +105,11 @@ fn main() {
         full.metrics.io_pages
     );
     for (name, opts) in variants {
-        let out = engine.query_with_options(&q, &opts);
+        let out = engine.try_query(&q, &opts, &budget)?;
         // Same answer regardless of pruning (the rules are safe).
         assert_eq!(
-            out.answer.as_ref().map(|a| a.maxdist),
-            full.answer.as_ref().map(|a| a.maxdist)
+            out.answer().map(|a| a.maxdist),
+            full.answer().map(|a| a.maxdist)
         );
         println!(
             "{:<28} {:>12} {:>8}",
@@ -116,4 +118,5 @@ fn main() {
             out.metrics.io_pages
         );
     }
+    Ok(())
 }

@@ -5,10 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnQuery};
+use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget};
 use gpssn::ssn::{synthetic, DatasetStats, SyntheticConfig};
 
-fn main() {
+fn main() -> Result<(), GpSsnError> {
     // 1. A synthetic spatial-social network (2% of the paper's scale so
     //    the example runs in a couple of seconds).
     let ssn = synthetic(&SyntheticConfig::uni().scaled(0.02), 42);
@@ -32,9 +32,9 @@ fn main() {
         theta: 0.4,
         radius: 2.0,
     };
-    let outcome = engine.query(&query);
+    let outcome = engine.try_query(&query, &Default::default(), &QueryBudget::unlimited())?;
 
-    match &outcome.answer {
+    match outcome.answer() {
         Some(ans) => {
             println!("\ngroup S  = {:?}", ans.users);
             println!("pois  R  = {:?}", ans.pois);
@@ -56,4 +56,5 @@ fn main() {
         "\nmetrics: {:.2?} CPU, {} page accesses",
         outcome.metrics.cpu, outcome.metrics.io_pages
     );
+    Ok(())
 }

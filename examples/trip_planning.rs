@@ -9,7 +9,7 @@
 //! cargo run --release --example trip_planning
 //! ```
 
-use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnQuery};
+use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget};
 use gpssn::index::SocialIndexConfig;
 use gpssn::road::{NetworkPoint, Poi, PoiSet, RoadNetwork};
 use gpssn::social::{InterestVector, SocialNetwork};
@@ -20,7 +20,7 @@ const RESTAURANT: u32 = 0;
 const MALL: u32 = 1;
 const CAFE: u32 = 2;
 
-fn main() {
+fn main() -> Result<(), GpSsnError> {
     let ssn = build_downtown();
     let names = ["Alice", "Bob", "Carol", "Dave", "Erin", "Frank"];
 
@@ -45,10 +45,10 @@ fn main() {
         theta: 0.4,
         radius: 2.0,
     };
-    let outcome = engine.query(&query);
+    let outcome = engine.try_query(&query, &Default::default(), &QueryBudget::unlimited())?;
 
     println!("Alice's group planning query: τ=3, γ=0.25, θ=0.4, r=2\n");
-    match &outcome.answer {
+    match outcome.answer() {
         Some(ans) => {
             println!("Recommended group:");
             for &u in &ans.users {
@@ -77,6 +77,7 @@ fn main() {
         }
         None => println!("No group satisfies the constraints — try relaxing γ or θ."),
     }
+    Ok(())
 }
 
 fn describe(keywords: &[u32]) -> String {

@@ -11,7 +11,9 @@
 //! cargo run --release --example tuned_batch
 //! ```
 
-use gpssn::core::{suggest_parameters, EngineConfig, GpSsnEngine, GpSsnQuery};
+use gpssn::core::{
+    suggest_parameters, EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget, QueryMode, QueryOptions,
+};
 use gpssn::ssn::{synthetic, SyntheticConfig};
 
 fn main() {
@@ -50,11 +52,16 @@ fn main() {
             ..tuned.query(u, 4)
         })
         .collect();
+    let budget = QueryBudget::unlimited();
     let t0 = std::time::Instant::now();
-    let outcomes = engine.query_batch(&queries, 4);
+    let results = engine.try_query_batch(&queries, 4, &QueryOptions::default(), &budget);
     let wall = t0.elapsed();
-    let answered = outcomes.iter().filter(|o| o.answer.is_some()).count();
-    let total_io: u64 = outcomes.iter().map(|o| o.metrics.io_pages).sum();
+    let answered = results
+        .iter()
+        .flatten()
+        .filter(|o| o.answer().is_some())
+        .count();
+    let total_io: u64 = results.iter().flatten().map(|o| o.metrics.io_pages).sum();
     println!(
         "batch: {}/{} answered in {wall:.2?} on 4 threads ({} physical page reads total)",
         answered,
@@ -65,11 +72,18 @@ fn main() {
     // Approximate mode comparison on the first answered query.
     if let Some((q, exact)) = queries
         .iter()
-        .zip(outcomes.iter())
-        .find_map(|(q, o)| o.answer.as_ref().map(|a| (q, a.clone())))
+        .zip(&results)
+        .find_map(|(q, r)| r.as_ref().ok()?.answer().map(|a| (q, a)))
     {
-        let approx = engine.query_approximate(q, 48, 1);
-        match approx.answer {
+        let sampled = QueryOptions {
+            mode: QueryMode::Approximate {
+                samples: 48,
+                seed: 1,
+            },
+            ..Default::default()
+        };
+        let approx = engine.try_query(q, &sampled, &budget);
+        match approx.as_ref().ok().and_then(|o| o.answer()) {
             Some(a) => println!(
                 "sampling vs exact for user {}: approx maxdist {:.3} vs exact {:.3} \
                  ({}x samples)",

@@ -14,14 +14,18 @@
 //! See `examples/quickstart.rs` for a three-minute tour.
 //!
 //! ```no_run
-//! use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnQuery};
+//! use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget, QueryOptions};
 //! use gpssn::ssn::{synthetic, SyntheticConfig};
 //!
 //! let ssn = synthetic(&SyntheticConfig::uni().scaled(0.02), 42);
 //! let engine = GpSsnEngine::build(&ssn, EngineConfig::default());
-//! let outcome = engine.query(&GpSsnQuery::with_defaults(11));
-//! if let Some(ans) = outcome.answer {
-//!     println!("group {:?} visits {:?} (maxdist {:.2})", ans.users, ans.pois, ans.maxdist);
+//! let q = GpSsnQuery::with_defaults(11);
+//! match engine.try_query(&q, &QueryOptions::default(), &QueryBudget::unlimited()) {
+//!     Ok(outcome) => match outcome.answer() {
+//!         Some(a) => println!("group {:?} visits {:?} ({:.2})", a.users, a.pois, a.maxdist),
+//!         None => println!("no feasible group"),
+//!     },
+//!     Err(e) => eprintln!("query rejected: {e}"),
 //! }
 //! ```
 

@@ -5,7 +5,7 @@
 //! every registered fail-point site fire pseudo-randomly — spurious
 //! cache misses, poisoned cache shards, CH panics mid-sweep, refinement
 //! panics — then pushes a batch of queries through
-//! `try_query_batch_with_options` under the degradation ladder and holds
+//! `try_query_batch` under the degradation ladder and holds
 //! the serving contract:
 //!
 //! * no panic escapes the batch boundary (every slot is `Ok`),
@@ -57,8 +57,8 @@ fn seeded_fault_schedules_preserve_the_serving_contract() {
         })
         .filter(|q| {
             matches!(
-                engine.try_query(q, &budget),
-                Ok(out) if matches!(out.completion, Completion::Exact) && out.answer.is_some()
+                engine.try_query(q, &Default::default(), &budget),
+                Ok(out) if matches!(out.completion, Completion::Exact) && out.answer().is_some()
             )
         })
         .collect();
@@ -70,10 +70,11 @@ fn seeded_fault_schedules_preserve_the_serving_contract() {
 
     // Fault-free ground truth (bitwise): maxdist bits, group, POIs.
     let truth: Vec<(u64, Vec<u32>, Vec<u32>)> = engine
-        .try_query_batch_with_options(&queries, 2, &opts, &budget)
+        .try_query_batch(&queries, 2, &opts, &budget)
         .into_iter()
         .map(|r| {
-            let ans = r.expect("fault-free batch is Ok").answer.expect("answer");
+            let out = r.expect("fault-free batch is Ok");
+            let ans = out.answer().expect("answer");
             (ans.maxdist.to_bits(), ans.users.clone(), ans.pois.clone())
         })
         .collect();
@@ -82,7 +83,7 @@ fn seeded_fault_schedules_preserve_the_serving_contract() {
     let mut failed = 0u64;
     for seed in 0..SCHEDULES {
         let _guard = install(FaultPlan::uniform(seed, FAULT_PROB));
-        let results = engine.try_query_batch_with_options(&queries, 2, &opts, &budget);
+        let results = engine.try_query_batch(&queries, 2, &opts, &budget);
         for (i, res) in results.into_iter().enumerate() {
             let out = res.unwrap_or_else(|e| {
                 panic!("schedule {seed} query {i}: panic/error escaped the ladder: {e}")
@@ -91,7 +92,7 @@ fn seeded_fault_schedules_preserve_the_serving_contract() {
             let truth_maxdist = f64::from_bits(*truth_bits);
             match out.completion {
                 Completion::Exact => {
-                    let ans = out.answer.expect("exact answers are present");
+                    let ans = out.answer().expect("exact answers are present");
                     assert_eq!(
                         ans.maxdist.to_bits(),
                         *truth_bits,
@@ -103,7 +104,7 @@ fn seeded_fault_schedules_preserve_the_serving_contract() {
                 Completion::TruncatedWithGap(gap) => {
                     degraded += 1;
                     assert!(gap >= 0.0 && !gap.is_nan());
-                    if let Some(ans) = &out.answer {
+                    if let Some(ans) = out.answer() {
                         check_answer(&ssn, &queries[i], ans)
                             .expect("truncated answer violates Definition 5");
                         assert!(
@@ -114,10 +115,7 @@ fn seeded_fault_schedules_preserve_the_serving_contract() {
                 }
                 Completion::DegradedSampling => {
                     degraded += 1;
-                    let ans = out
-                        .answer
-                        .as_ref()
-                        .expect("sampling rung carries an answer");
+                    let ans = out.answer().expect("sampling rung carries an answer");
                     check_answer(&ssn, &queries[i], ans)
                         .expect("sampled answer violates Definition 5");
                     assert!(
@@ -127,7 +125,7 @@ fn seeded_fault_schedules_preserve_the_serving_contract() {
                 }
                 Completion::Failed(_) => {
                     failed += 1;
-                    assert!(out.answer.is_none(), "failed completions carry no answer");
+                    assert!(out.answers.is_empty(), "failed completions carry no answer");
                 }
             }
         }
@@ -170,8 +168,8 @@ fn always_firing_ch_faults_stay_exact_via_the_breaker() {
         theta: 0.3,
         radius: 3.0,
     };
-    let baseline = engine.try_query(&q, &budget).unwrap();
-    let truth = baseline.answer.expect("fixture query has an answer");
+    let baseline = engine.try_query(&q, &Default::default(), &budget).unwrap();
+    let truth = baseline.answer().expect("fixture query has an answer");
 
     let plan = FaultPlan::new(99)
         .with_site("ch::settle_exhaustion", FireRule::Always)
@@ -179,10 +177,10 @@ fn always_firing_ch_faults_stay_exact_via_the_breaker() {
     let _guard = install(plan);
     for _ in 0..4 {
         let out = engine
-            .try_query_with_options(&q, &opts, &budget)
+            .try_query(&q, &opts, &budget)
             .expect("CH faults are absorbed by the Dijkstra fallback");
         assert!(matches!(out.completion, Completion::Exact));
-        let ans = out.answer.expect("answer survives CH faults");
+        let ans = out.answer().expect("answer survives CH faults");
         assert_eq!(ans.maxdist.to_bits(), truth.maxdist.to_bits());
         assert_eq!(ans.users, truth.users);
         assert_eq!(ans.pois, truth.pois);

@@ -2,6 +2,8 @@
 //! unreachable road components, boundary parameter values — each checked
 //! against the brute-force Baseline oracle where one exists.
 
+mod common;
+use common::query;
 use gpssn::core::{
     exact_baseline, Completion, EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget,
 };
@@ -72,8 +74,8 @@ fn disconnected_road_components_do_not_panic() {
         theta: 0.5,
         radius: 2.0,
     };
-    let out = engine.query(&q);
-    let ans = out.answer.expect("west pair is feasible");
+    let out = query(&engine, &q, &Default::default());
+    let ans = out.answer().expect("west pair is feasible");
     assert_eq!(ans.users, vec![0, 1]);
     assert!(ans.maxdist.is_finite());
 }
@@ -92,7 +94,7 @@ fn group_forced_across_components_is_infeasible_in_practice() {
         theta: 0.2,
         radius: 2.0,
     };
-    if let Some(ans) = engine.query(&q).answer {
+    if let Some(ans) = query(&engine, &q, &Default::default()).answers.pop() {
         assert!(
             !ans.maxdist.is_finite() || ans.maxdist > 1e9,
             "cross-component group got finite maxdist {}",
@@ -112,7 +114,7 @@ fn tau_larger_than_population_returns_none() {
         theta: 0.0,
         radius: 2.0,
     };
-    assert!(engine.query(&q).answer.is_none());
+    assert!(query(&engine, &q, &Default::default()).answers.is_empty());
 }
 
 #[test]
@@ -126,7 +128,8 @@ fn tau_one_is_a_solo_trip() {
         theta: 0.5,
         radius: 2.0,
     };
-    let ans = engine.query(&q).answer.expect("solo trip east");
+    let out = query(&engine, &q, &Default::default());
+    let ans = out.answer().expect("solo trip east");
     assert_eq!(ans.users, vec![2]);
     assert!(ans.maxdist.is_finite());
 }
@@ -159,7 +162,7 @@ fn friendless_user_with_tau_two_returns_none() {
         theta: 0.0,
         radius: 1.0,
     };
-    assert!(engine.query(&q).answer.is_none());
+    assert!(query(&engine, &q, &Default::default()).answers.is_empty());
 }
 
 #[test]
@@ -175,7 +178,7 @@ fn boundary_radii_are_accepted() {
             theta: 0.0,
             radius,
         };
-        let _ = engine.query(&q); // must not panic
+        let _ = query(&engine, &q, &Default::default()); // must not panic
     }
 }
 
@@ -194,7 +197,7 @@ fn statically_infeasible_queries_return_typed_errors() {
         radius: 2.0,
     };
     assert!(matches!(
-        engine.try_query(&q, &unlimited),
+        engine.try_query(&q, &Default::default(), &unlimited),
         Err(GpSsnError::Infeasible { .. })
     ));
     // The oracle agrees there is nothing to find.
@@ -228,7 +231,7 @@ fn statically_infeasible_queries_return_typed_errors() {
         radius: 1.0,
     };
     assert!(matches!(
-        lonely_engine.try_query(&q, &unlimited),
+        lonely_engine.try_query(&q, &Default::default(), &unlimited),
         Err(GpSsnError::Infeasible { .. })
     ));
     assert!(exact_baseline(&lonely, &q).is_none());
@@ -248,9 +251,9 @@ fn unachievable_gamma_is_exactly_none_like_brute_force() {
         radius: 2.0,
     };
     let out = engine
-        .try_query(&q, &QueryBudget::unlimited())
+        .try_query(&q, &Default::default(), &QueryBudget::unlimited())
         .expect("valid, just empty");
-    assert!(out.answer.is_none());
+    assert!(out.answers.is_empty());
     assert!(matches!(out.completion, Completion::Exact));
     assert!(exact_baseline(&ssn, &q).is_none());
 }
@@ -283,11 +286,11 @@ fn boundary_radii_match_brute_force() {
             radius,
         };
         let out = engine
-            .try_query(&q, &QueryBudget::unlimited())
+            .try_query(&q, &Default::default(), &QueryBudget::unlimited())
             .expect("boundary radius is valid");
         assert!(matches!(out.completion, Completion::Exact));
         let oracle = exact_baseline(&ssn, &q);
-        match (&out.answer, &oracle) {
+        match (out.answer(), &oracle) {
             (Some(a), Some(b)) => assert!(
                 (a.maxdist - b.maxdist).abs() < 1e-9,
                 "engine {} vs oracle {} at r = {radius}",
@@ -308,7 +311,7 @@ fn boundary_radii_match_brute_force() {
             radius,
         };
         assert!(matches!(
-            engine.try_query(&q, &QueryBudget::unlimited()),
+            engine.try_query(&q, &Default::default(), &QueryBudget::unlimited()),
             Err(GpSsnError::RadiusOutOfIndexRange { .. })
         ));
     }
@@ -339,7 +342,7 @@ fn empty_poi_set_yields_none() {
         theta: 0.0,
         radius: 1.0,
     };
-    assert!(engine.query(&q).answer.is_none());
+    assert!(query(&engine, &q, &Default::default()).answers.is_empty());
 }
 
 #[test]
@@ -369,6 +372,7 @@ fn colocated_users_and_pois_work() {
         theta: 0.5,
         radius: 0.5,
     };
-    let ans = engine.query(&q).answer.expect("trivially feasible");
+    let out = query(&engine, &q, &Default::default());
+    let ans = out.answer().expect("trivially feasible");
     assert_eq!(ans.maxdist, 0.0);
 }

@@ -2,6 +2,8 @@
 //! answers validate against Definition 5, metrics behave sanely, and the
 //! pruning powers land in plausible ranges.
 
+mod common;
+use common::query;
 use gpssn::core::algorithm::{EngineConfig, QueryOptions};
 use gpssn::core::query::check_answer;
 use gpssn::core::{GpSsnEngine, GpSsnQuery};
@@ -42,13 +44,13 @@ fn all_four_datasets_answer_and_validate() {
                 theta: 0.3,
                 radius: 3.0,
             };
-            let out = engine.query(&q);
+            let out = query(&engine, &q, &Default::default());
             assert!(
                 out.metrics.io_pages > 0,
                 "{}: no pages touched",
                 kind.name()
             );
-            if let Some(ans) = &out.answer {
+            if let Some(ans) = out.answer() {
                 answered += 1;
                 check_answer(&ssn, &q, ans)
                     .unwrap_or_else(|e| panic!("{}: invalid answer: {e}", kind.name()));
@@ -73,7 +75,8 @@ fn pruning_powers_are_plausible() {
         theta: 0.5,
         radius: 2.0,
     };
-    let out = engine.query_with_options(
+    let out = query(
+        &engine,
         &q,
         &QueryOptions {
             collect_stats: true,
@@ -124,8 +127,8 @@ fn io_cost_scales_sublinearly_with_pois() {
         theta: 0.5,
         radius: 2.0,
     };
-    let io_s = es.query(&q).metrics.io_pages as f64;
-    let io_l = el.query(&q).metrics.io_pages as f64;
+    let io_s = query(&es, &q, &Default::default()).metrics.io_pages as f64;
+    let io_l = query(&el, &q, &Default::default()).metrics.io_pages as f64;
     assert!(
         io_l < io_s * 6.0,
         "I/O grew superlinearly: {io_s} -> {io_l}"
@@ -143,9 +146,9 @@ fn repeated_queries_are_deterministic() {
         theta: 0.4,
         radius: 2.5,
     };
-    let a = engine.query(&q);
-    let b = engine.query(&q);
-    assert_eq!(a.answer, b.answer);
+    let a = query(&engine, &q, &Default::default());
+    let b = query(&engine, &q, &Default::default());
+    assert_eq!(a.answers, b.answers);
     assert_eq!(a.metrics.io_pages, b.metrics.io_pages);
 }
 
@@ -164,9 +167,9 @@ fn larger_tau_is_harder_or_equal() {
         tau: 6,
         ..small.clone()
     };
-    let a = engine.query(&small);
-    let b = engine.query(&large);
-    if let (Some(sa), Some(sb)) = (&a.answer, &b.answer) {
+    let a = query(&engine, &small, &Default::default());
+    let b = query(&engine, &large, &Default::default());
+    if let (Some(sa), Some(sb)) = (a.answer(), b.answer()) {
         // A bigger group can never achieve a *smaller* optimal maxdist
         // when it must contain the smaller group's requirements... not
         // strictly true in general, but the objective is monotone in the

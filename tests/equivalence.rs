@@ -3,6 +3,8 @@
 //! optimum as the exhaustive Baseline on randomized small spatial-social
 //! networks, across a grid of query parameters.
 
+mod common;
+use common::query;
 use gpssn::core::algorithm::{EngineConfig, QueryOptions};
 use gpssn::core::query::check_answer;
 use gpssn::core::{exact_baseline, GpSsnEngine, GpSsnQuery};
@@ -51,7 +53,7 @@ fn engine_matches_brute_force_across_seeds_and_parameters() {
                             radius,
                         };
                         let expected = exact_baseline(&ssn, &q);
-                        let got = engine.query(&q).answer;
+                        let got = query(&engine, &q, &Default::default()).answers.pop();
                         checked += 1;
                         match (&expected, &got) {
                             (None, None) => {}
@@ -97,7 +99,7 @@ fn engine_matches_brute_force_on_zipf_data() {
             radius: 2.0,
         };
         let expected = exact_baseline(&ssn, &q);
-        let got = engine.query(&q).answer;
+        let got = query(&engine, &q, &Default::default()).answers.pop();
         match (expected, got) {
             (None, None) => {}
             (Some(e), Some(g)) => assert!((e.maxdist - g.maxdist).abs() < 1e-6),
@@ -118,7 +120,7 @@ fn every_pruning_subset_is_exact() {
         theta: 0.3,
         radius: 2.5,
     };
-    let reference = engine.query(&q).answer;
+    let reference = query(&engine, &q, &Default::default()).answers.pop();
     for mask in 0..16u32 {
         let opts = QueryOptions {
             collect_stats: false,
@@ -129,7 +131,7 @@ fn every_pruning_subset_is_exact() {
             use_tight_mbr_test: false,
             ..Default::default()
         };
-        let got = engine.query_with_options(&q, &opts).answer;
+        let got = query(&engine, &q, &opts).answers.pop();
         match (&reference, &got) {
             (None, None) => {}
             (Some(a), Some(b)) => assert!(

@@ -2,32 +2,24 @@
 //! approximate refinement by subset sampling (the paper's stated future
 //! work) and top-k GP-SSN answers.
 
+mod common;
+use common::{assert_bit_identical, query, small_cfg, small_engine};
 use gpssn::core::query::check_answer;
-use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnQuery};
-use gpssn::index::SocialIndexConfig;
-use gpssn::ssn::{synthetic, SpatialSocialNetwork, SyntheticConfig};
+use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryMode, QueryOptions};
+use gpssn::ssn::{synthetic, SyntheticConfig};
 
-fn engine(ssn: &SpatialSocialNetwork) -> GpSsnEngine<'_> {
-    GpSsnEngine::build(
-        ssn,
-        EngineConfig {
-            num_road_pivots: 3,
-            num_social_pivots: 3,
-            social_index: SocialIndexConfig {
-                leaf_size: 16,
-                fanout: 4,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    )
+fn mode(mode: QueryMode) -> QueryOptions {
+    QueryOptions {
+        mode,
+        ..Default::default()
+    }
 }
 
 #[test]
 fn approximate_answers_validate_and_bound_exact() {
     for seed in 0..5u64 {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.008), seed);
-        let eng = engine(&ssn);
+        let eng = small_engine(&ssn);
         let q = GpSsnQuery {
             user: 1,
             tau: 2,
@@ -35,8 +27,11 @@ fn approximate_answers_validate_and_bound_exact() {
             theta: 0.3,
             radius: 2.5,
         };
-        let exact = eng.query(&q).answer;
-        let approx = eng.query_approximate(&q, 32, seed).answer;
+        let exact = query(&eng, &q, &Default::default()).answers.pop();
+        let sampled = mode(QueryMode::Approximate { samples: 32, seed });
+        let approx = query(&eng, &q, &sampled).answers.pop();
+        let again = query(&eng, &q, &sampled).answers.pop();
+        assert_eq!(approx, again, "same seed, different approximate answer");
         if let Some(a) = &approx {
             check_answer(&ssn, &q, a).expect("approximate answer violates Definition 5");
             if let Some(e) = &exact {
@@ -56,7 +51,7 @@ fn approximate_answers_validate_and_bound_exact() {
 #[test]
 fn approximate_usually_finds_feasible_queries() {
     let ssn = synthetic(&SyntheticConfig::uni().scaled(0.02), 4);
-    let eng = engine(&ssn);
+    let eng = small_engine(&ssn);
     let mut exact_hits = 0;
     let mut approx_hits = 0;
     for user in [1u32, 5, 9, 13, 21] {
@@ -67,9 +62,11 @@ fn approximate_usually_finds_feasible_queries() {
             theta: 0.3,
             radius: 2.5,
         };
-        if eng.query(&q).answer.is_some() {
+        if query(&eng, &q, &Default::default()).answer().is_some() {
             exact_hits += 1;
-            if eng.query_approximate(&q, 64, 7).answer.is_some() {
+            let (samples, seed) = (64, 7);
+            let sampled = mode(QueryMode::Approximate { samples, seed });
+            if query(&eng, &q, &sampled).answer().is_some() {
                 approx_hits += 1;
             }
         }
@@ -84,7 +81,7 @@ fn approximate_usually_finds_feasible_queries() {
 #[test]
 fn top_k_is_sorted_valid_and_starts_at_the_optimum() {
     let ssn = synthetic(&SyntheticConfig::uni().scaled(0.015), 11);
-    let eng = engine(&ssn);
+    let eng = small_engine(&ssn);
     let q = GpSsnQuery {
         user: 2,
         tau: 2,
@@ -92,8 +89,8 @@ fn top_k_is_sorted_valid_and_starts_at_the_optimum() {
         theta: 0.3,
         radius: 2.5,
     };
-    let single = eng.query(&q).answer;
-    let top = eng.query_top_k(&q, 5);
+    let single = query(&eng, &q, &Default::default()).answers.pop();
+    let top = query(&eng, &q, &mode(QueryMode::TopK(5))).answers;
     if let Some(best) = &single {
         assert!(!top.is_empty());
         assert!(
@@ -122,22 +119,14 @@ fn top_k_is_sorted_valid_and_starts_at_the_optimum() {
 
 #[test]
 fn exact_social_distance_mode_is_equivalent_and_prunes_no_less() {
-    use gpssn::core::algorithm::QueryOptions;
     for seed in 50..54u64 {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), seed);
-        let pivot_engine = engine(&ssn);
+        let pivot_engine = small_engine(&ssn);
         let exact_engine = GpSsnEngine::build(
             &ssn,
             EngineConfig {
-                num_road_pivots: 3,
-                num_social_pivots: 3,
-                social_index: SocialIndexConfig {
-                    leaf_size: 16,
-                    fanout: 4,
-                    ..Default::default()
-                },
                 exact_social_distance: true,
-                ..Default::default()
+                ..small_cfg()
             },
         );
         let q = GpSsnQuery {
@@ -151,11 +140,11 @@ fn exact_social_distance_mode_is_equivalent_and_prunes_no_less() {
             collect_stats: true,
             ..Default::default()
         };
-        let a = pivot_engine.query_with_options(&q, &opts);
-        let b = exact_engine.query_with_options(&q, &opts);
+        let a = query(&pivot_engine, &q, &opts);
+        let b = query(&exact_engine, &q, &opts);
         assert_eq!(
-            a.answer.as_ref().map(|x| x.maxdist),
-            b.answer.as_ref().map(|x| x.maxdist),
+            a.answer().map(|x| x.maxdist),
+            b.answer().map(|x| x.maxdist),
             "exact social distances changed the answer (seed {seed})"
         );
         // Exact distances can only prune at least as many users at the
@@ -173,7 +162,7 @@ fn top_k_matches_exhaustive_oracle() {
     use gpssn::core::exact_baseline_top_k;
     for seed in 60..64u64 {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.006), seed);
-        let eng = engine(&ssn);
+        let eng = small_engine(&ssn);
         let q = GpSsnQuery {
             user: 0,
             tau: 2,
@@ -182,7 +171,7 @@ fn top_k_matches_exhaustive_oracle() {
             radius: 2.0,
         };
         let expected = exact_baseline_top_k(&ssn, &q, 4);
-        let got = eng.query_top_k(&q, 4);
+        let got = query(&eng, &q, &mode(QueryMode::TopK(4))).answers;
         assert_eq!(
             expected.len(),
             got.len(),
@@ -203,7 +192,7 @@ fn top_k_matches_exhaustive_oracle() {
 fn top_1_matches_query_across_seeds() {
     for seed in 30..34u64 {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.008), seed);
-        let eng = engine(&ssn);
+        let eng = small_engine(&ssn);
         let q = GpSsnQuery {
             user: 0,
             tau: 2,
@@ -211,14 +200,13 @@ fn top_1_matches_query_across_seeds() {
             theta: 0.3,
             radius: 2.0,
         };
-        let single = eng.query(&q).answer;
-        let top = eng.query_top_k(&q, 1);
-        match (single, top.first()) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                assert!((a.maxdist - b.maxdist).abs() < 1e-6, "seed {seed} mismatch")
-            }
-            other => panic!("seed {seed}: feasibility mismatch {other:?}"),
-        }
+        let single = query(&eng, &q, &Default::default()).answers;
+        let top = query(&eng, &q, &mode(QueryMode::TopK(1))).answers;
+        assert_eq!(single.len(), top.len(), "seed {seed}: feasibility mismatch");
+        assert_bit_identical(
+            single.first(),
+            top.first(),
+            &format!("seed {seed}: TopK(1)"),
+        );
     }
 }

@@ -6,30 +6,18 @@
 //! serialize on a local mutex and only ever poison user ids 5 and 7, so
 //! every other test in this binary must stick to users `<= 3`.
 
+mod common;
+use common::{small_cfg, small_engine};
 use gpssn::core::query::check_answer;
 use gpssn::core::refinement::test_hooks;
 use gpssn::core::{
     try_exact_baseline, Completion, EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget,
+    QueryMode, QueryOptions,
 };
-use gpssn::index::SocialIndexConfig;
-use gpssn::ssn::{synthetic, SpatialSocialNetwork, SyntheticConfig};
+use gpssn::ssn::{synthetic, SyntheticConfig};
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::Duration;
-
-fn small_engine(ssn: &SpatialSocialNetwork) -> GpSsnEngine<'_> {
-    let cfg = EngineConfig {
-        num_road_pivots: 3,
-        num_social_pivots: 3,
-        social_index: SocialIndexConfig {
-            leaf_size: 16,
-            fanout: 4,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    GpSsnEngine::build(ssn, cfg)
-}
 
 /// Serializes the tests that arm the global fault-injection hook.
 static HOOK_LOCK: Mutex<()> = Mutex::new(());
@@ -54,7 +42,7 @@ impl Drop for HookGuard {
 fn typed_errors_for_invalid_inputs() {
     let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 11);
     let engine = small_engine(&ssn);
-    let unlimited = QueryBudget::unlimited();
+    let (opts, unlimited) = (QueryOptions::default(), QueryBudget::unlimited());
     let ok = GpSsnQuery {
         user: 0,
         tau: 2,
@@ -68,7 +56,7 @@ fn typed_errors_for_invalid_inputs() {
         ..ok.clone()
     };
     assert!(matches!(
-        engine.try_query(&bad_tau, &unlimited),
+        engine.try_query(&bad_tau, &opts, &unlimited),
         Err(GpSsnError::InvalidQuery(_))
     ));
 
@@ -77,7 +65,7 @@ fn typed_errors_for_invalid_inputs() {
         ..ok.clone()
     };
     assert!(matches!(
-        engine.try_query(&bad_user, &unlimited),
+        engine.try_query(&bad_user, &opts, &unlimited),
         Err(GpSsnError::UnknownUser { .. })
     ));
 
@@ -85,7 +73,7 @@ fn typed_errors_for_invalid_inputs() {
         radius: 1e9,
         ..ok.clone()
     };
-    match engine.try_query(&bad_radius, &unlimited) {
+    match engine.try_query(&bad_radius, &opts, &unlimited) {
         Err(GpSsnError::RadiusOutOfIndexRange {
             radius,
             r_min,
@@ -102,20 +90,24 @@ fn typed_errors_for_invalid_inputs() {
         ..ok.clone()
     };
     assert!(matches!(
-        engine.try_query(&bad_tau_pop, &unlimited),
+        engine.try_query(&bad_tau_pop, &opts, &unlimited),
         Err(GpSsnError::Infeasible { .. })
     ));
 
     // Errors display as a single line (the CLI prints them on stderr).
     for err in [
-        engine.try_query(&bad_tau, &unlimited).unwrap_err(),
-        engine.try_query(&bad_radius, &unlimited).unwrap_err(),
+        engine.try_query(&bad_tau, &opts, &unlimited).unwrap_err(),
+        engine
+            .try_query(&bad_radius, &opts, &unlimited)
+            .unwrap_err(),
     ] {
         assert!(!format!("{err}").contains('\n'));
     }
 
     // A valid query still succeeds exactly.
-    let out = engine.try_query(&ok, &unlimited).expect("valid query");
+    let out = engine
+        .try_query(&ok, &opts, &unlimited)
+        .expect("valid query");
     assert!(matches!(out.completion, Completion::Exact));
 }
 
@@ -136,16 +128,16 @@ fn poisoned_query_is_isolated_in_batch() {
 
     // Ground truth with the hook disarmed; the poisoned user's own query
     // must reach refinement, otherwise the injected fault never fires.
-    let clean = engine.try_query_batch(&queries, 2, &unlimited);
+    let clean = engine.try_query_batch(&queries, 2, &Default::default(), &unlimited);
     assert!(clean.iter().all(|r| r.is_ok()));
     assert!(
-        clean[2].as_ref().unwrap().answer.is_some(),
+        clean[2].as_ref().unwrap().answer().is_some(),
         "fixture: user 5 must have an answer so refinement runs"
     );
 
     let _guard = HookGuard::arm(5);
     for threads in [0usize, 1, 3] {
-        let poisoned = engine.try_query_batch(&queries, threads, &unlimited);
+        let poisoned = engine.try_query_batch(&queries, threads, &Default::default(), &unlimited);
         assert_eq!(poisoned.len(), queries.len());
         for (i, (slot, truth)) in poisoned.iter().zip(clean.iter()).enumerate() {
             if queries[i].user == 5 {
@@ -158,12 +150,8 @@ fn poisoned_query_is_isolated_in_batch() {
             } else {
                 let (got, want) = (slot.as_ref().unwrap(), truth.as_ref().unwrap());
                 assert_eq!(
-                    got.answer
-                        .as_ref()
-                        .map(|a| (a.users.clone(), a.pois.clone())),
-                    want.answer
-                        .as_ref()
-                        .map(|a| (a.users.clone(), a.pois.clone())),
+                    got.answer().map(|a| (a.users.clone(), a.pois.clone())),
+                    want.answer().map(|a| (a.users.clone(), a.pois.clone())),
                     "healthy slot {i} diverged next to a poisoned one"
                 );
             }
@@ -176,15 +164,8 @@ fn page_cache_survives_poisoned_batch() {
     let _serial = HOOK_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 41);
     let cfg = EngineConfig {
-        num_road_pivots: 3,
-        num_social_pivots: 3,
-        social_index: SocialIndexConfig {
-            leaf_size: 16,
-            fanout: 4,
-            ..Default::default()
-        },
         page_cache_capacity: Some(64),
-        ..Default::default()
+        ..small_cfg()
     };
     let engine = GpSsnEngine::build(&ssn, cfg);
     let mk = |u: u32| GpSsnQuery {
@@ -197,13 +178,14 @@ fn page_cache_survives_poisoned_batch() {
     let queries: Vec<GpSsnQuery> = [7u32, 0, 7, 1].into_iter().map(mk).collect();
     {
         let _guard = HookGuard::arm(7);
-        let results = engine.try_query_batch(&queries, 2, &QueryBudget::unlimited());
+        let results =
+            engine.try_query_batch(&queries, 2, &Default::default(), &QueryBudget::unlimited());
         assert!(results[1].is_ok() && results[3].is_ok());
     }
     // The engine must keep serving after the injected faults (no poisoned
     // page-cache lock cascading into later queries).
     let after = engine
-        .try_query(&mk(0), &QueryBudget::unlimited())
+        .try_query(&mk(0), &Default::default(), &QueryBudget::unlimited())
         .expect("engine still serves");
     assert!(matches!(after.completion, Completion::Exact));
 }
@@ -221,20 +203,24 @@ fn batch_thread_ergonomics() {
             radius: 2.5,
         })
         .collect();
-    let sequential = engine.query_batch(&queries, 1);
+    let unlimited = QueryBudget::unlimited();
+    let batch =
+        |qs: &[GpSsnQuery], t| engine.try_query_batch(qs, t, &Default::default(), &unlimited);
+    let sequential = batch(&queries, 1);
     // threads = 0 (auto) and an oversized pool are both clamped, not a
     // panic; answers are identical in input order.
     for threads in [0usize, 64] {
-        let batch = engine.query_batch(&queries, threads);
-        assert_eq!(batch.len(), sequential.len());
-        for (s, p) in sequential.iter().zip(batch.iter()) {
+        let got = batch(&queries, threads);
+        assert_eq!(got.len(), sequential.len());
+        for (s, p) in sequential.iter().zip(got.iter()) {
+            let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
             assert_eq!(
-                s.answer.as_ref().map(|a| (a.users.clone(), a.pois.clone())),
-                p.answer.as_ref().map(|a| (a.users.clone(), a.pois.clone()))
+                s.answer().map(|a| (a.users.clone(), a.pois.clone())),
+                p.answer().map(|a| (a.users.clone(), a.pois.clone()))
             );
         }
     }
-    assert!(engine.query_batch(&[], 0).is_empty());
+    assert!(batch(&[], 0).is_empty());
 }
 
 #[test]
@@ -248,11 +234,12 @@ fn budget_trip_degrades_to_anytime_answer() {
         theta: 0.3,
         radius: 3.0,
     };
-    let unlimited = engine.try_query(&q, &QueryBudget::unlimited()).unwrap();
+    let unlimited = engine
+        .try_query(&q, &Default::default(), &QueryBudget::unlimited())
+        .unwrap();
     assert!(matches!(unlimited.completion, Completion::Exact));
     let exact = unlimited
-        .answer
-        .as_ref()
+        .answer()
         .expect("fixture query must have an answer");
     let total_groups = unlimited.metrics.groups_enumerated;
     assert!(
@@ -268,14 +255,11 @@ fn budget_trip_degrades_to_anytime_answer() {
             ..Default::default()
         };
         let out = engine
-            .try_query(&q, &budget)
+            .try_query(&q, &Default::default(), &budget)
             .expect("budgeted queries still return Ok");
         match out.completion {
             Completion::Exact => {
-                let ans = out
-                    .answer
-                    .as_ref()
-                    .expect("exact completion must match unlimited");
+                let ans = out.answer().expect("exact completion must match unlimited");
                 assert!(
                     (ans.maxdist - exact.maxdist).abs() < 1e-9,
                     "exact-under-budget diverged: {} vs {}",
@@ -287,8 +271,7 @@ fn budget_trip_degrades_to_anytime_answer() {
                 saw_truncated = true;
                 assert!(gap >= 0.0 && !gap.is_nan());
                 let ans = out
-                    .answer
-                    .as_ref()
+                    .answer()
                     .expect("truncated completion carries an answer");
                 check_answer(&ssn, &q, ans).expect("anytime answer violates Definition 5");
                 // The answer is verified, so it cannot beat the optimum…
@@ -304,7 +287,7 @@ fn budget_trip_degrades_to_anytime_answer() {
             }
             Completion::Failed(err) => {
                 saw_failed = true;
-                assert!(out.answer.is_none());
+                assert!(out.answers.is_empty());
                 assert!(matches!(
                     err,
                     GpSsnError::BudgetExhausted { .. } | GpSsnError::DeadlineExceeded
@@ -338,7 +321,7 @@ fn pops_budget_of_one_fails_cleanly() {
         ..Default::default()
     };
     let out = engine
-        .try_query(&q, &budget)
+        .try_query(&q, &Default::default(), &budget)
         .expect("trips degrade, never Err");
     match out.completion {
         Completion::Failed(GpSsnError::BudgetExhausted { resource, .. }) => {
@@ -346,7 +329,7 @@ fn pops_budget_of_one_fails_cleanly() {
         }
         other => panic!("expected a heap-pop budget failure, got {other:?}"),
     }
-    assert!(out.answer.is_none());
+    assert!(out.answers.is_empty());
     assert!(out.metrics.heap_pops <= 1);
 }
 
@@ -362,14 +345,18 @@ fn zero_deadline_trips_without_panicking() {
         radius: 3.0,
     };
     let out = engine
-        .try_query(&q, &QueryBudget::with_deadline(Duration::ZERO))
+        .try_query(
+            &q,
+            &Default::default(),
+            &QueryBudget::with_deadline(Duration::ZERO),
+        )
         .expect("deadline trips degrade, never Err");
     match out.completion {
         Completion::Exact => {} // finished inside the first check period
         Completion::TruncatedWithGap(gap) => assert!(gap >= 0.0),
         Completion::Failed(err) => {
             assert!(matches!(err, GpSsnError::DeadlineExceeded));
-            assert!(out.answer.is_none());
+            assert!(out.answers.is_empty());
         }
         Completion::DegradedSampling => {
             panic!("sampling rescue requires the Ladder policy, not the default")
@@ -409,14 +396,18 @@ fn top_k_under_budget_reports_completion() {
         theta: 0.3,
         radius: 3.0,
     };
+    let top = |k| QueryOptions {
+        mode: QueryMode::TopK(k),
+        ..Default::default()
+    };
     let full = engine
-        .try_query_top_k(&q, 3, &QueryBudget::unlimited())
+        .try_query(&q, &top(3), &QueryBudget::unlimited())
         .unwrap();
     assert!(matches!(full.completion, Completion::Exact));
     let starved = engine
-        .try_query_top_k(
+        .try_query(
             &q,
-            3,
+            &top(3),
             &QueryBudget {
                 max_heap_pops: Some(1),
                 ..Default::default()
@@ -431,7 +422,7 @@ fn top_k_under_budget_reports_completion() {
         }
     }
     assert!(matches!(
-        engine.try_query_top_k(&q, 0, &QueryBudget::unlimited()),
+        engine.try_query(&q, &top(0), &QueryBudget::unlimited()),
         Err(GpSsnError::InvalidQuery(_))
     ));
 }

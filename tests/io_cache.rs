@@ -1,6 +1,8 @@
 //! Buffer-pool accounting and the tight interest-MBR test: neither may
 //! change answers; both may only reduce cost / increase pruning.
 
+mod common;
+use common::query;
 use gpssn::core::algorithm::QueryOptions;
 use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnQuery};
 use gpssn::ssn::{synthetic, SyntheticConfig};
@@ -25,11 +27,11 @@ fn page_cache_reduces_io_without_changing_answers() {
             theta: 0.3,
             radius: 2.5,
         };
-        let a = raw.query(&q);
-        let b = cached.query(&q);
+        let a = query(&raw, &q, &Default::default());
+        let b = query(&cached, &q, &Default::default());
         assert_eq!(
-            a.answer.as_ref().map(|x| (x.users.clone(), x.pois.clone())),
-            b.answer.as_ref().map(|x| (x.users.clone(), x.pois.clone())),
+            a.answer().map(|x| (x.users.clone(), x.pois.clone())),
+            b.answer().map(|x| (x.users.clone(), x.pois.clone())),
             "cache changed the answer for user {user}"
         );
         assert!(
@@ -65,8 +67,8 @@ fn tiny_cache_still_correct() {
         radius: 2.0,
     };
     assert_eq!(
-        raw.query(&q).answer.map(|a| a.maxdist),
-        cached.query(&q).answer.map(|a| a.maxdist)
+        query(&raw, &q, &Default::default()).answers,
+        query(&cached, &q, &Default::default()).answers
     );
 }
 
@@ -82,14 +84,16 @@ fn tight_mbr_test_preserves_answers_and_prunes_no_less() {
             theta: 0.3,
             radius: 2.5,
         };
-        let geo = engine.query_with_options(
+        let geo = query(
+            &engine,
             &q,
             &QueryOptions {
                 collect_stats: true,
                 ..Default::default()
             },
         );
-        let tight = engine.query_with_options(
+        let tight = query(
+            &engine,
             &q,
             &QueryOptions {
                 collect_stats: true,
@@ -98,8 +102,8 @@ fn tight_mbr_test_preserves_answers_and_prunes_no_less() {
             },
         );
         assert_eq!(
-            geo.answer.as_ref().map(|a| a.maxdist),
-            tight.answer.as_ref().map(|a| a.maxdist),
+            geo.answer().map(|a| a.maxdist),
+            tight.answer().map(|a| a.maxdist),
             "tight MBR test changed the answer"
         );
         assert!(

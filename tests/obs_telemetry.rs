@@ -14,11 +14,13 @@
 //!    interleaves the worker threads (per-thread registries merged in
 //!    chunk order).
 
+mod common;
+use common::corpus;
 use gpssn::core::algorithm::{EngineConfig, QueryOptions};
-use gpssn::core::{GpSsnEngine, GpSsnQuery, PruningStats, QueryBudget};
+use gpssn::core::{GpSsnEngine, PruningStats, QueryBudget};
 use gpssn::index::{PivotSelectConfig, SocialIndexConfig};
 use gpssn::obs::{chrome_trace_json, json, Obs};
-use gpssn::ssn::{synthetic, SpatialSocialNetwork, SyntheticConfig};
+use gpssn::ssn::{synthetic, SyntheticConfig};
 use std::sync::Arc;
 
 fn small_cfg(seed: u64, obs: Option<Arc<Obs>>) -> EngineConfig {
@@ -40,29 +42,6 @@ fn small_cfg(seed: u64, obs: Option<Arc<Obs>>) -> EngineConfig {
         obs,
         ..Default::default()
     }
-}
-
-/// The usual parameter-grid corpus (mirrors the refinement suite).
-fn corpus(ssn: &SpatialSocialNetwork, seed: u64) -> Vec<GpSsnQuery> {
-    let m = ssn.social().num_users() as u32;
-    let mut qs = Vec::new();
-    for (qi, &tau) in [1usize, 2, 3].iter().enumerate() {
-        for (gi, &gamma) in [0.2, 0.5, 0.8].iter().enumerate() {
-            for &theta in &[0.2, 0.6] {
-                for &radius in &[1.0, 2.0, 3.0] {
-                    let user = (seed as u32 + qi as u32 * 7 + gi as u32 * 3) % m;
-                    qs.push(GpSsnQuery {
-                        user,
-                        tau,
-                        gamma,
-                        theta,
-                        radius,
-                    });
-                }
-            }
-        }
-    }
-    qs
 }
 
 /// Value of the counter whose rendered id is exactly `id` in a
@@ -92,7 +71,7 @@ fn fig7_counters_match_legacy_pruning_stats_bitwise() {
     // Legacy path: sum the per-query PruningStats structs.
     let mut legacy = PruningStats::default();
     for q in corpus(&ssn, 7) {
-        let out = engine.query_with_options(&q, &opts);
+        let out = common::query(&engine, &q, &opts);
         let s = &out.metrics.stats;
         legacy.users_total += s.users_total;
         legacy.users_pruned_index += s.users_pruned_index;
@@ -207,7 +186,7 @@ fn chrome_trace_is_valid_json_with_expected_span_levels() {
     // A handful of queries is enough to exercise every span level while
     // staying far below the ring-buffer capacity.
     for q in corpus(&ssn, 11).into_iter().take(12) {
-        let _ = engine.query(&q);
+        let _ = common::query(&engine, &q, &Default::default());
     }
     let records = obs.tracer().records();
     assert_eq!(obs.tracer().dropped(), 0, "ring buffer overflowed");
@@ -277,7 +256,7 @@ fn batch_counter_merge_is_deterministic_across_runs() {
     let run = |threads: usize| {
         let obs = Arc::new(Obs::with_metrics());
         let engine = GpSsnEngine::build(&ssn, small_cfg(13, Some(obs.clone())));
-        let results = engine.try_query_batch(&queries, threads, &budget);
+        let results = engine.try_query_batch(&queries, threads, &Default::default(), &budget);
         assert!(results.iter().all(|r| r.is_ok()));
         obs.base_registry().snapshot()
     };

@@ -6,10 +6,12 @@
 //! change nothing: a hit only ever returns what the miss path would
 //! have recomputed.
 
+mod common;
+use common::{assert_bit_identical, corpus, query};
 use gpssn::core::algorithm::{DistanceBackend, EngineConfig, QueryOptions};
-use gpssn::core::{DistanceCacheConfig, GpSsnAnswer, GpSsnEngine, GpSsnQuery};
+use gpssn::core::{DistanceCacheConfig, GpSsnEngine, GpSsnQuery};
 use gpssn::index::{PivotSelectConfig, SocialIndexConfig};
-use gpssn::ssn::{synthetic, SpatialSocialNetwork, SyntheticConfig};
+use gpssn::ssn::{synthetic, SyntheticConfig};
 
 fn small_cfg(seed: u64, cache: Option<DistanceCacheConfig>) -> EngineConfig {
     EngineConfig {
@@ -26,56 +28,6 @@ fn small_cfg(seed: u64, cache: Option<DistanceCacheConfig>) -> EngineConfig {
         },
         distance_cache: cache,
         ..Default::default()
-    }
-}
-
-/// The query corpus: a parameter grid over a few seeds, ≥200 queries in
-/// total (mirrors the equivalence suite's shape so both feasible and
-/// infeasible cases are exercised).
-fn corpus(ssn: &SpatialSocialNetwork, seed: u64) -> Vec<GpSsnQuery> {
-    let m = ssn.social().num_users() as u32;
-    let mut qs = Vec::new();
-    for (qi, &tau) in [1usize, 2, 3].iter().enumerate() {
-        for (gi, &gamma) in [0.2, 0.5, 0.8].iter().enumerate() {
-            for &theta in &[0.2, 0.6] {
-                for &radius in &[1.0, 2.0, 3.0] {
-                    let user = (seed as u32 + qi as u32 * 7 + gi as u32 * 3) % m;
-                    qs.push(GpSsnQuery {
-                        user,
-                        tau,
-                        gamma,
-                        theta,
-                        radius,
-                    });
-                }
-            }
-        }
-    }
-    qs
-}
-
-/// Bitwise answer comparison: users, POIs, and the exact bit pattern of
-/// the objective. `f64::to_bits` makes "equal up to rounding" failures
-/// impossible to paper over.
-fn assert_bit_identical(a: &Option<GpSsnAnswer>, b: &Option<GpSsnAnswer>, what: &str) {
-    match (a, b) {
-        (None, None) => {}
-        (Some(x), Some(y)) => {
-            assert_eq!(x.users, y.users, "{what}: user groups differ");
-            assert_eq!(x.pois, y.pois, "{what}: POI sets differ");
-            assert_eq!(
-                x.maxdist.to_bits(),
-                y.maxdist.to_bits(),
-                "{what}: maxdist bits differ ({} vs {})",
-                x.maxdist,
-                y.maxdist
-            );
-        }
-        _ => panic!(
-            "{what}: feasibility differs ({:?} vs {:?})",
-            a.as_ref().map(|x| x.maxdist),
-            b.as_ref().map(|x| x.maxdist)
-        ),
     }
 }
 
@@ -102,16 +54,16 @@ fn ch_backend_is_bit_identical_to_dijkstra() {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.004), seed);
         let engine = GpSsnEngine::build(&ssn, small_cfg(seed, None));
         for q in corpus(&ssn, seed) {
-            let dij = engine.query_with_options(&q, &backend_opts(DistanceBackend::Dijkstra));
-            let ch = engine.query_with_options(&q, &backend_opts(DistanceBackend::Ch));
-            assert_bit_identical(&dij.answer, &ch.answer, "CH backend vs Dijkstra");
+            let dij = query(&engine, &q, &backend_opts(DistanceBackend::Dijkstra));
+            let ch = query(&engine, &q, &backend_opts(DistanceBackend::Ch));
+            assert_bit_identical(dij.answer(), ch.answer(), "CH backend vs Dijkstra");
             assert_eq!(
-                dij.metrics.ch_batches, 0,
+                dij.metrics.backend_served.ch_batches, 0,
                 "Dijkstra backend must not touch the CH oracle"
             );
-            ch_engaged += (ch.metrics.ch_batches > 0) as usize;
+            ch_engaged += (ch.metrics.backend_served.ch_batches > 0) as usize;
             checked += 1;
-            answered += dij.answer.is_some() as usize;
+            answered += dij.answer().is_some() as usize;
         }
     }
     assert!(checked >= 200, "stress corpus too small: {checked}");
@@ -133,11 +85,11 @@ fn ch_less_index_falls_back_to_dijkstra() {
     let chless = GpSsnEngine::build(&ssn, chless_cfg);
     let full = GpSsnEngine::build(&ssn, small_cfg(7, None));
     for q in corpus(&ssn, 7) {
-        let a = chless.query(&q);
-        let b = full.query_with_options(&q, &backend_opts(DistanceBackend::Dijkstra));
-        assert_bit_identical(&a.answer, &b.answer, "CH-less fallback vs Dijkstra");
+        let a = query(&chless, &q, &Default::default());
+        let b = query(&full, &q, &backend_opts(DistanceBackend::Dijkstra));
+        assert_bit_identical(a.answer(), b.answer(), "CH-less fallback vs Dijkstra");
         assert_eq!(
-            a.metrics.ch_batches, 0,
+            a.metrics.backend_served.ch_batches, 0,
             "a CH-less index cannot have served CH batches"
         );
     }
@@ -152,13 +104,17 @@ fn parallel_refinement_is_bit_identical_to_sequential() {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.004), seed);
         let engine = GpSsnEngine::build(&ssn, small_cfg(seed, None));
         for q in corpus(&ssn, seed) {
-            let seq = engine.query_with_options(&q, &threads_opts(1));
-            let par4 = engine.query_with_options(&q, &threads_opts(4));
-            let par_auto = engine.query_with_options(&q, &threads_opts(0));
-            assert_bit_identical(&seq.answer, &par4.answer, "4 threads vs sequential");
-            assert_bit_identical(&seq.answer, &par_auto.answer, "auto threads vs sequential");
+            let seq = query(&engine, &q, &threads_opts(1));
+            let par4 = query(&engine, &q, &threads_opts(4));
+            let par_auto = query(&engine, &q, &threads_opts(0));
+            assert_bit_identical(seq.answer(), par4.answer(), "4 threads vs sequential");
+            assert_bit_identical(
+                seq.answer(),
+                par_auto.answer(),
+                "auto threads vs sequential",
+            );
             checked += 1;
-            answered += seq.answer.is_some() as usize;
+            answered += seq.answer().is_some() as usize;
         }
     }
     assert!(checked >= 200, "stress corpus too small: {checked}");
@@ -177,15 +133,15 @@ fn cache_never_changes_answers() {
         // cache-free engine.
         for pass in 0..2 {
             for q in corpus(&ssn, seed) {
-                let a = cached.query(&q);
-                let b = uncached.query(&q);
-                assert_bit_identical(&a.answer, &b.answer, "cached vs uncached");
+                let a = query(&cached, &q, &Default::default());
+                let b = query(&uncached, &q, &Default::default());
+                assert_bit_identical(a.answer(), b.answer(), "cached vs uncached");
                 if pass == 1 {
                     // Warm pass: hits must actually be happening, or this
                     // test proves nothing about the hit path.
                     let c = a.metrics.cache;
                     assert!(
-                        c.ball_hits + c.dist_hits > 0 || a.answer.is_none(),
+                        c.ball_hits + c.dist_hits > 0 || a.answers.is_empty(),
                         "warm pass produced no cache hits for {q:?}: {c:?}"
                     );
                 }
@@ -209,9 +165,9 @@ fn eviction_pressure_never_changes_answers() {
         let squeezed = GpSsnEngine::build(&ssn, small_cfg(seed, Some(tiny.clone())));
         let uncached = GpSsnEngine::build(&ssn, small_cfg(seed, None));
         for q in corpus(&ssn, seed) {
-            let a = squeezed.query(&q);
-            let b = uncached.query(&q);
-            assert_bit_identical(&a.answer, &b.answer, "tiny cache vs uncached");
+            let a = query(&squeezed, &q, &Default::default());
+            let b = query(&uncached, &q, &Default::default());
+            assert_bit_identical(a.answer(), b.answer(), "tiny cache vs uncached");
         }
     }
 }
@@ -224,9 +180,9 @@ fn parallel_and_cached_together_match_the_plain_engine() {
     let fast = GpSsnEngine::build(&ssn, small_cfg(11, Some(DistanceCacheConfig::default())));
     let plain = GpSsnEngine::build(&ssn, small_cfg(11, None));
     for q in corpus(&ssn, 11) {
-        let a = fast.query_with_options(&q, &threads_opts(4));
-        let b = plain.query_with_options(&q, &threads_opts(1));
-        assert_bit_identical(&a.answer, &b.answer, "parallel+cached vs plain");
+        let a = query(&fast, &q, &threads_opts(4));
+        let b = query(&plain, &q, &threads_opts(1));
+        assert_bit_identical(a.answer(), b.answer(), "parallel+cached vs plain");
     }
 }
 
@@ -241,8 +197,8 @@ fn repeated_queries_report_a_rising_hit_rate() {
         theta: 0.2,
         radius: 3.0,
     };
-    let cold = engine.query(&q);
-    let warm = engine.query(&q);
+    let cold = query(&engine, &q, &Default::default());
+    let warm = query(&engine, &q, &Default::default());
     let (c, w) = (cold.metrics.cache, warm.metrics.cache);
     // The warm run re-asks exactly the cold run's questions, so every
     // ball and distance it needs is resident.
@@ -255,5 +211,5 @@ fn repeated_queries_report_a_rising_hit_rate() {
         "identical repeat query missed the cache entirely: {w:?}"
     );
     assert!(w.hit_rate() > 0.0, "hit rate not reported: {w:?}");
-    assert_bit_identical(&cold.answer, &warm.answer, "warm repeat vs cold");
+    assert_bit_identical(cold.answer(), warm.answer(), "warm repeat vs cold");
 }

@@ -1,14 +1,15 @@
-//! Serving-layer contract tests: the work-stealing batch scheduler is
-//! bit-identical to sequential and static-chunk execution at every
-//! thread count, the serve loop preserves submission order, admission
+//! Serving-layer contract tests: a batch (which runs on the serve loop)
+//! is bit-identical to sequential execution at every thread count and
+//! sheds dead-on-arrival slots, the serve loop preserves submission
+//! order, admission
 //! control sheds expired and overloaded requests *without engine work*,
 //! and the JSONL front-end turns malformed lines into in-order error
 //! records instead of aborting the stream.
 
+mod common;
 use gpssn::core::{
-    serve, serve_jsonl, BatchSchedule, Completion, EngineConfig, GpSsnAnswer, GpSsnEngine,
-    GpSsnError, GpSsnQuery, OverloadPolicy, QueryBudget, QueryOptions, QueryOutcome, ServeConfig,
-    ServeRequest, Submission,
+    serve, serve_jsonl, Completion, EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery,
+    OverloadPolicy, QueryBudget, QueryOptions, QueryOutcome, ServeConfig, ServeRequest, Submission,
 };
 use gpssn::obs::{json, Obs};
 use gpssn::ssn::{synthetic, SpatialSocialNetwork, SyntheticConfig};
@@ -38,26 +39,6 @@ fn skewed_queries(num_users: u32, n: usize) -> Vec<GpSsnQuery> {
         .collect()
 }
 
-/// Bitwise answer equality: distances compared by bit pattern, not
-/// tolerance.
-fn assert_same_answer(a: &Option<GpSsnAnswer>, b: &Option<GpSsnAnswer>, what: &str) {
-    match (a, b) {
-        (None, None) => {}
-        (Some(x), Some(y)) => {
-            assert_eq!(x.users, y.users, "{what}: group differs");
-            assert_eq!(x.pois, y.pois, "{what}: POIs differ");
-            assert_eq!(
-                x.maxdist.to_bits(),
-                y.maxdist.to_bits(),
-                "{what}: maxdist not bit-identical ({} vs {})",
-                x.maxdist,
-                y.maxdist
-            );
-        }
-        _ => panic!("{what}: one side has an answer, the other does not"),
-    }
-}
-
 fn assert_same_outcome(
     a: &Result<QueryOutcome, GpSsnError>,
     b: &Result<QueryOutcome, GpSsnError>,
@@ -75,7 +56,7 @@ fn assert_same_outcome(
             {
                 assert_eq!(gx.to_bits(), gy.to_bits(), "{what}: gap differs");
             }
-            assert_same_answer(&x.answer, &y.answer, what);
+            common::assert_bit_identical(x.answer(), y.answer(), what);
         }
         (Err(x), Err(y)) => {
             assert_eq!(x.to_string(), y.to_string(), "{what}: errors differ")
@@ -84,10 +65,10 @@ fn assert_same_outcome(
     }
 }
 
-/// The tentpole equivalence: work-stealing and static chunking produce
-/// bit-identical per-slot results to the sequential engine at every
-/// thread count, including 7 (more workers than a chunk boundary
-/// divides evenly) and 0 (auto-detect).
+/// A batch produces bit-identical per-slot results to the sequential
+/// engine at every thread count, including 7 (more workers than divide
+/// the batch evenly) and 0 (auto-detect). Its deadline counts from
+/// submission, so a zero deadline is shed before the engine runs.
 #[test]
 fn batch_schedules_bit_identical_across_thread_counts() {
     let ssn = dataset();
@@ -98,17 +79,21 @@ fn batch_schedules_bit_identical_across_thread_counts() {
 
     let sequential: Vec<_> = queries
         .iter()
-        .map(|q| engine.try_query_with_options(q, &opts, &budget))
+        .map(|q| engine.try_query(q, &opts, &budget))
         .collect();
 
     for threads in [1usize, 2, 7, 0] {
-        for schedule in [BatchSchedule::WorkStealing, BatchSchedule::StaticChunk] {
-            let got = engine.try_query_batch_scheduled(&queries, threads, &opts, &budget, schedule);
-            assert_eq!(got.len(), queries.len());
-            for (i, (g, s)) in got.iter().zip(&sequential).enumerate() {
-                assert_same_outcome(g, s, &format!("{schedule:?} threads={threads} slot {i}"));
-            }
+        let got = engine.try_query_batch(&queries, threads, &opts, &budget);
+        assert_eq!(got.len(), queries.len());
+        for (i, (g, s)) in got.iter().zip(&sequential).enumerate() {
+            assert_same_outcome(g, s, &format!("threads={threads} slot {i}"));
         }
+        let dead = QueryBudget::with_deadline(Duration::ZERO);
+        let shed = engine.try_query_batch(&queries[..1], threads, &opts, &dead);
+        assert!(
+            matches!(shed[..], [Err(GpSsnError::DeadlineExpired)]),
+            "{shed:?}"
+        );
     }
 }
 
@@ -123,7 +108,7 @@ fn serve_preserves_submission_order_and_answers() {
     let budget = QueryBudget::unlimited();
     let sequential: Vec<_> = queries
         .iter()
-        .map(|q| engine.try_query_with_options(q, &opts, &budget))
+        .map(|q| engine.try_query(q, &opts, &budget))
         .collect();
 
     let cfg = ServeConfig {

@@ -378,7 +378,7 @@ fn answers_bit_identical_with_observability_on_and_off() {
                 // Render the full answer (bit-exact distance) so the
                 // comparison cannot pass on rounding.
                 let rendered = match &resp.result {
-                    Ok(out) => match &out.answer {
+                    Ok(out) => match out.answer() {
                         Some(a) => format!("{:?}|{:?}|{:x}", a.users, a.pois, a.maxdist.to_bits()),
                         None => "none".into(),
                     },
