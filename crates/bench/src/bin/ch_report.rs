@@ -1,10 +1,11 @@
 //! Oracle-vs-Dijkstra comparison distilled into `BENCH_ch.json`:
-//! CH preprocessing time (sequential and threaded), point-to-point
-//! latency, and the many-to-many kernel against one Dijkstra sweep per
-//! source, on the largest bench road graph (30k intersections by
-//! default). The same comparison runs under Criterion in
-//! `benches/ch.rs`; this bin trades statistical rigor for a single
-//! machine-readable artifact.
+//! CH preprocessing time (sequential and threaded, plus the upward-label
+//! share of it and the label size), point-to-point latency, and the
+//! many-to-many kernel against one Dijkstra sweep per source, on the
+//! largest bench road graph (30k intersections by default). Both query
+//! shapes are asserted bitwise against Dijkstra before they are timed.
+//! The same comparison runs under Criterion in `benches/ch.rs`; this bin
+//! trades statistical rigor for a single machine-readable artifact.
 //!
 //! ```text
 //! cargo run --release -p gpssn-bench --bin ch_report -- \
@@ -80,10 +81,18 @@ fn main() {
 
     let build_secs = median_secs(3, || ChOracle::build(g));
     let build_threads_secs = median_secs(3, || ChOracle::build_with_threads(g, 4));
+    let mut label_ns: Vec<u64> = (0..3)
+        .map(|_| ChOracle::build_with_stats(g, 0).1.label_ns)
+        .collect();
+    label_ns.sort_unstable();
+    let label_secs = label_ns[1] as f64 * 1e-9;
     let ch = ChOracle::build(g);
     eprintln!(
-        "CH built in {build_secs:.3}s ({} shortcuts); 4-thread build {build_threads_secs:.3}s",
-        ch.num_shortcuts()
+        "CH built in {build_secs:.3}s ({} shortcuts, {} label entries built in {:.1}ms); \
+         4-thread build {build_threads_secs:.3}s",
+        ch.num_shortcuts(),
+        ch.num_label_entries(),
+        label_secs * 1e3
     );
 
     // Point-to-point: 32 random pairs, averaged per query.
@@ -128,6 +137,17 @@ fn main() {
         .collect();
     let source_refs: Vec<&[(NodeId, f64)]> = sources.iter().map(|s| &s[..]).collect();
     let targets: Vec<NodeId> = (0..16).map(|_| rng.gen_range(0..n as NodeId)).collect();
+    let (matrix, _) = ch.batch_dists(&mut cs, &source_refs, &targets);
+    for (i, s) in source_refs.iter().enumerate() {
+        let d = dijkstra_targets(g, s, &targets);
+        for (j, &t) in targets.iter().enumerate() {
+            assert_eq!(
+                d[t as usize].to_bits(),
+                matrix[i * targets.len() + j].to_bits(),
+                "CH many-to-many diverged at source {i} -> {t}"
+            );
+        }
+    }
     let m2m_dijkstra = median_secs(5, || {
         for s in &source_refs {
             std::hint::black_box(dijkstra_targets(g, s, &targets));
@@ -145,7 +165,8 @@ fn main() {
 
     let json = format!(
         "{{\n  \"graph\": {{\"vertices\": {}, \"edges\": {}, \"seed\": {}}},\n  \
-         \"build\": {{\"shortcuts\": {}, \"sequential_secs\": {:.6}, \"threads4_secs\": {:.6}}},\n  \
+         \"build\": {{\"shortcuts\": {}, \"label_entries\": {}, \"sequential_secs\": {:.6}, \
+         \"threads4_secs\": {:.6}, \"label_secs\": {:.6}}},\n  \
          \"p2p\": {{\"queries\": {}, \"dijkstra_secs_per_query\": {:.9}, \
          \"ch_secs_per_query\": {:.9}, \"speedup\": {:.3}}},\n  \
          \"many_to_many\": {{\"sources\": {}, \"targets\": {}, \"dijkstra_secs\": {:.9}, \
@@ -154,8 +175,10 @@ fn main() {
         net.num_edges(),
         seed,
         ch.num_shortcuts(),
+        ch.num_label_entries(),
         build_secs,
         build_threads_secs,
+        label_secs,
         queries.len(),
         p2p_dijkstra,
         p2p_ch,

@@ -13,12 +13,21 @@
 //! * balls are keyed by `(center, radius.to_bits())` — exact radius,
 //!   no bucketing slack, so the cached member list is exactly what
 //!   [`gpssn_road::PoiSet::network_ball`] returns;
-//! * distances are keyed by `(user, poi, direction)`. Direction matters
+//! * distances are keyed by `(source, target, direction)` — `(user,
+//!   poi, FromUser)` or `(poi, user, FromPoi)`. Direction matters
 //!   for bit-identity: Dijkstra from the user's home and Dijkstra from
 //!   the POI traverse the same shortest path but sum its edge weights
 //!   in opposite orders, which floating-point addition does not promise
 //!   to reconcile. Keying the direction means a hit only ever replaces
 //!   a run that would have produced the very same bits.
+//!
+//! Distances are probed and stored a whole row at a time
+//! ([`DistanceCache::get_row`] / [`DistanceCache::put_row`]): refinement
+//! needs all of a row or recomputes all of it, so a row is one lock and
+//! one hash per key. A row's shard is chosen by its source id, so every
+//! key of a row lives in the same shard. Keys are dataset ids, never
+//! strings a client chooses, so both shard selection and the maps use a
+//! fixed multiplicative hasher (`IdHasher`) instead of SipHash.
 //!
 //! The cache is sharded (one mutex per shard) so parallel refinement
 //! workers and batch query threads do not serialize on a single lock,
@@ -31,9 +40,8 @@
 //! insert — never a wrong distance.
 
 use gpssn_road::PoiId;
-use gpssn_social::UserId;
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -74,12 +82,59 @@ type BallKey = (PoiId, u64);
 /// A cached ball row: the `(poi, dist_RN)` pairs inside `⊙(center, r)`,
 /// shared by `Arc` so hits never copy.
 type BallRow = Arc<Vec<(PoiId, f64)>>;
-type DistKey = (UserId, PoiId, DistDir);
+/// `(row source, row target, direction)`: `(user, poi, FromUser)` or
+/// `(poi, user, FromPoi)`.
+type DistKey = (u32, u32, DistDir);
+
+/// Multiplicative word hasher (the FxHash mixing step) for the cache's
+/// integer keys: one rotate, xor and multiply per word written. It is
+/// not DoS-resistant, which is fine here: every key is a dataset id.
+#[derive(Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+    fn write_isize(&mut self, i: isize) {
+        self.add(i as u64);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best bits high; the maps index by the
+        // low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+fn id_hash<K: Hash>(key: &K) -> u64 {
+    let mut h = IdHasher::default();
+    key.hash(&mut h);
+    h.finish()
+}
 
 /// One FIFO-bounded map. Insertion order is the eviction order;
 /// re-inserting an existing key refreshes the value without re-queueing.
 struct Shard<K, V> {
-    map: HashMap<K, V>,
+    map: HashMap<K, V, BuildHasherDefault<IdHasher>>,
     order: VecDeque<K>,
     capacity: usize,
     /// Lifetime entries displaced by the capacity bound.
@@ -89,7 +144,7 @@ struct Shard<K, V> {
 impl<K: Eq + Hash + Clone, V: Clone> Shard<K, V> {
     fn new(capacity: usize) -> Self {
         Shard {
-            map: HashMap::new(),
+            map: HashMap::default(),
             order: VecDeque::new(),
             capacity,
             evictions: 0,
@@ -117,7 +172,9 @@ impl<K: Eq + Hash + Clone, V: Clone> Shard<K, V> {
 }
 
 /// Lifetime counters of one [`DistanceCache`] (never reset; a per-query
-/// view lives in [`crate::CacheStats`]). All sums saturate.
+/// view lives in [`crate::CacheStats`], in the same unit: a row probe
+/// counts every key of the row as a hit when the whole row is resident
+/// and as a miss otherwise). All sums saturate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheLifetimeStats {
     /// Ball lookups served from the cache.
@@ -126,9 +183,9 @@ pub struct CacheLifetimeStats {
     pub ball_misses: u64,
     /// Ball entries displaced by the capacity bound.
     pub ball_evictions: u64,
-    /// `dist_RN` lookups served from the cache.
+    /// `dist_RN` keys served from the cache (whole-row hits).
     pub dist_hits: u64,
-    /// `dist_RN` lookups that missed.
+    /// `dist_RN` keys of rows that missed (recomputed whole).
     pub dist_misses: u64,
     /// `dist_RN` entries displaced by the capacity bound.
     pub dist_evictions: u64,
@@ -186,9 +243,7 @@ fn poison_shard<T>(m: &Mutex<T>) {
 }
 
 fn shard_of<K: Hash>(key: &K, shards: usize) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % shards
+    (id_hash(key) % shards as u64) as usize
 }
 
 impl DistanceCache {
@@ -245,32 +300,52 @@ impl DistanceCache {
         lock_shard(shard).insert(key, ball);
     }
 
-    /// The cached `dist_RN(user, poi)` computed in direction `dir`, if
-    /// present.
-    pub fn get_dist(&self, user: UserId, poi: PoiId, dir: DistDir) -> Option<f64> {
+    /// The cached `dist_RN` row from `source` to every entry of
+    /// `targets`, computed in direction `dir` — a user and its POIs for
+    /// [`DistDir::FromUser`], a POI and its users for
+    /// [`DistDir::FromPoi`]. All-or-nothing: `None` unless every key is
+    /// resident. One lock for the whole row; lifetime tallies count
+    /// every key of the row as a hit or as a miss.
+    pub fn get_row(&self, dir: DistDir, source: u32, targets: &[u32]) -> Option<Vec<f64>> {
+        let n = targets.len() as u64;
         if gpssn_failpoint::failpoint!("cache::spurious_miss") {
-            self.dist_misses.fetch_add(1, Ordering::Relaxed);
+            // A dropped entry is indistinguishable from a FIFO eviction.
+            self.dist_misses.fetch_add(n, Ordering::Relaxed);
             return None;
         }
-        let key = (user, poi, dir);
-        let hit = lock_shard(&self.dists[shard_of(&key, self.dists.len())]).get(&key);
-        let tally = if hit.is_some() {
+        let row: Option<Vec<f64>> = {
+            let shard = lock_shard(self.row_shard(dir, source));
+            targets
+                .iter()
+                .map(|&t| shard.get(&(source, t, dir)))
+                .collect()
+        };
+        let tally = if row.is_some() {
             &self.dist_hits
         } else {
             &self.dist_misses
         };
-        tally.fetch_add(1, Ordering::Relaxed);
-        hit
+        tally.fetch_add(n, Ordering::Relaxed);
+        row
     }
 
-    /// Stores `dist_RN(user, poi)` computed in direction `dir`.
-    pub fn put_dist(&self, user: UserId, poi: PoiId, dir: DistDir, d: f64) {
-        let key = (user, poi, dir);
-        let shard = &self.dists[shard_of(&key, self.dists.len())];
+    /// Stores the row [`Self::get_row`] describes: `dists[j]` is the
+    /// distance from `source` to `targets[j]` in direction `dir`.
+    pub fn put_row(&self, dir: DistDir, source: u32, targets: &[u32], dists: &[f64]) {
+        debug_assert_eq!(targets.len(), dists.len());
+        let shard = self.row_shard(dir, source);
         if gpssn_failpoint::failpoint!("cache::poison") {
             poison_shard(shard);
         }
-        lock_shard(shard).insert(key, d);
+        let mut shard = lock_shard(shard);
+        for (&t, &d) in targets.iter().zip(dists) {
+            shard.insert((source, t, dir), d);
+        }
+    }
+
+    /// The shard holding every key of the row from `source` in `dir`.
+    fn row_shard(&self, dir: DistDir, source: u32) -> &Mutex<Shard<DistKey, f64>> {
+        &self.dists[shard_of(&(source, dir), self.dists.len())]
     }
 
     /// Ball entries currently resident (across all shards).
@@ -336,14 +411,23 @@ mod tests {
         }
     }
 
+    /// Single-key row helpers: the row API with one target.
+    fn put(c: &DistanceCache, dir: DistDir, source: u32, target: u32, d: f64) {
+        c.put_row(dir, source, &[target], &[d]);
+    }
+
+    fn get(c: &DistanceCache, dir: DistDir, source: u32, target: u32) -> Option<f64> {
+        c.get_row(dir, source, &[target]).map(|row| row[0])
+    }
+
     #[test]
     fn round_trips_values() {
         let c = DistanceCache::new(&tiny());
-        assert!(c.get_dist(1, 2, DistDir::FromUser).is_none());
-        c.put_dist(1, 2, DistDir::FromUser, 3.25);
-        assert_eq!(c.get_dist(1, 2, DistDir::FromUser), Some(3.25));
+        assert!(get(&c, DistDir::FromUser, 1, 2).is_none());
+        put(&c, DistDir::FromUser, 1, 2, 3.25);
+        assert_eq!(get(&c, DistDir::FromUser, 1, 2), Some(3.25));
         // Direction is part of the key.
-        assert!(c.get_dist(1, 2, DistDir::FromPoi).is_none());
+        assert!(get(&c, DistDir::FromPoi, 1, 2).is_none());
 
         let ball = Arc::new(vec![(7u32, 1.5f64), (9, 2.0)]);
         c.put_ball(3, 2.5, Arc::clone(&ball));
@@ -352,15 +436,51 @@ mod tests {
     }
 
     #[test]
+    fn rows_are_all_or_nothing() {
+        let c = DistanceCache::new(&DistanceCacheConfig {
+            ball_capacity: 8,
+            dist_capacity: 64,
+            shards: 4,
+        });
+        c.put_row(DistDir::FromPoi, 7, &[1, 2, 3], &[0.5, 1.5, 2.5]);
+        assert_eq!(
+            c.get_row(DistDir::FromPoi, 7, &[3, 1]),
+            Some(vec![2.5, 0.5])
+        );
+        // One absent key misses the whole row, and every key of it is
+        // tallied as a miss.
+        assert!(c.get_row(DistDir::FromPoi, 7, &[1, 4, 2]).is_none());
+        let s = c.lifetime_stats();
+        assert_eq!((s.dist_hits, s.dist_misses), (2, 3));
+        // An empty row is trivially resident.
+        assert_eq!(c.get_row(DistDir::FromUser, 9, &[]), Some(vec![]));
+    }
+
+    #[test]
+    fn id_hasher_spreads_sequential_ids_over_shards() {
+        let shards = 8;
+        let mut counts = vec![0usize; shards];
+        for source in 0..800u32 {
+            for dir in [DistDir::FromUser, DistDir::FromPoi] {
+                counts[shard_of(&(source, dir), shards)] += 1;
+            }
+        }
+        assert!(
+            counts.iter().all(|&k| k > 100 && k < 300),
+            "uneven shard spread {counts:?}"
+        );
+    }
+
+    #[test]
     fn fifo_eviction_bounds_residency() {
         let c = DistanceCache::new(&tiny());
         for i in 0..10u32 {
-            c.put_dist(i, 0, DistDir::FromUser, i as f64);
+            put(&c, DistDir::FromUser, i, 0, i as f64);
         }
         assert_eq!(c.dist_entries(), 4);
         // Oldest entries left; newest retained.
-        assert!(c.get_dist(0, 0, DistDir::FromUser).is_none());
-        assert_eq!(c.get_dist(9, 0, DistDir::FromUser), Some(9.0));
+        assert!(get(&c, DistDir::FromUser, 0, 0).is_none());
+        assert_eq!(get(&c, DistDir::FromUser, 9, 0), Some(9.0));
     }
 
     #[test]
@@ -369,11 +489,11 @@ mod tests {
         // Fresh cache: all-zero stats and a safe hit rate.
         assert_eq!(c.lifetime_stats(), CacheLifetimeStats::default());
         assert_eq!(c.lifetime_stats().hit_rate(), 0.0);
-        c.put_dist(1, 1, DistDir::FromUser, 1.0);
-        assert!(c.get_dist(1, 1, DistDir::FromUser).is_some()); // hit
-        assert!(c.get_dist(2, 2, DistDir::FromUser).is_none()); // miss
+        put(&c, DistDir::FromUser, 1, 1, 1.0);
+        assert!(get(&c, DistDir::FromUser, 1, 1).is_some()); // hit
+        assert!(get(&c, DistDir::FromUser, 2, 2).is_none()); // miss
         for i in 0..10u32 {
-            c.put_dist(i, 0, DistDir::FromPoi, i as f64); // overflows cap 4
+            put(&c, DistDir::FromPoi, i, 0, i as f64); // overflows cap 4
         }
         let s = c.lifetime_stats();
         assert_eq!(s.dist_hits, 1);
@@ -389,7 +509,7 @@ mod tests {
             dist_capacity: 8,
             shards: 2,
         });
-        c.put_dist(1, 1, DistDir::FromUser, 1.0);
+        put(&c, DistDir::FromUser, 1, 1, 1.0);
         let occ = c.dist_shard_occupancy();
         assert_eq!(occ.len(), 2);
         assert_eq!(occ.iter().map(|o| o.entries).sum::<usize>(), 1);
@@ -404,7 +524,7 @@ mod tests {
             dist_capacity: 0,
             shards: 4,
         });
-        c.put_dist(1, 1, DistDir::FromPoi, 1.0);
+        put(&c, DistDir::FromPoi, 1, 1, 1.0);
         c.put_ball(1, 1.0, Arc::new(vec![]));
         assert_eq!(c.dist_entries(), 0);
         assert_eq!(c.ball_entries(), 0);
@@ -414,7 +534,7 @@ mod tests {
     fn reinsert_refreshes_without_duplicating() {
         let c = DistanceCache::new(&tiny());
         for _ in 0..10 {
-            c.put_dist(1, 1, DistDir::FromUser, 2.0);
+            put(&c, DistDir::FromUser, 1, 1, 2.0);
         }
         assert_eq!(c.dist_entries(), 1);
     }
@@ -422,7 +542,7 @@ mod tests {
     #[test]
     fn poisoned_shard_recovers_with_data_intact() {
         let c = Arc::new(DistanceCache::new(&tiny()));
-        c.put_dist(5, 5, DistDir::FromUser, 7.5);
+        put(&c, DistDir::FromUser, 5, 5, 7.5);
         // Poison the (single) dist shard by panicking while holding it.
         let c2 = Arc::clone(&c);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
@@ -431,8 +551,8 @@ mod tests {
         }));
         assert!(c.dists[0].is_poisoned());
         // Reads and writes keep working; prior entries survive.
-        assert_eq!(c.get_dist(5, 5, DistDir::FromUser), Some(7.5));
-        c.put_dist(6, 6, DistDir::FromPoi, 1.25);
-        assert_eq!(c.get_dist(6, 6, DistDir::FromPoi), Some(1.25));
+        assert_eq!(get(&c, DistDir::FromUser, 5, 5), Some(7.5));
+        put(&c, DistDir::FromPoi, 6, 6, 1.25);
+        assert_eq!(get(&c, DistDir::FromPoi, 6, 6), Some(1.25));
     }
 }

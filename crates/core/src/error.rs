@@ -188,7 +188,11 @@ pub struct QueryBudget {
     /// Cap on connected user subsets enumerated (refinement, sampling,
     /// feasibility probes, baseline).
     pub max_groups_enumerated: Option<u64>,
-    /// Cap on vertices settled by refinement-time Dijkstra runs.
+    /// Cap on vertices settled by refinement-time distance batches:
+    /// every settle of a plain Dijkstra batch, and the forward
+    /// upward-sweep settles of a contraction-hierarchy batch (its
+    /// target-label scans read a precomputed table and are not
+    /// charged; see `gpssn_graph::ChOracle::batch_dists`).
     pub max_dijkstra_settles: Option<u64>,
 }
 
@@ -260,6 +264,12 @@ pub const DEADLINE_CHECK_PERIOD: u64 = 64;
 /// across workers: the combined work of all threads is charged to the
 /// same counters, so a budget of `N` settles admits `N` settles total,
 /// not `N` per thread.
+///
+/// Settles are one unit across distance backends: a Dijkstra batch
+/// charges every vertex it settles; a contraction-hierarchy batch
+/// charges the vertices its forward upward sweeps settle and nothing
+/// for scanning the targets' precomputed upward labels (a table read
+/// of a few entries per target, bounded by the target count).
 #[derive(Debug)]
 pub struct BudgetState {
     deadline_at: Option<Instant>,
@@ -279,8 +289,9 @@ pub struct BudgetState {
     dist_hits: AtomicU64,
     dist_misses: AtomicU64,
     /// Contraction-hierarchy oracle usage: batches run and vertices
-    /// settled by CH sweeps (a breakout of `settles` — CH work charges
-    /// the same settle budget as plain Dijkstra).
+    /// settled by their forward upward sweeps (a breakout of `settles`
+    /// — CH work charges the same settle budget as plain Dijkstra, in
+    /// forward-sweep settles; label scans are not charged).
     ch_batches: AtomicU64,
     ch_settles: AtomicU64,
     /// Plain-Dijkstra batches (the non-CH complement of `ch_batches`).
@@ -432,8 +443,8 @@ impl BudgetState {
         c.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one contraction-hierarchy oracle batch that settled `n`
-    /// vertices across its sweeps. Pure bookkeeping for
+    /// Records one contraction-hierarchy oracle batch whose forward
+    /// sweeps settled `n` vertices. Pure bookkeeping for
     /// [`Self::ch_tallies`]; the settles themselves must still be
     /// charged through [`Self::add_settles`] so CH work counts against
     /// the same budget as plain Dijkstra.

@@ -151,88 +151,40 @@ fn dist_batch(
     row
 }
 
-/// `dist_RN(user, o)` for every ball member `o`, via one multi-target
-/// batch seeded at the user's home — served from the cache when every
-/// pair is resident (all-or-nothing: a partial hit recomputes the whole
-/// run, since one Dijkstra covers all targets anyway). Freshly computed
-/// values are inserted even when the budget trips mid-run (they are
-/// exact). `None` means the budget tripped.
-fn row_from_user(
+/// One `dist_RN` row from `source` (id `source_id`: the user's home
+/// for [`DistDir::FromUser`], the POI for [`DistDir::FromPoi`]) to
+/// every target, via one multi-target batch — served from the cache
+/// when every key is resident (all-or-nothing: a partial hit recomputes
+/// the whole row, since one batch covers all targets anyway). Freshly
+/// computed values are inserted even when the budget trips mid-run
+/// (they are exact). The direction is part of the cache key (see
+/// [`crate::cache`] for why). `None` means the budget tripped.
+fn cached_row(
     ssn: &SpatialSocialNetwork,
     ctx: &mut VerifyContext<'_>,
-    user: UserId,
-    r_ids: &[PoiId],
-    positions: &[NetworkPoint],
+    dir: DistDir,
+    source_id: u32,
+    source: &NetworkPoint,
+    target_ids: &[u32],
+    targets: &[NetworkPoint],
 ) -> Option<Vec<f64>> {
-    if let Some(cache) = ctx.cache {
-        let mut row = Vec::with_capacity(r_ids.len());
-        let all_hit = r_ids
-            .iter()
-            .all(|&o| match cache.get_dist(user, o, DistDir::FromUser) {
-                Some(d) => {
-                    row.push(d);
-                    true
-                }
-                None => false,
-            });
-        if all_hit {
-            ctx.budget.note_dist_cache(true, r_ids.len() as u64);
-            return Some(row);
-        }
+    let n = target_ids.len() as u64;
+    if let Some(row) = ctx
+        .cache
+        .and_then(|c| c.get_row(dir, source_id, target_ids))
+    {
+        ctx.budget.note_dist_cache(true, n);
+        return Some(row);
     }
-    let row = dist_batch(ssn, ctx, &ssn.home(user), positions);
+    let row = dist_batch(ssn, ctx, source, targets);
     if let Some(cache) = ctx.cache {
-        ctx.budget.note_dist_cache(false, r_ids.len() as u64);
-        for (&o, &d) in r_ids.iter().zip(&row) {
-            cache.put_dist(user, o, DistDir::FromUser, d);
-        }
+        ctx.budget.note_dist_cache(false, n);
+        cache.put_row(dir, source_id, target_ids, &row);
     }
     if ctx.budget.is_tripped() {
         None
     } else {
         Some(row)
-    }
-}
-
-/// `dist_RN(u, poi)` for every eligible user `u`, via one multi-target
-/// batch seeded at the POI. Same cache contract as
-/// [`row_from_user`]; the direction is part of the key (see
-/// [`crate::cache`] for why).
-fn col_from_poi(
-    ssn: &SpatialSocialNetwork,
-    ctx: &mut VerifyContext<'_>,
-    poi: PoiId,
-    pos: &NetworkPoint,
-    eligible: &[UserId],
-    homes: &[NetworkPoint],
-) -> Option<Vec<f64>> {
-    if let Some(cache) = ctx.cache {
-        let mut col = Vec::with_capacity(eligible.len());
-        let all_hit = eligible
-            .iter()
-            .all(|&u| match cache.get_dist(u, poi, DistDir::FromPoi) {
-                Some(d) => {
-                    col.push(d);
-                    true
-                }
-                None => false,
-            });
-        if all_hit {
-            ctx.budget.note_dist_cache(true, eligible.len() as u64);
-            return Some(col);
-        }
-    }
-    let col = dist_batch(ssn, ctx, pos, homes);
-    if let Some(cache) = ctx.cache {
-        ctx.budget.note_dist_cache(false, eligible.len() as u64);
-        for (&u, &d) in eligible.iter().zip(&col) {
-            cache.put_dist(u, poi, DistDir::FromPoi, d);
-        }
-    }
-    if ctx.budget.is_tripped() {
-        None
-    } else {
-        Some(col)
     }
 }
 
@@ -326,7 +278,15 @@ pub fn verify_center(
 
     // Exact cost of the query user first — one Dijkstra, cheapest exit.
     let positions: Vec<NetworkPoint> = r_ids.iter().map(|&o| ssn.pois().get(o).position).collect();
-    let Some(cq_dists) = row_from_user(ssn, ctx, q.user, &r_ids, &positions) else {
+    let Some(cq_dists) = cached_row(
+        ssn,
+        ctx,
+        DistDir::FromUser,
+        q.user,
+        &ssn.home(q.user),
+        &r_ids,
+        &positions,
+    ) else {
         return Ok(out);
     };
     let cq = cq_dists.into_iter().fold(0.0f64, f64::max);
@@ -353,7 +313,8 @@ pub fn verify_center(
     let mut cost_vec = vec![0.0f64; eligible.len()];
     if positions.len() <= eligible.len() {
         for (&o, pos) in r_ids.iter().zip(&positions) {
-            let Some(col) = col_from_poi(ssn, ctx, o, pos, &eligible, &homes) else {
+            let Some(col) = cached_row(ssn, ctx, DistDir::FromPoi, o, pos, &eligible, &homes)
+            else {
                 return Ok(out);
             };
             for (c, d) in cost_vec.iter_mut().zip(col) {
@@ -362,7 +323,15 @@ pub fn verify_center(
         }
     } else {
         for (c, &u) in cost_vec.iter_mut().zip(&eligible) {
-            let Some(row) = row_from_user(ssn, ctx, u, &r_ids, &positions) else {
+            let Some(row) = cached_row(
+                ssn,
+                ctx,
+                DistDir::FromUser,
+                u,
+                &ssn.home(u),
+                &r_ids,
+                &positions,
+            ) else {
                 return Ok(out);
             };
             *c = row.into_iter().fold(0.0f64, f64::max);

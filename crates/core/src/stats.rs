@@ -160,7 +160,10 @@ pub struct BackendServed {
     pub dijkstra_settles: u64,
     /// Batches answered by the contraction-hierarchy oracle.
     pub ch_batches: u64,
-    /// Vertices settled by CH upward/backward sweeps.
+    /// Vertices settled by the CH batches' forward upward sweeps. The
+    /// targets' search spaces are precomputed upward labels whose scans
+    /// are not settles, so this is the whole budget charge of a CH
+    /// batch.
     pub ch_settles: u64,
 }
 

@@ -8,7 +8,11 @@
 //! vertices in importance order and inserting *shortcut* arcs that
 //! preserve shortest paths among the not-yet-contracted rest — after
 //! which a point-to-point query is a pair of tiny Dijkstra runs that only
-//! ever relax arcs towards *higher-ranked* vertices.
+//! ever relax arcs towards *higher-ranked* vertices. The target side of
+//! that pair depends only on the target, so the oracle runs it once per
+//! vertex at build time and keeps the result as the vertex's *upward
+//! label*; a query is then one forward sweep per source plus a scan of
+//! each target's label.
 //!
 //! ## Bit-identical answers
 //!
@@ -123,6 +127,11 @@ pub struct ChOracle {
     arena: Vec<ArenaArc>,
     /// Arena prefix holding the original edges (== input edge count).
     num_original: usize,
+    /// Upward labels, CSR: `labels[label_offsets[t]..label_offsets[t + 1]]`
+    /// is every vertex an upward sweep from `t` settles, in settle order.
+    /// Derived from the hierarchy (rebuilt on read, never serialized).
+    label_offsets: Vec<usize>,
+    labels: Vec<LabelEntry>,
 }
 
 impl ChOracle {
@@ -136,6 +145,13 @@ impl ChOracle {
     #[inline]
     pub fn num_shortcuts(&self) -> usize {
         self.arena.len() - self.num_original
+    }
+
+    /// Total entries across all upward labels (about 7 per vertex on
+    /// road graphs).
+    #[inline]
+    pub fn num_label_entries(&self) -> usize {
+        self.labels.len()
     }
 
     /// Builds the hierarchy using all available cores (equivalent to
@@ -337,25 +353,77 @@ impl ChOracle {
         }
 
         let (up_offsets, up_arcs) = build_up_csr(n, &rank, &arena);
-        (
-            ChOracle {
-                n,
-                rank,
-                up_offsets,
-                up_arcs,
-                arena,
-                num_original,
-            },
-            stats,
-        )
+        let t0 = std::time::Instant::now();
+        let oracle = ChOracle::with_labels(n, rank, up_offsets, up_arcs, arena, num_original);
+        stats.label_ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        (oracle, stats)
+    }
+
+    /// Assembles an oracle and computes its upward labels: one upward
+    /// sweep from every vertex, each settled vertex kept with its sweep
+    /// distance and tree arc. The sweep is the one [`Self::batch_dists`]
+    /// would otherwise run per target, so a label is exactly that
+    /// target's backward search space.
+    fn with_labels(
+        n: usize,
+        rank: Vec<u32>,
+        up_offsets: Vec<u32>,
+        up_arcs: Vec<UpArc>,
+        arena: Vec<ArenaArc>,
+        num_original: usize,
+    ) -> ChOracle {
+        let mut oracle = ChOracle {
+            n,
+            rank,
+            up_offsets,
+            up_arcs,
+            arena,
+            num_original,
+            label_offsets: Vec::with_capacity(n + 1),
+            labels: Vec::new(),
+        };
+        let mut search = ChSearch::new();
+        search.prepare(n);
+        // Slot of each vertex within the current sweep (lossy: only read
+        // for a parent, which settled earlier in the same sweep).
+        let mut slot_of = vec![0u32; n];
+        let mut labels = Vec::new();
+        oracle.label_offsets.push(0);
+        for t in 0..n as NodeId {
+            oracle.upward_sweep(&mut search, &[(t, 0.0)]);
+            for (k, &m) in search.settled.iter().enumerate() {
+                slot_of[m as usize] = k as u32;
+                let p = search.parent[m as usize];
+                labels.push(LabelEntry {
+                    dist: search.dist[m as usize],
+                    node: m,
+                    parent_slot: if p == NodeId::MAX {
+                        u32::MAX
+                    } else {
+                        slot_of[p as usize]
+                    },
+                    packed: search.parent_arc[m as usize],
+                });
+            }
+            oracle.label_offsets.push(labels.len());
+            search.reset_sweep();
+        }
+        oracle.labels = labels;
+        oracle
+    }
+
+    /// Vertex `t`'s upward label.
+    #[inline]
+    fn label(&self, t: NodeId) -> &[LabelEntry] {
+        &self.labels[self.label_offsets[t as usize]..self.label_offsets[t as usize + 1]]
     }
 
     /// Exact distances from `seeds` to every entry of `targets`,
     /// mirroring [`crate::dijkstra::dijkstra_targets`] restricted to the
     /// targets (bit-identical values). Also returns the number of
-    /// vertices settled across the underlying upward searches — the unit
-    /// budgets charge, comparable to (and much smaller than) Dijkstra
-    /// settle counts.
+    /// vertices the forward upward sweep settled — the unit budgets
+    /// charge, comparable to (and much smaller than) Dijkstra settle
+    /// counts (see [`Self::batch_dists`]).
     pub fn dists(
         &self,
         search: &mut ChSearch,
@@ -365,12 +433,15 @@ impl ChOracle {
         self.batch_dists(search, &[seeds], targets)
     }
 
-    /// Bucket-based many-to-many kernel: one backward upward sweep per
-    /// *distinct* target, one forward upward sweep per source seed list,
-    /// forward sweeps probing the targets' search spaces through a
-    /// node-sorted bucket array. Returns the row-major
-    /// `sources.len() × targets.len()` distance matrix plus the settled
-    /// count (backward spaces are charged once, not per source).
+    /// Label-based many-to-many kernel: one forward upward sweep per
+    /// source seed list, then every *distinct* target's precomputed
+    /// upward label is scanned against the sweep's `dist[]` — once for
+    /// the best meeting key, once to unpack every near-tie candidate
+    /// and keep the minimum fold. Returns the row-major
+    /// `sources.len() × targets.len()` distance matrix plus the number
+    /// of vertices the forward sweeps settled. Label scans are reads of
+    /// a precomputed table (a handful of entries per target) and are
+    /// not counted as settles.
     pub fn batch_dists(
         &self,
         search: &mut ChSearch,
@@ -402,82 +473,12 @@ impl ChOracle {
             }
         }
 
-        // Backward phase: one upward sweep per distinct target, its full
-        // search space persisted for bucket probing and path unpacking.
-        search.bspace.clear();
-        search.branges.clear();
-        search.bucket.clear();
-        for e in 0..search.distinct.len() {
-            let t = search.distinct[e];
-            let lo = search.bspace.len() as u32;
-            settles += self.upward_sweep(search, &[(t, 0.0)]);
-            // Persist the sweep (settled order == slot order) and reset
-            // its per-node state so the next sweep starts clean. A
-            // settled vertex's parent settled earlier in the *same*
-            // sweep, so `slot_hint` entries are always fresh when read.
-            for k in 0..search.settled.len() {
-                let m = search.settled[k];
-                let slot = lo + k as u32;
-                search.slot_hint[m as usize] = slot;
-                let p = search.parent[m as usize];
-                let parent_slot = if p == NodeId::MAX {
-                    u32::MAX
-                } else {
-                    search.slot_hint[p as usize]
-                };
-                search.bucket.push((m, e as u32, slot));
-                search.bspace.push(BNode {
-                    dist: search.dist[m as usize],
-                    parent_slot,
-                    packed: search.parent_arc[m as usize],
-                });
-            }
-            search.branges.push((lo, search.bspace.len() as u32));
-            search.reset_sweep();
-        }
-        search.bucket.sort_unstable();
-
-        // Forward phase: one upward sweep per source, probing buckets at
-        // every settled vertex. Two bucket passes per source: the first
-        // finds each distinct target's best meeting key, the second
-        // unpacks every near-tie candidate and keeps the minimum fold.
-        let cols = search.distinct.len();
-        search.best.resize(cols, INFINITY);
-        search.folded.resize(cols, INFINITY);
+        search.folded.clear();
+        search.folded.resize(search.distinct.len(), INFINITY);
         for (i, seeds) in sources.iter().enumerate() {
             settles += self.upward_sweep(search, seeds);
-            for b in search.best.iter_mut() {
-                *b = INFINITY;
-            }
-            for &m in &search.settled {
-                let df = search.dist[m as usize];
-                for &(_, e, slot) in bucket_range(&search.bucket, m) {
-                    let key = df + search.bspace[slot as usize].dist;
-                    if key < search.best[e as usize] {
-                        search.best[e as usize] = key;
-                    }
-                }
-            }
-            for f in search.folded.iter_mut() {
-                *f = INFINITY;
-            }
-            for si in 0..search.settled.len() {
-                let m = search.settled[si];
-                let df = search.dist[m as usize];
-                for bi in bucket_span(&search.bucket, m) {
-                    let (_, e, slot) = search.bucket[bi];
-                    let best = search.best[e as usize];
-                    if !best.is_finite() {
-                        continue;
-                    }
-                    let key = df + search.bspace[slot as usize].dist;
-                    if key <= best * (1.0 + KEY_TOL) {
-                        let fold = self.fold_candidate(search, m, slot);
-                        if fold < search.folded[e as usize] {
-                            search.folded[e as usize] = fold;
-                        }
-                    }
-                }
+            for e in 0..search.distinct.len() {
+                search.folded[e] = self.meet(search, search.distinct[e]);
             }
             for (j, &c) in search.tcol.iter().enumerate() {
                 out[i * targets.len() + j] = search.folded[c as usize];
@@ -485,6 +486,36 @@ impl ChOracle {
             search.reset_sweep();
         }
         (out, settles)
+    }
+
+    /// Exact distance from the finished forward sweep in `search` to
+    /// `t`: the best meeting key over `t`'s label, then the minimum fold
+    /// over every label vertex within [`KEY_TOL`] of it. Both minima are
+    /// order-independent, so the scan order cannot change the bits.
+    fn meet(&self, search: &mut ChSearch, t: NodeId) -> f64 {
+        let label = self.label(t);
+        let mut best = INFINITY;
+        for l in label {
+            let key = search.dist[l.node as usize] + l.dist;
+            if key < best {
+                best = key;
+            }
+        }
+        if !best.is_finite() {
+            return INFINITY;
+        }
+        let mut folded = INFINITY;
+        for (slot, l) in label.iter().enumerate() {
+            // Vertices the sweep never reached sit at `INFINITY` and
+            // fail the tolerance test.
+            if search.dist[l.node as usize] + l.dist <= best * (1.0 + KEY_TOL) {
+                let fold = self.fold_candidate(search, l.node, label, slot);
+                if fold < folded {
+                    folded = fold;
+                }
+            }
+        }
+        folded
     }
 
     /// Runs one upward Dijkstra sweep (forward and backward are the same
@@ -524,10 +555,16 @@ impl ChOracle {
     }
 
     /// Unpacks the up-down candidate path meeting at forward vertex `m`
-    /// and backward-space slot `slot`, folding original edge weights
-    /// source-to-target starting from the seed's initial distance —
-    /// Dijkstra's exact accumulation order.
-    fn fold_candidate(&self, search: &mut ChSearch, m: NodeId, slot: u32) -> f64 {
+    /// and entry `slot` of the target's `label`, folding original edge
+    /// weights source-to-target starting from the seed's initial
+    /// distance — Dijkstra's exact accumulation order.
+    fn fold_candidate(
+        &self,
+        search: &mut ChSearch,
+        m: NodeId,
+        label: &[LabelEntry],
+        slot: usize,
+    ) -> f64 {
         if gpssn_failpoint::failpoint!("ch::unpack") {
             panic!("injected fault: ch::unpack");
         }
@@ -544,16 +581,13 @@ impl ChOracle {
         for k in (0..search.fchain.len()).rev() {
             acc = self.fold_ref(&mut search.stack, search.fchain[k], acc);
         }
-        // Backward chain: slots walk m -> target, which *is* travel
-        // order; each up-arc is traversed against its stored direction.
-        let mut s = slot;
-        loop {
-            let b = search.bspace[s as usize];
-            if b.parent_slot == u32::MAX {
-                break;
-            }
+        // Backward chain: label slots walk m -> target, which *is*
+        // travel order; each up-arc is traversed against its stored
+        // direction.
+        let mut b = label[slot];
+        while b.parent_slot != u32::MAX {
             acc = self.fold_ref(&mut search.stack, b.packed ^ REV, acc);
-            s = b.parent_slot;
+            b = label[b.parent_slot as usize];
         }
         acc
     }
@@ -582,7 +616,7 @@ impl ChOracle {
     }
 
     /// Serializes the oracle as versioned plain text (rank + arena; the
-    /// upward CSR is rebuilt on read). Written inside the road-index file
+    /// upward CSR and the labels are rebuilt on read). Written inside the road-index file
     /// by `gpssn-index`.
     pub fn write_text<W: Write>(&self, w: &mut W) -> io::Result<()> {
         writeln!(
@@ -667,14 +701,14 @@ impl ChOracle {
             }
         }
         let (up_offsets, up_arcs) = build_up_csr(n, &rank, &arena);
-        Ok(ChOracle {
+        Ok(ChOracle::with_labels(
             n,
             rank,
             up_offsets,
             up_arcs,
             arena,
             num_original,
-        })
+        ))
     }
 }
 
@@ -706,6 +740,9 @@ pub struct ChBuildStats {
     /// of the build that divides across workers; the remainder
     /// (selection, merge, CSR assembly) is inherently sequential.
     pub par_ns: u64,
+    /// Wall-clock nanoseconds spent computing the upward labels (one
+    /// sequential upward sweep per vertex; included in the build).
+    pub label_ns: u64,
 }
 
 /// Per-worker contraction state: a witness search plus neighbour scratch,
@@ -807,23 +844,30 @@ fn contract_candidate(
     }
 }
 
-/// One persisted vertex of a backward search space.
-#[derive(Debug, Clone, Copy)]
-struct BNode {
+/// One entry of a vertex's upward label: a vertex its upward sweep
+/// settled, with the sweep distance and the tree arc back towards the
+/// label's root.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LabelEntry {
     dist: f64,
-    /// Slot (within the same space) of the parent towards the target, or
-    /// `u32::MAX` at the target itself.
+    node: NodeId,
+    /// Index (within the same label) of the parent towards the root, or
+    /// `u32::MAX` at the root itself.
     parent_slot: u32,
-    /// Packed ref of the up-arc `parent -> this`, to be folded reversed.
+    /// Packed ref of the up-arc `parent -> node`, to be folded reversed.
     packed: u32,
 }
 
-/// Reusable state for [`ChOracle`] queries: sweep arrays, persisted
-/// backward spaces, buckets, and unpack scratch. One per thread, like
-/// [`crate::DijkstraWorkspace`].
+/// Reusable state for [`ChOracle`] queries: the forward sweep's arrays
+/// and settled list, target dedup scratch, per-target results, and
+/// unpack scratch. Targets need no per-batch state beyond that — their
+/// search spaces are the oracle's precomputed labels. One per thread,
+/// like [`crate::DijkstraWorkspace`].
 #[derive(Debug, Default)]
 pub struct ChSearch {
+    /// Forward-sweep distance per vertex (`INFINITY` when untouched).
     dist: Vec<f64>,
+    /// Forward-sweep tree: parent vertex and packed arc into each vertex.
     parent: Vec<NodeId>,
     parent_arc: Vec<u32>,
     touched: Vec<NodeId>,
@@ -832,18 +876,9 @@ pub struct ChSearch {
     /// Distinct-target dedup scratch (`tslot` is a lossy hint checked
     /// against `distinct`, so it never needs clearing).
     tslot: Vec<u32>,
-    /// Per-vertex bspace slot of the current backward sweep (lossy; only
-    /// read for vertices settled in the same sweep).
-    slot_hint: Vec<u32>,
     distinct: Vec<NodeId>,
     tcol: Vec<u32>,
-    /// Persisted backward spaces, concatenated; `branges[e]` delimits
-    /// target `e`'s slots.
-    bspace: Vec<BNode>,
-    branges: Vec<(u32, u32)>,
-    /// `(node, target index, bspace slot)`, sorted by node for probing.
-    bucket: Vec<(NodeId, u32, u32)>,
-    best: Vec<f64>,
+    /// Current source's distance to each distinct target.
     folded: Vec<f64>,
     fchain: Vec<u32>,
     stack: Vec<u32>,
@@ -869,7 +904,6 @@ impl ChSearch {
             self.parent.resize(n, NodeId::MAX);
             self.parent_arc.resize(n, 0);
             self.tslot.resize(n, 0);
-            self.slot_hint.resize(n, 0);
             self.heap.grow(n);
         } else if n > 0 {
             self.recycles += 1;
@@ -921,10 +955,6 @@ impl ChSearch {
         self.heap.clear();
         self.distinct.clear();
         self.tcol.clear();
-        self.bspace.clear();
-        self.branges.clear();
-        self.bucket.clear();
-        self.best.clear();
         self.folded.clear();
         self.fchain.clear();
         self.stack.clear();
@@ -1119,19 +1149,6 @@ fn build_up_csr(n: usize, rank: &[u32], arena: &[ArenaArc]) -> (Vec<u32>, Vec<Up
     (offsets, arcs)
 }
 
-/// Finds the bucket slice of vertex `m` by binary search over the
-/// node-sorted bucket array.
-fn bucket_range(bucket: &[(NodeId, u32, u32)], m: NodeId) -> &[(NodeId, u32, u32)] {
-    let span = bucket_span(bucket, m);
-    &bucket[span]
-}
-
-fn bucket_span(bucket: &[(NodeId, u32, u32)], m: NodeId) -> std::ops::Range<usize> {
-    let lo = bucket.partition_point(|&(v, _, _)| v < m);
-    let hi = lo + bucket[lo..].partition_point(|&(v, _, _)| v == m);
-    lo..hi
-}
-
 fn next_line<B: BufRead>(lines: &mut std::io::Lines<B>) -> io::Result<String> {
     lines
         .next()
@@ -1192,6 +1209,25 @@ mod tests {
             }
         }
         CsrGraph::from_edges(n, &edges)
+    }
+
+    /// `w × h` grid with small integer weights: shortest paths tie
+    /// exactly all over the grid, so one target often has several
+    /// meeting vertices within [`KEY_TOL`] of the best key.
+    fn integer_grid(rng: &mut StdRng, w: usize, h: usize) -> CsrGraph {
+        let id = |x: usize, y: usize| (y * w + x) as NodeId;
+        let mut edges = Vec::new();
+        for y in 0..h {
+            for x in 0..w {
+                if x + 1 < w {
+                    edges.push((id(x, y), id(x + 1, y), rng.gen_range(1..=3) as f64));
+                }
+                if y + 1 < h {
+                    edges.push((id(x, y), id(x, y + 1), rng.gen_range(1..=3) as f64));
+                }
+            }
+        }
+        CsrGraph::from_edges(w * h, &edges)
     }
 
     fn assert_bits_eq(got: f64, want: f64, ctx: &str) {
@@ -1307,6 +1343,15 @@ mod tests {
         ch.write_text(&mut buf).unwrap();
         let mut lines = std::io::BufReader::new(&buf[..]).lines();
         let back = ChOracle::read_text(&mut lines).unwrap();
+        assert_eq!(ch.label_offsets, back.label_offsets);
+        assert_eq!(ch.labels.len(), back.labels.len());
+        for (a, b) in ch.labels.iter().zip(&back.labels) {
+            assert_eq!(
+                (a.node, a.parent_slot, a.packed),
+                (b.node, b.parent_slot, b.packed)
+            );
+            assert_eq!(a.dist.to_bits(), b.dist.to_bits());
+        }
         let mut s = ChSearch::new();
         let targets: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
         for src in 0..6 {
@@ -1314,6 +1359,89 @@ mod tests {
             let (b, _) = back.dists(&mut s, &[(src, 0.0)], &targets);
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.to_bits(), y.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn labels_are_rooted_upward_trees() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let g = random_graph(&mut rng, 120, 150, 0.05);
+        let ch = ChOracle::build(&g);
+        for t in 0..g.num_nodes() as NodeId {
+            let label = ch.label(t);
+            assert_eq!((label[0].node, label[0].dist), (t, 0.0));
+            assert_eq!(label[0].parent_slot, u32::MAX);
+            for (k, l) in label.iter().enumerate().skip(1) {
+                // Parents settle first and sit strictly lower in rank.
+                let p = label[l.parent_slot as usize];
+                assert!((l.parent_slot as usize) < k);
+                assert!(ch.rank[p.node as usize] < ch.rank[l.node as usize]);
+                assert!(p.dist <= l.dist);
+            }
+        }
+    }
+
+    #[test]
+    fn grid_ties_fold_several_candidates() {
+        // Unit grid: every monotone staircase is a shortest path, so
+        // most targets meet the forward sweep at several label vertices
+        // with exactly equal keys.
+        let mut edges = Vec::new();
+        for y in 0..6u32 {
+            for x in 0..6u32 {
+                if x < 5 {
+                    edges.push((y * 6 + x, y * 6 + x + 1, 1.0));
+                }
+                if y < 5 {
+                    edges.push((y * 6 + x, (y + 1) * 6 + x, 1.0));
+                }
+            }
+        }
+        let g = CsrGraph::from_edges(36, &edges);
+        let ch = ChOracle::build(&g);
+        let mut s = ChSearch::new();
+        let targets: Vec<NodeId> = (0..36).collect();
+        let (got, _) = ch.dists(&mut s, &[(0, 0.0)], &targets);
+        let want = dijkstra_targets(&g, &[(0, 0.0)], &targets);
+        for &t in &targets {
+            assert_bits_eq(got[t as usize], want[t as usize], &format!("target {t}"));
+        }
+        assert!(
+            s.unpacks() > targets.len() as u64,
+            "expected near-tie candidates, got {} unpacks for {} targets",
+            s.unpacks(),
+            targets.len()
+        );
+    }
+
+    #[test]
+    fn hard_reset_after_half_finished_batch_stays_bit_identical() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let g = random_graph(&mut rng, 80, 120, 0.05);
+        let ch = ChOracle::build(&g);
+        let targets: Vec<NodeId> = (0..80).step_by(3).collect();
+        let seeds = [(5, 0.5), (40, 1.25)];
+        let (want, _) = ch.dists(&mut ChSearch::new(), &seeds, &targets);
+
+        // Leave the workspace as an unwind out of `batch_dists` would:
+        // a forward sweep never reset, a stranded heap entry, and
+        // half-filled dedup, result and unpack scratch.
+        let mut s = ChSearch::new();
+        s.prepare(ch.num_nodes());
+        ch.upward_sweep(&mut s, &[(17, 0.0)]);
+        s.heap.push_or_decrease(60, 0.75);
+        s.distinct.extend_from_slice(&[3, 9]);
+        s.tcol.push(1);
+        s.folded.push(2.5);
+        s.fchain.push(0);
+        s.stack.push(0);
+
+        s.hard_reset();
+        for round in 0..2 {
+            let (got, _) = ch.dists(&mut s, &seeds, &targets);
+            for (j, &t) in targets.iter().enumerate() {
+                assert_bits_eq(got[j], want[j], &format!("round {round} target {t}"));
             }
         }
     }
@@ -1389,6 +1517,40 @@ mod tests {
                         got[i * targets.len() + j].to_bits(),
                         want[t as usize].to_bits(),
                         "seed {} source {} target {}", seed, i, t
+                    );
+                }
+            }
+        }
+
+        /// The label kernel's tie path: on integer-weight grids several
+        /// meeting vertices tie exactly, and every one within the key
+        /// tolerance is folded. Two-seed sources and duplicate targets
+        /// must still match per-source Dijkstra bitwise.
+        #[test]
+        fn grid_ties_match_dijkstra_bitwise(seed in 0u64..1000, w in 2usize..9, h in 2usize..9) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = integer_grid(&mut rng, w, h);
+            let n = w * h;
+            let ch = ChOracle::build(&g);
+            let mut s = ChSearch::new();
+            let mut targets: Vec<NodeId> = (0..n as NodeId).collect();
+            targets.extend([0, (n / 2) as NodeId, (n - 1) as NodeId]);
+            let seed_lists: Vec<Vec<(NodeId, f64)>> = (0..3)
+                .map(|_| {
+                    (0..2)
+                        .map(|_| (rng.gen_range(0..n) as NodeId, rng.gen_range(0..3) as f64))
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[(NodeId, f64)]> = seed_lists.iter().map(|v| v.as_slice()).collect();
+            let (got, _) = ch.batch_dists(&mut s, &refs, &targets);
+            for (i, seeds) in seed_lists.iter().enumerate() {
+                let want = dijkstra_targets(&g, seeds, &targets);
+                for (j, &t) in targets.iter().enumerate() {
+                    prop_assert_eq!(
+                        got[i * targets.len() + j].to_bits(),
+                        want[t as usize].to_bits(),
+                        "seed {} {}x{} source {} target {}", seed, w, h, i, t
                     );
                 }
             }

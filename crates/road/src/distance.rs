@@ -117,8 +117,8 @@ fn compose_point_dist(a: &NetworkPoint, b: &NetworkPoint, blen: f64, d_bu: f64, 
 /// CH-backed [`dist_rn_many_counted_with`]: exact distances from `a` to
 /// each target through a [`ChOracle`], bit-identical to the Dijkstra
 /// backend (property-tested below). The returned count is the number of
-/// vertices the upward sweeps settled — the same budget unit as Dijkstra
-/// settles, just much smaller.
+/// vertices the forward upward sweep settled — the budget unit charged
+/// for CH batches (see [`ChOracle::batch_dists`]).
 pub fn dist_rn_many_ch(
     net: &RoadNetwork,
     ch: &ChOracle,
@@ -129,9 +129,10 @@ pub fn dist_rn_many_ch(
     dist_rn_matrix_ch(net, ch, cs, std::slice::from_ref(a), targets)
 }
 
-/// Bucket-based many-to-many `dist_RN`: the full `sources × targets`
-/// distance matrix (row-major) in one oracle call — one backward sweep
-/// per distinct target-edge endpoint, one forward sweep per source.
+/// Label-based many-to-many `dist_RN`: the full `sources × targets`
+/// distance matrix (row-major) in one oracle call — one forward sweep
+/// per source, one precomputed-label scan per distinct target-edge
+/// endpoint.
 /// Values are bit-identical to calling the Dijkstra backend per source
 /// (`dist[i][j]` folds source-to-target like a Dijkstra seeded at
 /// `sources[i]`).

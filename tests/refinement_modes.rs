@@ -213,3 +213,38 @@ fn repeated_queries_report_a_rising_hit_rate() {
     assert!(w.hit_rate() > 0.0, "hit rate not reported: {w:?}");
     assert_bit_identical(cold.answer(), warm.answer(), "warm repeat vs cold");
 }
+
+#[test]
+fn lifetime_dist_tallies_match_per_query_cache_stats() {
+    // A cache small enough to evict mid-row: rows whose first keys are
+    // still resident but whose later keys were evicted are recomputed
+    // whole, and both tallies must count every key of such a row as a
+    // miss.
+    let ssn = synthetic(&SyntheticConfig::uni().scaled(0.004), 3);
+    let tiny = DistanceCacheConfig {
+        ball_capacity: 16,
+        dist_capacity: 48,
+        shards: 2,
+    };
+    let engine = GpSsnEngine::build(&ssn, small_cfg(3, Some(tiny)));
+    let cache = engine.distance_cache().expect("cache configured");
+    let mut lookups = 0u64;
+    for q in corpus(&ssn, 3).into_iter().take(8) {
+        for _ in 0..2 {
+            let before = cache.lifetime_stats();
+            let out = query(&engine, &q, &Default::default());
+            let after = cache.lifetime_stats();
+            let c = out.metrics.cache;
+            assert_eq!(
+                (
+                    after.dist_hits - before.dist_hits,
+                    after.dist_misses - before.dist_misses
+                ),
+                (c.dist_hits, c.dist_misses),
+                "lifetime dist tallies disagree with the query's CacheStats for {q:?}"
+            );
+            lookups += c.dist_hits + c.dist_misses;
+        }
+    }
+    assert!(lookups > 0, "corpus never reached refinement");
+}
