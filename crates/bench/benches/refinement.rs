@@ -6,7 +6,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpssn_bench::run_query;
-use gpssn_core::{DistanceCacheConfig, EngineConfig, GpSsnEngine, GpSsnQuery, QueryOptions};
+use gpssn_core::{
+    Counter, DistanceCacheConfig, EngineConfig, GpSsnEngine, GpSsnQuery, QueryCounters,
+    QueryOptions,
+};
 use gpssn_ssn::{DatasetKind, SpatialSocialNetwork};
 
 const SCALE: f64 = 0.1;
@@ -86,11 +89,18 @@ fn bench_cache(c: &mut Criterion) {
     });
 
     let cached = engine(&ssn, Some(DistanceCacheConfig::default()));
+    let hits_misses = |c: &QueryCounters| {
+        (
+            c[Counter::BallHits] + c[Counter::DistHits],
+            c[Counter::BallMisses] + c[Counter::DistMisses],
+        )
+    };
     let mut tallies = (0u64, 0u64);
     for q in &queries {
         let out = run_query(&cached, q, &QueryOptions::default()); // priming pass
-        tallies.0 += out.metrics.cache.ball_hits + out.metrics.cache.dist_hits;
-        tallies.1 += out.metrics.cache.ball_misses + out.metrics.cache.dist_misses;
+        let (h, m) = hits_misses(&out.metrics.counters);
+        tallies.0 += h;
+        tallies.1 += m;
     }
     group.bench_function("warm", |b| {
         b.iter(|| {
@@ -103,11 +113,10 @@ fn bench_cache(c: &mut Criterion) {
     let mut hits = 0u64;
     let mut misses = 0u64;
     for q in &queries {
-        let cs = run_query(&cached, q, &QueryOptions::default())
-            .metrics
-            .cache;
-        hits += cs.ball_hits + cs.dist_hits;
-        misses += cs.ball_misses + cs.dist_misses;
+        let out = run_query(&cached, q, &QueryOptions::default());
+        let (h, m) = hits_misses(&out.metrics.counters);
+        hits += h;
+        misses += m;
     }
     eprintln!(
         "refinement_cache: priming pass {}h/{}m, steady state {}h/{}m (hit rate {:.1}%)",

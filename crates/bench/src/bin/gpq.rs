@@ -92,9 +92,9 @@
 //! same telemetry inline on stdout instead of running a query.
 
 use gpssn_core::{
-    serve_jsonl, suggest_parameters, Completion, DegradationPolicy, EngineConfig, GpSsnEngine,
-    GpSsnError, GpSsnQuery, OverloadPolicy, QueryBudget, QueryMode, QueryOptions, QueryOutcome,
-    ServeConfig, ServeObs, ServeObsConfig,
+    serve_jsonl, suggest_parameters, Completion, Counter, DegradationPolicy, EngineConfig,
+    GpSsnEngine, GpSsnError, GpSsnQuery, OverloadPolicy, QueryBudget, QueryMode, QueryOptions,
+    QueryOutcome, ServeConfig, ServeObs, ServeObsConfig,
 };
 use gpssn_obs::{FlightConfig, Obs, ObsConfig, Registry, TailConfig};
 use gpssn_ssn::{load_ssn, DatasetStats, SpatialSocialNetwork};
@@ -342,7 +342,12 @@ fn main() {
         (_, Completion::DegradedSampling) => "degraded",
         _ => "anytime",
     };
-    report(mode, out.answer(), out.metrics.io_pages, out.metrics.cpu);
+    report(
+        mode,
+        out.answer(),
+        out.metrics.counters[Counter::IoPages],
+        out.metrics.cpu,
+    );
     std::process::exit(code);
 }
 
@@ -413,11 +418,11 @@ fn jsonl_line(
              \"heap_pops\":{},\"dijkstra_settles\":{},\"ch_settles\":{},\
              \"cache_hit_rate\":{:.4}",
             out.metrics.cpu.as_micros(),
-            out.metrics.io_pages,
-            out.metrics.heap_pops,
-            out.metrics.backend_served.dijkstra_settles,
-            out.metrics.backend_served.ch_settles,
-            out.metrics.cache.hit_rate(),
+            out.metrics.counters[Counter::IoPages],
+            out.metrics.counters[Counter::HeapPops],
+            out.metrics.counters[Counter::DijkstraSettles],
+            out.metrics.counters[Counter::ChSettles],
+            out.metrics.counters.hit_rate(),
         ));
         match out.answer() {
             Some(ans) => line.push_str(&format!(

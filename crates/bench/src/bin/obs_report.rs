@@ -25,8 +25,8 @@
 use gpssn_bench::run_query;
 use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryOptions, QueryOutcome};
 use gpssn_obs::{
-    FlightConfig, FlightCounters, FlightRecord, FlightRecorder, Obs, ObsConfig, ServeClass,
-    SloConfig, SloMonitor, TailConfig, TailSampler, WindowConfig,
+    FlightConfig, FlightRecord, FlightRecorder, Obs, ObsConfig, ServeClass, SloConfig, SloMonitor,
+    TailConfig, TailSampler, WindowConfig,
 };
 use gpssn_ssn::{DatasetKind, SpatialSocialNetwork};
 use std::io::Write;
@@ -101,7 +101,6 @@ impl Continuous {
         let now_ns = self.slo.now_ns();
         self.slo.record(now_ns, latency_ns, 0, ServeClass::Ok);
         let decision = self.tail.decide(latency_ns, false);
-        let s = &m.stats;
         self.flight.record(FlightRecord {
             id: 0, // reassigned by the recorder
             seq,
@@ -112,22 +111,7 @@ impl Continuous {
             end_ns: now_ns,
             total_ns: latency_ns,
             queue_wait_ns: 0,
-            io_pages: m.io_pages,
-            heap_pops: m.heap_pops,
-            settles: m.backend_served.total_settles(),
-            cache_hits: m.cache.ball_hits + m.cache.dist_hits,
-            cache_misses: m.cache.ball_misses + m.cache.dist_misses,
-            counters: FlightCounters {
-                users_total: s.users_total as u64,
-                users_pruned_index: s.users_pruned_index as u64,
-                users_pruned_object: s.users_pruned_object as u64,
-                pois_total: s.pois_total as u64,
-                pois_pruned_index: s.pois_pruned_index as u64,
-                pois_pruned_object: s.pois_pruned_object as u64,
-                candidate_users: s.candidate_users as u64,
-                candidate_pois: s.candidate_pois as u64,
-                pairs_refined: s.pairs_refined,
-            },
+            counters: m.counters.iter().map(|(c, v)| (c.key(), v)).collect(),
             phases: Vec::new(),
             trace_committed: decision.keep(),
         });

@@ -8,7 +8,7 @@ pub mod tables;
 
 use crate::runner::{run_query, ExperimentContext};
 use gpssn_core::algorithm::QueryOptions;
-use gpssn_core::{GpSsnEngine, GpSsnQuery};
+use gpssn_core::{Counter, GpSsnEngine, GpSsnQuery};
 
 /// Metrics averaged over several query users.
 #[derive(Debug, Clone, Default)]
@@ -61,11 +61,11 @@ pub fn run_queries(
         };
         let out = run_query(engine, &q, &opts);
         acc.cpu_seconds += out.metrics.cpu.as_secs_f64() / n;
-        acc.io_pages += out.metrics.io_pages as f64 / n;
+        acc.io_pages += out.metrics.counters[Counter::IoPages] as f64 / n;
         if out.answer().is_some() {
             acc.hit_rate += 1.0 / n;
         }
-        let s = &out.metrics.stats;
+        let s = &out.metrics.counters;
         acc.social_index_power += s.social_index_power() / n;
         acc.social_object_power += s.social_object_power() / n;
         acc.road_index_power += s.road_index_power() / n;
@@ -74,7 +74,7 @@ pub fn run_queries(
         acc.interest_power += s.interest_power() / n;
         acc.road_distance_power += s.road_distance_power() / n;
         acc.matching_power += s.matching_power() / n;
-        acc.pair_power += s.pair_power() / n;
+        acc.pair_power += s.pair_power(q.tau) / n;
     }
     acc
 }

@@ -39,11 +39,11 @@ use crate::pruning::{
 use crate::query::{GpSsnAnswer, GpSsnQuery};
 use crate::refinement::{verify_center, CenterVerification, ChBackend, VerifyContext};
 use crate::serve::{ServeConfig, ServeObs, ServeObsConfig, ServeRequest, Submission};
-use crate::stats::{binomial_f64, BackendServed, PruningStats, QueryMetrics, QueryOutcome};
+use crate::stats::{Counter, QueryCounters, QueryMetrics, QueryOutcome};
 use gpssn_graph::DijkstraWorkspace;
 use gpssn_index::{
-    select_road_pivots, select_social_pivots, IoCounter, PivotSelectConfig, RoadIndex,
-    RoadIndexConfig, SocialIndex, SocialIndexConfig,
+    select_road_pivots, select_social_pivots, PivotSelectConfig, RoadIndex, RoadIndexConfig,
+    SocialIndex, SocialIndexConfig,
 };
 use gpssn_obs::{Obs, TailConfig};
 use gpssn_road::{PoiId, RoadPivots};
@@ -520,31 +520,30 @@ impl<'a> GpSsnEngine<'a> {
             .map(|o| o.tracer().span("query"));
 
         let start = Instant::now();
-        let io = IoCounter::new();
-        let mut stats = PruningStats {
-            users_total: self.ssn.social().num_users(),
-            pois_total: self.ssn.pois().len(),
-            ..Default::default()
-        };
+        // Counts the phases tally themselves (pages, pruning); the
+        // meter's shared counts are folded in once the search is done.
+        let mut counts = QueryCounters::default();
+        counts[Counter::UsersTotal] = self.ssn.social().num_users() as u64;
+        counts[Counter::PoisTotal] = self.ssn.pois().len() as u64;
 
         let candidates = gpssn_obs::phase(obs, "prune_social", || {
-            self.social_phase(q, opts, &io, &mut stats)
+            self.social_phase(q, opts, &mut counts)
         });
         let (mut answers, delta, outstanding) = match opts.mode {
             QueryMode::Exact => {
                 let (answer, delta, outstanding) =
-                    self.road_phase(q, opts, &candidates, &io, &mut stats, &meter, obs);
+                    self.road_phase(q, opts, &candidates, &mut counts, &meter, obs);
                 (answer.into_iter().collect(), delta, outstanding)
             }
             QueryMode::TopK(k) => {
-                self.refine_top_k(q, k, opts, &candidates, &io, &mut stats, &meter, obs)
+                self.refine_top_k(q, k, opts, &candidates, &mut counts, &meter, obs)
             }
             QueryMode::Approximate { samples, seed } => {
                 let (mut centers, outstanding, delta) = gpssn_obs::phase(obs, "prune_road", || {
-                    self.collect_centers(q, opts, &candidates, &io, &mut stats, &meter)
+                    self.collect_centers(q, opts, &candidates, &mut counts, &meter)
                 });
                 centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                stats.candidate_pois = centers.len();
+                counts[Counter::CandidatePois] = centers.len() as u64;
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
                 let (answer, unresolved) = gpssn_obs::phase(obs, "sample", || {
                     self.sample_centers(q, &candidates, &centers, samples, &mut rng, &meter)
@@ -556,41 +555,47 @@ impl<'a> GpSsnEngine<'a> {
                 )
             }
         };
+        counts += &meter.snapshot();
         let k = if let QueryMode::TopK(k) = opts.mode {
             k
         } else {
             1
         };
-        let mut completion = completion_of(&meter, &answers, k, outstanding);
+        let trip = meter.trip();
+        let mut completion = completion_of(trip, &counts, &answers, k, outstanding);
 
         // Bottom rung of the degradation ladder: the exact pipeline
         // failed outright, so spend a small fresh budget on the sampling
-        // estimator before reporting failure.
+        // estimator before reporting failure. Its work counts toward the
+        // query's counters.
         if opts.mode == QueryMode::Exact
             && opts.degradation == DegradationPolicy::Ladder
             && matches!(completion, Completion::Failed(_))
         {
-            if let Some(ans) = gpssn_obs::phase(obs, "degrade_sampling", || {
-                self.sampling_rescue(q, opts, &candidates, &io)
-            }) {
+            let (rescued, rescue_counts) = gpssn_obs::phase(obs, "degrade_sampling", || {
+                self.sampling_rescue(q, opts, &candidates)
+            });
+            counts += &rescue_counts;
+            if let Some(ans) = rescued {
                 answers.push(ans);
                 completion = Completion::DegradedSampling;
             }
         }
 
         if opts.collect_stats {
-            self.independent_rule_measurement(q, delta, &mut stats);
-            stats.pairs_total_estimate =
-                binomial_f64(self.ssn.social().num_users(), q.tau) * self.ssn.pois().len() as f64;
+            self.independent_rule_measurement(q, delta, &mut counts);
         }
-        stats.candidate_users = candidates.len();
+        counts[Counter::CandidateUsers] = candidates.len() as u64;
 
         let out = QueryOutcome {
             answers,
             completion,
-            metrics: finish_metrics(start, &io, &meter, stats),
+            metrics: QueryMetrics {
+                cpu: start.elapsed(),
+                counters: counts,
+            },
         };
-        record_query(obs, opts.mode.label(), &out, &meter);
+        record_query(obs, opts.mode.label(), &out, trip);
         Ok(out)
     }
 
@@ -706,8 +711,7 @@ impl<'a> GpSsnEngine<'a> {
         k: usize,
         opts: &QueryOptions,
         candidates: &[UserId],
-        io: &IoCounter,
-        stats: &mut PruningStats,
+        counts: &mut QueryCounters,
         meter: &BudgetState,
         obs: Option<&Obs>,
     ) -> (Vec<GpSsnAnswer>, f64, f64) {
@@ -716,10 +720,10 @@ impl<'a> GpSsnEngine<'a> {
             ..opts.clone()
         };
         let (mut centers, mut outstanding, delta) = gpssn_obs::phase(obs, "prune_road", || {
-            self.collect_centers(q, &opts, candidates, io, stats, meter)
+            self.collect_centers(q, &opts, candidates, counts, meter)
         });
         centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        stats.candidate_pois = centers.len();
+        counts[Counter::CandidatePois] = centers.len() as u64;
         let refine_span = obs
             .filter(|o| o.tracing_on())
             .map(|o| o.tracer().span("refine"));
@@ -766,7 +770,6 @@ impl<'a> GpSsnEngine<'a> {
                 outstanding = outstanding.min(lb);
                 continue;
             };
-            stats.pairs_refined += v.subsets_examined;
             if let Some(ans) = v.answer {
                 if !best_k
                     .iter()
@@ -784,11 +787,7 @@ impl<'a> GpSsnEngine<'a> {
         }
         record_phase_ns(obs, "refine", refine_started);
         drop(refine_span);
-        meter.note_workspace(
-            ws.resets() + chws.resets(),
-            ws.recycles() + chws.recycles(),
-            chws.unpacks(),
-        );
+        note_workspaces(meter, &ws, &chws);
         (best_k, delta, outstanding)
     }
 
@@ -840,14 +839,15 @@ impl<'a> GpSsnEngine<'a> {
     /// Deterministic: the RNG is seeded from the query user and the
     /// budget is counted in work units, not wall-clock time. The
     /// sampler runs on plain Dijkstra, touching none of the CH or
-    /// refinement machinery the faults came from.
+    /// refinement machinery the faults came from. Also returns the
+    /// rescue's own counts (pages, pops, groups, settles), which the
+    /// caller adds to the query's.
     fn sampling_rescue(
         &self,
         q: &GpSsnQuery,
         opts: &QueryOptions,
         candidates: &[UserId],
-        io: &IoCounter,
-    ) -> Option<GpSsnAnswer> {
+    ) -> (Option<GpSsnAnswer>, QueryCounters) {
         const RESCUE_SAMPLES: usize = 32;
         const RESCUE_CENTERS: usize = 64;
         let budget = QueryBudget {
@@ -857,13 +857,15 @@ impl<'a> GpSsnEngine<'a> {
             deadline: None,
         };
         let meter = BudgetState::new(&budget);
-        let mut stats = PruningStats::default();
-        let (mut centers, _, _) = self.collect_centers(q, opts, candidates, io, &mut stats, &meter);
+        let mut counts = QueryCounters::default();
+        let (mut centers, _, _) = self.collect_centers(q, opts, candidates, &mut counts, &meter);
         centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         centers.truncate(RESCUE_CENTERS);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_0000 ^ u64::from(q.user));
-        self.sample_centers(q, candidates, &centers, RESCUE_SAMPLES, &mut rng, &meter)
-            .0
+        let (answer, _) =
+            self.sample_centers(q, candidates, &centers, RESCUE_SAMPLES, &mut rng, &meter);
+        counts += &meter.snapshot();
+        (answer, counts)
     }
 
     /// Traversal-only road phase: collects candidate centers with their
@@ -877,8 +879,7 @@ impl<'a> GpSsnEngine<'a> {
         q: &GpSsnQuery,
         opts: &QueryOptions,
         candidates: &[UserId],
-        io: &IoCounter,
-        stats: &mut PruningStats,
+        counts: &mut QueryCounters,
         meter: &BudgetState,
     ) -> (Vec<(f64, PoiId)>, f64, f64) {
         let idx = &self.road_index;
@@ -910,7 +911,7 @@ impl<'a> GpSsnEngine<'a> {
             }
             match item {
                 Item::Node(n) => {
-                    self.touch(io, gpssn_index::io::page_ids::road(n));
+                    self.touch(counts, gpssn_index::io::page_ids::road(n));
                     self.expand_node(
                         q,
                         opts,
@@ -921,7 +922,7 @@ impl<'a> GpSsnEngine<'a> {
                         &mut heap,
                         &mut centers,
                         &mut delta,
-                        stats,
+                        counts,
                         false,
                     );
                 }
@@ -939,8 +940,7 @@ impl<'a> GpSsnEngine<'a> {
         &self,
         q: &GpSsnQuery,
         opts: &QueryOptions,
-        io: &IoCounter,
-        stats: &mut PruningStats,
+        counts: &mut QueryCounters,
     ) -> Vec<UserId> {
         let idx = &self.social_index;
         let uq_sn = idx.user_sn_dists(q.user);
@@ -948,7 +948,7 @@ impl<'a> GpSsnEngine<'a> {
         let uq_ancestors = self.ancestors_of(q.user);
 
         let mut frontier = vec![idx.root()];
-        self.touch(io, gpssn_index::io::page_ids::social(idx.root()));
+        self.touch(counts, gpssn_index::io::page_ids::social(idx.root()));
         // Expand to the leaves, pruning nodes.
         loop {
             let all_leaves = frontier.iter().all(|&id| idx.node(id).children.is_empty());
@@ -963,7 +963,7 @@ impl<'a> GpSsnEngine<'a> {
                     continue;
                 }
                 for &child in &node.children {
-                    self.touch(io, gpssn_index::io::page_ids::social(child));
+                    self.touch(counts, gpssn_index::io::page_ids::social(child));
                     let c = idx.node(child);
                     let by_dist = opts.use_social_distance_pruning
                         && prune_node_by_social_distance(uq_sn, &c.lb_sn, &c.ub_sn, q.tau);
@@ -974,7 +974,7 @@ impl<'a> GpSsnEngine<'a> {
                             region.prunes_mbr(&c.lb_w, &c.ub_w)
                         };
                     if (by_dist || by_interest) && !uq_ancestors.contains(&child) {
-                        stats.users_pruned_index += c.user_count;
+                        counts[Counter::UsersPrunedIndex] += c.user_count as u64;
                     } else {
                         next.push(child);
                     }
@@ -1000,7 +1000,7 @@ impl<'a> GpSsnEngine<'a> {
                 let by_interest =
                     opts.use_interest_pruning && region.prunes_point(self.ssn.social().interest(u));
                 if by_dist || by_interest {
-                    stats.users_pruned_object += 1;
+                    counts[Counter::UsersPrunedObject] += 1;
                 } else {
                     candidates.push(u);
                 }
@@ -1016,7 +1016,7 @@ impl<'a> GpSsnEngine<'a> {
             candidates = corollary2_filter(&candidates, q.user, q.tau, q.gamma, |a, b| {
                 self.ssn.social().score(a, b)
             });
-            stats.users_pruned_object += before - candidates.len();
+            counts[Counter::UsersPrunedObject] += (before - candidates.len()) as u64;
         }
         candidates
     }
@@ -1057,8 +1057,7 @@ impl<'a> GpSsnEngine<'a> {
         q: &GpSsnQuery,
         opts: &QueryOptions,
         candidates: &[UserId],
-        io: &IoCounter,
-        stats: &mut PruningStats,
+        counts: &mut QueryCounters,
         meter: &BudgetState,
         obs: Option<&Obs>,
     ) -> (Option<GpSsnAnswer>, f64, f64) {
@@ -1070,7 +1069,7 @@ impl<'a> GpSsnEngine<'a> {
         // every center is infeasible: answer None without touching I_R.
         // `None` means the check itself ran out of budget — proceed; the
         // traversal below trips on its first pop and degrades cleanly.
-        if self.any_feasible_group(q, candidates, stats, meter) == Some(false) {
+        if self.any_feasible_group(q, candidates, meter) == Some(false) {
             return (None, f64::INFINITY, f64::INFINITY);
         }
 
@@ -1125,10 +1124,10 @@ impl<'a> GpSsnEngine<'a> {
                     // them now.
                     match item {
                         Item::Node(n) => {
-                            stats.pois_pruned_index += idx.node(n).poi_count;
+                            counts[Counter::PoisPrunedIndex] += idx.node(n).poi_count as u64;
                         }
                         Item::Center(_) => {
-                            stats.pois_pruned_object += 1;
+                            counts[Counter::PoisPrunedObject] += 1;
                         }
                     }
                     deferred.push((lb, item));
@@ -1136,7 +1135,7 @@ impl<'a> GpSsnEngine<'a> {
                 }
                 match item {
                     Item::Node(n) => {
-                        self.touch(io, gpssn_index::io::page_ids::road(n));
+                        self.touch(counts, gpssn_index::io::page_ids::road(n));
                         self.expand_node(
                             q,
                             opts,
@@ -1147,7 +1146,7 @@ impl<'a> GpSsnEngine<'a> {
                             &mut heap,
                             &mut centers,
                             &mut delta,
-                            stats,
+                            counts,
                             true,
                         );
                     }
@@ -1176,7 +1175,6 @@ impl<'a> GpSsnEngine<'a> {
         let refined = self.refine_centers(q, opts, candidates, &centers, meter, obs, span_parent);
         record_phase_ns(obs, "refine", refine_started);
         drop(refine_span);
-        stats.pairs_refined += refined.pairs_refined;
         outstanding = outstanding.min(refined.unresolved);
         let mut best = refined.answer;
         let mut best_val = refined.best_val;
@@ -1224,7 +1222,7 @@ impl<'a> GpSsnEngine<'a> {
                 }
                 match item {
                     Item::Node(n) => {
-                        self.touch(io, gpssn_index::io::page_ids::road(n));
+                        self.touch(counts, gpssn_index::io::page_ids::road(n));
                         let mut local_centers = Vec::new();
                         self.expand_node(
                             q,
@@ -1236,7 +1234,7 @@ impl<'a> GpSsnEngine<'a> {
                             &mut fallback,
                             &mut local_centers,
                             &mut delta,
-                            stats,
+                            counts,
                             false,
                         );
                         for (clb, c) in local_centers {
@@ -1259,7 +1257,6 @@ impl<'a> GpSsnEngine<'a> {
                             outstanding = outstanding.min(lb);
                             continue;
                         };
-                        stats.pairs_refined += v.subsets_examined;
                         if let Some(ans) = v.answer {
                             best_val = ans.maxdist;
                             best = Some(ans);
@@ -1273,22 +1270,18 @@ impl<'a> GpSsnEngine<'a> {
             }
             record_phase_ns(obs, "refine_fallback", fb_started);
             drop(fb_span);
-            meter.note_workspace(
-                ws.resets() + chws.resets(),
-                ws.recycles() + chws.recycles(),
-                chws.unpacks(),
-            );
+            note_workspaces(meter, &ws, &chws);
         }
 
-        stats.candidate_pois = centers.len();
+        counts[Counter::CandidatePois] = centers.len() as u64;
         (best, delta, outstanding)
     }
 
     /// Records an access to index page `page`: a physical read unless the
     /// engine's shared buffer pool holds it.
-    fn touch(&self, io: &IoCounter, page: u64) {
+    fn touch(&self, counts: &mut QueryCounters, page: u64) {
         match &self.page_cache {
-            None => io.touch(),
+            None => counts[Counter::IoPages] += 1,
             Some(pool) => {
                 // A panic caught by the batch isolation layer may leave
                 // this lock poisoned; the cache tolerates a torn update
@@ -1297,7 +1290,7 @@ impl<'a> GpSsnEngine<'a> {
                 // into every later query.
                 let mut pool = pool.lock().unwrap_or_else(|p| p.into_inner());
                 if !pool.access(page) {
-                    io.touch();
+                    counts[Counter::IoPages] += 1;
                 }
             }
         }
@@ -1311,7 +1304,6 @@ impl<'a> GpSsnEngine<'a> {
         &self,
         q: &GpSsnQuery,
         candidates: &[UserId],
-        stats: &mut PruningStats,
         meter: &BudgetState,
     ) -> Option<bool> {
         if candidates.len() < q.tau {
@@ -1347,7 +1339,7 @@ impl<'a> GpSsnEngine<'a> {
                 true
             },
         );
-        stats.pairs_refined += visits;
+        meter.add(Counter::PairsRefined, visits);
         if found {
             Some(true)
         } else if complete {
@@ -1473,7 +1465,6 @@ impl<'a> GpSsnEngine<'a> {
                 out.unresolved = out.unresolved.min(lb);
                 continue;
             };
-            out.pairs_refined += v.subsets_examined;
             if let Some(ans) = v.answer {
                 out.best_val = ans.maxdist;
                 out.answer = Some(ans);
@@ -1486,11 +1477,7 @@ impl<'a> GpSsnEngine<'a> {
                 break;
             }
         }
-        meter.note_workspace(
-            ws.resets() + chws.resets(),
-            ws.recycles() + chws.recycles(),
-            chws.unpacks(),
-        );
+        note_workspaces(meter, &ws, &chws);
         out
     }
 
@@ -1545,7 +1532,6 @@ impl<'a> GpSsnEngine<'a> {
                 span_parent,
             };
             let mut local: Option<(f64, usize, GpSsnAnswer)> = None;
-            let mut pairs = 0u64;
             let mut unresolved = f64::INFINITY;
             for _ in 0..claims {
                 let i = next.fetch_add(1, Ordering::Relaxed);
@@ -1575,7 +1561,6 @@ impl<'a> GpSsnEngine<'a> {
                     unresolved = unresolved.min(lb);
                     continue;
                 };
-                pairs += v.subsets_examined;
                 if let Some(ans) = v.answer {
                     atomic_min_f64(&best_bits, ans.maxdist);
                     let better = match &local {
@@ -1593,12 +1578,8 @@ impl<'a> GpSsnEngine<'a> {
                     break;
                 }
             }
-            meter.note_workspace(
-                ws.resets() + chws.resets(),
-                ws.recycles() + chws.recycles(),
-                chws.unpacks(),
-            );
-            (local, pairs, unresolved)
+            note_workspaces(meter, &ws, &chws);
+            (local, unresolved)
         };
         // Pilot: verify the cheapest center on the calling thread before
         // fanning out, so workers start with an incumbent bound instead
@@ -1632,8 +1613,7 @@ impl<'a> GpSsnEngine<'a> {
         });
         let mut out = RefineOutcome::empty();
         let mut winner: Option<(f64, usize, GpSsnAnswer)> = None;
-        for (local, pairs, unresolved) in std::iter::once(pilot).chain(results) {
-            out.pairs_refined += pairs;
+        for (local, unresolved) in std::iter::once(pilot).chain(results) {
             out.unresolved = out.unresolved.min(unresolved);
             if let Some((v, i, ans)) = local {
                 let better = match &winner {
@@ -1668,7 +1648,7 @@ impl<'a> GpSsnEngine<'a> {
         heap: &mut MinHeap<Item>,
         centers: &mut Vec<(f64, PoiId)>,
         delta: &mut f64,
-        stats: &mut PruningStats,
+        counts: &mut QueryCounters,
         count_stats: bool,
     ) {
         let idx = &self.road_index;
@@ -1681,7 +1661,7 @@ impl<'a> GpSsnEngine<'a> {
                         && ub_match_score_keywords(uq_interest, &aug.sup_keywords) < q.theta
                     {
                         if count_stats {
-                            stats.pois_pruned_object += 1;
+                            counts[Counter::PoisPrunedObject] += 1;
                         }
                         continue;
                     }
@@ -1700,7 +1680,7 @@ impl<'a> GpSsnEngine<'a> {
                         && ub_match_score_signature(uq_interest, &aug.sup_sig) < q.theta
                     {
                         if count_stats {
-                            stats.pois_pruned_index += aug.poi_count;
+                            counts[Counter::PoisPrunedIndex] += aug.poi_count as u64;
                         }
                         continue;
                     }
@@ -1721,7 +1701,7 @@ impl<'a> GpSsnEngine<'a> {
     // Independent per-rule measurement for Figures 7(b)/(c)
     // ------------------------------------------------------------------
 
-    fn independent_rule_measurement(&self, q: &GpSsnQuery, delta: f64, stats: &mut PruningStats) {
+    fn independent_rule_measurement(&self, q: &GpSsnQuery, delta: f64, counts: &mut QueryCounters) {
         let social = self.ssn.social();
         let uq_sn = self.social_index.user_sn_dists(q.user);
         let region = PruningRegion::new(social.interest(q.user), q.gamma);
@@ -1730,9 +1710,9 @@ impl<'a> GpSsnEngine<'a> {
                 continue;
             }
             if prune_user_by_social_distance(uq_sn, self.social_index.user_sn_dists(u), q.tau) {
-                stats.users_pruned_by_distance += 1;
+                counts[Counter::UsersPrunedByDistance] += 1;
             } else if region.prunes_point(social.interest(u)) {
-                stats.users_pruned_by_interest += 1;
+                counts[Counter::UsersPrunedByInterest] += 1;
             }
         }
         let uq_rn = self.social_index.user_rn_dists(q.user);
@@ -1745,54 +1725,21 @@ impl<'a> GpSsnEngine<'a> {
         for o in 0..self.ssn.pois().len() as PoiId {
             let aug = self.road_index.poi(o);
             if lb_maxdist_poi(uq_rn, &aug.pivot_dists) > threshold {
-                stats.pois_pruned_by_distance += 1;
+                counts[Counter::PoisPrunedByDistance] += 1;
             } else if ub_match_score_keywords(uq_interest, &aug.sup_keywords) < q.theta {
-                stats.pois_pruned_by_matching += 1;
+                counts[Counter::PoisPrunedByMatching] += 1;
             }
         }
     }
 }
 
-/// Snapshots the meter's distance-cache tallies into [`CacheStats`].
-fn cache_stats(meter: &BudgetState) -> crate::stats::CacheStats {
-    let (ball_hits, ball_misses, dist_hits, dist_misses) = meter.cache_tallies();
-    crate::stats::CacheStats {
-        ball_hits,
-        ball_misses,
-        dist_hits,
-        dist_misses,
-    }
-}
-
-/// Assembles [`QueryMetrics`] from the meter's tallies. The settle
-/// split is disjoint by construction: `meter.settles()` is the
-/// budget-charged total across both backends, CH sweeps tally their
-/// settles separately, and the difference is the plain-Dijkstra share.
-fn finish_metrics(
-    start: Instant,
-    io: &IoCounter,
-    meter: &BudgetState,
-    stats: PruningStats,
-) -> QueryMetrics {
-    let (ch_batches, ch_settles) = meter.ch_tallies();
-    let (ws_resets, heap_recycles, ch_unpacks) = meter.workspace_tallies();
-    QueryMetrics {
-        cpu: start.elapsed(),
-        io_pages: io.count(),
-        heap_pops: meter.pops(),
-        groups_enumerated: meter.groups(),
-        backend_served: BackendServed {
-            dijkstra_batches: meter.dijkstra_batches(),
-            dijkstra_settles: meter.settles().saturating_sub(ch_settles),
-            ch_batches,
-            ch_settles,
-        },
-        ws_resets,
-        heap_recycles,
-        ch_unpacks,
-        cache: cache_stats(meter),
-        stats,
-    }
+/// Folds one refinement scope's workspace telemetry into the meter:
+/// runs prepared, runs that reused already-sized storage, and CH
+/// near-tie path unpacks. Called once per scope, not per run.
+fn note_workspaces(meter: &BudgetState, ws: &DijkstraWorkspace, chws: &gpssn_graph::ChSearch) {
+    meter.add(Counter::WsResets, ws.resets() + chws.resets());
+    meter.add(Counter::HeapRecycles, ws.recycles() + chws.recycles());
+    meter.add(Counter::ChUnpacks, chws.unpacks());
 }
 
 /// Records one phase duration into the `gpssn_phase_duration_ns`
@@ -1814,9 +1761,10 @@ fn record_phase_ns(obs: Option<&Obs>, name: &'static str, started: Option<Instan
 /// under [`DegradationPolicy::Ladder`] a *panic* inside verification is
 /// additionally caught per-center and absorbed the same way, while
 /// `FailFast` lets it propagate to the batch isolation layer (the
-/// legacy behavior). `None` means the center stays unresolved — the
-/// caller folds its lower bound into the anytime gap, and the nonzero
-/// fault count keeps the completion from claiming `Exact`.
+/// legacy behavior). A verified center's subsets count as pairs
+/// refined. `None` means the center stays unresolved — the caller folds
+/// its lower bound into the anytime gap, and the nonzero fault count
+/// keeps the completion from claiming `Exact`.
 #[allow(clippy::too_many_arguments)]
 fn verify_center_guarded(
     ssn: &SpatialSocialNetwork,
@@ -1850,12 +1798,12 @@ fn verify_center_guarded(
         verify_center(ssn, q, candidates, center, bound, enumeration_cap, ctx)
     };
     match res {
-        Ok(v) => Some(v),
+        Ok(v) => {
+            ctx.budget.add(Counter::PairsRefined, v.subsets_examined);
+            Some(v)
+        }
         Err(_) => {
-            ctx.budget.note_fault();
-            if let Some(o) = ctx.obs {
-                o.inc("gpssn_refine_faults_total", &[], 1);
-            }
+            ctx.budget.add(Counter::RefineFaults, 1);
             None
         }
     }
@@ -1863,24 +1811,23 @@ fn verify_center_guarded(
 
 /// The error reported when a cut query verified nothing: the tripped
 /// budget when one tripped, otherwise the absorbed refinement faults.
-fn cut_error(meter: &BudgetState) -> GpSsnError {
-    match meter.trip() {
+fn cut_error(trip: Option<Trip>, counts: &QueryCounters) -> GpSsnError {
+    match trip {
         Some(trip) => trip.into(),
         None => GpSsnError::Internal(format!(
             "{} refinement fault(s) absorbed with no verified answer",
-            meter.faults()
+            counts[Counter::RefineFaults]
         )),
     }
 }
 
 /// Folds one finished query into the metrics registry — called once per
 /// query at outcome assembly, so the hot traversal and refinement paths
-/// never touch the registry.
-fn record_query(obs: Option<&Obs>, path: &'static str, out: &QueryOutcome, meter: &BudgetState) {
+/// never touch the registry. Every [`Counter`] is one series.
+fn record_query(obs: Option<&Obs>, path: &'static str, out: &QueryOutcome, trip: Option<Trip>) {
     let Some(o) = obs.filter(|o| o.metrics_on()) else {
         return;
     };
-    let m = &out.metrics;
     o.inc("gpssn_queries_total", &[("path", path)], 1);
     if !out.answers.is_empty() {
         o.inc("gpssn_answers_total", &[("path", path)], 1);
@@ -1890,7 +1837,7 @@ fn record_query(obs: Option<&Obs>, path: &'static str, out: &QueryOutcome, meter
     if !matches!(out.completion, Completion::Exact) {
         o.inc("gpssn_degraded_rung_total", &[("rung", class)], 1);
     }
-    if let Some(trip) = meter.trip() {
+    if let Some(trip) = trip {
         let resource = match trip {
             Trip::Deadline => "deadline",
             Trip::HeapPops => "heap_pops",
@@ -1899,116 +1846,25 @@ fn record_query(obs: Option<&Obs>, path: &'static str, out: &QueryOutcome, meter
         };
         o.inc("gpssn_budget_trips_total", &[("resource", resource)], 1);
     }
-    o.inc("gpssn_io_pages_total", &[], m.io_pages);
-    o.inc("gpssn_heap_pops_total", &[], m.heap_pops);
-    o.inc("gpssn_groups_enumerated_total", &[], m.groups_enumerated);
-    let b = &m.backend_served;
-    o.inc(
-        "gpssn_distance_batches_total",
-        &[("backend", "dijkstra")],
-        b.dijkstra_batches,
-    );
-    o.inc(
-        "gpssn_distance_batches_total",
-        &[("backend", "ch")],
-        b.ch_batches,
-    );
-    o.inc(
-        "gpssn_settles_total",
-        &[("backend", "dijkstra")],
-        b.dijkstra_settles,
-    );
-    o.inc("gpssn_settles_total", &[("backend", "ch")], b.ch_settles);
-    let c = &m.cache;
-    o.inc(
-        "gpssn_cache_lookups_total",
-        &[("kind", "ball"), ("result", "hit")],
-        c.ball_hits,
-    );
-    o.inc(
-        "gpssn_cache_lookups_total",
-        &[("kind", "ball"), ("result", "miss")],
-        c.ball_misses,
-    );
-    o.inc(
-        "gpssn_cache_lookups_total",
-        &[("kind", "dist"), ("result", "hit")],
-        c.dist_hits,
-    );
-    o.inc(
-        "gpssn_cache_lookups_total",
-        &[("kind", "dist"), ("result", "miss")],
-        c.dist_misses,
-    );
-    o.inc("gpssn_workspace_resets_total", &[], m.ws_resets);
-    o.inc("gpssn_heap_recycles_total", &[], m.heap_recycles);
-    o.inc("gpssn_ch_unpacks_total", &[], m.ch_unpacks);
-    let s = &m.stats;
-    // Fig. 7 pruning powers are ratios of the counters below over these
-    // denominators; `tests/obs_telemetry.rs` checks the exposition path
-    // reconstructs the legacy `PruningStats` accessors exactly.
-    o.inc("gpssn_users_scanned_total", &[], s.users_total as u64);
-    o.inc("gpssn_pois_scanned_total", &[], s.pois_total as u64);
-    o.inc(
-        "gpssn_pruned_users_total",
-        &[("stage", "index")],
-        s.users_pruned_index as u64,
-    );
-    o.inc(
-        "gpssn_pruned_users_total",
-        &[("stage", "object")],
-        s.users_pruned_object as u64,
-    );
-    o.inc(
-        "gpssn_pruned_users_total",
-        &[("stage", "distance")],
-        s.users_pruned_by_distance as u64,
-    );
-    o.inc(
-        "gpssn_pruned_users_total",
-        &[("stage", "interest")],
-        s.users_pruned_by_interest as u64,
-    );
-    o.inc(
-        "gpssn_pruned_pois_total",
-        &[("stage", "index")],
-        s.pois_pruned_index as u64,
-    );
-    o.inc(
-        "gpssn_pruned_pois_total",
-        &[("stage", "object")],
-        s.pois_pruned_object as u64,
-    );
-    o.inc(
-        "gpssn_pruned_pois_total",
-        &[("stage", "distance")],
-        s.pois_pruned_by_distance as u64,
-    );
-    o.inc(
-        "gpssn_pruned_pois_total",
-        &[("stage", "matching")],
-        s.pois_pruned_by_matching as u64,
-    );
-    o.inc("gpssn_pairs_refined_total", &[], s.pairs_refined);
-    o.inc("gpssn_candidate_users_total", &[], s.candidate_users as u64);
-    o.inc("gpssn_candidate_pois_total", &[], s.candidate_pois as u64);
+    for (c, v) in out.metrics.counters.iter() {
+        o.inc(c.name(), c.labels(), v);
+    }
     o.observe(
         "gpssn_query_cpu_ns",
         &[("path", path)],
-        m.cpu.as_nanos().min(u64::MAX as u128) as u64,
+        out.metrics.cpu.as_nanos().min(u64::MAX as u128) as u64,
     );
 }
 
 /// What one refinement worker hands back: its best `(value, claim
-/// index, answer)` if any, subsets examined, and the minimum
-/// unresolved lower bound it left behind.
-type WorkerResult = (Option<(f64, usize, GpSsnAnswer)>, u64, f64);
+/// index, answer)` if any, and the minimum unresolved lower bound it
+/// left behind.
+type WorkerResult = (Option<(f64, usize, GpSsnAnswer)>, f64);
 
 /// Result of the refinement stage over the sorted candidate centers.
 struct RefineOutcome {
     answer: Option<GpSsnAnswer>,
     best_val: f64,
-    pairs_refined: u64,
     /// Smallest `lb` left unresolved by a budget trip (`f64::INFINITY`
     /// when every center was either verified or soundly pruned).
     unresolved: f64,
@@ -2019,7 +1875,6 @@ impl RefineOutcome {
         RefineOutcome {
             answer: None,
             best_val: f64::INFINITY,
-            pairs_refined: 0,
             unresolved: f64::INFINITY,
         }
     }
@@ -2067,17 +1922,18 @@ fn atomic_min_f64(best: &AtomicU64, v: f64) {
 /// answer that beats every unresolved bound is still provably optimal,
 /// and anything else degrades honestly.
 fn completion_of(
-    meter: &BudgetState,
+    trip: Option<Trip>,
+    counts: &QueryCounters,
     answers: &[GpSsnAnswer],
     k: usize,
     outstanding: f64,
 ) -> Completion {
     let kth = answers.get(k - 1).map_or(f64::INFINITY, |a| a.maxdist);
-    let cut = meter.trip().is_some() || meter.faults() > 0;
+    let cut = trip.is_some() || counts[Counter::RefineFaults] > 0;
     if !cut || outstanding >= kth {
         Completion::Exact
     } else if answers.is_empty() {
-        Completion::Failed(cut_error(meter))
+        Completion::Failed(cut_error(trip, counts))
     } else {
         Completion::TruncatedWithGap((kth - outstanding).max(0.0))
     }
@@ -2211,7 +2067,7 @@ mod tests {
         if let Some(ans) = out.answer() {
             crate::query::check_answer(&ssn, &q, ans).expect("answer must satisfy Definition 5");
         }
-        assert!(out.metrics.io_pages > 0);
+        assert!(out.metrics.counters[Counter::IoPages] > 0);
     }
 
     #[test]
@@ -2247,10 +2103,10 @@ mod tests {
             ..Default::default()
         };
         let out = run(&engine, &q, &opts);
-        let s = &out.metrics.stats;
-        assert_eq!(s.users_total, ssn.social().num_users());
-        assert_eq!(s.pois_total, ssn.pois().len());
-        assert!(s.pairs_total_estimate > 0.0);
+        let s = &out.metrics.counters;
+        assert_eq!(s[Counter::UsersTotal], ssn.social().num_users() as u64);
+        assert_eq!(s[Counter::PoisTotal], ssn.pois().len() as u64);
+        assert!(s.pairs_total_estimate(q.tau) > 0.0);
     }
 
     #[test]
@@ -2332,7 +2188,10 @@ mod tests {
         for (q, p) in queries.iter().zip(parallel) {
             let (s, p) = (run(&engine, q, &opts), p.expect("valid query"));
             assert_eq!(s.answers, p.answers);
-            assert_eq!(s.metrics.io_pages, p.metrics.io_pages);
+            assert_eq!(
+                s.metrics.counters[Counter::IoPages],
+                p.metrics.counters[Counter::IoPages]
+            );
         }
     }
 

@@ -16,7 +16,7 @@
 
 use crate::error::{BudgetState, GpSsnError, QueryBudget};
 use crate::query::{GpSsnAnswer, GpSsnQuery};
-use crate::stats::binomial_f64;
+use crate::stats::{binomial_f64, Counter};
 use gpssn_graph::enumerate_connected_subsets;
 use gpssn_road::{dist_rn_many, dist_rn_many_counted, NetworkPoint, PoiId};
 use gpssn_social::UserId;
@@ -128,7 +128,7 @@ pub fn try_exact_baseline_with_obs(
                 let c = *cost_cache.entry(u).or_insert_with(|| {
                     let (dists, settled) =
                         dist_rn_many_counted(ssn.road(), &ssn.home(u), &positions);
-                    meter.add_settles(settled);
+                    meter.add_settles(Counter::DijkstraSettles, settled);
                     dists.into_iter().fold(0.0f64, f64::max)
                 });
                 maxdist = maxdist.max(c);

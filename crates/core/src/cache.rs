@@ -171,10 +171,10 @@ impl<K: Eq + Hash + Clone, V: Clone> Shard<K, V> {
     }
 }
 
-/// Lifetime counters of one [`DistanceCache`] (never reset; a per-query
-/// view lives in [`crate::CacheStats`], in the same unit: a row probe
-/// counts every key of the row as a hit when the whole row is resident
-/// and as a miss otherwise). All sums saturate.
+/// Lifetime counters of one [`DistanceCache`] (never reset; the per-query
+/// view is the cache counters of [`crate::QueryCounters`], in the same
+/// unit: a row probe counts every key of the row as a hit when the whole
+/// row is resident and as a miss otherwise). All sums saturate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheLifetimeStats {
     /// Ball lookups served from the cache.
@@ -193,7 +193,7 @@ pub struct CacheLifetimeStats {
 
 impl CacheLifetimeStats {
     /// Lifetime hit fraction over both maps, `0.0` before any lookup
-    /// (saturating arithmetic — see [`crate::CacheStats::hit_rate`]).
+    /// (saturating arithmetic — see [`crate::QueryCounters::hit_rate`]).
     pub fn hit_rate(&self) -> f64 {
         let hits = self.ball_hits.saturating_add(self.dist_hits);
         let total = hits

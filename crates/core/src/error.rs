@@ -15,6 +15,7 @@
 //! cheap: saturating counter bumps, with the clock consulted only every
 //! [`DEADLINE_CHECK_PERIOD`] events.
 
+use crate::stats::{Counter, QueryCounters};
 use gpssn_social::UserId;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
@@ -179,6 +180,11 @@ impl Completion {
 /// Resource limits for one query. The default is unlimited (every field
 /// `None`), which makes the budgeted code paths behave exactly like the
 /// unbudgeted ones.
+///
+/// The limits bound the query's own search. When the degradation
+/// ladder's sampling rescue runs, it works under a fixed budget of its
+/// own, and a [`Completion::DegradedSampling`] outcome's counters include
+/// that work too, so they can exceed these limits.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryBudget {
     /// Wall-clock deadline, measured from query start.
@@ -258,12 +264,13 @@ pub const DEADLINE_CHECK_PERIOD: u64 = 64;
 /// state is sticky — every later check reports the same [`Trip`] so the
 /// whole pipeline unwinds cooperatively.
 ///
-/// Counters are relaxed atomics so one meter can be shared by the
-/// intra-query parallel refinement workers (`&self` everywhere, `Sync`);
-/// one instance still serves exactly one query. Caps remain *global*
-/// across workers: the combined work of all threads is charged to the
-/// same counters, so a budget of `N` settles admits `N` settles total,
-/// not `N` per thread.
+/// The meter also holds the query's shared counts: one relaxed atomic
+/// per [`Counter`], read back once with [`BudgetState::snapshot`]. One
+/// meter is shared by the intra-query parallel refinement workers
+/// (`&self` everywhere, `Sync`); one instance still serves exactly one
+/// query. Caps remain *global* across workers: the combined work of all
+/// threads is charged to the same counters, so a budget of `N` settles
+/// admits `N` settles total, not `N` per thread.
 ///
 /// Settles are one unit across distance backends: a Dijkstra batch
 /// charges every vertex it settles; a contraction-hierarchy batch
@@ -276,41 +283,10 @@ pub struct BudgetState {
     max_pops: u64,
     max_groups: u64,
     max_settles: u64,
-    pops: AtomicU64,
-    groups: AtomicU64,
-    settles: AtomicU64,
     /// `0` = not tripped; otherwise `1 + Trip discriminant` of the first
     /// trip (sticky via compare-exchange).
     tripped: AtomicU8,
-    /// Cross-query distance-cache hit/miss tallies for this query
-    /// (ball cache, then exact `dist_RN` cache).
-    ball_hits: AtomicU64,
-    ball_misses: AtomicU64,
-    dist_hits: AtomicU64,
-    dist_misses: AtomicU64,
-    /// Contraction-hierarchy oracle usage: batches run and vertices
-    /// settled by their forward upward sweeps (a breakout of `settles`
-    /// — CH work charges the same settle budget as plain Dijkstra, in
-    /// forward-sweep settles; label scans are not charged).
-    ch_batches: AtomicU64,
-    ch_settles: AtomicU64,
-    /// Plain-Dijkstra batches (the non-CH complement of `ch_batches`).
-    dijkstra_batches: AtomicU64,
-    /// Workspace telemetry folded in by the refinement workers: runs
-    /// prepared, runs that reused already-sized storage, and CH near-tie
-    /// path unpacks.
-    ws_resets: AtomicU64,
-    heap_recycles: AtomicU64,
-    ch_unpacks: AtomicU64,
-    /// Faults that cost the query verified work (a refinement worker
-    /// panic caught and absorbed): the center involved is unresolved,
-    /// so a nonzero count disqualifies the `Exact` completion even if
-    /// no budget tripped.
-    faults: AtomicU64,
-    /// CH batches that panicked and were re-served from the Dijkstra
-    /// path. Informational only — the fallback row is bit-identical,
-    /// so these do *not* degrade the completion.
-    ch_faults: AtomicU64,
+    counts: [AtomicU64; Counter::COUNT],
 }
 
 const TRIP_NONE: u8 = 0;
@@ -342,22 +318,8 @@ impl BudgetState {
             max_pops: budget.max_heap_pops.unwrap_or(u64::MAX),
             max_groups: budget.max_groups_enumerated.unwrap_or(u64::MAX),
             max_settles: budget.max_dijkstra_settles.unwrap_or(u64::MAX),
-            pops: AtomicU64::new(0),
-            groups: AtomicU64::new(0),
-            settles: AtomicU64::new(0),
             tripped: AtomicU8::new(TRIP_NONE),
-            ball_hits: AtomicU64::new(0),
-            ball_misses: AtomicU64::new(0),
-            dist_hits: AtomicU64::new(0),
-            dist_misses: AtomicU64::new(0),
-            ch_batches: AtomicU64::new(0),
-            ch_settles: AtomicU64::new(0),
-            dijkstra_batches: AtomicU64::new(0),
-            ws_resets: AtomicU64::new(0),
-            heap_recycles: AtomicU64::new(0),
-            ch_unpacks: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
-            ch_faults: AtomicU64::new(0),
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
@@ -368,11 +330,15 @@ impl BudgetState {
 
     /// Records one best-first heap pop; returns the trip if any budget is
     /// now (or was already) exhausted. A budget of `N` admits exactly `N`
-    /// pops: the `N+1`-th attempt trips *without* being counted, so the
-    /// reported metric never exceeds the budget.
+    /// pops: the `N+1`-th attempt trips *without* being counted, so this
+    /// meter's [`Counter::HeapPops`] never exceeds the budget. (The
+    /// degradation ladder's sampling rescue meters its own pops under a
+    /// fixed budget of its own and adds them to the query's counters, so
+    /// a [`crate::Completion::DegradedSampling`] outcome may report more
+    /// pops than the query's budget.)
     #[inline]
     pub fn note_pop(&self) -> Option<Trip> {
-        self.note_counted(&self.pops, self.max_pops, Trip::HeapPops)
+        self.note_counted(Counter::HeapPops, self.max_pops, Trip::HeapPops)
     }
 
     /// Records one enumerated connected subset; returns the trip if any
@@ -380,14 +346,15 @@ impl BudgetState {
     /// the tripping attempt itself is not counted.
     #[inline]
     pub fn note_group(&self) -> Option<Trip> {
-        self.note_counted(&self.groups, self.max_groups, Trip::Groups)
+        self.note_counted(Counter::GroupsEnumerated, self.max_groups, Trip::Groups)
     }
 
     #[inline]
-    fn note_counted(&self, counter: &AtomicU64, max: u64, kind: Trip) -> Option<Trip> {
+    fn note_counted(&self, c: Counter, max: u64, kind: Trip) -> Option<Trip> {
         if let Some(t) = self.trip() {
             return Some(t);
         }
+        let counter = &self.counts[c as usize];
         let n = counter.fetch_add(1, Ordering::Relaxed);
         if n >= max {
             // Uncount the tripping attempt so the reported metric never
@@ -401,122 +368,49 @@ impl BudgetState {
         None
     }
 
-    /// Charges `n` Dijkstra-settled vertices; returns the trip if any
-    /// budget is now (or was already) exhausted. Dijkstra runs are chunky,
-    /// so the deadline is consulted on every call.
+    /// Records `n` vertices settled on `backend` ([`Counter::DijkstraSettles`]
+    /// or [`Counter::ChSettles`]) and charges them against the settle
+    /// budget, which caps the two backends' sum; returns the trip if any
+    /// budget is now (or was already) exhausted. The settles already ran,
+    /// so they are counted even on a tripped meter. Distance batches are
+    /// chunky, so the deadline is consulted on every call.
     #[inline]
-    pub fn add_settles(&self, n: u64) -> Option<Trip> {
+    pub fn add_settles(&self, backend: Counter, n: u64) -> Option<Trip> {
+        let other = match backend {
+            Counter::ChSettles => Counter::DijkstraSettles,
+            _ => Counter::ChSettles,
+        };
+        // SeqCst on both backends' add and load: of two workers adding to
+        // different backends at once, at least one sees the other's
+        // settles, so a sum crossing the cap always trips.
+        let own = self.counts[backend as usize]
+            .fetch_add(n, Ordering::SeqCst)
+            .saturating_add(n);
+        let total = own.saturating_add(self.counts[other as usize].load(Ordering::SeqCst));
         if let Some(t) = self.trip() {
             return Some(t);
         }
-        let total = self
-            .settles
-            .fetch_add(n, Ordering::Relaxed)
-            .saturating_add(n);
         if total > self.max_settles {
             return self.trip_now(Trip::DijkstraSettles);
         }
         self.check_deadline()
     }
 
-    /// Records a cross-query distance-cache lookup for a road-network
-    /// ball (`hit = true` when served from the cache).
+    /// Adds `n` to counter `c` — pure bookkeeping, charged against no
+    /// budget (pops, groups and settles go through [`Self::note_pop`],
+    /// [`Self::note_group`] and [`Self::add_settles`]).
     #[inline]
-    pub fn note_ball_cache(&self, hit: bool) {
-        let c = if hit {
-            &self.ball_hits
-        } else {
-            &self.ball_misses
-        };
-        c.fetch_add(1, Ordering::Relaxed);
+    pub fn add(&self, c: Counter, n: u64) {
+        self.counts[c as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` cross-query distance-cache lookups for exact
-    /// `dist_RN(u, o)` values (`hit = true` when served from the cache).
-    #[inline]
-    pub fn note_dist_cache(&self, hit: bool, n: u64) {
-        let c = if hit {
-            &self.dist_hits
-        } else {
-            &self.dist_misses
-        };
-        c.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one contraction-hierarchy oracle batch whose forward
-    /// sweeps settled `n` vertices. Pure bookkeeping for
-    /// [`Self::ch_tallies`]; the settles themselves must still be
-    /// charged through [`Self::add_settles`] so CH work counts against
-    /// the same budget as plain Dijkstra.
-    #[inline]
-    pub fn note_ch_batch(&self, n: u64) {
-        self.ch_batches.fetch_add(1, Ordering::Relaxed);
-        self.ch_settles.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// `(batches, settles)` recorded so far against the CH oracle.
-    pub fn ch_tallies(&self) -> (u64, u64) {
-        (
-            self.ch_batches.load(Ordering::Relaxed),
-            self.ch_settles.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Records one multi-target batch served by plain Dijkstra (the
-    /// complement of [`Self::note_ch_batch`]; its settles are charged
-    /// through [`Self::add_settles`] like everything else).
-    #[inline]
-    pub fn note_dijkstra_batch(&self) {
-        self.dijkstra_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Plain-Dijkstra batches recorded so far.
-    pub fn dijkstra_batches(&self) -> u64 {
-        self.dijkstra_batches.load(Ordering::Relaxed)
-    }
-
-    /// Folds workspace lifetime telemetry into the meter: `resets` runs
-    /// prepared, `recycles` runs that reused already-sized storage, and
-    /// `unpacks` CH near-tie path unpacks. Called once per workspace at
-    /// the end of each refinement scope, not per run.
-    pub fn note_workspace(&self, resets: u64, recycles: u64, unpacks: u64) {
-        self.ws_resets.fetch_add(resets, Ordering::Relaxed);
-        self.heap_recycles.fetch_add(recycles, Ordering::Relaxed);
-        self.ch_unpacks.fetch_add(unpacks, Ordering::Relaxed);
-    }
-
-    /// `(ws_resets, heap_recycles, ch_unpacks)` folded in so far.
-    pub fn workspace_tallies(&self) -> (u64, u64, u64) {
-        (
-            self.ws_resets.load(Ordering::Relaxed),
-            self.heap_recycles.load(Ordering::Relaxed),
-            self.ch_unpacks.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Records a fault that cost this query verified work — a caught
-    /// refinement panic or an errored center. See the `faults` field:
-    /// any nonzero count keeps the completion from claiming `Exact`.
-    #[inline]
-    pub fn note_fault(&self) {
-        self.faults.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Exactness-affecting faults recorded so far.
-    pub fn faults(&self) -> u64 {
-        self.faults.load(Ordering::Relaxed)
-    }
-
-    /// Records a CH batch panic absorbed by the bit-identical Dijkstra
-    /// fallback (informational; does not affect the completion).
-    #[inline]
-    pub fn note_ch_fault(&self) {
-        self.ch_faults.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Absorbed CH faults recorded so far.
-    pub fn ch_faults(&self) -> u64 {
-        self.ch_faults.load(Ordering::Relaxed)
+    /// The counts recorded so far.
+    pub fn snapshot(&self) -> QueryCounters {
+        let mut out = QueryCounters::default();
+        for &c in Counter::ALL {
+            out[c] = self.counts[c as usize].load(Ordering::Relaxed);
+        }
+        out
     }
 
     /// Re-checks the sticky trip state and the deadline without charging
@@ -537,32 +431,6 @@ impl BudgetState {
     /// The first trip, if any.
     pub fn trip(&self) -> Option<Trip> {
         trip_decode(self.tripped.load(Ordering::Relaxed))
-    }
-
-    /// Heap pops recorded so far.
-    pub fn pops(&self) -> u64 {
-        self.pops.load(Ordering::Relaxed)
-    }
-
-    /// Connected subsets recorded so far.
-    pub fn groups(&self) -> u64 {
-        self.groups.load(Ordering::Relaxed)
-    }
-
-    /// Dijkstra-settled vertices recorded so far.
-    pub fn settles(&self) -> u64 {
-        self.settles.load(Ordering::Relaxed)
-    }
-
-    /// `(ball hits, ball misses, dist hits, dist misses)` recorded so far
-    /// against the cross-query distance cache.
-    pub fn cache_tallies(&self) -> (u64, u64, u64, u64) {
-        (
-            self.ball_hits.load(Ordering::Relaxed),
-            self.ball_misses.load(Ordering::Relaxed),
-            self.dist_hits.load(Ordering::Relaxed),
-            self.dist_misses.load(Ordering::Relaxed),
-        )
     }
 
     #[inline]
@@ -599,10 +467,12 @@ mod tests {
             assert_eq!(b.note_pop(), None);
             assert_eq!(b.note_group(), None);
         }
-        assert_eq!(b.add_settles(1 << 40), None);
+        assert_eq!(b.add_settles(Counter::DijkstraSettles, 1 << 40), None);
         assert!(!b.is_tripped());
-        assert_eq!(b.pops(), 10_000);
-        assert_eq!(b.groups(), 10_000);
+        let c = b.snapshot();
+        assert_eq!(c[Counter::HeapPops], 10_000);
+        assert_eq!(c[Counter::GroupsEnumerated], 10_000);
+        assert_eq!(c.total_settles(), 1 << 40);
     }
 
     #[test]
@@ -617,10 +487,10 @@ mod tests {
         assert_eq!(b.note_pop(), Some(Trip::HeapPops));
         // Sticky: every later check reports the same trip.
         assert_eq!(b.note_group(), Some(Trip::HeapPops));
-        assert_eq!(b.add_settles(1), Some(Trip::HeapPops));
+        assert_eq!(b.add_settles(Counter::ChSettles, 1), Some(Trip::HeapPops));
         assert_eq!(b.check(), Some(Trip::HeapPops));
         // The tripping attempt is never counted: metrics stay <= budget.
-        assert_eq!(b.pops(), 3);
+        assert_eq!(b.snapshot()[Counter::HeapPops], 3);
     }
 
     #[test]
@@ -637,8 +507,13 @@ mod tests {
             max_dijkstra_settles: Some(10),
             ..Default::default()
         });
-        assert_eq!(b.add_settles(10), None);
-        assert_eq!(b.add_settles(1), Some(Trip::DijkstraSettles));
+        // The cap covers both backends' sum.
+        assert_eq!(b.add_settles(Counter::DijkstraSettles, 6), None);
+        assert_eq!(b.add_settles(Counter::ChSettles, 4), None);
+        assert_eq!(
+            b.add_settles(Counter::ChSettles, 1),
+            Some(Trip::DijkstraSettles)
+        );
     }
 
     #[test]

@@ -65,5 +65,5 @@ pub use serve::{
     serve, serve_jsonl, OverloadPolicy, ServeConfig, ServeObs, ServeObsConfig, ServeRequest,
     ServeResponse, ServeStats, Submission,
 };
-pub use stats::{BackendServed, CacheStats, PruningStats, QueryMetrics, QueryOutcome};
+pub use stats::{Counter, QueryCounters, QueryMetrics, QueryOutcome};
 pub use tuning::{suggest_parameters, TunedParameters};

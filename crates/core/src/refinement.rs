@@ -21,6 +21,7 @@ use crate::breaker::CircuitBreaker;
 use crate::cache::{DistDir, DistanceCache};
 use crate::error::{BudgetState, GpSsnError};
 use crate::query::{GpSsnAnswer, GpSsnQuery};
+use crate::stats::Counter;
 use gpssn_graph::{enumerate_connected_subsets, ChOracle, ChSearch, DijkstraWorkspace};
 use gpssn_road::{dist_rn_many_ch, dist_rn_many_counted_with, NetworkPoint, PoiId};
 use gpssn_social::UserId;
@@ -98,8 +99,9 @@ pub struct ChBackend<'a> {
 /// dispatched on the context's backend. Both paths produce bit-identical
 /// rows (the CH oracle unpacks shortcuts and refolds original edge
 /// weights in Dijkstra's exact operation order); settles are charged to
-/// the same budget either way, with CH batches additionally tallied for
-/// [`crate::BackendServed::ch_batches`].
+/// the same budget either way, and the batch and its settles count on the
+/// backend that served it ([`Counter::ChBatches`] or
+/// [`Counter::DijkstraBatches`]).
 fn dist_batch(
     ssn: &SpatialSocialNetwork,
     ctx: &mut VerifyContext<'_>,
@@ -125,29 +127,26 @@ fn dist_batch(
                     if let Some(b) = ctx.breaker {
                         b.record_success(ctx.obs);
                     }
-                    ctx.budget.note_ch_batch(settled);
-                    ctx.budget.add_settles(settled);
+                    ctx.budget.add(Counter::ChBatches, 1);
+                    ctx.budget.add_settles(Counter::ChSettles, settled);
                     return row;
                 }
                 Err(_) => {
                     // The unwound batch left the workspace mid-sweep;
                     // wipe it so the next batch stays bit-identical.
                     chb.search.hard_reset();
-                    ctx.budget.note_ch_fault();
+                    ctx.budget.add(Counter::ChFaults, 1);
                     if let Some(b) = ctx.breaker {
                         b.record_failure(ctx.obs);
-                    }
-                    if let Some(o) = ctx.obs {
-                        o.inc("gpssn_ch_faults_total", &[], 1);
                     }
                 }
             }
         }
     }
     let _span = obs.map(|o| o.tracer().span("dijkstra_batch"));
-    ctx.budget.note_dijkstra_batch();
+    ctx.budget.add(Counter::DijkstraBatches, 1);
     let (row, settled) = dist_rn_many_counted_with(ssn.road(), ctx.ws, source, targets);
-    ctx.budget.add_settles(settled);
+    ctx.budget.add_settles(Counter::DijkstraSettles, settled);
     row
 }
 
@@ -173,12 +172,12 @@ fn cached_row(
         .cache
         .and_then(|c| c.get_row(dir, source_id, target_ids))
     {
-        ctx.budget.note_dist_cache(true, n);
+        ctx.budget.add(Counter::DistHits, n);
         return Some(row);
     }
     let row = dist_batch(ssn, ctx, source, targets);
     if let Some(cache) = ctx.cache {
-        ctx.budget.note_dist_cache(false, n);
+        ctx.budget.add(Counter::DistMisses, n);
         cache.put_row(dir, source_id, target_ids, &row);
     }
     if ctx.budget.is_tripped() {
@@ -244,11 +243,11 @@ pub fn verify_center(
     let ball: Arc<Vec<(PoiId, f64)>> = match ctx.cache {
         Some(cache) => match cache.get_ball(center, q.radius) {
             Some(b) => {
-                budget.note_ball_cache(true);
+                budget.add(Counter::BallHits, 1);
                 b
             }
             None => {
-                budget.note_ball_cache(false);
+                budget.add(Counter::BallMisses, 1);
                 let b = Arc::new(ssn.pois().network_ball_with(
                     ssn.road(),
                     ctx.ws,

@@ -13,6 +13,7 @@
 
 use crate::error::BudgetState;
 use crate::query::{GpSsnAnswer, GpSsnQuery};
+use crate::stats::Counter;
 use gpssn_road::{dist_rn_many_counted, NetworkPoint, PoiId};
 use gpssn_social::UserId;
 use gpssn_ssn::{match_score_keywords, SpatialSocialNetwork};
@@ -109,7 +110,7 @@ pub fn verify_center_sampled<R: Rng + ?Sized>(
     let cost = |u: UserId, cache: &mut std::collections::HashMap<UserId, f64>| -> f64 {
         *cache.entry(u).or_insert_with(|| {
             let (dists, settled) = dist_rn_many_counted(ssn.road(), &ssn.home(u), &positions);
-            budget.add_settles(settled);
+            budget.add_settles(Counter::DijkstraSettles, settled);
             dists.into_iter().fold(0.0f64, f64::max)
         })
     };

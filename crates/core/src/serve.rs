@@ -63,10 +63,10 @@
 use crate::algorithm::{resolve_threads, run_isolated, GpSsnEngine, QueryOptions};
 use crate::error::{Completion, GpSsnError, QueryBudget};
 use crate::query::{GpSsnAnswer, GpSsnQuery};
-use crate::stats::QueryOutcome;
+use crate::stats::{Counter, QueryOutcome};
 use gpssn_obs::{
-    json, FlightConfig, FlightCounters, FlightRecord, FlightRecorder, Obs, Registry, ServeClass,
-    SloConfig, SloMonitor, SpanRecord, TailConfig, TailDecision, TailSampler, WindowConfig,
+    json, FlightConfig, FlightRecord, FlightRecorder, Obs, Registry, ServeClass, SloConfig,
+    SloMonitor, SpanRecord, TailConfig, TailDecision, TailSampler, WindowConfig,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, Write};
@@ -720,29 +720,12 @@ fn classify(result: &Result<QueryOutcome, GpSsnError>) -> (ServeClass, &'static 
 
 /// Which distance backend actually served the request's batches.
 fn backend_label(out: &QueryOutcome) -> &'static str {
-    let b = &out.metrics.backend_served;
-    match (b.ch_batches > 0, b.dijkstra_batches > 0) {
+    let c = &out.metrics.counters;
+    match (c[Counter::ChBatches] > 0, c[Counter::DijkstraBatches] > 0) {
         (true, true) => "mixed",
         (true, false) => "ch",
         (false, true) => "dijkstra",
         (false, false) => "",
-    }
-}
-
-/// The Fig-7 pruning counters of a finished outcome, flattened for the
-/// flight record.
-fn flight_counters(out: &QueryOutcome) -> FlightCounters {
-    let s = &out.metrics.stats;
-    FlightCounters {
-        users_total: s.users_total as u64,
-        users_pruned_index: s.users_pruned_index as u64,
-        users_pruned_object: s.users_pruned_object as u64,
-        pois_total: s.pois_total as u64,
-        pois_pruned_index: s.pois_pruned_index as u64,
-        pois_pruned_object: s.pois_pruned_object as u64,
-        candidate_users: s.candidate_users as u64,
-        candidate_pois: s.candidate_pois as u64,
-        pairs_refined: s.pairs_refined,
     }
 }
 
@@ -799,20 +782,16 @@ fn record_completion(
     let queue_wait_ns = queue_wait.as_nanos().min(NS_MAX) as u64;
     let now_ns = tele.slo.now_ns();
     tele.slo.record(now_ns, total_ns, queue_wait_ns, class);
-    let (backend, io_pages, heap_pops, settles, cache_hits, cache_misses, counters) = match result {
-        Ok(out) => {
-            let c = &out.metrics.cache;
-            (
-                backend_label(out),
-                out.metrics.io_pages,
-                out.metrics.heap_pops,
-                out.metrics.backend_served.total_settles(),
-                c.ball_hits + c.dist_hits,
-                c.ball_misses + c.dist_misses,
-                flight_counters(out),
-            )
-        }
-        Err(_) => ("", 0, 0, 0, 0, 0, FlightCounters::default()),
+    let (backend, counters) = match result {
+        Ok(out) => (
+            backend_label(out),
+            out.metrics
+                .counters
+                .iter()
+                .map(|(c, v)| (c.key(), v))
+                .collect(),
+        ),
+        Err(_) => ("", Vec::new()),
     };
     tele.flight.record(FlightRecord {
         id: 0, // assigned by the recorder
@@ -824,11 +803,6 @@ fn record_completion(
         end_ns: now_ns,
         total_ns,
         queue_wait_ns,
-        io_pages,
-        heap_pops,
-        settles,
-        cache_hits,
-        cache_misses,
         counters,
         phases,
         trace_committed,
@@ -977,7 +951,7 @@ pub(crate) fn response_line(resp: &ServeResponse) -> String {
             line.push_str(&format!(
                 ",\"cpu_us\":{},\"io_pages\":{}",
                 out.metrics.cpu.as_micros(),
-                out.metrics.io_pages
+                out.metrics.counters[Counter::IoPages]
             ));
         }
         Ok(out) => {

@@ -176,7 +176,7 @@ impl ChOracle {
     /// independent set, since two adjacent vertices cannot both be local
     /// minima — simulates all their contractions concurrently against
     /// the immutable pre-round adjacency (scoped threads, one reused
-    /// [`WitnessSearch`] workspace per worker), and then merges
+    /// `WitnessSearch` workspace per worker), and then merges
     /// shortcuts and assigns ranks sequentially in ascending key order.
     /// Selection, the per-candidate witness searches, and the merge are
     /// all functions of the pre-round state alone, so the rank
@@ -942,7 +942,7 @@ impl ChSearch {
 
     /// Restores the workspace to a clean state after a query aborted
     /// mid-batch (a panic unwound out of [`ChOracle::batch_dists`]).
-    /// Unlike the incremental [`ChSearch::reset_sweep`], this wipes the
+    /// Unlike the incremental sweep reset between batches, this wipes the
     /// full sweep arrays — O(n), but only run on the fault path — so a
     /// later batch on the same workspace stays bit-identical. Storage
     /// capacity and lifetime counters are retained.

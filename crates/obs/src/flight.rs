@@ -4,7 +4,7 @@
 //!
 //! Each record is one finished (or shed) request: outcome class,
 //! degradation rung, backend, end-to-end and queue-wait nanoseconds,
-//! the Fig-7 pruning counters, and the per-phase wall-clock breakdown
+//! the query's counters, and the per-phase wall-clock breakdown
 //! recovered from the query's span capture. Records land in one of a
 //! small set of mutex-sharded rings picked round-robin by record id,
 //! so concurrent workers rarely contend on the same lock; a dump sorts
@@ -34,20 +34,6 @@ impl Default for FlightConfig {
     }
 }
 
-/// The paper's Fig-7 pruning-power counters, copied per request.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlightCounters {
-    pub users_total: u64,
-    pub users_pruned_index: u64,
-    pub users_pruned_object: u64,
-    pub pois_total: u64,
-    pub pois_pruned_index: u64,
-    pub pois_pruned_object: u64,
-    pub candidate_users: u64,
-    pub candidate_pois: u64,
-    pub pairs_refined: u64,
-}
-
 /// One completed (or shed) request, as retained by the recorder.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecord {
@@ -70,16 +56,10 @@ pub struct FlightRecord {
     pub total_ns: u64,
     /// Time spent queued before dispatch.
     pub queue_wait_ns: u64,
-    /// Pages touched by the I/O-cost model.
-    pub io_pages: u64,
-    /// Priority-queue pops across search phases.
-    pub heap_pops: u64,
-    /// Dijkstra + CH settles.
-    pub settles: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    /// Fig-7 pruning counters.
-    pub counters: FlightCounters,
+    /// The query's counters as `(flat key, value)` pairs (the engine's
+    /// per-query counter record, in its slot order). Empty for requests
+    /// that never reached the engine.
+    pub counters: Vec<(&'static str, u64)>,
     /// Per-phase wall-clock breakdown `(phase, ns)`, top-level spans of
     /// the query's capture in execution order. Empty when tracing was
     /// off or the request never ran.
@@ -185,7 +165,7 @@ impl FlightRecorder {
     /// newline), parseable by [`crate::json::parse`].
     pub fn to_json(&self) -> String {
         let recs = self.records();
-        let mut out = String::with_capacity(128 + recs.len() * 256);
+        let mut out = String::with_capacity(128 + recs.len() * 1024);
         out.push_str("{\"records\":[");
         for (i, r) in recs.iter().enumerate() {
             if i > 0 {
@@ -194,8 +174,7 @@ impl FlightRecorder {
             out.push_str(&format!(
                 "{{\"id\":{},\"seq\":{},\"class\":\"{}\",\"completion\":\"{}\",\
                  \"code\":\"{}\",\"backend\":\"{}\",\"end_ns\":{},\"total_ns\":{},\
-                 \"queue_wait_ns\":{},\"io_pages\":{},\"heap_pops\":{},\"settles\":{},\
-                 \"cache_hits\":{},\"cache_misses\":{},\"trace_committed\":{},",
+                 \"queue_wait_ns\":{},\"trace_committed\":{},",
                 r.id,
                 r.seq,
                 escape(r.class),
@@ -205,41 +184,28 @@ impl FlightRecorder {
                 r.end_ns,
                 r.total_ns,
                 r.queue_wait_ns,
-                r.io_pages,
-                r.heap_pops,
-                r.settles,
-                r.cache_hits,
-                r.cache_misses,
                 r.trace_committed,
             ));
-            let c = &r.counters;
-            out.push_str(&format!(
-                "\"pruning\":{{\"users_total\":{},\"users_pruned_index\":{},\
-                 \"users_pruned_object\":{},\"pois_total\":{},\"pois_pruned_index\":{},\
-                 \"pois_pruned_object\":{},\"candidate_users\":{},\"candidate_pois\":{},\
-                 \"pairs_refined\":{}}},",
-                c.users_total,
-                c.users_pruned_index,
-                c.users_pruned_object,
-                c.pois_total,
-                c.pois_pruned_index,
-                c.pois_pruned_object,
-                c.candidate_users,
-                c.candidate_pois,
-                c.pairs_refined,
-            ));
-            out.push_str("\"phases\":{");
-            for (j, (name, ns)) in r.phases.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{}\":{}", escape(name), ns));
-            }
-            out.push_str("}}");
+            push_object(&mut out, "counters", &r.counters);
+            out.push(',');
+            push_object(&mut out, "phases", &r.phases);
+            out.push('}');
         }
         out.push_str(&format!("],\"dropped\":{}}}", self.dropped()));
         out
     }
+}
+
+/// Appends `"name":{"key":value,...}`.
+fn push_object(out: &mut String, name: &str, pairs: &[(&'static str, u64)]) {
+    out.push_str(&format!("\"{name}\":{{"));
+    for (j, (key, v)) in pairs.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!("\"{}\":{}", escape(key), v));
+    }
+    out.push('}');
 }
 
 impl Default for FlightRecorder {
@@ -263,16 +229,7 @@ mod tests {
             end_ns,
             total_ns: 1000,
             queue_wait_ns: 10,
-            io_pages: 3,
-            heap_pops: 40,
-            settles: 7,
-            cache_hits: 1,
-            cache_misses: 2,
-            counters: FlightCounters {
-                users_total: 100,
-                users_pruned_index: 60,
-                ..FlightCounters::default()
-            },
+            counters: vec![("io_pages", 3), ("users_total", 100)],
             phases: vec![("filter", 400), ("refine", 600)],
             trace_committed: false,
         }
@@ -316,7 +273,7 @@ mod tests {
         assert_eq!(recs[0].get("class").and_then(|c| c.as_str()), Some("ok"));
         assert_eq!(
             recs[0]
-                .get("pruning")
+                .get("counters")
                 .and_then(|p| p.get("users_total"))
                 .and_then(|n| n.as_f64()),
             Some(100.0)

@@ -22,7 +22,7 @@ pub mod tail;
 pub mod trace;
 pub mod window;
 
-pub use flight::{FlightConfig, FlightCounters, FlightRecord, FlightRecorder};
+pub use flight::{FlightConfig, FlightRecord, FlightRecorder};
 pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, MetricId,
     Registry, Snapshot, HIST_BUCKETS,

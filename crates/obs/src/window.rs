@@ -360,8 +360,8 @@ struct SloInner {
 }
 
 /// Rolling SLO evaluation over serve latency and queue wait. Clock-in,
-/// numbers-out: every method takes `now_ns` relative to
-/// [`SloMonitor::epoch`] (use [`SloMonitor::now_ns`] in production,
+/// numbers-out: every method takes `now_ns` relative to the monitor's
+/// creation instant (use [`SloMonitor::now_ns`] in production,
 /// hand-picked values in tests).
 pub struct SloMonitor {
     cfg: SloConfig,

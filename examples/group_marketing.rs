@@ -10,7 +10,7 @@
 //! cargo run --release --example group_marketing
 //! ```
 
-use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget};
+use gpssn::core::{Counter, EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget};
 use gpssn::ssn::{synthetic, SyntheticConfig};
 
 const CATEGORIES: [&str; 5] = [
@@ -65,7 +65,7 @@ fn main() {
                     ans.users.len() - 1,
                     ans.pois.len(),
                     ans.maxdist,
-                    outcome.metrics.io_pages,
+                    outcome.metrics.counters[Counter::IoPages],
                     outcome.metrics.cpu,
                 );
                 let cats: Vec<&str> = ans

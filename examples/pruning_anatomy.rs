@@ -7,7 +7,7 @@
 //! ```
 
 use gpssn::core::algorithm::QueryOptions;
-use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget};
+use gpssn::core::{Counter, EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget};
 use gpssn::ssn::{synthetic, SyntheticConfig};
 
 fn main() -> Result<(), GpSsnError> {
@@ -24,38 +24,38 @@ fn main() -> Result<(), GpSsnError> {
         },
         &budget,
     )?;
-    let s = &full.metrics.stats;
+    let s = &full.metrics.counters;
     println!("query: {q:?}\n");
     println!("-- pruning anatomy (all rules on) --");
-    println!("users:  {} total", s.users_total);
+    println!("users:  {} total", s[Counter::UsersTotal]);
     println!(
         "  index-level pruned : {:>6}  ({:.1}%)",
-        s.users_pruned_index,
+        s[Counter::UsersPrunedIndex],
         100.0 * s.social_index_power()
     );
     println!(
         "  object-level pruned: {:>6}  ({:.1}% of survivors)",
-        s.users_pruned_object,
+        s[Counter::UsersPrunedObject],
         100.0 * s.social_object_power()
     );
-    println!("  candidates         : {:>6}", s.candidate_users);
-    println!("pois:   {} total", s.pois_total);
+    println!("  candidates         : {:>6}", s[Counter::CandidateUsers]);
+    println!("pois:   {} total", s[Counter::PoisTotal]);
     println!(
         "  index-level pruned : {:>6}  ({:.1}%)",
-        s.pois_pruned_index,
+        s[Counter::PoisPrunedIndex],
         100.0 * s.road_index_power()
     );
     println!(
         "  object-level pruned: {:>6}  ({:.1}% of survivors)",
-        s.pois_pruned_object,
+        s[Counter::PoisPrunedObject],
         100.0 * s.road_object_power()
     );
-    println!("  candidate centers  : {:>6}", s.candidate_pois);
+    println!("  candidate centers  : {:>6}", s[Counter::CandidatePois]);
     println!(
         "pairs:  {:.3e} possible, {} refined  (power {:.5}%)",
-        s.pairs_total_estimate,
-        s.pairs_refined,
-        100.0 * s.pair_power()
+        s.pairs_total_estimate(q.tau),
+        s[Counter::PairsRefined],
+        100.0 * s.pair_power(q.tau)
     );
     println!(
         "\nanswer: {:?}",
@@ -63,7 +63,8 @@ fn main() -> Result<(), GpSsnError> {
     );
     println!(
         "cost:   {:.2?}, {} page accesses",
-        full.metrics.cpu, full.metrics.io_pages
+        full.metrics.cpu,
+        full.metrics.counters[Counter::IoPages]
     );
 
     println!("\n-- ablation: disable one rule family at a time --");
@@ -102,7 +103,7 @@ fn main() -> Result<(), GpSsnError> {
         "{:<28} {:>12} {:>8}",
         "all rules",
         format!("{:.2?}", full.metrics.cpu),
-        full.metrics.io_pages
+        full.metrics.counters[Counter::IoPages]
     );
     for (name, opts) in variants {
         let out = engine.try_query(&q, &opts, &budget)?;
@@ -115,7 +116,7 @@ fn main() -> Result<(), GpSsnError> {
             "{:<28} {:>12} {:>8}",
             name,
             format!("{:.2?}", out.metrics.cpu),
-            out.metrics.io_pages
+            out.metrics.counters[Counter::IoPages]
         );
     }
     Ok(())

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget};
+use gpssn::core::{Counter, EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget};
 use gpssn::ssn::{synthetic, DatasetStats, SyntheticConfig};
 
 fn main() -> Result<(), GpSsnError> {
@@ -54,7 +54,8 @@ fn main() -> Result<(), GpSsnError> {
     }
     println!(
         "\nmetrics: {:.2?} CPU, {} page accesses",
-        outcome.metrics.cpu, outcome.metrics.io_pages
+        outcome.metrics.cpu,
+        outcome.metrics.counters[Counter::IoPages]
     );
     Ok(())
 }

@@ -12,7 +12,8 @@
 //! ```
 
 use gpssn::core::{
-    suggest_parameters, EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget, QueryMode, QueryOptions,
+    suggest_parameters, Counter, EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget, QueryMode,
+    QueryOptions,
 };
 use gpssn::ssn::{synthetic, SyntheticConfig};
 
@@ -61,7 +62,11 @@ fn main() {
         .flatten()
         .filter(|o| o.answer().is_some())
         .count();
-    let total_io: u64 = results.iter().flatten().map(|o| o.metrics.io_pages).sum();
+    let total_io: u64 = results
+        .iter()
+        .flatten()
+        .map(|o| o.metrics.counters[Counter::IoPages])
+        .sum();
     println!(
         "batch: {}/{} answered in {wall:.2?} on 4 threads ({} physical page reads total)",
         answered,

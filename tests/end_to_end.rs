@@ -6,7 +6,7 @@ mod common;
 use common::query;
 use gpssn::core::algorithm::{EngineConfig, QueryOptions};
 use gpssn::core::query::check_answer;
-use gpssn::core::{GpSsnEngine, GpSsnQuery};
+use gpssn::core::{Counter, GpSsnEngine, GpSsnQuery};
 use gpssn::index::{PivotSelectConfig, SocialIndexConfig};
 use gpssn::ssn::{DatasetKind, SpatialSocialNetwork};
 
@@ -46,7 +46,7 @@ fn all_four_datasets_answer_and_validate() {
             };
             let out = query(&engine, &q, &Default::default());
             assert!(
-                out.metrics.io_pages > 0,
+                out.metrics.counters[Counter::IoPages] > 0,
                 "{}: no pages touched",
                 kind.name()
             );
@@ -83,7 +83,7 @@ fn pruning_powers_are_plausible() {
             ..Default::default()
         },
     );
-    let s = &out.metrics.stats;
+    let s = &out.metrics.counters;
     // The paper reports very high combined pruning power; at minimum the
     // rules must fire and never exceed 100%.
     for p in [
@@ -95,20 +95,20 @@ fn pruning_powers_are_plausible() {
         s.interest_power(),
         s.road_distance_power(),
         s.matching_power(),
-        s.pair_power(),
+        s.pair_power(q.tau),
     ] {
         assert!((0.0..=1.0).contains(&p), "power out of range: {p}");
     }
-    let combined_social =
-        (s.users_pruned_index + s.users_pruned_object) as f64 / s.users_total as f64;
+    let combined_social = (s[Counter::UsersPrunedIndex] + s[Counter::UsersPrunedObject]) as f64
+        / s[Counter::UsersTotal] as f64;
     assert!(
         combined_social > 0.2,
         "social pruning suspiciously weak: {combined_social}"
     );
     assert!(
-        s.pair_power() > 0.99,
+        s.pair_power(q.tau) > 0.99,
         "pair pruning power too weak: {}",
-        s.pair_power()
+        s.pair_power(q.tau)
     );
 }
 
@@ -127,8 +127,8 @@ fn io_cost_scales_sublinearly_with_pois() {
         theta: 0.5,
         radius: 2.0,
     };
-    let io_s = query(&es, &q, &Default::default()).metrics.io_pages as f64;
-    let io_l = query(&el, &q, &Default::default()).metrics.io_pages as f64;
+    let io_s = query(&es, &q, &Default::default()).metrics.counters[Counter::IoPages] as f64;
+    let io_l = query(&el, &q, &Default::default()).metrics.counters[Counter::IoPages] as f64;
     assert!(
         io_l < io_s * 6.0,
         "I/O grew superlinearly: {io_s} -> {io_l}"
@@ -149,7 +149,10 @@ fn repeated_queries_are_deterministic() {
     let a = query(&engine, &q, &Default::default());
     let b = query(&engine, &q, &Default::default());
     assert_eq!(a.answers, b.answers);
-    assert_eq!(a.metrics.io_pages, b.metrics.io_pages);
+    assert_eq!(
+        a.metrics.counters[Counter::IoPages],
+        b.metrics.counters[Counter::IoPages]
+    );
 }
 
 #[test]

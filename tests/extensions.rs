@@ -5,7 +5,7 @@
 mod common;
 use common::{assert_bit_identical, query, small_cfg, small_engine};
 use gpssn::core::query::check_answer;
-use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryMode, QueryOptions};
+use gpssn::core::{Counter, EngineConfig, GpSsnEngine, GpSsnQuery, QueryMode, QueryOptions};
 use gpssn::ssn::{synthetic, SyntheticConfig};
 
 fn mode(mode: QueryMode) -> QueryOptions {
@@ -150,8 +150,9 @@ fn exact_social_distance_mode_is_equivalent_and_prunes_no_less() {
         // Exact distances can only prune at least as many users at the
         // object level (the pivot rule is a lower bound of the truth).
         assert!(
-            b.metrics.stats.users_pruned_object + b.metrics.stats.users_pruned_index
-                >= a.metrics.stats.users_pruned_object,
+            b.metrics.counters[Counter::UsersPrunedObject]
+                + b.metrics.counters[Counter::UsersPrunedIndex]
+                >= a.metrics.counters[Counter::UsersPrunedObject],
             "exact mode pruned fewer users (seed {seed})"
         );
     }

@@ -11,8 +11,8 @@ use common::{small_cfg, small_engine};
 use gpssn::core::query::check_answer;
 use gpssn::core::refinement::test_hooks;
 use gpssn::core::{
-    try_exact_baseline, Completion, EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget,
-    QueryMode, QueryOptions,
+    try_exact_baseline, Completion, Counter, DegradationPolicy, EngineConfig, GpSsnEngine,
+    GpSsnError, GpSsnQuery, QueryBudget, QueryMode, QueryOptions,
 };
 use gpssn::ssn::{synthetic, SyntheticConfig};
 use std::sync::atomic::Ordering;
@@ -241,7 +241,7 @@ fn budget_trip_degrades_to_anytime_answer() {
     let exact = unlimited
         .answer()
         .expect("fixture query must have an answer");
-    let total_groups = unlimited.metrics.groups_enumerated;
+    let total_groups = unlimited.metrics.counters[Counter::GroupsEnumerated];
     assert!(
         total_groups > 2,
         "fixture too small to truncate meaningfully"
@@ -330,7 +330,50 @@ fn pops_budget_of_one_fails_cleanly() {
         other => panic!("expected a heap-pop budget failure, got {other:?}"),
     }
     assert!(out.answers.is_empty());
-    assert!(out.metrics.heap_pops <= 1);
+    assert!(out.metrics.counters[Counter::HeapPops] <= 1);
+}
+
+#[test]
+fn sampling_rescue_work_counts_toward_the_query() {
+    let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 11);
+    let engine = small_engine(&ssn);
+    let q = GpSsnQuery {
+        user: 0,
+        tau: 2,
+        gamma: 0.3,
+        theta: 0.3,
+        radius: 3.0,
+    };
+    let opts = QueryOptions {
+        degradation: DegradationPolicy::Ladder,
+        ..Default::default()
+    };
+    let budget = QueryBudget {
+        max_heap_pops: Some(1),
+        ..Default::default()
+    };
+    let out = engine
+        .try_query(&q, &opts, &budget)
+        .expect("trips degrade, never Err");
+    assert!(
+        matches!(out.completion, Completion::DegradedSampling),
+        "a one-pop budget under the ladder should end on the sampling rung, got {:?}",
+        out.completion
+    );
+    let ans = out.answer().expect("the sampling rung carries an answer");
+    check_answer(&ssn, &q, ans).expect("rescued answer violates Definition 5");
+    // The rescue ran its own traversal and sampler under its own budget;
+    // those pops and settles read the pages the query reports, so they
+    // count toward the query too.
+    let c = &out.metrics.counters;
+    assert!(
+        c[Counter::HeapPops] > 1,
+        "rescue pops missing from the query's counters: {c:?}"
+    );
+    assert!(
+        c.total_settles() > 0,
+        "rescue settles missing from the query's counters: {c:?}"
+    );
 }
 
 #[test]

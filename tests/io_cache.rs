@@ -4,7 +4,7 @@
 mod common;
 use common::query;
 use gpssn::core::algorithm::QueryOptions;
-use gpssn::core::{EngineConfig, GpSsnEngine, GpSsnQuery};
+use gpssn::core::{Counter, EngineConfig, GpSsnEngine, GpSsnQuery};
 use gpssn::ssn::{synthetic, SyntheticConfig};
 
 #[test]
@@ -35,12 +35,12 @@ fn page_cache_reduces_io_without_changing_answers() {
             "cache changed the answer for user {user}"
         );
         assert!(
-            b.metrics.io_pages <= a.metrics.io_pages,
+            b.metrics.counters[Counter::IoPages] <= a.metrics.counters[Counter::IoPages],
             "cache increased I/O: {} > {}",
-            b.metrics.io_pages,
-            a.metrics.io_pages
+            b.metrics.counters[Counter::IoPages],
+            a.metrics.counters[Counter::IoPages]
         );
-        if b.metrics.io_pages < a.metrics.io_pages {
+        if b.metrics.counters[Counter::IoPages] < a.metrics.counters[Counter::IoPages] {
             any_hit = true;
         }
     }
@@ -107,7 +107,8 @@ fn tight_mbr_test_preserves_answers_and_prunes_no_less() {
             "tight MBR test changed the answer"
         );
         assert!(
-            tight.metrics.stats.users_pruned_index >= geo.metrics.stats.users_pruned_index,
+            tight.metrics.counters[Counter::UsersPrunedIndex]
+                >= geo.metrics.counters[Counter::UsersPrunedIndex],
             "tight test pruned fewer nodes than the geometric one"
         );
     }

@@ -1,23 +1,22 @@
-//! PR 4 acceptance properties for the telemetry layer.
+//! Acceptance properties for the telemetry layer.
 //!
-//! 1. **Fig. 7 parity** — the Prometheus exposition path carries exactly
-//!    the same pruning counters as the legacy [`PruningStats`] returned
-//!    per query: bitwise-equal u64 sums, and a `PruningStats`
-//!    reconstructed from the exposition text reproduces every Fig. 7
-//!    power accessor bit-for-bit.
+//! 1. **Registry = sum of per-query counters** — every [`Counter`]'s
+//!    Prometheus series equals that counter summed over the per-query
+//!    outcomes, bitwise, so the registry is a projection of the
+//!    per-query record and the Fig. 7 powers computed from either agree.
 //! 2. **Chrome trace validity** — a traced query emits `trace_event`
 //!    JSON our own minimal parser accepts, with the query → prune →
 //!    refine → verify_center → distance-layer span levels present and
 //!    `verify_center` spans parented under a refinement span.
-//! 3. **Batch-merge determinism** — two identical batch runs on fresh
-//!    engines produce identical counter maps, regardless of how the OS
-//!    interleaves the worker threads (per-thread registries merged in
-//!    chunk order).
+//! 3. **Batch determinism** — two identical batch runs on fresh engines
+//!    produce identical counter maps, and so does a single-threaded run,
+//!    regardless of how the OS interleaves the serve workers (every
+//!    query adds its own counters to the one shared registry).
 
 mod common;
 use common::corpus;
 use gpssn::core::algorithm::{EngineConfig, QueryOptions};
-use gpssn::core::{GpSsnEngine, PruningStats, QueryBudget};
+use gpssn::core::{Counter, GpSsnEngine, QueryBudget, QueryCounters};
 use gpssn::index::{PivotSelectConfig, SocialIndexConfig};
 use gpssn::obs::{chrome_trace_json, json, Obs};
 use gpssn::ssn::{synthetic, SyntheticConfig};
@@ -59,7 +58,7 @@ fn prom_counter(text: &str, id: &str) -> u64 {
 }
 
 #[test]
-fn fig7_counters_match_legacy_pruning_stats_bitwise() {
+fn every_counter_series_is_the_sum_of_per_query_counters() {
     let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 7);
     let obs = Arc::new(Obs::with_metrics());
     let engine = GpSsnEngine::build(&ssn, small_cfg(7, Some(obs.clone())));
@@ -68,112 +67,32 @@ fn fig7_counters_match_legacy_pruning_stats_bitwise() {
         ..Default::default()
     };
 
-    // Legacy path: sum the per-query PruningStats structs.
-    let mut legacy = PruningStats::default();
+    let mut sum = QueryCounters::default();
     for q in corpus(&ssn, 7) {
-        let out = common::query(&engine, &q, &opts);
-        let s = &out.metrics.stats;
-        legacy.users_total += s.users_total;
-        legacy.users_pruned_index += s.users_pruned_index;
-        legacy.users_pruned_object += s.users_pruned_object;
-        legacy.users_pruned_by_distance += s.users_pruned_by_distance;
-        legacy.users_pruned_by_interest += s.users_pruned_by_interest;
-        legacy.pois_total += s.pois_total;
-        legacy.pois_pruned_index += s.pois_pruned_index;
-        legacy.pois_pruned_object += s.pois_pruned_object;
-        legacy.pois_pruned_by_distance += s.pois_pruned_by_distance;
-        legacy.pois_pruned_by_matching += s.pois_pruned_by_matching;
-        legacy.pairs_total_estimate += s.pairs_total_estimate;
-        legacy.pairs_refined += s.pairs_refined;
-        legacy.candidate_users += s.candidate_users;
-        legacy.candidate_pois += s.candidate_pois;
+        sum += &common::query(&engine, &q, &opts).metrics.counters;
     }
-    assert!(legacy.users_total > 0, "corpus produced no feasible query");
-
-    // Exposition path: reconstruct the same struct from the Prometheus
-    // text. `pairs_total_estimate` is an f64 estimate, not a counter —
-    // carried over so `pair_power()` still checks `pairs_refined`.
-    let text = obs.base_registry().snapshot().to_prometheus();
-    let exposed = PruningStats {
-        users_total: prom_counter(&text, "gpssn_users_scanned_total") as usize,
-        users_pruned_index: prom_counter(&text, "gpssn_pruned_users_total{stage=\"index\"}")
-            as usize,
-        users_pruned_object: prom_counter(&text, "gpssn_pruned_users_total{stage=\"object\"}")
-            as usize,
-        users_pruned_by_distance: prom_counter(
-            &text,
-            "gpssn_pruned_users_total{stage=\"distance\"}",
-        ) as usize,
-        users_pruned_by_interest: prom_counter(
-            &text,
-            "gpssn_pruned_users_total{stage=\"interest\"}",
-        ) as usize,
-        pois_total: prom_counter(&text, "gpssn_pois_scanned_total") as usize,
-        pois_pruned_index: prom_counter(&text, "gpssn_pruned_pois_total{stage=\"index\"}") as usize,
-        pois_pruned_object: prom_counter(&text, "gpssn_pruned_pois_total{stage=\"object\"}")
-            as usize,
-        pois_pruned_by_distance: prom_counter(&text, "gpssn_pruned_pois_total{stage=\"distance\"}")
-            as usize,
-        pois_pruned_by_matching: prom_counter(&text, "gpssn_pruned_pois_total{stage=\"matching\"}")
-            as usize,
-        pairs_total_estimate: legacy.pairs_total_estimate,
-        pairs_refined: prom_counter(&text, "gpssn_pairs_refined_total"),
-        candidate_users: prom_counter(&text, "gpssn_candidate_users_total") as usize,
-        candidate_pois: prom_counter(&text, "gpssn_candidate_pois_total") as usize,
-    };
-
-    // Counters agree bitwise.
-    assert_eq!(
-        exposed, legacy,
-        "exposition counters diverge from legacy sums"
+    assert!(
+        sum[Counter::UsersTotal] > 0,
+        "corpus produced no feasible query"
     );
 
-    // And therefore every Fig. 7 power accessor agrees exactly.
-    let powers = [
-        (
-            "social_index",
-            legacy.social_index_power(),
-            exposed.social_index_power(),
-        ),
-        (
-            "social_object",
-            legacy.social_object_power(),
-            exposed.social_object_power(),
-        ),
-        (
-            "road_index",
-            legacy.road_index_power(),
-            exposed.road_index_power(),
-        ),
-        (
-            "road_object",
-            legacy.road_object_power(),
-            exposed.road_object_power(),
-        ),
-        (
-            "social_distance",
-            legacy.social_distance_power(),
-            exposed.social_distance_power(),
-        ),
-        (
-            "interest",
-            legacy.interest_power(),
-            exposed.interest_power(),
-        ),
-        (
-            "road_distance",
-            legacy.road_distance_power(),
-            exposed.road_distance_power(),
-        ),
-        (
-            "matching",
-            legacy.matching_power(),
-            exposed.matching_power(),
-        ),
-        ("pair", legacy.pair_power(), exposed.pair_power()),
-    ];
-    for (name, a, b) in powers {
-        assert_eq!(a.to_bits(), b.to_bits(), "{name} power differs: {a} vs {b}");
+    let text = obs.base_registry().snapshot().to_prometheus();
+    for &c in Counter::ALL {
+        let labels: Vec<String> = c
+            .labels()
+            .iter()
+            .map(|(k, v)| format!("{k}=\"{v}\""))
+            .collect();
+        let id = if labels.is_empty() {
+            c.name().to_string()
+        } else {
+            format!("{}{{{}}}", c.name(), labels.join(","))
+        };
+        assert_eq!(
+            prom_counter(&text, &id),
+            sum[c],
+            "{id} diverges from the per-query {c:?} sum"
+        );
     }
 }
 
@@ -248,7 +167,7 @@ fn chrome_trace_is_valid_json_with_expected_span_levels() {
 }
 
 #[test]
-fn batch_counter_merge_is_deterministic_across_runs() {
+fn batch_counters_are_deterministic_across_runs() {
     let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 13);
     let queries = corpus(&ssn, 13);
     let budget = QueryBudget::unlimited();
@@ -264,16 +183,16 @@ fn batch_counter_merge_is_deterministic_across_runs() {
     let a = run(4);
     let b = run(4);
     assert!(!a.counters.is_empty(), "batch recorded no counters");
-    // Two runs over the same corpus merge per-thread registries into
-    // identical counter maps (histograms carry wall-clock durations and
-    // are excluded; their counts are checked against the query total).
+    // Two runs over the same corpus produce identical counter maps
+    // (histograms carry wall-clock durations and are excluded; their
+    // counts are checked against the query total).
     assert_eq!(a.counters, b.counters, "batch counters not reproducible");
 
-    // The threaded merge equals a sequential run's direct accumulation.
+    // Four workers accumulate what one worker does.
     let seq = run(1);
     assert_eq!(
         a.counters, seq.counters,
-        "threaded merge diverges from sequential accumulation"
+        "threaded batch diverges from single-worker accumulation"
     );
 
     assert_eq!(

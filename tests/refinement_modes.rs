@@ -9,7 +9,7 @@
 mod common;
 use common::{assert_bit_identical, corpus, query};
 use gpssn::core::algorithm::{DistanceBackend, EngineConfig, QueryOptions};
-use gpssn::core::{DistanceCacheConfig, GpSsnEngine, GpSsnQuery};
+use gpssn::core::{Counter, DistanceCacheConfig, GpSsnEngine, GpSsnQuery};
 use gpssn::index::{PivotSelectConfig, SocialIndexConfig};
 use gpssn::ssn::{synthetic, SyntheticConfig};
 
@@ -58,10 +58,11 @@ fn ch_backend_is_bit_identical_to_dijkstra() {
             let ch = query(&engine, &q, &backend_opts(DistanceBackend::Ch));
             assert_bit_identical(dij.answer(), ch.answer(), "CH backend vs Dijkstra");
             assert_eq!(
-                dij.metrics.backend_served.ch_batches, 0,
+                dij.metrics.counters[Counter::ChBatches],
+                0,
                 "Dijkstra backend must not touch the CH oracle"
             );
-            ch_engaged += (ch.metrics.backend_served.ch_batches > 0) as usize;
+            ch_engaged += (ch.metrics.counters[Counter::ChBatches] > 0) as usize;
             checked += 1;
             answered += dij.answer().is_some() as usize;
         }
@@ -89,7 +90,8 @@ fn ch_less_index_falls_back_to_dijkstra() {
         let b = query(&full, &q, &backend_opts(DistanceBackend::Dijkstra));
         assert_bit_identical(a.answer(), b.answer(), "CH-less fallback vs Dijkstra");
         assert_eq!(
-            a.metrics.backend_served.ch_batches, 0,
+            a.metrics.counters[Counter::ChBatches],
+            0,
             "a CH-less index cannot have served CH batches"
         );
     }
@@ -139,9 +141,9 @@ fn cache_never_changes_answers() {
                 if pass == 1 {
                     // Warm pass: hits must actually be happening, or this
                     // test proves nothing about the hit path.
-                    let c = a.metrics.cache;
+                    let c = a.metrics.counters;
                     assert!(
-                        c.ball_hits + c.dist_hits > 0 || a.answers.is_empty(),
+                        c[Counter::BallHits] + c[Counter::DistHits] > 0 || a.answers.is_empty(),
                         "warm pass produced no cache hits for {q:?}: {c:?}"
                     );
                 }
@@ -199,15 +201,16 @@ fn repeated_queries_report_a_rising_hit_rate() {
     };
     let cold = query(&engine, &q, &Default::default());
     let warm = query(&engine, &q, &Default::default());
-    let (c, w) = (cold.metrics.cache, warm.metrics.cache);
+    let (c, w) = (cold.metrics.counters, warm.metrics.counters);
     // The warm run re-asks exactly the cold run's questions, so every
     // ball and distance it needs is resident.
     assert!(
-        w.ball_hits >= c.ball_hits && w.dist_hits >= c.dist_hits,
+        w[Counter::BallHits] >= c[Counter::BallHits]
+            && w[Counter::DistHits] >= c[Counter::DistHits],
         "warm run lost hits: cold {c:?} warm {w:?}"
     );
     assert!(
-        w.ball_hits + w.dist_hits > 0,
+        w[Counter::BallHits] + w[Counter::DistHits] > 0,
         "identical repeat query missed the cache entirely: {w:?}"
     );
     assert!(w.hit_rate() > 0.0, "hit rate not reported: {w:?}");
@@ -234,16 +237,16 @@ fn lifetime_dist_tallies_match_per_query_cache_stats() {
             let before = cache.lifetime_stats();
             let out = query(&engine, &q, &Default::default());
             let after = cache.lifetime_stats();
-            let c = out.metrics.cache;
+            let c = out.metrics.counters;
             assert_eq!(
                 (
                     after.dist_hits - before.dist_hits,
                     after.dist_misses - before.dist_misses
                 ),
-                (c.dist_hits, c.dist_misses),
-                "lifetime dist tallies disagree with the query's CacheStats for {q:?}"
+                (c[Counter::DistHits], c[Counter::DistMisses]),
+                "lifetime dist tallies disagree with the query's cache counters for {q:?}"
             );
-            lookups += c.dist_hits + c.dist_misses;
+            lookups += c[Counter::DistHits] + c[Counter::DistMisses];
         }
     }
     assert!(lookups > 0, "corpus never reached refinement");

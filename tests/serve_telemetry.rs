@@ -6,8 +6,8 @@
 //! the queue-depth gauge returns to zero after every drain.
 
 use gpssn::core::{
-    serve, serve_jsonl, EngineConfig, GpSsnEngine, GpSsnQuery, OverloadPolicy, QueryBudget,
-    ServeConfig, ServeObs, ServeObsConfig, ServeRequest, Submission,
+    serve, serve_jsonl, EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, OverloadPolicy,
+    QueryBudget, ServeConfig, ServeObs, ServeObsConfig, ServeRequest, Submission,
 };
 use gpssn::obs::{json, FlightConfig, Obs, ObsConfig, TailConfig};
 use gpssn::ssn::{synthetic, SpatialSocialNetwork, SyntheticConfig};
@@ -279,6 +279,62 @@ fn tail_sampling_keeps_interesting_plus_exact_head_rate() {
         assert!(r.trace_committed, "interesting record lost its trace");
         assert_eq!(r.code, "unknown_user");
     }
+}
+
+/// The flight record is a projection of the outcome: an engine-served
+/// record's `(key, value)` counter pairs are exactly its response's
+/// `QueryCounters`, and shed or rejected records carry no counters.
+#[test]
+fn flight_record_counters_are_the_outcomes_counters() {
+    let engine = shared_engine();
+    let num_users = engine.ssn().social().num_users() as u32;
+    let tele = std::sync::Arc::new(ServeObs::default());
+    let cfg = ServeConfig {
+        threads: 2,
+        telemetry: tele.clone(),
+        ..Default::default()
+    };
+    let submissions = (0..8u64).map(|i| match i {
+        3 => Submission::Rejected {
+            id: i,
+            error: GpSsnError::InvalidQuery("malformed line".into()),
+        },
+        5 => Submission::Request(ServeRequest {
+            id: i,
+            query: GpSsnQuery::with_defaults(1),
+            budget: QueryBudget::with_deadline(Duration::ZERO),
+        }),
+        _ => request(i, (i as u32 * 7) % num_users),
+    });
+    let mut responses = Vec::new();
+    serve(engine, &cfg, submissions, |r| responses.push(r));
+
+    let records = tele.flight().records();
+    assert_eq!(records.len(), 8);
+    let mut engine_served = 0;
+    for r in &records {
+        let resp = &responses[r.seq as usize];
+        assert_eq!(resp.id, r.seq);
+        match &resp.result {
+            Ok(out) => {
+                let expected: Vec<(&str, u64)> = out
+                    .metrics
+                    .counters
+                    .iter()
+                    .map(|(c, v)| (c.key(), v))
+                    .collect();
+                assert_eq!(r.counters, expected, "record {} diverges", r.seq);
+                engine_served += 1;
+            }
+            Err(e) => assert!(
+                r.counters.is_empty(),
+                "{e:?} record {} carries counters",
+                r.seq
+            ),
+        }
+    }
+    assert_eq!(engine_served, 6, "six requests reach the engine");
+    assert!(records.iter().any(|r| r.class == "shed"));
 }
 
 /// With a zero latency threshold every request is "slow" and every
