@@ -68,7 +68,11 @@ pub struct EngineConfig {
     pub social_index: SocialIndexConfig,
     /// Algorithm 1 parameters.
     pub pivot_select: PivotSelectConfig,
-    /// Per-center cap on refinement subset enumeration (safety valve).
+    /// Per-probe cap on refinement subset enumeration (safety valve). A
+    /// probe that reaches it proves nothing: its center stays
+    /// unresolved, counted by [`Counter::EnumerationCapHits`], and the
+    /// query cannot complete `Exact` unless its answer beats that
+    /// center's lower bound.
     pub enumeration_cap: usize,
     /// Optional LRU buffer pool (in pages) in front of the simulated
     /// index file: I/O then counts misses only. `None` reproduces the
@@ -761,13 +765,13 @@ impl<'a> GpSsnEngine<'a> {
                 self.ssn,
                 q,
                 candidates,
-                center,
+                (lb, center),
                 bound,
                 self.cfg.enumeration_cap,
                 &mut ctx,
                 opts.degradation,
+                &mut outstanding,
             ) else {
-                outstanding = outstanding.min(lb);
                 continue;
             };
             if let Some(ans) = v.answer {
@@ -1248,13 +1252,13 @@ impl<'a> GpSsnEngine<'a> {
                             self.ssn,
                             q,
                             &filtered,
-                            center,
+                            (lb, center),
                             best_val,
                             self.cfg.enumeration_cap,
                             &mut ctx,
                             opts.degradation,
+                            &mut outstanding,
                         ) else {
-                            outstanding = outstanding.min(lb);
                             continue;
                         };
                         if let Some(ans) = v.answer {
@@ -1456,13 +1460,13 @@ impl<'a> GpSsnEngine<'a> {
                 self.ssn,
                 q,
                 &filtered,
-                center,
+                (lb, center),
                 out.best_val,
                 self.cfg.enumeration_cap,
                 &mut ctx,
                 policy,
+                &mut out.unresolved,
             ) else {
-                out.unresolved = out.unresolved.min(lb);
                 continue;
             };
             if let Some(ans) = v.answer {
@@ -1552,13 +1556,13 @@ impl<'a> GpSsnEngine<'a> {
                     self.ssn,
                     q,
                     &filtered,
-                    center,
+                    (lb, center),
                     bound,
                     self.cfg.enumeration_cap,
                     &mut ctx,
                     policy,
+                    &mut unresolved,
                 ) else {
-                    unresolved = unresolved.min(lb);
                     continue;
                 };
                 if let Some(ans) = v.answer {
@@ -1756,25 +1760,27 @@ fn record_phase_ns(obs: Option<&Obs>, name: &'static str, started: Option<Instan
     }
 }
 
-/// Runs [`verify_center`] under the query's fault policy. An `Err`
-/// (broken internal invariant) is always absorbed as a query fault;
-/// under [`DegradationPolicy::Ladder`] a *panic* inside verification is
-/// additionally caught per-center and absorbed the same way, while
-/// `FailFast` lets it propagate to the batch isolation layer (the
-/// legacy behavior). A verified center's subsets count as pairs
-/// refined. `None` means the center stays unresolved — the caller folds
-/// its lower bound into the anytime gap, and the nonzero fault count
-/// keeps the completion from claiming `Exact`.
+/// Runs [`verify_center`] on the center `(lb, center)` under the query's
+/// fault policy. An `Err` (broken internal invariant) is always absorbed
+/// as a query fault; under [`DegradationPolicy::Ladder`] a *panic*
+/// inside verification is additionally caught per-center and absorbed
+/// the same way, while `FailFast` lets it propagate to the batch
+/// isolation layer (the legacy behavior). A verified center's subsets
+/// count as pairs refined. A faulted center (`None`) and a capped one
+/// stay unresolved: their `lb` is folded into `unresolved`, and the
+/// nonzero fault or cap-hit count keeps the completion from claiming
+/// `Exact`.
 #[allow(clippy::too_many_arguments)]
 fn verify_center_guarded(
     ssn: &SpatialSocialNetwork,
     q: &GpSsnQuery,
     candidates: &[UserId],
-    center: PoiId,
+    (lb, center): (f64, PoiId),
     bound: f64,
     enumeration_cap: usize,
     ctx: &mut VerifyContext<'_>,
     policy: DegradationPolicy,
+    unresolved: &mut f64,
 ) -> Option<CenterVerification> {
     let res = if policy == DegradationPolicy::Ladder {
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1800,24 +1806,33 @@ fn verify_center_guarded(
     match res {
         Ok(v) => {
             ctx.budget.add(Counter::PairsRefined, v.subsets_examined);
+            if v.capped {
+                ctx.budget.add(Counter::EnumerationCapHits, 1);
+                *unresolved = unresolved.min(lb);
+            }
             Some(v)
         }
         Err(_) => {
             ctx.budget.add(Counter::RefineFaults, 1);
+            *unresolved = unresolved.min(lb);
             None
         }
     }
 }
 
 /// The error reported when a cut query verified nothing: the tripped
-/// budget when one tripped, otherwise the absorbed refinement faults.
+/// budget when one tripped, otherwise the absorbed refinement faults,
+/// otherwise the enumeration cap.
 fn cut_error(trip: Option<Trip>, counts: &QueryCounters) -> GpSsnError {
     match trip {
         Some(trip) => trip.into(),
-        None => GpSsnError::Internal(format!(
+        None if counts[Counter::RefineFaults] > 0 => GpSsnError::Internal(format!(
             "{} refinement fault(s) absorbed with no verified answer",
             counts[Counter::RefineFaults]
         )),
+        None => GpSsnError::BudgetExhausted {
+            resource: "enumeration cap",
+        },
     }
 }
 
@@ -1917,10 +1932,10 @@ fn atomic_min_f64(best: &AtomicU64, v: f64) {
 /// value lies within it; `f64::INFINITY` when fewer than `k` answers
 /// were verified). A cut with nothing verified and work left
 /// unresolved is a failure — there is no anytime answer to degrade to.
-/// Absorbed refinement faults count as cuts alongside budget trips: the
-/// faulted centers' lower bounds were folded into `outstanding`, so an
-/// answer that beats every unresolved bound is still provably optimal,
-/// and anything else degrades honestly.
+/// Absorbed refinement faults and enumeration-cap hits count as cuts
+/// alongside budget trips: those centers' lower bounds were folded into
+/// `outstanding`, so an answer that beats every unresolved bound is
+/// still provably optimal, and anything else degrades honestly.
 fn completion_of(
     trip: Option<Trip>,
     counts: &QueryCounters,
@@ -1929,7 +1944,9 @@ fn completion_of(
     outstanding: f64,
 ) -> Completion {
     let kth = answers.get(k - 1).map_or(f64::INFINITY, |a| a.maxdist);
-    let cut = trip.is_some() || counts[Counter::RefineFaults] > 0;
+    let cut = trip.is_some()
+        || counts[Counter::RefineFaults] > 0
+        || counts[Counter::EnumerationCapHits] > 0;
     if !cut || outstanding >= kth {
         Completion::Exact
     } else if answers.is_empty() {

@@ -9,7 +9,10 @@
 //! 1. compute `R(o_i)` exactly and its keyword union;
 //! 2. keep candidate users whose `Match_Score(u, R) >= θ` (the query user
 //!    must qualify);
-//! 3. compute each eligible user's cost `c(u) = max_{o∈R} dist_RN(u, o)`;
+//! 3. compute the exact cost `c(u) = max_{o∈R} dist_RN(u, o)` of every
+//!    eligible user a group could contain: those within `τ − 1` hops of
+//!    `u_q` through eligible users cheaper than the incumbent, costed
+//!    one breadth-first layer (one distance batch) at a time;
 //! 4. the optimal group minimizes `max_{u∈S} c(u)` subject to: `|S| = τ`,
 //!    `u_q ∈ S`, `S` connected in `G_s`, pairwise interest `>= γ`.
 //!    Enabling users in ascending cost order makes feasibility *monotone*
@@ -23,7 +26,7 @@ use crate::error::{BudgetState, GpSsnError};
 use crate::query::{GpSsnAnswer, GpSsnQuery};
 use crate::stats::Counter;
 use gpssn_graph::{enumerate_connected_subsets, ChOracle, ChSearch, DijkstraWorkspace};
-use gpssn_road::{dist_rn_many_ch, dist_rn_many_counted_with, NetworkPoint, PoiId};
+use gpssn_road::{dist_rn_many_counted_with, dist_rn_matrix_ch, NetworkPoint, PoiId};
 use gpssn_social::UserId;
 use gpssn_ssn::{match_score_keywords, SpatialSocialNetwork};
 use std::sync::Arc;
@@ -53,6 +56,10 @@ pub struct CenterVerification {
     pub answer: Option<GpSsnAnswer>,
     /// Number of `(S, R)` pairs (connected subsets) examined.
     pub subsets_examined: u64,
+    /// A feasibility probe reached the enumeration cap, so the search
+    /// stopped as on a budget trip: [`Self::answer`] is the best group
+    /// verified before the cap and the center stays unresolved.
+    pub capped: bool,
 }
 
 /// Per-worker state threaded through [`verify_center`]: a reusable
@@ -95,17 +102,20 @@ pub struct ChBackend<'a> {
     pub search: &'a mut ChSearch,
 }
 
-/// One multi-target `dist_RN` batch from `source` to every `target`,
-/// dispatched on the context's backend. Both paths produce bit-identical
-/// rows (the CH oracle unpacks shortcuts and refolds original edge
-/// weights in Dijkstra's exact operation order); settles are charged to
-/// the same budget either way, and the batch and its settles count on the
-/// backend that served it ([`Counter::ChBatches`] or
-/// [`Counter::DijkstraBatches`]).
+/// `dist_RN` from every source to every target in one batch on the
+/// context's backend: the row-major `sources.len() × targets.len()`
+/// matrix. The CH oracle serves the whole matrix in one call
+/// ([`Counter::ChBatches`] counts calls, each carrying any number of
+/// sources); plain Dijkstra runs one multi-target sweep per source
+/// ([`Counter::DijkstraBatches`] counts sweeps). Both paths produce
+/// bit-identical values (the CH oracle unpacks shortcuts and refolds
+/// original edge weights in Dijkstra's exact operation order, source to
+/// target), and settles are charged to the same budget either way, on
+/// the backend that served them.
 fn dist_batch(
     ssn: &SpatialSocialNetwork,
     ctx: &mut VerifyContext<'_>,
-    source: &NetworkPoint,
+    sources: &[NetworkPoint],
     targets: &[NetworkPoint],
 ) -> Vec<f64> {
     // `filter(tracing_on)` keeps the disabled path to one relaxed load —
@@ -113,23 +123,23 @@ fn dist_batch(
     let obs = ctx.obs.filter(|o| o.tracing_on());
     if let Some(chb) = ctx.ch.as_mut() {
         // A CH panic must not take the query down — the Dijkstra path
-        // below produces the identical row, so the oracle is strictly
+        // below produces the identical matrix, so the oracle is strictly
         // optional. Failures feed the breaker; an open breaker skips
         // the oracle (and the panic machinery) entirely.
         if ctx.breaker.is_none_or(|b| b.admit(ctx.obs)) {
             let span = obs.map(|o| o.tracer().span("ch_p2p"));
             let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                dist_rn_many_ch(ssn.road(), chb.oracle, chb.search, source, targets)
+                dist_rn_matrix_ch(ssn.road(), chb.oracle, chb.search, sources, targets)
             }));
             drop(span);
             match attempt {
-                Ok((row, settled)) => {
+                Ok((matrix, settled)) => {
                     if let Some(b) = ctx.breaker {
                         b.record_success(ctx.obs);
                     }
                     ctx.budget.add(Counter::ChBatches, 1);
                     ctx.budget.add_settles(Counter::ChSettles, settled);
-                    return row;
+                    return matrix;
                 }
                 Err(_) => {
                     // The unwound batch left the workspace mid-sweep;
@@ -144,56 +154,136 @@ fn dist_batch(
         }
     }
     let _span = obs.map(|o| o.tracer().span("dijkstra_batch"));
-    ctx.budget.add(Counter::DijkstraBatches, 1);
-    let (row, settled) = dist_rn_many_counted_with(ssn.road(), ctx.ws, source, targets);
-    ctx.budget.add_settles(Counter::DijkstraSettles, settled);
-    row
+    let mut matrix = Vec::with_capacity(sources.len() * targets.len());
+    for source in sources {
+        ctx.budget.add(Counter::DijkstraBatches, 1);
+        let (row, settled) = dist_rn_many_counted_with(ssn.road(), ctx.ws, source, targets);
+        ctx.budget.add_settles(Counter::DijkstraSettles, settled);
+        matrix.extend(row);
+    }
+    matrix
 }
 
-/// One `dist_RN` row from `source` (id `source_id`: the user's home
-/// for [`DistDir::FromUser`], the POI for [`DistDir::FromPoi`]) to
-/// every target, via one multi-target batch — served from the cache
-/// when every key is resident (all-or-nothing: a partial hit recomputes
-/// the whole row, since one batch covers all targets anyway). Freshly
-/// computed values are inserted even when the budget trips mid-run
-/// (they are exact). The direction is part of the cache key (see
-/// [`crate::cache`] for why). `None` means the budget tripped.
-fn cached_row(
+/// The `dist_RN` rows from each source (ids `source_ids`: user homes for
+/// [`DistDir::FromUser`], POIs for [`DistDir::FromPoi`]) to every
+/// target, row-major like [`dist_batch`]. Rows the cache holds whole
+/// are served from it (all-or-nothing per row: a partial hit recomputes
+/// the row); every other row is computed in one [`dist_batch`] call and
+/// inserted, even when the budget trips mid-call (the values are
+/// exact). The direction is part of the cache key (see [`crate::cache`]
+/// for why). `None` means the budget tripped.
+fn cached_rows(
     ssn: &SpatialSocialNetwork,
     ctx: &mut VerifyContext<'_>,
     dir: DistDir,
-    source_id: u32,
-    source: &NetworkPoint,
-    target_ids: &[u32],
-    targets: &[NetworkPoint],
+    (source_ids, sources): (&[u32], &[NetworkPoint]),
+    (target_ids, targets): (&[u32], &[NetworkPoint]),
 ) -> Option<Vec<f64>> {
-    let n = target_ids.len() as u64;
-    if let Some(row) = ctx
-        .cache
-        .and_then(|c| c.get_row(dir, source_id, target_ids))
-    {
-        ctx.budget.add(Counter::DistHits, n);
-        return Some(row);
+    let n = targets.len();
+    let mut matrix = vec![0.0f64; sources.len() * n];
+    let mut missed: Vec<usize> = Vec::new();
+    for (i, &id) in source_ids.iter().enumerate() {
+        match ctx.cache.and_then(|c| c.get_row(dir, id, target_ids)) {
+            Some(row) => {
+                ctx.budget.add(Counter::DistHits, n as u64);
+                matrix[i * n..(i + 1) * n].copy_from_slice(&row);
+            }
+            None => missed.push(i),
+        }
     }
-    let row = dist_batch(ssn, ctx, source, targets);
-    if let Some(cache) = ctx.cache {
-        ctx.budget.add(Counter::DistMisses, n);
-        cache.put_row(dir, source_id, target_ids, &row);
+    if !missed.is_empty() {
+        let points: Vec<NetworkPoint> = missed.iter().map(|&i| sources[i]).collect();
+        let rows = dist_batch(ssn, ctx, &points, targets);
+        for (&i, row) in missed.iter().zip(rows.chunks_exact(n)) {
+            matrix[i * n..(i + 1) * n].copy_from_slice(row);
+            if let Some(cache) = ctx.cache {
+                ctx.budget.add(Counter::DistMisses, n as u64);
+                cache.put_row(dir, source_ids[i], target_ids, row);
+            }
+        }
     }
     if ctx.budget.is_tripped() {
         None
     } else {
-        Some(row)
+        Some(matrix)
     }
+}
+
+/// Exact costs `c(u) = max_{o∈R} dist_RN(u, o)` of `users` over the
+/// ball `R` (ids `r_ids` at `positions`), folded in ball order. With
+/// `from_poi` the distances run from each POI to the users' homes,
+/// otherwise from each home to the POIs; a user's cost bits depend on
+/// the direction, never on which other users share the batch. `None`
+/// means the budget tripped.
+fn user_costs(
+    ssn: &SpatialSocialNetwork,
+    ctx: &mut VerifyContext<'_>,
+    from_poi: bool,
+    (r_ids, positions): (&[PoiId], &[NetworkPoint]),
+    users: &[UserId],
+) -> Option<Vec<f64>> {
+    let homes: Vec<NetworkPoint> = users.iter().map(|&u| ssn.home(u)).collect();
+    let mut costs = vec![0.0f64; users.len()];
+    if from_poi {
+        let matrix = cached_rows(
+            ssn,
+            ctx,
+            DistDir::FromPoi,
+            (r_ids, positions),
+            (users, &homes),
+        )?;
+        for col in matrix.chunks_exact(users.len()) {
+            for (c, &d) in costs.iter_mut().zip(col) {
+                *c = c.max(d);
+            }
+        }
+    } else {
+        let matrix = cached_rows(
+            ssn,
+            ctx,
+            DistDir::FromUser,
+            (users, &homes),
+            (r_ids, positions),
+        )?;
+        for (c, row) in costs.iter_mut().zip(matrix.chunks_exact(r_ids.len())) {
+            *c = row.iter().copied().fold(0.0f64, f64::max);
+        }
+    }
+    Some(costs)
+}
+
+/// One feasibility probe's verdict.
+enum Probe {
+    /// A connected `τ`-group among the enabled users, with connectivity
+    /// and pairwise interest checked exactly.
+    Found(Vec<UserId>),
+    /// The enumeration finished: no group exists among the enabled users.
+    Infeasible,
+    /// The enumeration stopped early (budget trip or enumeration cap):
+    /// the verdict proves nothing.
+    Cut,
 }
 
 /// Verifies candidate center `center`. `best_so_far` allows early exits:
 /// a center whose query-user cost already reaches it cannot improve the
 /// global answer. `enumeration_cap` bounds the subsets examined per
-/// feasibility check (a safety valve; `u32::MAX as usize` disables it).
-/// Dijkstra settles and enumerated subsets are charged to `ctx.budget`;
-/// once it trips the verification stops early, reporting the best group
-/// it had fully verified by then (see [`CenterVerification::answer`]).
+/// feasibility probe (a safety valve; `u32::MAX as usize` disables it):
+/// a probe that reaches it ends the search like a budget trip (see
+/// [`CenterVerification::capped`]). Dijkstra settles and enumerated
+/// subsets are charged to `ctx.budget`; once it trips the verification
+/// stops early, reporting the best group it had fully verified by then
+/// (see [`CenterVerification::answer`]).
+///
+/// **Reachable users only.** A group is connected, contains `u_q` and
+/// has `τ` members, each cheaper than `best_so_far` if the group is to
+/// beat it. So exact costs are computed layer by layer in a
+/// breadth-first expansion from `u_q` over the θ-eligible users, to
+/// `τ − 1` hops, continuing only through users cheaper than
+/// `best_so_far`; each layer is one batch. The binary search then runs
+/// over the users reached. No probe can touch an unreached user (the
+/// enumerator grows a set only through enabled neighbours of its
+/// members), so the minimal feasible prefix, its group and the maxdist
+/// bits are those of costing every eligible user.
 ///
 /// **Determinism.** On a completed (untripped) search the returned
 /// group is the one found at the minimal feasible cost-prefix `k*` — a
@@ -233,6 +323,7 @@ pub fn verify_center(
     let mut out = CenterVerification {
         answer: None,
         subsets_examined: 0,
+        capped: false,
     };
     let budget = ctx.budget;
     let center_pos = ssn.pois().get(center).position;
@@ -275,20 +366,13 @@ pub fn verify_center(
         return Ok(out);
     }
 
-    // Exact cost of the query user first — one Dijkstra, cheapest exit.
+    // Exact cost of the query user first — one row, cheapest exit.
     let positions: Vec<NetworkPoint> = r_ids.iter().map(|&o| ssn.pois().get(o).position).collect();
-    let Some(cq_dists) = cached_row(
-        ssn,
-        ctx,
-        DistDir::FromUser,
-        q.user,
-        &ssn.home(q.user),
-        &r_ids,
-        &positions,
-    ) else {
+    let ball_pts = (&r_ids[..], &positions[..]);
+    let Some(cq) = user_costs(ssn, ctx, false, ball_pts, &[q.user]) else {
         return Ok(out);
     };
-    let cq = cq_dists.into_iter().fold(0.0f64, f64::max);
+    let cq = cq[0];
     if cq >= best_so_far || budget.is_tripped() {
         return Ok(out); // any group containing u_q costs at least cq
     }
@@ -305,86 +389,105 @@ pub fn verify_center(
         return Ok(out);
     }
 
-    // Exact user costs c(u) = max_{o ∈ R} dist_RN(u, o), computed with
-    // one multi-target Dijkstra per ball POI (columns), which beats one
-    // Dijkstra per user whenever |R| < |eligible| — the common case.
-    let homes: Vec<NetworkPoint> = eligible.iter().map(|&u| ssn.home(u)).collect();
-    let mut cost_vec = vec![0.0f64; eligible.len()];
-    if positions.len() <= eligible.len() {
-        for (&o, pos) in r_ids.iter().zip(&positions) {
-            let Some(col) = cached_row(ssn, ctx, DistDir::FromPoi, o, pos, &eligible, &homes)
-            else {
+    // Cost direction, decided on the whole eligible set: one row per
+    // ball POI (columns over users) beats one row per user whenever
+    // |R| <= |eligible| — the common case. The query user's cost from
+    // the user side is the `cq` just computed.
+    let from_poi = positions.len() <= eligible.len();
+    let graph = ssn.social().graph();
+    let m = ssn.social().num_users();
+    // Eligible users not yet costed.
+    let mut open = vec![false; m];
+    for &u in &eligible {
+        open[u as usize] = true;
+    }
+    open[q.user as usize] = false;
+    // Reached users (exact cost below `best_so_far`), layer by layer.
+    let mut costs: Vec<(UserId, f64)> = Vec::new();
+    let mut layer = vec![q.user];
+    for depth in 0..q.tau {
+        let layer_costs = if depth == 0 && !from_poi {
+            vec![cq]
+        } else {
+            let Some(c) = user_costs(ssn, ctx, from_poi, ball_pts, &layer) else {
                 return Ok(out);
             };
-            for (c, d) in cost_vec.iter_mut().zip(col) {
-                *c = c.max(d);
+            c
+        };
+        let reached = costs.len();
+        costs.extend(
+            layer
+                .iter()
+                .copied()
+                .zip(layer_costs)
+                .filter(|&(_, c)| c < best_so_far),
+        );
+        if depth + 1 == q.tau {
+            break;
+        }
+        layer.clear();
+        for &(u, _) in &costs[reached..] {
+            for nb in graph.neighbors(u) {
+                if std::mem::take(&mut open[nb.node as usize]) {
+                    layer.push(nb.node);
+                }
             }
         }
-    } else {
-        for (c, &u) in cost_vec.iter_mut().zip(&eligible) {
-            let Some(row) = cached_row(
-                ssn,
-                ctx,
-                DistDir::FromUser,
-                u,
-                &ssn.home(u),
-                &r_ids,
-                &positions,
-            ) else {
-                return Ok(out);
-            };
-            *c = row.into_iter().fold(0.0f64, f64::max);
+        if layer.is_empty() {
+            break;
         }
     }
-    let mut costs: Vec<(UserId, f64)> = eligible.iter().copied().zip(cost_vec).collect();
     // Total order (panic-proof under NaN) with an id tie-break, so the
     // enabled prefix at any length is canonical — independent of the
-    // candidate ordering the caller happened to pass.
+    // candidate ordering the caller happened to pass. Every reached user
+    // beats the incumbent; if the query user does not, nobody is reached.
     costs.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    // Only prefixes that beat the incumbent are worth exploring.
-    let usable = costs.partition_point(|&(_, c)| c < best_so_far);
-    let costs = &costs[..usable];
-    if costs.len() < q.tau || !costs.iter().any(|&(u, _)| u == q.user) {
+    if costs.len() < q.tau {
         return Ok(out);
     }
 
     // Binary search the smallest feasible enabled prefix (feasibility is
     // monotone in the prefix length).
-    let graph = ssn.social().graph();
-    let m = ssn.social().num_users();
-    let feasible_at = |k: usize, out: &mut CenterVerification| -> Option<Vec<UserId>> {
+    let feasible_at = |k: usize, out: &mut CenterVerification| -> Probe {
         let mut allowed = vec![false; m];
         for &(u, _) in &costs[..k] {
             allowed[u as usize] = true;
         }
         if !allowed[q.user as usize] {
-            return None;
+            return Probe::Infeasible;
         }
-        let mut found: Option<Vec<UserId>> = None;
+        let mut verdict = Probe::Infeasible;
         let mut visits = 0u64;
         enumerate_connected_subsets(graph, q.user, q.tau, Some(&allowed), &mut |s| {
             visits += 1;
             budget.note_group();
             if budget.is_tripped() {
+                verdict = Probe::Cut;
                 return false;
             }
             if ssn.social().pairwise_interest_holds(s, q.gamma) {
-                found = Some(s.to_vec());
+                verdict = Probe::Found(s.to_vec());
                 return false;
             }
-            visits < enumeration_cap as u64
+            if visits >= enumeration_cap as u64 {
+                out.capped = true;
+                verdict = Probe::Cut;
+                return false;
+            }
+            true
         });
         out.subsets_examined += visits;
-        found
+        verdict
     };
 
-    // Every feasibility probe below may be cut short by the budget. A
-    // trip only invalidates the probe's *verdict* (a truncated `None`
-    // proves nothing, so the binary search must never narrow on it); a
-    // group the probe did return was checked exactly before the trip and
-    // stays a valid answer. So: keep the cheapest group seen, and on a
-    // trip stop searching and report it — the caller folds this center's
-    // lower bound into the anytime gap, which keeps the bound sound.
+    // Every feasibility probe below may be cut short by the budget or
+    // the enumeration cap. A cut only invalidates the probe's *verdict*
+    // (it proves nothing, so the binary search must never narrow on
+    // it); a group the probe did return was checked exactly before the
+    // cut and stays a valid answer. So: keep the cheapest group seen,
+    // and on a cut stop searching and report it — the caller folds this
+    // center's lower bound into the anytime gap, which keeps the bound
+    // sound.
     let group_maxdist = |g: &[UserId]| -> Result<f64, GpSsnError> {
         let mut md = 0.0f64;
         for &u in g {
@@ -429,30 +532,26 @@ pub fn verify_center(
     let mut lo = q.tau; // smallest prefix that could host a group
     let mut hi = costs.len();
     match feasible_at(hi, &mut out) {
-        Some(g) => record(g, &mut best_verified, &mut min_prefix_group)?,
-        None => return Ok(out), // infeasible (or truncated before any find)
+        Probe::Found(g) => record(g, &mut best_verified, &mut min_prefix_group)?,
+        _ => return Ok(out), // infeasible (or cut before any find)
     }
     while lo < hi && !budget.is_tripped() {
         let mid = (lo + hi) / 2;
         match feasible_at(mid, &mut out) {
-            Some(g) => {
+            Probe::Found(g) => {
                 record(g, &mut best_verified, &mut min_prefix_group)?;
                 hi = mid;
             }
-            None => {
-                if budget.is_tripped() {
-                    break; // verdict truncated: proves nothing
-                }
-                lo = mid + 1;
-            }
+            Probe::Infeasible => lo = mid + 1,
+            Probe::Cut => break, // verdict truncated: proves nothing
         }
     }
     // When the search ran to completion, `hi` is the minimal feasible
     // prefix and its probe's group is optimal: its maxdist equals
     // costs[hi-1].1, and any cheaper group would fit inside a shorter,
-    // infeasible prefix. On a trip, fall back to the best group
-    // verified before the cut.
-    let chosen = if budget.is_tripped() {
+    // infeasible prefix. On a trip or a capped probe, fall back to the
+    // best group verified before the cut.
+    let chosen = if budget.is_tripped() || out.capped {
         best_verified
     } else {
         match min_prefix_group {
@@ -539,6 +638,102 @@ mod tests {
             NetworkPoint::new(&road, 3, 2.0), // x=8
         ];
         SpatialSocialNetwork::new(road, pois, social, homes)
+    }
+
+    /// Road line x = 0, 2, …, 20 with POIs at x = 1, 3; social edges
+    /// 0–1, 1–2, 0–3, 3–4. Costs over the ball {x=1, x=3}: user 0 (x=0)
+    /// 3, user 1 (x=20) 19, user 2 (x=2) 1, user 3 (x=4) 3, user 4
+    /// (x=2) 1. User 2 is cheap but reachable only through the costly
+    /// user 1; user 4 is cheap but two hops from user 0.
+    fn reach_fixture() -> SpatialSocialNetwork {
+        let locs: Vec<Point> = (0..11).map(|i| Point::new(2.0 * i as f64, 0.0)).collect();
+        let edges: Vec<(u32, u32)> = (0..10).map(|i| (i, i + 1)).collect();
+        let road = RoadNetwork::from_euclidean_edges(locs, &edges);
+        let pois = PoiSet::new(
+            &road,
+            vec![
+                Poi::new(NetworkPoint::new(&road, 0, 1.0), vec![0]),
+                Poi::new(NetworkPoint::new(&road, 1, 1.0), vec![1]),
+            ],
+        );
+        let social = SocialNetwork::new(
+            vec![InterestVector::new(vec![0.9, 0.9]); 5],
+            &[(0, 1), (1, 2), (0, 3), (3, 4)],
+        );
+        let homes = [(0, 0.0), (9, 2.0), (1, 0.0), (2, 0.0), (1, 0.0)]
+            .map(|(e, off)| NetworkPoint::new(&road, e, off))
+            .to_vec();
+        SpatialSocialNetwork::new(road, pois, social, homes)
+    }
+
+    /// One center's optimum by brute force: every connected τ-group
+    /// containing `u_q`, costed with one-shot `dist_RN` runs.
+    fn brute_force(ssn: &SpatialSocialNetwork, q: &GpSsnQuery, center: PoiId) -> Option<f64> {
+        let pos = ssn.pois().get(center).position;
+        let ball: Vec<PoiId> = ssn
+            .pois()
+            .network_ball(ssn.road(), &pos, q.radius)
+            .iter()
+            .map(|&(o, _)| o)
+            .collect();
+        let union = ssn.pois().keyword_union(&ball);
+        let cost = |u: UserId| {
+            ball.iter()
+                .map(|&o| {
+                    gpssn_road::dist_rn(ssn.road(), &ssn.home(u), &ssn.pois().get(o).position)
+                })
+                .fold(0.0f64, f64::max)
+        };
+        let mut best: Option<f64> = None;
+        enumerate_connected_subsets(ssn.social().graph(), q.user, q.tau, None, &mut |s| {
+            let eligible = s
+                .iter()
+                .all(|&u| match_score_keywords(ssn.social().interest(u), &union) >= q.theta);
+            if eligible && ssn.social().pairwise_interest_holds(s, q.gamma) {
+                let md = s.iter().map(|&u| cost(u)).fold(0.0f64, f64::max);
+                best = Some(best.map_or(md, |b| b.min(md)));
+            }
+            true
+        });
+        best
+    }
+
+    #[test]
+    fn costs_only_users_a_group_can_reach() {
+        let ssn = reach_fixture();
+        // Ball {x=1, x=3} around POI 0; the incumbent 10 is below c(1).
+        for (tau, costed) in [(2, vec![0, 1, 3]), (3, vec![0, 1, 3, 4])] {
+            let q = GpSsnQuery {
+                user: 0,
+                tau,
+                gamma: 0.5,
+                theta: 0.5,
+                radius: 2.1,
+            };
+            let cache = DistanceCache::new(&crate::DistanceCacheConfig::default());
+            let mut ws = DijkstraWorkspace::new();
+            let budget = BudgetState::unlimited();
+            let mut ctx = VerifyContext {
+                ws: &mut ws,
+                ch: None,
+                cache: Some(&cache),
+                breaker: None,
+                budget: &budget,
+                obs: None,
+                span_parent: 0,
+            };
+            let v = verify_center(&ssn, &q, &[0, 1, 2, 3, 4], 0, 10.0, usize::MAX, &mut ctx)
+                .expect("no invariant faults in tests");
+            assert_eq!(v.answer.map(|a| a.maxdist), brute_force(&ssn, &q, 0));
+            // |R| = 2 cells for u_q's own row, then 2 per costed user.
+            let c = budget.snapshot();
+            let lookups = c[Counter::DistHits] + c[Counter::DistMisses];
+            assert_eq!(lookups, 2 * (1 + costed.len() as u64), "τ={tau}");
+            for u in 0..5 {
+                let cell = cache.get_row(DistDir::FromPoi, 0, &[u]);
+                assert_eq!(cell.is_some(), costed.contains(&u), "τ={tau} user {u}");
+            }
+        }
     }
 
     #[test]

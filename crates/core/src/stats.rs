@@ -129,6 +129,11 @@ counters! {
     /// each stays unresolved, so a nonzero count keeps the completion
     /// from claiming `Exact`.
     RefineFaults => "refine_faults", "gpssn_refine_faults_total";
+    /// Centers whose feasibility probe reached
+    /// [`crate::EngineConfig::enumeration_cap`]: each stays unresolved
+    /// like a faulted one, so a nonzero count keeps the completion from
+    /// claiming `Exact`.
+    EnumerationCapHits => "enumeration_cap_hits", "gpssn_enumeration_cap_hits_total";
     /// CH batches that panicked and were re-served from Dijkstra.
     /// Informational: the fallback row is bit-identical, so these do not
     /// degrade the completion.

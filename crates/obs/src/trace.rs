@@ -273,17 +273,25 @@ impl Tracer {
     }
 
     /// Pushes already-finished records into the rings — the commit half
-    /// of tail sampling. Records are sharded by their recorded `tid`,
-    /// same as the live path.
+    /// of tail sampling. Records are sharded the same way as on the live
+    /// path (by span id).
     pub fn push_records(&self, records: Vec<SpanRecord>) {
         for rec in records {
-            let shard = (rec.tid as usize) % SHARDS;
-            let mut ring = match self.shards[shard].lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            ring.push(rec);
+            self.store(rec);
         }
+    }
+
+    /// Files `rec` in the ring its span id selects. Ids are handed out
+    /// sequentially across all threads, so the shards fill evenly and
+    /// the tracer holds its whole capacity however few threads record
+    /// (sharding by thread would cap one thread at `capacity / SHARDS`).
+    fn store(&self, rec: SpanRecord) {
+        let shard = (rec.id as usize) % SHARDS;
+        let mut ring = match self.shards[shard].lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        ring.push(rec);
     }
 
     fn record(&self, span: &Span<'_>) {
@@ -310,15 +318,9 @@ impl Tracer {
             }
             None => false,
         });
-        if captured {
-            return;
+        if !captured {
+            self.store(rec);
         }
-        let shard = (rec.tid as usize) % SHARDS;
-        let mut ring = match self.shards[shard].lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        ring.push(rec);
     }
 
     /// All recorded spans, sorted by `(start_ns, id)` so renders are
@@ -553,15 +555,30 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_oldest_and_counts_drops() {
-        let t = Tracer::new(true, SHARDS); // one slot per shard
-        for _ in 0..4 {
+    fn ring_holds_its_whole_capacity_across_threads() {
+        const CAP: usize = 64 * SHARDS;
+        let t = Tracer::new(true, CAP);
+        // Two threads together record twice the capacity: the tracer
+        // keeps exactly `CAP` spans and reports the other `CAP` dropped,
+        // however the threads' spans interleave.
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..CAP {
+                        let _s = t.span("query");
+                    }
+                });
+            }
+        });
+        assert_eq!(t.records().len(), CAP);
+        assert_eq!(t.dropped(), CAP as u64);
+        // Another `CAP` spans evict the oldest: only they remain.
+        let first_new = t.span("query").id() + 1;
+        for _ in 0..CAP {
             let _s = t.span("query");
         }
-        // All spans land on this thread's shard: capacity 1 keeps only
-        // the newest and reports the rest dropped.
-        assert_eq!(t.records().len(), 1);
-        assert_eq!(t.dropped(), 3);
+        assert!(t.records().iter().all(|r| r.id >= first_new));
+        assert_eq!(t.dropped(), 2 * CAP as u64 + 1);
     }
 
     #[test]

@@ -114,28 +114,16 @@ fn compose_point_dist(a: &NetworkPoint, b: &NetworkPoint, blen: f64, d_bu: f64, 
     d
 }
 
-/// CH-backed [`dist_rn_many_counted_with`]: exact distances from `a` to
-/// each target through a [`ChOracle`], bit-identical to the Dijkstra
-/// backend (property-tested below). The returned count is the number of
-/// vertices the forward upward sweep settled — the budget unit charged
-/// for CH batches (see [`ChOracle::batch_dists`]).
-pub fn dist_rn_many_ch(
-    net: &RoadNetwork,
-    ch: &ChOracle,
-    cs: &mut ChSearch,
-    a: &NetworkPoint,
-    targets: &[NetworkPoint],
-) -> (Vec<f64>, u64) {
-    dist_rn_matrix_ch(net, ch, cs, std::slice::from_ref(a), targets)
-}
-
 /// Label-based many-to-many `dist_RN`: the full `sources × targets`
 /// distance matrix (row-major) in one oracle call — one forward sweep
 /// per source, one precomputed-label scan per distinct target-edge
 /// endpoint.
-/// Values are bit-identical to calling the Dijkstra backend per source
-/// (`dist[i][j]` folds source-to-target like a Dijkstra seeded at
-/// `sources[i]`).
+/// Values are bit-identical to calling the Dijkstra backend
+/// ([`dist_rn_many_counted_with`]) per source (`dist[i][j]` folds
+/// source-to-target like a Dijkstra seeded at `sources[i]`;
+/// property-tested below). The returned count is the number of vertices
+/// the forward upward sweeps settled — the budget unit charged for CH
+/// batches (see [`ChOracle::batch_dists`]).
 pub fn dist_rn_matrix_ch(
     net: &RoadNetwork,
     ch: &ChOracle,
@@ -485,23 +473,19 @@ mod tests {
                 twin_edge,
                 rng.gen_range(0.0..=1.0) * twin_len,
             ));
-            let sources = &pts[..3];
-            for a in sources {
-                let (want, _) = dist_rn_many_counted_with(&net, &mut ws, a, &pts);
-                let (got, _) = dist_rn_many_ch(&net, &ch, &mut cs, a, &pts);
-                for (j, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-                    prop_assert_eq!(
-                        g.to_bits(), w.to_bits(),
-                        "seed {} target {}: ch={:?} dijkstra={:?}", seed, j, g, w
-                    );
-                }
-            }
-            // The matrix kernel matches its per-source rows.
-            let (matrix, _) = dist_rn_matrix_ch(&net, &ch, &mut cs, sources, &pts);
-            for (i, a) in sources.iter().enumerate() {
-                let want = dist_rn_many(&net, a, &pts);
-                for (j, w) in want.iter().enumerate() {
-                    prop_assert_eq!(matrix[i * pts.len() + j].to_bits(), w.to_bits());
+            // One source alone, then several in one call: each matrix
+            // row matches that source's Dijkstra row.
+            for sources in [&pts[..1], &pts[..3]] {
+                let (matrix, _) = dist_rn_matrix_ch(&net, &ch, &mut cs, sources, &pts);
+                for (i, a) in sources.iter().enumerate() {
+                    let (want, _) = dist_rn_many_counted_with(&net, &mut ws, a, &pts);
+                    for (j, w) in want.iter().enumerate() {
+                        let g = matrix[i * pts.len() + j];
+                        prop_assert_eq!(
+                            g.to_bits(), w.to_bits(),
+                            "seed {} source {} target {}: ch={:?} dijkstra={:?}", seed, i, j, g, w
+                        );
+                    }
                 }
             }
         }

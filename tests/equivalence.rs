@@ -4,10 +4,12 @@
 //! networks, across a grid of query parameters.
 
 mod common;
-use common::query;
+use common::{assert_bit_identical, query};
 use gpssn::core::algorithm::{EngineConfig, QueryOptions};
 use gpssn::core::query::check_answer;
-use gpssn::core::{exact_baseline, GpSsnEngine, GpSsnQuery};
+use gpssn::core::{
+    exact_baseline, Completion, Counter, DistanceCacheConfig, GpSsnEngine, GpSsnQuery,
+};
 use gpssn::index::{PivotSelectConfig, SocialIndexConfig};
 use gpssn::ssn::{synthetic, SyntheticConfig};
 
@@ -88,24 +90,96 @@ fn engine_matches_brute_force_across_seeds_and_parameters() {
 
 #[test]
 fn engine_matches_brute_force_on_zipf_data() {
+    // τ up to 6, where refinement costs only the users within τ − 1
+    // hops of u_q: the optimum must match the Baseline and be bitwise
+    // the same with one or two refinement threads, cache on or off.
+    let mut answered = 0usize;
     for seed in 20..24u64 {
         let ssn = synthetic(&SyntheticConfig::zipf().scaled(0.004), seed);
-        let engine = GpSsnEngine::build(&ssn, small_cfg(seed));
-        let q = GpSsnQuery {
-            user: 1,
-            tau: 2,
-            gamma: 0.4,
-            theta: 0.4,
-            radius: 2.0,
-        };
-        let expected = exact_baseline(&ssn, &q);
-        let got = query(&engine, &q, &Default::default()).answers.pop();
-        match (expected, got) {
-            (None, None) => {}
-            (Some(e), Some(g)) => assert!((e.maxdist - g.maxdist).abs() < 1e-6),
-            other => panic!("mismatch on seed {seed}: {other:?}"),
+        let plain = GpSsnEngine::build(&ssn, small_cfg(seed));
+        let cached = GpSsnEngine::build(
+            &ssn,
+            EngineConfig {
+                distance_cache: Some(DistanceCacheConfig::default()),
+                ..small_cfg(seed)
+            },
+        );
+        for tau in 2..=6 {
+            let q = GpSsnQuery {
+                user: 1,
+                tau,
+                gamma: 0.4,
+                theta: 0.4,
+                radius: 2.0,
+            };
+            let expected = exact_baseline(&ssn, &q);
+            let got = query(&plain, &q, &Default::default());
+            assert!(got.completion.is_exact(), "seed {seed} τ={tau}");
+            match (&expected, got.answer()) {
+                (None, None) => {}
+                (Some(e), Some(g)) => {
+                    answered += 1;
+                    assert!((e.maxdist - g.maxdist).abs() < 1e-6, "seed {seed} τ={tau}");
+                }
+                other => panic!("mismatch on seed {seed} τ={tau}: {other:?}"),
+            }
+            for (engine, threads) in [(&plain, 2), (&cached, 1), (&cached, 2)] {
+                let opts = QueryOptions {
+                    refine_threads: threads,
+                    ..Default::default()
+                };
+                let other = query(engine, &q, &opts);
+                assert_bit_identical(got.answer(), other.answer(), "threads/cache vs plain");
+            }
         }
     }
+    assert!(answered >= 10, "too few feasible cases: {answered}");
+}
+
+#[test]
+fn capped_probe_never_claims_exact() {
+    // A feasibility probe stopped by the enumeration cap proves nothing,
+    // so a query whose probes hit a tiny cap must come back truncated
+    // with a sound gap (or exact and optimal), never exact and wrong.
+    let mut capped = 0usize;
+    let mut exact = 0usize;
+    for seed in 0..4u64 {
+        let ssn = synthetic(&SyntheticConfig::uni().scaled(0.004), seed);
+        let cfg = EngineConfig {
+            enumeration_cap: 2,
+            ..small_cfg(seed)
+        };
+        let engine = GpSsnEngine::build(&ssn, cfg);
+        let m = ssn.social().num_users() as u32;
+        for tau in 3..=4 {
+            for user in (0..m).step_by(13) {
+                let q = GpSsnQuery {
+                    user,
+                    tau,
+                    gamma: 0.2,
+                    theta: 0.2,
+                    radius: 3.0,
+                };
+                let opt = exact_baseline(&ssn, &q).map(|a| a.maxdist);
+                let out = query(&engine, &q, &Default::default());
+                capped += (out.metrics.counters[Counter::EnumerationCapHits] > 0) as usize;
+                let got = out.answer().map(|a| a.maxdist);
+                match (&out.completion, got, opt) {
+                    (Completion::Exact, None, None) => exact += 1,
+                    (Completion::Exact, Some(g), Some(o)) => {
+                        exact += 1;
+                        assert!((g - o).abs() < 1e-6, "seed {seed} {q:?}: {g} vs {o}");
+                    }
+                    (Completion::TruncatedWithGap(gap), Some(g), Some(o)) => {
+                        assert!(g - gap <= o + 1e-9, "seed {seed} {q:?}: gap {gap} unsound");
+                    }
+                    (Completion::Failed(_), None, _) => {}
+                    other => panic!("seed {seed} {q:?}: {other:?} (optimum {opt:?})"),
+                }
+            }
+        }
+    }
+    assert!(capped > 0 && exact > 0, "capped {capped}, exact {exact}");
 }
 
 #[test]
