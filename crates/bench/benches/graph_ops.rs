@@ -67,7 +67,7 @@ fn bench_subgraph_enumeration(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             b.iter(|| {
                 let mut count = 0usize;
-                enumerate_connected_subsets(&g, 0, k, None, &mut |_| {
+                enumerate_connected_subsets(&g, 0, k, &mut |_, _| true, &mut |_| {
                     count += 1;
                     count < 2_000
                 });

@@ -2,7 +2,8 @@
 //! sampling, and aligned-table printing.
 
 use gpssn_core::{
-    EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget, QueryOptions, QueryOutcome,
+    Completion, EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, QueryBudget, QueryOptions,
+    QueryOutcome,
 };
 use gpssn_index::{PivotSelectConfig, RoadIndexConfig, SocialIndexConfig};
 use gpssn_ssn::SpatialSocialNetwork;
@@ -10,13 +11,21 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Runs `q` under `opts` and an unlimited budget. A query proven
 /// infeasible before any index work counts as an exact empty answer at
-/// zero cost; any other rejection is a harness bug and panics.
+/// zero cost; any other rejection is a harness bug and panics. So does
+/// any completion other than `Exact`: no figure averages a truncated or
+/// degraded answer.
 pub fn run_query(engine: &GpSsnEngine<'_>, q: &GpSsnQuery, opts: &QueryOptions) -> QueryOutcome {
-    match engine.try_query(q, opts, &QueryBudget::unlimited()) {
+    let out = match engine.try_query(q, opts, &QueryBudget::unlimited()) {
         Ok(out) => out,
         Err(GpSsnError::Infeasible { .. }) => QueryOutcome::infeasible(),
         Err(e) => panic!("harness query rejected: {e}"),
-    }
+    };
+    assert!(
+        matches!(out.completion, Completion::Exact),
+        "harness query {q:?} completed {:?}, not Exact",
+        out.completion
+    );
+    out
 }
 
 /// Global knobs every experiment respects.

@@ -37,7 +37,9 @@ use crate::pruning::{
     ub_match_score_signature, ub_maxdist_node, ub_maxdist_poi, PruningRegion,
 };
 use crate::query::{GpSsnAnswer, GpSsnQuery};
-use crate::refinement::{verify_center, CenterVerification, ChBackend, VerifyContext};
+use crate::refinement::{
+    probe_groups, verify_center, CenterVerification, ChBackend, Probe, VerifyContext,
+};
 use crate::serve::{ServeConfig, ServeObs, ServeObsConfig, ServeRequest, Submission};
 use crate::stats::{Counter, QueryCounters, QueryMetrics, QueryOutcome};
 use gpssn_graph::DijkstraWorkspace;
@@ -68,12 +70,6 @@ pub struct EngineConfig {
     pub social_index: SocialIndexConfig,
     /// Algorithm 1 parameters.
     pub pivot_select: PivotSelectConfig,
-    /// Per-probe cap on refinement subset enumeration (safety valve). A
-    /// probe that reaches it proves nothing: its center stays
-    /// unresolved, counted by [`Counter::EnumerationCapHits`], and the
-    /// query cannot complete `Exact` unless its answer beats that
-    /// center's lower bound.
-    pub enumeration_cap: usize,
     /// Optional LRU buffer pool (in pages) in front of the simulated
     /// index file: I/O then counts misses only. `None` reproduces the
     /// paper's raw page-access metric.
@@ -108,7 +104,6 @@ impl Default for EngineConfig {
             road_index: RoadIndexConfig::default(),
             social_index: SocialIndexConfig::default(),
             pivot_select: PivotSelectConfig::default(),
-            enumeration_cap: 200_000,
             page_cache_capacity: None,
             exact_social_distance: false,
             distance_cache: Some(DistanceCacheConfig::default()),
@@ -767,7 +762,6 @@ impl<'a> GpSsnEngine<'a> {
                 candidates,
                 (lb, center),
                 bound,
-                self.cfg.enumeration_cap,
                 &mut ctx,
                 opts.degradation,
                 &mut outstanding,
@@ -1071,10 +1065,19 @@ impl<'a> GpSsnEngine<'a> {
 
         // If no feasible user group exists at all (independent of R),
         // every center is infeasible: answer None without touching I_R.
-        // `None` means the check itself ran out of budget — proceed; the
-        // traversal below trips on its first pop and degrades cleanly.
-        if self.any_feasible_group(q, candidates, meter) == Some(false) {
+        // A cut check proves nothing — proceed; the traversal below trips
+        // on its first pop and degrades cleanly.
+        if candidates.len() < q.tau {
             return (None, f64::INFINITY, f64::INFINITY);
+        }
+        let mut enabled = vec![false; self.ssn.social().num_users()];
+        for &u in candidates {
+            enabled[u as usize] = true;
+        }
+        match probe_groups(self.ssn.social(), q, Some(&enabled), meter, |_| true) {
+            Probe::Infeasible => return (None, f64::INFINITY, f64::INFINITY),
+            Probe::Found(_) => meter.add(Counter::PairsRefined, 1),
+            Probe::Cut => {}
         }
 
         // Eq. 16's `max_{u_j ∈ S}` term. The loosest sound choice is the
@@ -1254,7 +1257,6 @@ impl<'a> GpSsnEngine<'a> {
                             &filtered,
                             (lb, center),
                             best_val,
-                            self.cfg.enumeration_cap,
                             &mut ctx,
                             opts.degradation,
                             &mut outstanding,
@@ -1297,59 +1299,6 @@ impl<'a> GpSsnEngine<'a> {
                     counts[Counter::IoPages] += 1;
                 }
             }
-        }
-    }
-
-    /// Whether any connected `τ`-group containing `u_q` with pairwise
-    /// interest `>= γ` exists among the candidates (ignores `R`).
-    /// `None` means the check was cut short (budget trip or enumeration
-    /// cap) before either outcome was proven.
-    fn any_feasible_group(
-        &self,
-        q: &GpSsnQuery,
-        candidates: &[UserId],
-        meter: &BudgetState,
-    ) -> Option<bool> {
-        if candidates.len() < q.tau {
-            return Some(false);
-        }
-        let mut allowed = vec![false; self.ssn.social().num_users()];
-        for &u in candidates {
-            allowed[u as usize] = true;
-        }
-        let mut found = false;
-        let mut complete = true;
-        let mut visits = 0u64;
-        gpssn_graph::enumerate_connected_subsets(
-            self.ssn.social().graph(),
-            q.user,
-            q.tau,
-            Some(&allowed),
-            &mut |s| {
-                visits += 1;
-                meter.note_group();
-                if meter.is_tripped() {
-                    complete = false;
-                    return false;
-                }
-                if self.ssn.social().pairwise_interest_holds(s, q.gamma) {
-                    found = true;
-                    return false;
-                }
-                if visits >= self.cfg.enumeration_cap as u64 {
-                    complete = false;
-                    return false;
-                }
-                true
-            },
-        );
-        meter.add(Counter::PairsRefined, visits);
-        if found {
-            Some(true)
-        } else if complete {
-            Some(false)
-        } else {
-            None
         }
     }
 
@@ -1462,7 +1411,6 @@ impl<'a> GpSsnEngine<'a> {
                 &filtered,
                 (lb, center),
                 out.best_val,
-                self.cfg.enumeration_cap,
                 &mut ctx,
                 policy,
                 &mut out.unresolved,
@@ -1558,7 +1506,6 @@ impl<'a> GpSsnEngine<'a> {
                     &filtered,
                     (lb, center),
                     bound,
-                    self.cfg.enumeration_cap,
                     &mut ctx,
                     policy,
                     &mut unresolved,
@@ -1766,10 +1713,9 @@ fn record_phase_ns(obs: Option<&Obs>, name: &'static str, started: Option<Instan
 /// inside verification is additionally caught per-center and absorbed
 /// the same way, while `FailFast` lets it propagate to the batch
 /// isolation layer (the legacy behavior). A verified center's subsets
-/// count as pairs refined. A faulted center (`None`) and a capped one
-/// stay unresolved: their `lb` is folded into `unresolved`, and the
-/// nonzero fault or cap-hit count keeps the completion from claiming
-/// `Exact`.
+/// count as pairs refined. A faulted center (`None`) stays unresolved:
+/// its `lb` is folded into `unresolved`, and the nonzero fault count
+/// keeps the completion from claiming `Exact`.
 #[allow(clippy::too_many_arguments)]
 fn verify_center_guarded(
     ssn: &SpatialSocialNetwork,
@@ -1777,14 +1723,13 @@ fn verify_center_guarded(
     candidates: &[UserId],
     (lb, center): (f64, PoiId),
     bound: f64,
-    enumeration_cap: usize,
     ctx: &mut VerifyContext<'_>,
     policy: DegradationPolicy,
     unresolved: &mut f64,
 ) -> Option<CenterVerification> {
     let res = if policy == DegradationPolicy::Ladder {
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            verify_center(ssn, q, candidates, center, bound, enumeration_cap, ctx)
+            verify_center(ssn, q, candidates, center, bound, ctx)
         }));
         match attempt {
             Ok(r) => r,
@@ -1801,15 +1746,11 @@ fn verify_center_guarded(
             }
         }
     } else {
-        verify_center(ssn, q, candidates, center, bound, enumeration_cap, ctx)
+        verify_center(ssn, q, candidates, center, bound, ctx)
     };
     match res {
         Ok(v) => {
             ctx.budget.add(Counter::PairsRefined, v.subsets_examined);
-            if v.capped {
-                ctx.budget.add(Counter::EnumerationCapHits, 1);
-                *unresolved = unresolved.min(lb);
-            }
             Some(v)
         }
         Err(_) => {
@@ -1821,18 +1762,14 @@ fn verify_center_guarded(
 }
 
 /// The error reported when a cut query verified nothing: the tripped
-/// budget when one tripped, otherwise the absorbed refinement faults,
-/// otherwise the enumeration cap.
+/// budget when one tripped, otherwise the absorbed refinement faults.
 fn cut_error(trip: Option<Trip>, counts: &QueryCounters) -> GpSsnError {
     match trip {
         Some(trip) => trip.into(),
-        None if counts[Counter::RefineFaults] > 0 => GpSsnError::Internal(format!(
+        None => GpSsnError::Internal(format!(
             "{} refinement fault(s) absorbed with no verified answer",
             counts[Counter::RefineFaults]
         )),
-        None => GpSsnError::BudgetExhausted {
-            resource: "enumeration cap",
-        },
     }
 }
 
@@ -1932,10 +1869,10 @@ fn atomic_min_f64(best: &AtomicU64, v: f64) {
 /// value lies within it; `f64::INFINITY` when fewer than `k` answers
 /// were verified). A cut with nothing verified and work left
 /// unresolved is a failure — there is no anytime answer to degrade to.
-/// Absorbed refinement faults and enumeration-cap hits count as cuts
-/// alongside budget trips: those centers' lower bounds were folded into
-/// `outstanding`, so an answer that beats every unresolved bound is
-/// still provably optimal, and anything else degrades honestly.
+/// Absorbed refinement faults count as cuts alongside budget trips:
+/// those centers' lower bounds were folded into `outstanding`, so an
+/// answer that beats every unresolved bound is still provably optimal,
+/// and anything else degrades honestly.
 fn completion_of(
     trip: Option<Trip>,
     counts: &QueryCounters,
@@ -1944,9 +1881,7 @@ fn completion_of(
     outstanding: f64,
 ) -> Completion {
     let kth = answers.get(k - 1).map_or(f64::INFINITY, |a| a.maxdist);
-    let cut = trip.is_some()
-        || counts[Counter::RefineFaults] > 0
-        || counts[Counter::EnumerationCapHits] > 0;
+    let cut = trip.is_some() || counts[Counter::RefineFaults] > 0;
     if !cut || outstanding >= kth {
         Completion::Exact
     } else if answers.is_empty() {

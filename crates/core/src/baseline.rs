@@ -16,6 +16,7 @@
 
 use crate::error::{BudgetState, GpSsnError, QueryBudget};
 use crate::query::{GpSsnAnswer, GpSsnQuery};
+use crate::refinement::probe_groups;
 use crate::stats::{binomial_f64, Counter};
 use gpssn_graph::enumerate_connected_subsets;
 use gpssn_road::{dist_rn_many, dist_rn_many_counted, NetworkPoint, PoiId};
@@ -75,19 +76,7 @@ pub fn try_exact_baseline_with_obs(
     }
     let meter = BudgetState::new(budget);
     // All feasible user groups.
-    let mut groups: Vec<Vec<UserId>> = Vec::new();
-    gpssn_obs::phase(obs, "enumerate_groups", || {
-        enumerate_connected_subsets(ssn.social().graph(), q.user, q.tau, None, &mut |s| {
-            meter.note_group();
-            if meter.is_tripped() {
-                return false;
-            }
-            if ssn.social().pairwise_interest_holds(s, q.gamma) {
-                groups.push(s.to_vec());
-            }
-            true
-        })
-    });
+    let groups = gpssn_obs::phase(obs, "enumerate_groups", || all_groups(ssn, q, &meter));
     if let Some(trip) = meter.trip() {
         return Err(trip.into());
     }
@@ -108,6 +97,7 @@ pub fn try_exact_baseline_with_obs(
         }
         let r_ids: Vec<PoiId> = ball.iter().map(|&(o, _)| o).collect();
         let union = ssn.pois().keyword_union(&r_ids);
+        let eligible = theta_eligible(ssn, q, &union);
         let positions: Vec<NetworkPoint> =
             r_ids.iter().map(|&o| ssn.pois().get(o).position).collect();
         // Cache per-user costs for this ball.
@@ -117,10 +107,7 @@ pub fn try_exact_baseline_with_obs(
             if let Some(trip) = meter.trip() {
                 return Err(trip.into());
             }
-            if group
-                .iter()
-                .any(|&u| match_score_keywords(ssn.social().interest(u), &union) < q.theta)
-            {
+            if group.iter().any(|&u| !eligible[u as usize]) {
                 continue;
             }
             let mut maxdist = 0.0f64;
@@ -160,13 +147,7 @@ pub fn exact_baseline_top_k(
     q: &GpSsnQuery,
     k: usize,
 ) -> Vec<GpSsnAnswer> {
-    let mut groups: Vec<Vec<UserId>> = Vec::new();
-    enumerate_connected_subsets(ssn.social().graph(), q.user, q.tau, None, &mut |s| {
-        if ssn.social().pairwise_interest_holds(s, q.gamma) {
-            groups.push(s.to_vec());
-        }
-        true
-    });
+    let groups = all_groups(ssn, q, &BudgetState::unlimited());
     if groups.is_empty() {
         return Vec::new();
     }
@@ -179,15 +160,13 @@ pub fn exact_baseline_top_k(
         }
         let r_ids: Vec<PoiId> = ball.iter().map(|&(o, _)| o).collect();
         let union = ssn.pois().keyword_union(&r_ids);
+        let eligible = theta_eligible(ssn, q, &union);
         let positions: Vec<NetworkPoint> =
             r_ids.iter().map(|&o| ssn.pois().get(o).position).collect();
         let mut cost_cache: std::collections::HashMap<UserId, f64> = Default::default();
         let mut best_here: Option<GpSsnAnswer> = None;
         for group in &groups {
-            if group
-                .iter()
-                .any(|&u| match_score_keywords(ssn.social().interest(u), &union) < q.theta)
-            {
+            if group.iter().any(|&u| !eligible[u as usize]) {
                 continue;
             }
             let mut maxdist = 0.0f64;
@@ -229,6 +208,25 @@ pub fn exact_baseline_top_k(
     out
 }
 
+/// Every connected `τ`-group containing `u_q` with pairwise interest
+/// `>= γ`, from the feasibility kernel taking none of them (partial when
+/// `meter` trips).
+fn all_groups(ssn: &SpatialSocialNetwork, q: &GpSsnQuery, meter: &BudgetState) -> Vec<Vec<UserId>> {
+    let mut groups = Vec::new();
+    probe_groups(ssn.social(), q, None, meter, |s| {
+        groups.push(s.to_vec());
+        false
+    });
+    groups
+}
+
+/// Whether each user `θ`-matches the keyword union of a ball.
+fn theta_eligible(ssn: &SpatialSocialNetwork, q: &GpSsnQuery, union: &[u32]) -> Vec<bool> {
+    (0..ssn.social().num_users() as UserId)
+        .map(|u| match_score_keywords(ssn.social().interest(u), union) >= q.theta)
+        .collect()
+}
+
 /// The paper's extrapolated Baseline cost estimate.
 #[derive(Debug, Clone)]
 pub struct BaselineEstimate {
@@ -258,7 +256,8 @@ pub fn estimate_baseline_cost(
     let mut sampled = 0usize;
     let started = Instant::now();
     let mut sink = 0.0f64;
-    enumerate_connected_subsets(ssn.social().graph(), q.user, q.tau, None, &mut |s| {
+    let mut all = |_: &[UserId], _: UserId| true;
+    enumerate_connected_subsets(ssn.social().graph(), q.user, q.tau, &mut all, &mut |s| {
         sampled += 1;
         // Measure the work of validating this S against a slice of the
         // POI stream: interest + matching + distance for a few balls.

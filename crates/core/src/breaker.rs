@@ -124,10 +124,10 @@ impl CircuitBreaker {
     /// a seeded jitter in `[0, base)` so repeated open/close cycles do
     /// not phase-lock with periodic workloads.
     fn cooldown_for(&self, level: u32) -> u64 {
-        let capped = level.min(self.cfg.max_backoff_level);
+        let clamped = level.min(self.cfg.max_backoff_level);
         let base = self.cfg.cooldown_base.max(1);
         let jitter = splitmix64(self.cfg.seed ^ u64::from(level)) % base;
-        (base << capped) + jitter
+        (base << clamped) + jitter
     }
 
     /// May this batch use the CH oracle? `false` means: serve from

@@ -191,8 +191,10 @@ pub struct QueryBudget {
     pub deadline: Option<Duration>,
     /// Cap on best-first heap pops (road-index traversal, Eq. 17 order).
     pub max_heap_pops: Option<u64>,
-    /// Cap on connected user subsets enumerated (refinement, sampling,
-    /// feasibility probes, baseline).
+    /// Cap on group-enumeration work, the only bound on it: one unit per
+    /// admission check of the feasibility kernel (refinement probes,
+    /// the feasibility pre-check, the Baseline), per group the sampler
+    /// draws, and per (group, ball) pair the Baseline scores.
     pub max_groups_enumerated: Option<u64>,
     /// Cap on vertices settled by refinement-time distance batches:
     /// every settle of a plain Dijkstra batch, and the forward
@@ -341,7 +343,8 @@ impl BudgetState {
         self.note_counted(Counter::HeapPops, self.max_pops, Trip::HeapPops)
     }
 
-    /// Records one enumerated connected subset; returns the trip if any
+    /// Records one unit of group-enumeration work (see
+    /// [`QueryBudget::max_groups_enumerated`]); returns the trip if any
     /// budget is now (or was already) exhausted. As with [`Self::note_pop`],
     /// the tripping attempt itself is not counted.
     #[inline]

@@ -27,7 +27,7 @@ use crate::query::{GpSsnAnswer, GpSsnQuery};
 use crate::stats::Counter;
 use gpssn_graph::{enumerate_connected_subsets, ChOracle, ChSearch, DijkstraWorkspace};
 use gpssn_road::{dist_rn_many_counted_with, dist_rn_matrix_ch, NetworkPoint, PoiId};
-use gpssn_social::UserId;
+use gpssn_social::{SocialNetwork, UserId};
 use gpssn_ssn::{match_score_keywords, SpatialSocialNetwork};
 use std::sync::Arc;
 
@@ -54,12 +54,9 @@ pub struct CenterVerification {
     /// cut short. The caller must still treat the center as unresolved
     /// for gap purposes (a better group may exist at a shorter prefix).
     pub answer: Option<GpSsnAnswer>,
-    /// Number of `(S, R)` pairs (connected subsets) examined.
+    /// Number of `(S, R)` pairs examined: complete `τ`-groups the
+    /// feasibility probes reached.
     pub subsets_examined: u64,
-    /// A feasibility probe reached the enumeration cap, so the search
-    /// stopped as on a budget trip: [`Self::answer`] is the best group
-    /// verified before the cap and the center stays unresolved.
-    pub capped: bool,
 }
 
 /// Per-worker state threaded through [`verify_center`]: a reusable
@@ -253,26 +250,63 @@ fn user_costs(
 }
 
 /// One feasibility probe's verdict.
-enum Probe {
+pub(crate) enum Probe {
     /// A connected `τ`-group among the enabled users, with connectivity
     /// and pairwise interest checked exactly.
     Found(Vec<UserId>),
-    /// The enumeration finished: no group exists among the enabled users.
+    /// The enumeration finished without taking a group.
     Infeasible,
-    /// The enumeration stopped early (budget trip or enumeration cap):
-    /// the verdict proves nothing.
+    /// The budget tripped before the enumeration finished: the verdict
+    /// proves nothing.
     Cut,
+}
+
+/// The feasibility kernel: enumerates the connected `τ`-groups that
+/// contain `q.user`, draw only on `enabled` users (every user for
+/// `None`) and have pairwise interest `>= γ`, offering each to `take`;
+/// the first group `take` accepts ends the probe as [`Probe::Found`].
+///
+/// A group grows only through users γ-compatible with every current
+/// member. Pairwise γ is hereditary (every subset of a valid group is
+/// valid), so this skips only partial groups no valid group contains,
+/// and the valid groups arrive in the order of the unfiltered
+/// enumeration (see [`enumerate_connected_subsets`]): the first group a
+/// probe finds is unchanged. Every admission check is charged to `meter`
+/// as one [`Counter::GroupsEnumerated`], so a probe that rejects every
+/// partial group still trips [`crate::QueryBudget::max_groups_enumerated`];
+/// any trip ends the probe as [`Probe::Cut`].
+pub(crate) fn probe_groups(
+    social: &SocialNetwork,
+    q: &GpSsnQuery,
+    enabled: Option<&[bool]>,
+    meter: &BudgetState,
+    mut take: impl FnMut(&[UserId]) -> bool,
+) -> Probe {
+    let mut admit = |set: &[UserId], v: UserId| {
+        meter.note_group().is_none()
+            && enabled.is_none_or(|e| e[v as usize])
+            && set.iter().all(|&u| social.score(u, v) >= q.gamma)
+    };
+    let mut found = None;
+    enumerate_connected_subsets(social.graph(), q.user, q.tau, &mut admit, &mut |s| {
+        if take(s) {
+            found = Some(s.to_vec());
+        }
+        found.is_none()
+    });
+    match found {
+        Some(group) => Probe::Found(group),
+        None if meter.is_tripped() => Probe::Cut,
+        None => Probe::Infeasible,
+    }
 }
 
 /// Verifies candidate center `center`. `best_so_far` allows early exits:
 /// a center whose query-user cost already reaches it cannot improve the
-/// global answer. `enumeration_cap` bounds the subsets examined per
-/// feasibility probe (a safety valve; `u32::MAX as usize` disables it):
-/// a probe that reaches it ends the search like a budget trip (see
-/// [`CenterVerification::capped`]). Dijkstra settles and enumerated
-/// subsets are charged to `ctx.budget`; once it trips the verification
-/// stops early, reporting the best group it had fully verified by then
-/// (see [`CenterVerification::answer`]).
+/// global answer. Dijkstra settles and admission checks are charged to
+/// `ctx.budget`; once it trips the verification stops early, reporting
+/// the best group it had fully verified by then (see
+/// [`CenterVerification::answer`]).
 ///
 /// **Reachable users only.** A group is connected, contains `u_q` and
 /// has `τ` members, each cheaper than `best_so_far` if the group is to
@@ -304,7 +338,6 @@ pub fn verify_center(
     candidates: &[UserId],
     center: PoiId,
     best_so_far: f64,
-    enumeration_cap: usize,
     ctx: &mut VerifyContext<'_>,
 ) -> Result<CenterVerification, GpSsnError> {
     if q.user == test_hooks::PANIC_ON_USER.load(std::sync::atomic::Ordering::Relaxed) {
@@ -323,7 +356,6 @@ pub fn verify_center(
     let mut out = CenterVerification {
         answer: None,
         subsets_examined: 0,
-        capped: false,
     };
     let budget = ctx.budget;
     let center_pos = ssn.pois().get(center).position;
@@ -449,45 +481,22 @@ pub fn verify_center(
     // Binary search the smallest feasible enabled prefix (feasibility is
     // monotone in the prefix length).
     let feasible_at = |k: usize, out: &mut CenterVerification| -> Probe {
-        let mut allowed = vec![false; m];
+        let mut enabled = vec![false; m];
         for &(u, _) in &costs[..k] {
-            allowed[u as usize] = true;
+            enabled[u as usize] = true;
         }
-        if !allowed[q.user as usize] {
-            return Probe::Infeasible;
-        }
-        let mut verdict = Probe::Infeasible;
-        let mut visits = 0u64;
-        enumerate_connected_subsets(graph, q.user, q.tau, Some(&allowed), &mut |s| {
-            visits += 1;
-            budget.note_group();
-            if budget.is_tripped() {
-                verdict = Probe::Cut;
-                return false;
-            }
-            if ssn.social().pairwise_interest_holds(s, q.gamma) {
-                verdict = Probe::Found(s.to_vec());
-                return false;
-            }
-            if visits >= enumeration_cap as u64 {
-                out.capped = true;
-                verdict = Probe::Cut;
-                return false;
-            }
-            true
-        });
-        out.subsets_examined += visits;
-        verdict
+        let probe = probe_groups(ssn.social(), q, Some(&enabled), budget, |_| true);
+        out.subsets_examined += matches!(probe, Probe::Found(_)) as u64;
+        probe
     };
 
-    // Every feasibility probe below may be cut short by the budget or
-    // the enumeration cap. A cut only invalidates the probe's *verdict*
-    // (it proves nothing, so the binary search must never narrow on
-    // it); a group the probe did return was checked exactly before the
-    // cut and stays a valid answer. So: keep the cheapest group seen,
-    // and on a cut stop searching and report it — the caller folds this
-    // center's lower bound into the anytime gap, which keeps the bound
-    // sound.
+    // Every feasibility probe below may be cut short by the budget. A
+    // cut only invalidates the probe's *verdict* (it proves nothing, so
+    // the binary search must never narrow on it); a group the probe did
+    // return was checked exactly before the cut and stays a valid
+    // answer. So: keep the cheapest group seen, and on a cut stop
+    // searching and report it — the caller folds this center's lower
+    // bound into the anytime gap, which keeps the bound sound.
     let group_maxdist = |g: &[UserId]| -> Result<f64, GpSsnError> {
         let mut md = 0.0f64;
         for &u in g {
@@ -549,9 +558,9 @@ pub fn verify_center(
     // When the search ran to completion, `hi` is the minimal feasible
     // prefix and its probe's group is optimal: its maxdist equals
     // costs[hi-1].1, and any cheaper group would fit inside a shorter,
-    // infeasible prefix. On a trip or a capped probe, fall back to the
-    // best group verified before the cut.
-    let chosen = if budget.is_tripped() || out.capped {
+    // infeasible prefix. On a trip, fall back to the best group verified
+    // before the cut.
+    let chosen = if budget.is_tripped() {
         best_verified
     } else {
         match min_prefix_group {
@@ -605,7 +614,7 @@ mod tests {
             obs: None,
             span_parent: 0,
         };
-        verify_center(ssn, q, candidates, center, best, usize::MAX, &mut ctx)
+        verify_center(ssn, q, candidates, center, best, &mut ctx)
             .expect("no invariant faults in tests")
     }
 
@@ -685,7 +694,8 @@ mod tests {
                 .fold(0.0f64, f64::max)
         };
         let mut best: Option<f64> = None;
-        enumerate_connected_subsets(ssn.social().graph(), q.user, q.tau, None, &mut |s| {
+        let mut all = |_: &[UserId], _: UserId| true;
+        enumerate_connected_subsets(ssn.social().graph(), q.user, q.tau, &mut all, &mut |s| {
             let eligible = s
                 .iter()
                 .all(|&u| match_score_keywords(ssn.social().interest(u), &union) >= q.theta);
@@ -722,7 +732,7 @@ mod tests {
                 obs: None,
                 span_parent: 0,
             };
-            let v = verify_center(&ssn, &q, &[0, 1, 2, 3, 4], 0, 10.0, usize::MAX, &mut ctx)
+            let v = verify_center(&ssn, &q, &[0, 1, 2, 3, 4], 0, 10.0, &mut ctx)
                 .expect("no invariant faults in tests");
             assert_eq!(v.answer.map(|a| a.maxdist), brute_force(&ssn, &q, 0));
             // |R| = 2 cells for u_q's own row, then 2 per costed user.
@@ -734,6 +744,60 @@ mod tests {
                 assert_eq!(cell.is_some(), costed.contains(&u), "τ={tau} user {u}");
             }
         }
+    }
+
+    #[test]
+    fn admission_prunes_pairwise_incompatible_friends() {
+        // u_q (user 0) and 12 friends on one road point. Each friend
+        // shares one interest dimension with u_q and none with another
+        // friend, so no 4-group has pairwise interest >= γ.
+        const FRIENDS: usize = 12;
+        let road = RoadNetwork::from_euclidean_edges(
+            vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)],
+            &[(0, 1)],
+        );
+        let pois = PoiSet::new(
+            &road,
+            vec![Poi::new(NetworkPoint::new(&road, 0, 0.5), vec![0])],
+        );
+        let mut interests = vec![InterestVector::new(vec![1.0; FRIENDS])];
+        interests.extend((0..FRIENDS).map(|i| {
+            let mut w = vec![0.0; FRIENDS];
+            w[i] = 1.0;
+            InterestVector::new(w)
+        }));
+        let edges: Vec<(u32, u32)> = (1..=FRIENDS as u32).map(|f| (0, f)).collect();
+        let social = SocialNetwork::new(interests, &edges);
+        let homes = vec![NetworkPoint::new(&road, 0, 0.0); FRIENDS + 1];
+        let ssn = SpatialSocialNetwork::new(road, pois, social, homes);
+        let q = GpSsnQuery {
+            user: 0,
+            tau: 4,
+            gamma: 0.5,
+            theta: 0.0,
+            radius: 1.0,
+        };
+        let candidates: Vec<UserId> = (0..=FRIENDS as u32).collect();
+        let mut ws = DijkstraWorkspace::new();
+        let budget = BudgetState::unlimited();
+        let mut ctx = VerifyContext {
+            ws: &mut ws,
+            ch: None,
+            cache: None,
+            breaker: None,
+            budget: &budget,
+            obs: None,
+            span_parent: 0,
+        };
+        let v = verify_center(&ssn, &q, &candidates, 0, f64::INFINITY, &mut ctx)
+            .expect("no invariant faults in tests");
+        assert!(v.answer.is_none());
+        assert_eq!(v.subsets_examined, 0);
+        // The root, each friend, and each later friend offered to a
+        // {u_q, friend} pair: 1 + 12 + C(12, 2) = 79 admission checks,
+        // where testing only complete groups walks C(12, 3) = 220.
+        let groups = budget.snapshot()[Counter::GroupsEnumerated];
+        assert!(groups <= 79, "{groups} admission checks");
     }
 
     #[test]

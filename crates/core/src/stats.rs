@@ -59,8 +59,11 @@ counters! {
     /// Best-first heap pops (the unit of
     /// [`crate::QueryBudget::max_heap_pops`]).
     HeapPops => "heap_pops", "gpssn_heap_pops_total";
-    /// Connected user subsets enumerated (the unit of
-    /// [`crate::QueryBudget::max_groups_enumerated`]).
+    /// Group-enumeration work, the unit of
+    /// [`crate::QueryBudget::max_groups_enumerated`]: mostly admission
+    /// checks of the feasibility kernel, one per user offered to a
+    /// partial group (the query user as its root included), plus one per
+    /// group the sampler draws.
     GroupsEnumerated => "groups_enumerated", "gpssn_groups_enumerated_total";
     /// Refinement `dist_RN` batches answered by plain Dijkstra sweeps.
     DijkstraBatches => "dijkstra_batches", "gpssn_distance_batches_total" ["backend" = "dijkstra"];
@@ -119,7 +122,11 @@ counters! {
     /// (Fig. 7c).
     PoisPrunedByMatching => "pois_pruned_by_matching",
         "gpssn_pruned_pois_total" ["stage" = "matching"];
-    /// (S, R) pairs actually examined during refinement.
+    /// (S, R) pairs actually examined during refinement: complete
+    /// `τ`-groups the feasibility probes reached. Every one is γ-valid
+    /// (groups grow only through compatible users), so this is at most
+    /// one per probe and far below [`Counter::GroupsEnumerated`], which
+    /// counts the admission checks spent reaching them.
     PairsRefined => "pairs_refined", "gpssn_pairs_refined_total";
     /// Candidate users surviving both pruning stages.
     CandidateUsers => "candidate_users", "gpssn_candidate_users_total";
@@ -129,11 +136,6 @@ counters! {
     /// each stays unresolved, so a nonzero count keeps the completion
     /// from claiming `Exact`.
     RefineFaults => "refine_faults", "gpssn_refine_faults_total";
-    /// Centers whose feasibility probe reached
-    /// [`crate::EngineConfig::enumeration_cap`]: each stays unresolved
-    /// like a faulted one, so a nonzero count keeps the completion from
-    /// claiming `Exact`.
-    EnumerationCapHits => "enumeration_cap_hits", "gpssn_enumeration_cap_hits_total";
     /// CH batches that panicked and were re-served from Dijkstra.
     /// Informational: the fallback row is bit-identical, so these do not
     /// degrade the completion.

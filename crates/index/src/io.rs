@@ -4,8 +4,8 @@
 //! The paper reports the number of page accesses during query answering.
 //! We model each index node (of either `I_R` or `I_S`) as one page of a
 //! paged index file; visiting a node during traversal or refinement costs
-//! one page access. A query-local counter keeps the accounting explicit
-//! and thread-safe without locking.
+//! one page access; the engine counts the accesses of each query in its
+//! per-query counter record.
 //!
 //! [`PageCache`] adds the classic database refinement: an LRU buffer pool
 //! in front of the page file, so repeated touches of a hot page (e.g. the
@@ -13,84 +13,7 @@
 //! cost one physical read. The `cache` experiment in `gpssn-bench`
 //! sweeps the pool size.
 
-use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-
-/// A page-access counter. Cheap to clone-by-reference into traversal code;
-/// interior mutability keeps traversal APIs immutable.
-#[derive(Debug, Default)]
-pub struct IoCounter {
-    pages: Cell<u64>,
-    cache: Option<RefCell<PageCache>>,
-    hits: Cell<u64>,
-}
-
-impl IoCounter {
-    /// A fresh counter at zero, with no buffer pool (every touch is a
-    /// physical page access — the paper's metric).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A counter backed by an LRU buffer pool of `capacity` pages:
-    /// [`IoCounter::touch_page`] only counts misses.
-    pub fn with_cache(capacity: usize) -> Self {
-        IoCounter {
-            pages: Cell::new(0),
-            cache: Some(RefCell::new(PageCache::new(capacity))),
-            hits: Cell::new(0),
-        }
-    }
-
-    /// Records one page access (always physical; bypasses the pool).
-    #[inline]
-    pub fn touch(&self) {
-        self.pages.set(self.pages.get() + 1);
-    }
-
-    /// Records `n` page accesses (always physical).
-    #[inline]
-    pub fn touch_n(&self, n: u64) {
-        self.pages.set(self.pages.get() + n);
-    }
-
-    /// Records an access to an identified page: with a buffer pool, only
-    /// a miss counts as a physical access; without one, this is
-    /// [`IoCounter::touch`].
-    pub fn touch_page(&self, page: u64) {
-        match &self.cache {
-            None => self.touch(),
-            Some(cache) => {
-                if cache.borrow_mut().access(page) {
-                    self.hits.set(self.hits.get() + 1);
-                } else {
-                    self.touch();
-                }
-            }
-        }
-    }
-
-    /// Physical page accesses so far.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.pages.get()
-    }
-
-    /// Buffer-pool hits so far (0 without a pool).
-    #[inline]
-    pub fn cache_hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Resets counters and evicts the pool.
-    pub fn reset(&self) {
-        self.pages.set(0);
-        self.hits.set(0);
-        if let Some(cache) = &self.cache {
-            cache.borrow_mut().clear();
-        }
-    }
-}
 
 /// A strict-LRU page cache: `access` returns whether the page was
 /// resident, inserting (and evicting the least-recently-used page) when
@@ -643,46 +566,6 @@ fn bad_data(msg: &str) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counts_and_resets() {
-        let io = IoCounter::new();
-        assert_eq!(io.count(), 0);
-        io.touch();
-        io.touch();
-        io.touch_n(3);
-        assert_eq!(io.count(), 5);
-        io.reset();
-        assert_eq!(io.count(), 0);
-    }
-
-    #[test]
-    fn immutable_reference_suffices() {
-        let io = IoCounter::new();
-        let r = &io;
-        r.touch();
-        assert_eq!(io.count(), 1);
-    }
-
-    #[test]
-    fn uncached_touch_page_counts_every_access() {
-        let io = IoCounter::new();
-        io.touch_page(7);
-        io.touch_page(7);
-        assert_eq!(io.count(), 2);
-        assert_eq!(io.cache_hits(), 0);
-    }
-
-    #[test]
-    fn cached_touch_page_counts_misses_only() {
-        let io = IoCounter::with_cache(2);
-        io.touch_page(1); // miss
-        io.touch_page(1); // hit
-        io.touch_page(2); // miss
-        io.touch_page(1); // hit
-        assert_eq!(io.count(), 2);
-        assert_eq!(io.cache_hits(), 2);
-    }
 
     #[test]
     fn lru_evicts_least_recent() {

@@ -8,7 +8,8 @@ use common::{assert_bit_identical, query};
 use gpssn::core::algorithm::{EngineConfig, QueryOptions};
 use gpssn::core::query::check_answer;
 use gpssn::core::{
-    exact_baseline, Completion, Counter, DistanceCacheConfig, GpSsnEngine, GpSsnQuery,
+    exact_baseline, Completion, DistanceCacheConfig, GpSsnEngine, GpSsnError, GpSsnQuery,
+    QueryBudget, QueryOutcome,
 };
 use gpssn::index::{PivotSelectConfig, SocialIndexConfig};
 use gpssn::ssn::{synthetic, SyntheticConfig};
@@ -137,22 +138,20 @@ fn engine_matches_brute_force_on_zipf_data() {
 }
 
 #[test]
-fn capped_probe_never_claims_exact() {
-    // A feasibility probe stopped by the enumeration cap proves nothing,
-    // so a query whose probes hit a tiny cap must come back truncated
-    // with a sound gap (or exact and optimal), never exact and wrong.
-    let mut capped = 0usize;
+fn tiny_group_budget_never_claims_exact() {
+    // A feasibility probe cut by the group budget proves nothing, so a
+    // query whose budget runs out mid-enumeration must come back
+    // truncated with a sound gap (or exact and optimal), never exact and
+    // wrong. 60 admission checks cut most probes at τ 3–6; 5 also cut
+    // the "does any group exist" pre-check.
+    let mut truncated = 0usize;
     let mut exact = 0usize;
     for seed in 0..4u64 {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.004), seed);
-        let cfg = EngineConfig {
-            enumeration_cap: 2,
-            ..small_cfg(seed)
-        };
-        let engine = GpSsnEngine::build(&ssn, cfg);
+        let engine = GpSsnEngine::build(&ssn, small_cfg(seed));
         let m = ssn.social().num_users() as u32;
-        for tau in 3..=4 {
-            for user in (0..m).step_by(13) {
+        for tau in 3..=6 {
+            for user in (0..m).step_by(26) {
                 let q = GpSsnQuery {
                     user,
                     tau,
@@ -161,25 +160,39 @@ fn capped_probe_never_claims_exact() {
                     radius: 3.0,
                 };
                 let opt = exact_baseline(&ssn, &q).map(|a| a.maxdist);
-                let out = query(&engine, &q, &Default::default());
-                capped += (out.metrics.counters[Counter::EnumerationCapHits] > 0) as usize;
-                let got = out.answer().map(|a| a.maxdist);
-                match (&out.completion, got, opt) {
-                    (Completion::Exact, None, None) => exact += 1,
-                    (Completion::Exact, Some(g), Some(o)) => {
-                        exact += 1;
-                        assert!((g - o).abs() < 1e-6, "seed {seed} {q:?}: {g} vs {o}");
+                for groups in [5, 60] {
+                    let budget = QueryBudget {
+                        max_groups_enumerated: Some(groups),
+                        ..Default::default()
+                    };
+                    let out = match engine.try_query(&q, &Default::default(), &budget) {
+                        Ok(out) => out,
+                        Err(GpSsnError::Infeasible { .. }) => QueryOutcome::infeasible(),
+                        Err(e) => panic!("invalid query: {e}"),
+                    };
+                    let got = out.answer().map(|a| a.maxdist);
+                    let what = format!("seed {seed} budget {groups} {q:?}");
+                    match (&out.completion, got, opt) {
+                        (Completion::Exact, None, None) => exact += 1,
+                        (Completion::Exact, Some(g), Some(o)) => {
+                            exact += 1;
+                            assert!((g - o).abs() < 1e-6, "{what}: {g} vs {o}");
+                        }
+                        (Completion::TruncatedWithGap(gap), Some(g), Some(o)) => {
+                            truncated += 1;
+                            assert!(g - gap <= o + 1e-9, "{what}: gap {gap} unsound");
+                        }
+                        (Completion::Failed(_), None, _) => {}
+                        other => panic!("{what}: {other:?} (optimum {opt:?})"),
                     }
-                    (Completion::TruncatedWithGap(gap), Some(g), Some(o)) => {
-                        assert!(g - gap <= o + 1e-9, "seed {seed} {q:?}: gap {gap} unsound");
-                    }
-                    (Completion::Failed(_), None, _) => {}
-                    other => panic!("seed {seed} {q:?}: {other:?} (optimum {opt:?})"),
                 }
             }
         }
     }
-    assert!(capped > 0 && exact > 0, "capped {capped}, exact {exact}");
+    assert!(
+        truncated > 0 && exact > 0,
+        "truncated {truncated}, exact {exact}"
+    );
 }
 
 #[test]
