@@ -1,10 +1,8 @@
-//! Center-refinement benchmarks for the PR-2 fast paths: sequential vs
-//! parallel verification (intra-query worker threads over the candidate
-//! centers) and cold vs warm cross-query distance cache. All modes
-//! return bit-identical answers (see `tests/refinement_modes.rs`); this
-//! measures what that exactness costs or saves.
+//! Center-refinement benchmarks: cold vs warm cross-query distance
+//! cache. Both return bit-identical answers (see
+//! `tests/refinement_modes.rs`); this measures what the cache saves.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gpssn_bench::run_query;
 use gpssn_core::{
     Counter, DistanceCacheConfig, EngineConfig, GpSsnEngine, GpSsnQuery, QueryCounters,
@@ -37,37 +35,7 @@ fn workload() -> Vec<GpSsnQuery> {
         .collect()
 }
 
-fn opts(threads: usize) -> QueryOptions {
-    QueryOptions {
-        refine_threads: threads,
-        ..Default::default()
-    }
-}
-
-/// Sequential vs parallel center verification, cache disabled so the
-/// threading dimension is isolated.
-fn bench_threads(c: &mut Criterion) {
-    let ssn = DatasetKind::Uni.build(SCALE, 42);
-    let eng = engine(&ssn, None);
-    let queries = workload();
-    let mut group = c.benchmark_group("refinement_threads");
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.sample_size(10);
-    for &threads in &[1usize, 2, 4] {
-        let o = opts(threads);
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &o, |b, o| {
-            b.iter(|| {
-                for q in &queries {
-                    black_box(run_query(&eng, q, o));
-                }
-            });
-        });
-    }
-    group.finish();
-}
-
-/// Cold vs warm distance cache at one thread. "cold" rebuilds nothing —
+/// Cold vs warm distance cache. "cold" rebuilds nothing —
 /// the cache is simply absent — while "warm" replays the workload
 /// against a cache already populated by a priming pass, the cross-query
 /// batch scenario the cache exists for.
@@ -129,8 +97,7 @@ fn bench_cache(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full production stack (4 threads + warm cache) against the
-/// plain engine — the headline number for this PR.
+/// The production configuration (warm cache) against the plain engine.
 fn bench_combined(c: &mut Criterion) {
     let ssn = DatasetKind::Uni.build(SCALE, 42);
     let queries = workload();
@@ -143,7 +110,7 @@ fn bench_combined(c: &mut Criterion) {
     group.bench_function("plain", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(run_query(&plain, q, &opts(1)));
+                black_box(run_query(&plain, q, &QueryOptions::default()));
             }
         });
     });
@@ -152,15 +119,15 @@ fn bench_combined(c: &mut Criterion) {
     for q in &queries {
         run_query(&fast, q, &QueryOptions::default()); // prime
     }
-    group.bench_function("parallel4_warm_cache", |b| {
+    group.bench_function("warm_cache", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(run_query(&fast, q, &opts(4)));
+                black_box(run_query(&fast, q, &QueryOptions::default()));
             }
         });
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_threads, bench_cache, bench_combined);
+criterion_group!(benches, bench_cache, bench_combined);
 criterion_main!(benches);

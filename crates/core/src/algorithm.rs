@@ -53,7 +53,6 @@ use gpssn_social::{SocialPivots, UserId};
 use gpssn_spatial::Entry;
 use gpssn_ssn::SpatialSocialNetwork;
 use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -80,12 +79,12 @@ pub struct EngineConfig {
     /// lower bounds remain the default; exact labels trade index build
     /// time for maximal distance-pruning power.
     pub exact_social_distance: bool,
-    /// Cross-query ball / `dist_RN` cache shared by every query (and
-    /// every refinement worker) this engine serves. Cached values are
-    /// bit-identical to recomputation (see [`crate::cache`]), so under
-    /// an unlimited budget answers are unchanged; under a tight budget
-    /// hits simply stretch how far the budget reaches (cached work
-    /// charges no Dijkstra settles). `None` disables caching.
+    /// Cross-query ball / `dist_RN` cache shared by every query this
+    /// engine serves. Cached values are bit-identical to recomputation
+    /// (see [`crate::cache`]), so under an unlimited budget answers are
+    /// unchanged; under a tight budget hits simply stretch how far the
+    /// budget reaches (cached work charges no Dijkstra settles). `None`
+    /// disables caching.
     pub distance_cache: Option<DistanceCacheConfig>,
     /// Telemetry sink shared by every query this engine serves: phase
     /// spans (text flamegraph / Chrome trace) plus per-query counters
@@ -228,16 +227,6 @@ pub struct QueryOptions {
     /// geometric `maxdist`/`mindist` comparison for Lemma 8 (the
     /// geometric test is sufficient-only; the tight test prunes more).
     pub use_tight_mbr_test: bool,
-    /// Worker threads for center refinement *within* one query. `1`
-    /// (the default) verifies centers sequentially; `0` uses the
-    /// machine's available parallelism. Under an untripped budget the
-    /// answer is bit-identical to the sequential one (see
-    /// [`crate::refinement::verify_center`]'s determinism note); under
-    /// a tripped budget parallel workers may get further before the
-    /// trip, so the anytime answer can legitimately differ (its gap
-    /// bound stays sound). Budgets remain global: all workers charge
-    /// the same meter.
-    pub refine_threads: usize,
     /// Oracle serving refinement-time `dist_RN` rows and columns. The
     /// default [`DistanceBackend::Ch`] uses the road index's contraction
     /// hierarchy when it carries one and degrades to Dijkstra otherwise;
@@ -261,7 +250,6 @@ impl Default for QueryOptions {
             use_matching_pruning: true,
             use_delta_pruning: true,
             use_tight_mbr_test: false,
-            refine_threads: 1,
             distance_backend: DistanceBackend::Ch,
             degradation: DegradationPolicy::default(),
             mode: QueryMode::default(),
@@ -538,10 +526,9 @@ impl<'a> GpSsnEngine<'a> {
                 self.refine_top_k(q, k, opts, &candidates, &mut counts, &meter, obs)
             }
             QueryMode::Approximate { samples, seed } => {
-                let (mut centers, outstanding, delta) = gpssn_obs::phase(obs, "prune_road", || {
+                let (centers, outstanding, delta) = gpssn_obs::phase(obs, "prune_road", || {
                     self.collect_centers(q, opts, &candidates, &mut counts, &meter)
                 });
-                centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 counts[Counter::CandidatePois] = centers.len() as u64;
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
                 let (answer, unresolved) = gpssn_obs::phase(obs, "sample", || {
@@ -697,13 +684,11 @@ impl<'a> GpSsnEngine<'a> {
     }
 
     /// [`QueryMode::TopK`] refinement: collects every candidate center
-    /// with δ-pruning off, then verifies them in ascending `lb` order
-    /// until the `k`-th best answer beats the next lower bound. Returns
-    /// the answers (ascending `maxdist`, distinct groups), `δ`, and the
+    /// with δ-pruning off, then runs the shared center loop
+    /// ([`GpSsnEngine::refine_centers`]) for the `k` best. Returns the
+    /// answers (ascending `maxdist`, distinct groups), `δ`, and the
     /// smallest lower bound left unresolved.
-    // Audited expect: `best_k.last()` is only read behind an explicit
-    // `best_k.len() >= k` (k >= 1) guard.
-    #[allow(clippy::expect_used, clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)]
     fn refine_top_k(
         &self,
         q: &GpSsnQuery,
@@ -718,75 +703,14 @@ impl<'a> GpSsnEngine<'a> {
             use_delta_pruning: false,
             ..opts.clone()
         };
-        let (mut centers, mut outstanding, delta) = gpssn_obs::phase(obs, "prune_road", || {
+        let (centers, outstanding, delta) = gpssn_obs::phase(obs, "prune_road", || {
             self.collect_centers(q, &opts, candidates, counts, meter)
         });
-        centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         counts[Counter::CandidatePois] = centers.len() as u64;
-        let refine_span = obs
-            .filter(|o| o.tracing_on())
-            .map(|o| o.tracer().span("refine"));
-        let span_parent = refine_span.as_ref().map_or(0, |s| s.id());
-        let refine_started = obs.map(|_| Instant::now());
-        let mut ws = DijkstraWorkspace::new();
-        let mut chws = gpssn_graph::ChSearch::new();
-        let mut ctx = VerifyContext {
-            ws: &mut ws,
-            ch: self.ch_for(&opts).map(|oracle| ChBackend {
-                oracle,
-                search: &mut chws,
-            }),
-            cache: self.distance_cache.as_ref(),
-            breaker: Some(&self.ch_breaker),
-            budget: meter,
-            obs,
-            span_parent,
-        };
-        let mut best_k: Vec<GpSsnAnswer> = Vec::new();
-        for &(lb, center) in &centers {
-            let bound = if best_k.len() < k {
-                f64::INFINITY
-            } else {
-                best_k.last().expect("non-empty").maxdist
-            };
-            if lb >= bound {
-                break;
-            }
-            if meter.is_tripped() {
-                outstanding = outstanding.min(lb);
-                break;
-            }
-            let Some(v) = verify_center_guarded(
-                self.ssn,
-                q,
-                candidates,
-                (lb, center),
-                bound,
-                &mut ctx,
-                opts.degradation,
-                &mut outstanding,
-            ) else {
-                continue;
-            };
-            if let Some(ans) = v.answer {
-                if !best_k
-                    .iter()
-                    .any(|b| b.users == ans.users && b.pois == ans.pois)
-                {
-                    best_k.push(ans);
-                    best_k.sort_by(|a, b| a.maxdist.total_cmp(&b.maxdist));
-                    best_k.truncate(k);
-                }
-            }
-            if meter.is_tripped() {
-                outstanding = outstanding.min(lb);
-                break;
-            }
-        }
-        record_phase_ns(obs, "refine", refine_started);
-        drop(refine_span);
-        note_workspaces(meter, &ws, &chws);
-        (best_k, delta, outstanding)
+        let (answers, unresolved) = gpssn_obs::phase(obs, "refine", || {
+            self.refine_centers(q, k, &opts, candidates, &centers, meter, obs)
+        });
+        (answers, delta, outstanding.min(unresolved))
     }
 
     /// Subset-sampling refinement (the paper's §5 estimator) over
@@ -857,7 +781,6 @@ impl<'a> GpSsnEngine<'a> {
         let meter = BudgetState::new(&budget);
         let mut counts = QueryCounters::default();
         let (mut centers, _, _) = self.collect_centers(q, opts, candidates, &mut counts, &meter);
-        centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         centers.truncate(RESCUE_CENTERS);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_0000 ^ u64::from(q.user));
         let (answer, _) =
@@ -867,11 +790,11 @@ impl<'a> GpSsnEngine<'a> {
     }
 
     /// Traversal-only road phase: collects candidate centers with their
-    /// lower bounds, without refinement (shared by the approximate and
-    /// top-k modes and the sampling rung). δ-cut items are dropped, not
-    /// deferred. Also returns the smallest lower bound left unexplored
-    /// when the budget tripped mid-traversal (`f64::INFINITY` otherwise)
-    /// and the final `δ`.
+    /// lower bounds, sorted ascending by `(lb, id)`, without refinement
+    /// (shared by the approximate and top-k modes and the sampling
+    /// rung). δ-cut items are dropped, not deferred. Also returns the
+    /// smallest lower bound left unexplored when the budget tripped
+    /// mid-traversal (`f64::INFINITY` otherwise) and the final `δ`.
     fn collect_centers(
         &self,
         q: &GpSsnQuery,
@@ -927,6 +850,7 @@ impl<'a> GpSsnEngine<'a> {
                 Item::Center(o) => centers.push((lb, o)),
             }
         }
+        centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         (centers, outstanding, delta)
     }
 
@@ -1163,28 +1087,19 @@ impl<'a> GpSsnEngine<'a> {
         });
 
         // Refinement over surviving centers, cheapest lower bound first
-        // (ties broken by center id so every execution mode agrees on
-        // the order — the parallel merge below keys on it).
+        // (ties broken by center id, as in `collect_centers`).
         centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         if meter.is_tripped() {
             // Traversal was cut short: every collected center is still
             // unverified, so its lb is outstanding.
             outstanding = centers.iter().fold(outstanding, |m, &(lb, _)| m.min(lb));
         }
-        // The refine span is opened by hand (not via `Obs::phase`)
-        // because its id seeds `VerifyContext::span_parent`, under which
-        // parallel workers hang their cross-thread `verify_center` spans.
-        let refine_span = obs
-            .filter(|o| o.tracing_on())
-            .map(|o| o.tracer().span("refine"));
-        let span_parent = refine_span.as_ref().map_or(0, |s| s.id());
-        let refine_started = obs.map(|_| Instant::now());
-        let refined = self.refine_centers(q, opts, candidates, &centers, meter, obs, span_parent);
-        record_phase_ns(obs, "refine", refine_started);
-        drop(refine_span);
-        outstanding = outstanding.min(refined.unresolved);
-        let mut best = refined.answer;
-        let mut best_val = refined.best_val;
+        let (answers, unresolved) = gpssn_obs::phase(obs, "refine", || {
+            self.refine_centers(q, 1, opts, candidates, &centers, meter, obs)
+        });
+        outstanding = outstanding.min(unresolved);
+        let mut best = answers.into_iter().next();
+        let mut best_val = best.as_ref().map_or(f64::INFINITY, |a| a.maxdist);
 
         // Exactness fallback: deferred items that still beat the best.
         deferred.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -1194,89 +1109,84 @@ impl<'a> GpSsnEngine<'a> {
             // only widens the reported gap — conservative, never wrong).
             outstanding = deferred.iter().fold(outstanding, |m, &(lb, _)| m.min(lb));
         } else {
-            let mut ws = DijkstraWorkspace::new();
-            let mut chws = gpssn_graph::ChSearch::new();
-            let fb_span = obs
-                .filter(|o| o.tracing_on())
-                .map(|o| o.tracer().span("refine_fallback"));
-            let fb_started = obs.map(|_| Instant::now());
-            let mut ctx = VerifyContext {
-                ws: &mut ws,
-                ch: self.ch_for(opts).map(|oracle| ChBackend {
-                    oracle,
-                    search: &mut chws,
-                }),
-                cache: self.distance_cache.as_ref(),
-                breaker: Some(&self.ch_breaker),
-                budget: meter,
-                obs,
-                span_parent: fb_span.as_ref().map_or(0, |s| s.id()),
-            };
-            let mut fallback = MinHeap::new();
-            for (lb, item) in deferred {
-                if lb < best_val {
-                    fallback.push(lb, item);
-                }
-            }
-            while let Some((lb, item)) = fallback.pop() {
-                if lb >= best_val {
-                    break;
-                }
-                meter.note_pop();
-                if meter.is_tripped() {
-                    outstanding = outstanding.min(lb);
-                    break;
-                }
-                match item {
-                    Item::Node(n) => {
-                        self.touch(counts, gpssn_index::io::page_ids::road(n));
-                        let mut local_centers = Vec::new();
-                        self.expand_node(
-                            q,
-                            opts,
-                            n,
-                            uq_interest,
-                            uq_rn,
-                            &scand_ub,
-                            &mut fallback,
-                            &mut local_centers,
-                            &mut delta,
-                            counts,
-                            false,
-                        );
-                        for (clb, c) in local_centers {
-                            fallback.push(clb, Item::Center(c));
-                        }
+            gpssn_obs::phase(obs, "refine_fallback", || {
+                let mut ws = DijkstraWorkspace::new();
+                let mut chws = gpssn_graph::ChSearch::new();
+                let mut ctx = VerifyContext {
+                    ws: &mut ws,
+                    ch: self.ch_for(opts).map(|oracle| ChBackend {
+                        oracle,
+                        search: &mut chws,
+                    }),
+                    cache: self.distance_cache.as_ref(),
+                    breaker: Some(&self.ch_breaker),
+                    budget: meter,
+                    obs,
+                };
+                let mut fallback = MinHeap::new();
+                for (lb, item) in deferred {
+                    if lb < best_val {
+                        fallback.push(lb, item);
                     }
-                    Item::Center(center) => {
-                        let filtered =
-                            self.filter_candidates_for_center(candidates, center, best_val);
-                        let Some(v) = verify_center_guarded(
-                            self.ssn,
-                            q,
-                            &filtered,
-                            (lb, center),
-                            best_val,
-                            &mut ctx,
-                            opts.degradation,
-                            &mut outstanding,
-                        ) else {
-                            continue;
-                        };
-                        if let Some(ans) = v.answer {
-                            best_val = ans.maxdist;
-                            best = Some(ans);
+                }
+                while let Some((lb, item)) = fallback.pop() {
+                    if lb >= best_val {
+                        break;
+                    }
+                    meter.note_pop();
+                    if meter.is_tripped() {
+                        outstanding = outstanding.min(lb);
+                        break;
+                    }
+                    match item {
+                        Item::Node(n) => {
+                            self.touch(counts, gpssn_index::io::page_ids::road(n));
+                            let mut local_centers = Vec::new();
+                            self.expand_node(
+                                q,
+                                opts,
+                                n,
+                                uq_interest,
+                                uq_rn,
+                                &scand_ub,
+                                &mut fallback,
+                                &mut local_centers,
+                                &mut delta,
+                                counts,
+                                false,
+                            );
+                            for (clb, c) in local_centers {
+                                fallback.push(clb, Item::Center(c));
+                            }
                         }
-                        if meter.is_tripped() {
-                            outstanding = outstanding.min(lb);
-                            break;
+                        Item::Center(center) => {
+                            let filtered =
+                                self.filter_candidates_for_center(candidates, center, best_val);
+                            let Some(v) = verify_center_guarded(
+                                self.ssn,
+                                q,
+                                &filtered,
+                                (lb, center),
+                                best_val,
+                                &mut ctx,
+                                opts.degradation,
+                                &mut outstanding,
+                            ) else {
+                                continue;
+                            };
+                            if let Some(ans) = v.answer {
+                                best_val = ans.maxdist;
+                                best = Some(ans);
+                            }
+                            if meter.is_tripped() {
+                                outstanding = outstanding.min(lb);
+                                break;
+                            }
                         }
                     }
                 }
-            }
-            record_phase_ns(obs, "refine_fallback", fb_started);
-            drop(fb_span);
-            note_workspaces(meter, &ws, &chws);
+                note_workspaces(meter, &ws, &chws);
+            });
         }
 
         counts[Counter::CandidatePois] = centers.len() as u64;
@@ -1324,69 +1234,35 @@ impl<'a> GpSsnEngine<'a> {
             .collect()
     }
 
-    /// Verifies the sorted candidate centers and returns the best
-    /// feasible answer, dispatching on [`QueryOptions::refine_threads`].
-    /// `centers` must be sorted ascending by `(lb, id)`.
+    /// Algorithm 2's refinement loop, shared by [`QueryMode::Exact`]
+    /// (`k = 1`) and [`QueryMode::TopK`]: verifies `centers` (sorted
+    /// ascending by `(lb, id)`) in order, keeps the `k` best distinct
+    /// answers, and stops once `lb` reaches the `k`-th best value (`∞`
+    /// while fewer than `k` are held). Each center is verified against
+    /// that bound, with its candidates filtered by it: a user whose pivot
+    /// lower bound reaches the bound has an exact cost at least as large,
+    /// so [`verify_center`] would drop the user anyway. Returns the
+    /// answers (ascending `maxdist`) and the smallest `lb` left
+    /// unresolved by a budget trip or an absorbed fault (`f64::INFINITY`
+    /// when none).
     #[allow(clippy::too_many_arguments)]
     fn refine_centers(
         &self,
         q: &GpSsnQuery,
+        k: usize,
         opts: &QueryOptions,
         candidates: &[UserId],
         centers: &[(f64, PoiId)],
         meter: &BudgetState,
         obs: Option<&Obs>,
-        span_parent: u64,
-    ) -> RefineOutcome {
-        let threads = resolve_threads(opts.refine_threads, centers.len());
-        let ch = self.ch_for(opts);
-        let policy = opts.degradation;
-        if threads <= 1 {
-            self.refine_centers_sequential(
-                q,
-                candidates,
-                centers,
-                ch,
-                meter,
-                obs,
-                span_parent,
-                policy,
-            )
-        } else {
-            self.refine_centers_parallel(
-                q,
-                candidates,
-                centers,
-                threads,
-                ch,
-                meter,
-                obs,
-                span_parent,
-                policy,
-            )
-        }
-    }
-
-    /// The classical Algorithm-2 refinement loop: ascending-`lb` sweep
-    /// with early termination once `lb` reaches the incumbent.
-    #[allow(clippy::too_many_arguments)]
-    fn refine_centers_sequential(
-        &self,
-        q: &GpSsnQuery,
-        candidates: &[UserId],
-        centers: &[(f64, PoiId)],
-        ch: Option<&gpssn_graph::ChOracle>,
-        meter: &BudgetState,
-        obs: Option<&Obs>,
-        span_parent: u64,
-        policy: DegradationPolicy,
-    ) -> RefineOutcome {
-        let mut out = RefineOutcome::empty();
+    ) -> (Vec<GpSsnAnswer>, f64) {
+        let mut answers: Vec<GpSsnAnswer> = Vec::new();
+        let mut unresolved = f64::INFINITY;
         let mut ws = DijkstraWorkspace::new();
         let mut chws = gpssn_graph::ChSearch::new();
         let mut ctx = VerifyContext {
             ws: &mut ws,
-            ch: ch.map(|oracle| ChBackend {
+            ch: self.ch_for(opts).map(|oracle| ChBackend {
                 oracle,
                 search: &mut chws,
             }),
@@ -1394,193 +1270,55 @@ impl<'a> GpSsnEngine<'a> {
             breaker: Some(&self.ch_breaker),
             budget: meter,
             obs,
-            span_parent,
         };
         for &(lb, center) in centers {
-            if lb >= out.best_val {
+            let bound = answers.get(k - 1).map_or(f64::INFINITY, |a| a.maxdist);
+            if lb >= bound {
                 break;
             }
             if meter.is_tripped() {
-                out.unresolved = out.unresolved.min(lb);
+                unresolved = unresolved.min(lb);
                 break;
             }
-            let filtered = self.filter_candidates_for_center(candidates, center, out.best_val);
+            let filtered = self.filter_candidates_for_center(candidates, center, bound);
             let Some(v) = verify_center_guarded(
                 self.ssn,
                 q,
                 &filtered,
                 (lb, center),
-                out.best_val,
+                bound,
                 &mut ctx,
-                policy,
-                &mut out.unresolved,
+                opts.degradation,
+                &mut unresolved,
             ) else {
                 continue;
             };
             if let Some(ans) = v.answer {
-                out.best_val = ans.maxdist;
-                out.answer = Some(ans);
+                // Centers with the same ball can verify the same (S, R)
+                // pair: hold it once, at the smaller value (for `k = 1`
+                // this is plain replace-on-improvement).
+                let held = answers
+                    .iter()
+                    .position(|a| a.users == ans.users && a.pois == ans.pois);
+                if held.is_none_or(|i| ans.maxdist < answers[i].maxdist) {
+                    if let Some(i) = held {
+                        answers.remove(i);
+                    }
+                    let at = answers.partition_point(|a| a.maxdist <= ans.maxdist);
+                    answers.insert(at, ans);
+                    answers.truncate(k);
+                }
             }
             if meter.is_tripped() {
                 // This center's verification was itself cut short, so it
                 // remains unresolved (centers are sorted, so `lb` also
                 // bounds every center we will now skip).
-                out.unresolved = out.unresolved.min(lb);
+                unresolved = unresolved.min(lb);
                 break;
             }
         }
         note_workspaces(meter, &ws, &chws);
-        out
-    }
-
-    /// Parallel center refinement on scoped worker threads.
-    ///
-    /// Workers claim centers in ascending `(lb, id)` order off a shared
-    /// counter and verify against a shared monotone bound stored as
-    /// atomic f64 bits (bit patterns of non-negative floats order like
-    /// their values). Each verification uses [`bound_above`] of the
-    /// incumbent so *equal*-valued answers survive, and the final merge
-    /// picks the lexicographically smallest `(value, claim index)`.
-    ///
-    /// Under an untripped budget this reproduces the sequential answer
-    /// bit-for-bit: the sequential winner (the first center in sorted
-    /// order achieving the optimum `v`) always satisfies `lb <= v <=
-    /// incumbent`, so no worker ever skips it; its verification bound
-    /// always exceeds `v`, and [`verify_center`] returns a
-    /// bound-independent group; every other center either returns
-    /// nothing, a larger value, or an equal value at a larger index —
-    /// all of which lose the merge. A tripped budget may legitimately
-    /// differ from the sequential run (workers got further before the
-    /// trip); the reported gap stays sound because every claimed-but-
-    /// unfinished center folds its `lb` into `unresolved`.
-    #[allow(clippy::too_many_arguments)]
-    fn refine_centers_parallel(
-        &self,
-        q: &GpSsnQuery,
-        candidates: &[UserId],
-        centers: &[(f64, PoiId)],
-        threads: usize,
-        ch: Option<&gpssn_graph::ChOracle>,
-        meter: &BudgetState,
-        obs: Option<&Obs>,
-        span_parent: u64,
-        policy: DegradationPolicy,
-    ) -> RefineOutcome {
-        let next = AtomicUsize::new(0);
-        let best_bits = AtomicU64::new(f64::INFINITY.to_bits());
-        let worker = |claims: usize| {
-            let mut ws = DijkstraWorkspace::new();
-            let mut chws = gpssn_graph::ChSearch::new();
-            let mut ctx = VerifyContext {
-                ws: &mut ws,
-                ch: ch.map(|oracle| ChBackend {
-                    oracle,
-                    search: &mut chws,
-                }),
-                cache: self.distance_cache.as_ref(),
-                breaker: Some(&self.ch_breaker),
-                budget: meter,
-                obs,
-                span_parent,
-            };
-            let mut local: Option<(f64, usize, GpSsnAnswer)> = None;
-            let mut unresolved = f64::INFINITY;
-            for _ in 0..claims {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= centers.len() {
-                    break;
-                }
-                let (lb, center) = centers[i];
-                if meter.is_tripped() {
-                    unresolved = unresolved.min(lb);
-                    break;
-                }
-                let bound = bound_above(f64::from_bits(best_bits.load(Ordering::Relaxed)));
-                if lb >= bound {
-                    break; // sorted: every unclaimed center is at least this costly
-                }
-                let filtered = self.filter_candidates_for_center(candidates, center, bound);
-                let Some(v) = verify_center_guarded(
-                    self.ssn,
-                    q,
-                    &filtered,
-                    (lb, center),
-                    bound,
-                    &mut ctx,
-                    policy,
-                    &mut unresolved,
-                ) else {
-                    continue;
-                };
-                if let Some(ans) = v.answer {
-                    atomic_min_f64(&best_bits, ans.maxdist);
-                    let better = match &local {
-                        None => true,
-                        Some((bv, bi, _)) => (ans.maxdist, i) < (*bv, *bi),
-                    };
-                    if better {
-                        local = Some((ans.maxdist, i, ans));
-                    }
-                }
-                if meter.is_tripped() {
-                    // Conservative: this center may have completed, but
-                    // folding its lb in only widens the reported gap.
-                    unresolved = unresolved.min(lb);
-                    break;
-                }
-            }
-            note_workspaces(meter, &ws, &chws);
-            (local, unresolved)
-        };
-        // Pilot: verify the cheapest center on the calling thread before
-        // fanning out, so workers start with an incumbent bound instead
-        // of all verifying their first claim against `∞` (which is
-        // redundant work the sequential sweep would have skipped). The
-        // pilot is simply claim 0 of the same protocol, so determinism
-        // is untouched.
-        let pilot = worker(1);
-        // If the query thread is buffering spans for tail sampling,
-        // workers adopt the same capture so their verification spans
-        // stay with (and live or die with) the query's trace.
-        let capture = gpssn_obs::trace::capture_handle();
-        let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let _adopt = capture.as_ref().map(gpssn_obs::trace::adopt_capture);
-                        worker(usize::MAX)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    // Re-raise worker panics on the query thread so
-                    // the batch isolation layer sees them.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
-        });
-        let mut out = RefineOutcome::empty();
-        let mut winner: Option<(f64, usize, GpSsnAnswer)> = None;
-        for (local, unresolved) in std::iter::once(pilot).chain(results) {
-            out.unresolved = out.unresolved.min(unresolved);
-            if let Some((v, i, ans)) = local {
-                let better = match &winner {
-                    None => true,
-                    Some((bv, bi, _)) => (v, i) < (*bv, *bi),
-                };
-                if better {
-                    winner = Some((v, i, ans));
-                }
-            }
-        }
-        if let Some((v, _, ans)) = winner {
-            out.best_val = v;
-            out.answer = Some(ans);
-        }
-        out
+        (answers, unresolved)
     }
 
     /// Expands one `I_R` node: applies Lemma 6 / Lemma 1 matching pruning
@@ -1693,20 +1431,6 @@ fn note_workspaces(meter: &BudgetState, ws: &DijkstraWorkspace, chws: &gpssn_gra
     meter.add(Counter::ChUnpacks, chws.unpacks());
 }
 
-/// Records one phase duration into the `gpssn_phase_duration_ns`
-/// histogram; used where the phase's span is opened by hand (its id
-/// feeds `VerifyContext::span_parent`) so [`Obs::phase`] cannot wrap
-/// the work. `started` is `Some` exactly when `obs` is.
-fn record_phase_ns(obs: Option<&Obs>, name: &'static str, started: Option<Instant>) {
-    if let (Some(o), Some(t0)) = (obs, started) {
-        o.observe(
-            "gpssn_phase_duration_ns",
-            &[("phase", name)],
-            t0.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-        );
-    }
-}
-
 /// Runs [`verify_center`] on the center `(lb, center)` under the query's
 /// fault policy. An `Err` (broken internal invariant) is always absorbed
 /// as a query fault; under [`DegradationPolicy::Ladder`] a *panic*
@@ -1808,55 +1532,6 @@ fn record_query(obs: Option<&Obs>, path: &'static str, out: &QueryOutcome, trip:
     );
 }
 
-/// What one refinement worker hands back: its best `(value, claim
-/// index, answer)` if any, and the minimum unresolved lower bound it
-/// left behind.
-type WorkerResult = (Option<(f64, usize, GpSsnAnswer)>, f64);
-
-/// Result of the refinement stage over the sorted candidate centers.
-struct RefineOutcome {
-    answer: Option<GpSsnAnswer>,
-    best_val: f64,
-    /// Smallest `lb` left unresolved by a budget trip (`f64::INFINITY`
-    /// when every center was either verified or soundly pruned).
-    unresolved: f64,
-}
-
-impl RefineOutcome {
-    fn empty() -> Self {
-        RefineOutcome {
-            answer: None,
-            best_val: f64::INFINITY,
-            unresolved: f64::INFINITY,
-        }
-    }
-}
-
-/// The smallest f64 strictly above non-negative `v` (`INFINITY` maps to
-/// itself). Verifying against `bound_above(best)` admits answers *equal*
-/// to the incumbent, letting ties resolve deterministically by center
-/// order instead of by race outcome.
-fn bound_above(v: f64) -> f64 {
-    if v == f64::INFINITY {
-        f64::INFINITY
-    } else {
-        f64::from_bits(v.to_bits() + 1)
-    }
-}
-
-/// Lowers the shared bound (IEEE-754 bits of a non-negative f64) to `v`
-/// if `v` is smaller; monotone and lock-free. Bit patterns of
-/// non-negative floats order identically to their values.
-fn atomic_min_f64(best: &AtomicU64, v: f64) {
-    let mut cur = best.load(Ordering::Relaxed);
-    while v < f64::from_bits(cur) {
-        match best.compare_exchange_weak(cur, v.to_bits(), Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => break,
-            Err(c) => cur = c,
-        }
-    }
-}
-
 /// Derives the completion state after a (possibly tripped) search.
 ///
 /// `answers` are the verified answers in ascending `maxdist` (at most
@@ -1893,9 +1568,8 @@ fn completion_of(
 
 /// Resolves a requested thread count against the number of work items:
 /// `0` means the machine's available parallelism, and counts beyond the
-/// item count are clamped (one item still gets one thread). Every
-/// multi-threaded entry point — the batch call, the serving layer, and
-/// intra-query [`QueryOptions::refine_threads`] — resolves through this
+/// item count are clamped (one item still gets one thread). The batch
+/// call and the serving layer both size their worker pool through this
 /// one helper so `threads == 0` cannot drift between them.
 pub(crate) fn resolve_threads(requested: usize, items: usize) -> usize {
     let t = match requested {
@@ -2083,7 +1757,6 @@ mod tests {
                 use_delta_pruning: false,
                 collect_stats: false,
                 use_tight_mbr_test: false,
-                refine_threads: 1,
                 distance_backend: DistanceBackend::Dijkstra,
                 degradation: DegradationPolicy::FailFast,
                 mode: QueryMode::Exact,

@@ -93,7 +93,7 @@ struct Inner {
     backoff_level: u32,
 }
 
-/// See the module docs. Shared by reference across refinement workers;
+/// See the module docs. Shared by reference across concurrent queries;
 /// internally a mutex (one uncontended lock per distance batch — noise
 /// next to the batch itself).
 #[derive(Debug)]

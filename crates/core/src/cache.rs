@@ -1,4 +1,4 @@
-//! Cross-query distance cache shared by refinement workers.
+//! Cross-query distance cache shared by every query an engine serves.
 //!
 //! Verifying a center recomputes two expensive artifacts that depend
 //! only on the immutable network, never on the query's social
@@ -29,8 +29,8 @@
 //! strings a client chooses, so both shard selection and the maps use a
 //! fixed multiplicative hasher (`IdHasher`) instead of SipHash.
 //!
-//! The cache is sharded (one mutex per shard) so parallel refinement
-//! workers and batch query threads do not serialize on a single lock,
+//! The cache is sharded (one mutex per shard) so concurrent serve and
+//! batch query threads do not serialize on a single lock,
 //! and each shard is capacity-bounded with FIFO eviction — an evicted
 //! entry is simply recomputed, so eviction can never change results. A
 //! shard whose mutex was poisoned by a panicking worker recovers the
@@ -213,9 +213,8 @@ pub struct ShardOccupancy {
 }
 
 /// Sharded, capacity-bounded cache of road-network balls and exact
-/// `dist_RN` values, shared across queries (and across refinement
-/// workers within one query). See the module docs for the exactness
-/// argument.
+/// `dist_RN` values, shared across queries. See the module docs for the
+/// exactness argument.
 pub struct DistanceCache {
     balls: Vec<Mutex<Shard<BallKey, BallRow>>>,
     dists: Vec<Mutex<Shard<DistKey, f64>>>,

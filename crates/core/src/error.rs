@@ -268,11 +268,10 @@ pub const DEADLINE_CHECK_PERIOD: u64 = 64;
 ///
 /// The meter also holds the query's shared counts: one relaxed atomic
 /// per [`Counter`], read back once with [`BudgetState::snapshot`]. One
-/// meter is shared by the intra-query parallel refinement workers
-/// (`&self` everywhere, `Sync`); one instance still serves exactly one
-/// query. Caps remain *global* across workers: the combined work of all
-/// threads is charged to the same counters, so a budget of `N` settles
-/// admits `N` settles total, not `N` per thread.
+/// instance serves exactly one query, on the thread running it; it is
+/// `&self` everywhere and `Sync` like the rest of the engine, so the
+/// atomics below are written to stay correct if several threads ever
+/// charged it at once.
 ///
 /// Settles are one unit across distance backends: a Dijkstra batch
 /// charges every vertex it settles; a contraction-hierarchy batch

@@ -59,15 +59,13 @@ pub struct CenterVerification {
     pub subsets_examined: u64,
 }
 
-/// Per-worker state threaded through [`verify_center`]: a reusable
+/// Per-scope state threaded through [`verify_center`]: a reusable
 /// Dijkstra workspace (allocation-free repeated runs), the optional
-/// cross-query [`DistanceCache`], and the query's budget meter. In
-/// parallel refinement each worker owns its workspace while the cache
-/// and budget are shared.
+/// cross-query [`DistanceCache`], and the query's budget meter.
 pub struct VerifyContext<'a> {
-    /// Reused across every Dijkstra this worker runs.
+    /// Reused across every Dijkstra this scope runs.
     pub ws: &'a mut DijkstraWorkspace,
-    /// Contraction-hierarchy oracle plus this worker's reusable CH
+    /// Contraction-hierarchy oracle plus this scope's reusable CH
     /// workspace. `Some` routes every `dist_RN` row/column through the
     /// oracle (answers are bit-identical to the Dijkstra path — see
     /// `gpssn_graph::ch`); ball computation always stays on Dijkstra
@@ -81,21 +79,19 @@ pub struct VerifyContext<'a> {
     /// failures open the breaker and later batches skip the oracle
     /// until a half-open probe succeeds (see [`crate::breaker`]).
     pub breaker: Option<&'a CircuitBreaker>,
-    /// The query's budget meter (shared across workers).
+    /// The query's budget meter.
     pub budget: &'a BudgetState,
-    /// Telemetry sink, if the engine has one attached.
+    /// Telemetry sink, if the engine has one attached. Each verified
+    /// center opens a `verify_center` span under the enclosing
+    /// refinement phase's span.
     pub obs: Option<&'a gpssn_obs::Obs>,
-    /// Trace-span id of the enclosing refinement phase (0 when tracing
-    /// is off); each verified center opens a `verify_center` span under
-    /// it, which works across worker threads.
-    pub span_parent: u64,
 }
 
-/// A CH oracle handle paired with a per-worker search workspace.
+/// A CH oracle handle paired with a reusable search workspace.
 pub struct ChBackend<'a> {
     /// The road index's contraction hierarchy.
     pub oracle: &'a ChOracle,
-    /// Reused across every CH batch this worker runs.
+    /// Reused across every CH batch this scope runs.
     pub search: &'a mut ChSearch,
 }
 
@@ -323,9 +319,7 @@ pub(crate) fn probe_groups(
 /// group is the one found at the minimal feasible cost-prefix `k*` — a
 /// pure function of the center, the exact user costs, and the query's
 /// social constraints. Any `best_so_far` larger than the center's
-/// optimal value yields the same group bit-for-bit, which is what lets
-/// parallel refinement (whose workers race the shared bound downward)
-/// reproduce the sequential answer exactly.
+/// optimal value yields the same group bit-for-bit.
 ///
 /// **Errors.** `Err` means an internal invariant was violated (a group
 /// member missing from the cost table) — never a budget trip, which is
@@ -346,13 +340,10 @@ pub fn verify_center(
     if gpssn_failpoint::failpoint!("refine::verify_center") {
         panic!("injected fault: refine::verify_center (center {center})");
     }
-    // Opened with an explicit parent so worker threads chain under the
-    // refinement phase; nested spans (ball, distance batches) pick this
-    // span up through the thread-local current-span cell.
-    let _vspan = ctx.obs.filter(|o| o.tracing_on()).map(|o| {
-        o.tracer()
-            .span_with_parent("verify_center", ctx.span_parent)
-    });
+    let _vspan = ctx
+        .obs
+        .filter(|o| o.tracing_on())
+        .map(|o| o.tracer().span("verify_center"));
     let mut out = CenterVerification {
         answer: None,
         subsets_examined: 0,
@@ -479,13 +470,21 @@ pub fn verify_center(
     }
 
     // Binary search the smallest feasible enabled prefix (feasibility is
-    // monotone in the prefix length).
-    let feasible_at = |k: usize, out: &mut CenterVerification| -> Probe {
-        let mut enabled = vec![false; m];
+    // monotone in the prefix length). One mask serves every probe: each
+    // enables its prefix, probes, and clears it again. `open` is reused
+    // for it, cleared of the eligible users the expansion left in it.
+    for &u in &eligible {
+        open[u as usize] = false;
+    }
+    let mut enabled = open;
+    let mut feasible_at = |k: usize, out: &mut CenterVerification| -> Probe {
         for &(u, _) in &costs[..k] {
             enabled[u as usize] = true;
         }
         let probe = probe_groups(ssn.social(), q, Some(&enabled), budget, |_| true);
+        for &(u, _) in &costs[..k] {
+            enabled[u as usize] = false;
+        }
         out.subsets_examined += matches!(probe, Probe::Found(_)) as u64;
         probe
     };
@@ -612,7 +611,6 @@ mod tests {
             breaker: None,
             budget: &budget,
             obs: None,
-            span_parent: 0,
         };
         verify_center(ssn, q, candidates, center, best, &mut ctx)
             .expect("no invariant faults in tests")
@@ -730,7 +728,6 @@ mod tests {
                 breaker: None,
                 budget: &budget,
                 obs: None,
-                span_parent: 0,
             };
             let v = verify_center(&ssn, &q, &[0, 1, 2, 3, 4], 0, 10.0, &mut ctx)
                 .expect("no invariant faults in tests");
@@ -787,7 +784,6 @@ mod tests {
             breaker: None,
             budget: &budget,
             obs: None,
-            span_parent: 0,
         };
         let v = verify_center(&ssn, &q, &candidates, 0, f64::INFINITY, &mut ctx)
             .expect("no invariant faults in tests");

@@ -5,11 +5,11 @@
 
 mod common;
 use common::{assert_bit_identical, query};
-use gpssn::core::algorithm::{EngineConfig, QueryOptions};
+use gpssn::core::algorithm::{EngineConfig, QueryMode, QueryOptions};
 use gpssn::core::query::check_answer;
 use gpssn::core::{
-    exact_baseline, Completion, DistanceCacheConfig, GpSsnEngine, GpSsnError, GpSsnQuery,
-    QueryBudget, QueryOutcome,
+    exact_baseline, exact_baseline_top_k, Completion, DistanceCacheConfig, GpSsnEngine, GpSsnError,
+    GpSsnQuery, QueryBudget, QueryOutcome,
 };
 use gpssn::index::{PivotSelectConfig, SocialIndexConfig};
 use gpssn::ssn::{synthetic, SyntheticConfig};
@@ -93,7 +93,7 @@ fn engine_matches_brute_force_across_seeds_and_parameters() {
 fn engine_matches_brute_force_on_zipf_data() {
     // τ up to 6, where refinement costs only the users within τ − 1
     // hops of u_q: the optimum must match the Baseline and be bitwise
-    // the same with one or two refinement threads, cache on or off.
+    // the same with the cache on or off.
     let mut answered = 0usize;
     for seed in 20..24u64 {
         let ssn = synthetic(&SyntheticConfig::zipf().scaled(0.004), seed);
@@ -124,14 +124,8 @@ fn engine_matches_brute_force_on_zipf_data() {
                 }
                 other => panic!("mismatch on seed {seed} τ={tau}: {other:?}"),
             }
-            for (engine, threads) in [(&plain, 2), (&cached, 1), (&cached, 2)] {
-                let opts = QueryOptions {
-                    refine_threads: threads,
-                    ..Default::default()
-                };
-                let other = query(engine, &q, &opts);
-                assert_bit_identical(got.answer(), other.answer(), "threads/cache vs plain");
-            }
+            let other = query(&cached, &q, &Default::default());
+            assert_bit_identical(got.answer(), other.answer(), "cache vs plain");
         }
     }
     assert!(answered >= 10, "too few feasible cases: {answered}");
@@ -143,9 +137,15 @@ fn tiny_group_budget_never_claims_exact() {
     // query whose budget runs out mid-enumeration must come back
     // truncated with a sound gap (or exact and optimal), never exact and
     // wrong. 60 admission checks cut most probes at τ 3–6; 5 also cut
-    // the "does any group exist" pre-check.
+    // the "does any group exist" pre-check. The top-3 arm holds the
+    // shared center loop to the same contract against the exhaustive
+    // top-k oracle (the true 3rd value lies within the reported gap) at
+    // τ 3–4, where that oracle is cheap enough for a debug build.
+    const K: usize = 3;
     let mut truncated = 0usize;
     let mut exact = 0usize;
+    let mut top_truncated = 0usize;
+    let mut top_exact = 0usize;
     for seed in 0..4u64 {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.004), seed);
         let engine = GpSsnEngine::build(&ssn, small_cfg(seed));
@@ -160,16 +160,29 @@ fn tiny_group_budget_never_claims_exact() {
                     radius: 3.0,
                 };
                 let opt = exact_baseline(&ssn, &q).map(|a| a.maxdist);
+                let oracle: Vec<f64> = if tau <= 4 {
+                    let top = exact_baseline_top_k(&ssn, &q, K);
+                    top.iter().map(|a| a.maxdist).collect()
+                } else {
+                    Vec::new()
+                };
                 for groups in [5, 60] {
                     let budget = QueryBudget {
                         max_groups_enumerated: Some(groups),
                         ..Default::default()
                     };
-                    let out = match engine.try_query(&q, &Default::default(), &budget) {
-                        Ok(out) => out,
-                        Err(GpSsnError::Infeasible { .. }) => QueryOutcome::infeasible(),
-                        Err(e) => panic!("invalid query: {e}"),
+                    let run = |mode| {
+                        let opts = QueryOptions {
+                            mode,
+                            ..Default::default()
+                        };
+                        match engine.try_query(&q, &opts, &budget) {
+                            Ok(out) => out,
+                            Err(GpSsnError::Infeasible { .. }) => QueryOutcome::infeasible(),
+                            Err(e) => panic!("invalid query: {e}"),
+                        }
                     };
+                    let out = run(QueryMode::Exact);
                     let got = out.answer().map(|a| a.maxdist);
                     let what = format!("seed {seed} budget {groups} {q:?}");
                     match (&out.completion, got, opt) {
@@ -185,6 +198,34 @@ fn tiny_group_budget_never_claims_exact() {
                         (Completion::Failed(_), None, _) => {}
                         other => panic!("{what}: {other:?} (optimum {opt:?})"),
                     }
+
+                    if tau > 4 {
+                        continue;
+                    }
+                    let out = run(QueryMode::TopK(K));
+                    let got: Vec<f64> = out.answers.iter().map(|a| a.maxdist).collect();
+                    let what = format!("{what} top-{K}: {got:?} vs oracle {oracle:?}");
+                    match out.completion {
+                        Completion::Exact => {
+                            top_exact += 1;
+                            assert_eq!(got.len(), oracle.len(), "{what}");
+                            for (g, o) in got.iter().zip(&oracle) {
+                                assert!((g - o).abs() < 1e-6, "{what}");
+                            }
+                        }
+                        Completion::TruncatedWithGap(gap) => {
+                            top_truncated += 1;
+                            let oracle_kth = oracle.get(K - 1).copied().unwrap_or(f64::INFINITY);
+                            match got.get(K - 1) {
+                                Some(kth) => {
+                                    assert!(kth - gap <= oracle_kth + 1e-9, "{what}: gap {gap}")
+                                }
+                                None => assert_eq!(gap, f64::INFINITY, "{what}"),
+                            }
+                        }
+                        Completion::Failed(_) => assert!(got.is_empty(), "{what}"),
+                        other => panic!("{what}: {other:?}"),
+                    }
                 }
             }
         }
@@ -192,6 +233,10 @@ fn tiny_group_budget_never_claims_exact() {
     assert!(
         truncated > 0 && exact > 0,
         "truncated {truncated}, exact {exact}"
+    );
+    assert!(
+        top_truncated > 0 && top_exact > 0,
+        "top-{K}: truncated {top_truncated}, exact {top_exact}"
     );
 }
 
