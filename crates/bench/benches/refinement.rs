@@ -97,37 +97,5 @@ fn bench_cache(c: &mut Criterion) {
     group.finish();
 }
 
-/// The production configuration (warm cache) against the plain engine.
-fn bench_combined(c: &mut Criterion) {
-    let ssn = DatasetKind::Uni.build(SCALE, 42);
-    let queries = workload();
-    let mut group = c.benchmark_group("refinement_combined");
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.sample_size(10);
-
-    let plain = engine(&ssn, None);
-    group.bench_function("plain", |b| {
-        b.iter(|| {
-            for q in &queries {
-                black_box(run_query(&plain, q, &QueryOptions::default()));
-            }
-        });
-    });
-
-    let fast = engine(&ssn, Some(DistanceCacheConfig::default()));
-    for q in &queries {
-        run_query(&fast, q, &QueryOptions::default()); // prime
-    }
-    group.bench_function("warm_cache", |b| {
-        b.iter(|| {
-            for q in &queries {
-                black_box(run_query(&fast, q, &QueryOptions::default()));
-            }
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_cache, bench_combined);
+criterion_group!(benches, bench_cache);
 criterion_main!(benches);

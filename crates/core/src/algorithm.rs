@@ -14,19 +14,24 @@
 //!    bound certifies a `θ`-matching set, Eq. 18). This is the same rule
 //!    set as Algorithm 2's level-synchronized loop; best-first order
 //!    simply pops the heap in a single pass.
-//! 3. **Refinement** — candidate centers verified in ascending `lb`
-//!    order with early termination (`lb >= best`).
+//! 3. **Refinement** — one center loop verifies candidate centers in
+//!    ascending `lb` order with early termination (`lb` reaching the
+//!    `k`-th best value; `k = 1` outside [`QueryMode::TopK`]).
+//!
+//! Every [`QueryMode`] runs this one search; the modes differ only in
+//! `k` and in how a center is verified (exact enumeration, or subset
+//! sampling for [`QueryMode::Approximate`] and the ladder's rescue).
 //!
 //! **Exactness.** The paper's `δ` cut can, in corner cases, discard the
 //! region holding the only (or a better) feasible answer, because the
 //! Eq. 18 guard certifies matching for `u_q` but not group feasibility.
 //! We therefore never *drop* `δ`-cut items: they move to a deferred list
-//! (no I/O — the nodes are not read), and after refinement any deferred
-//! item whose `lb` still beats the best verified answer is expanded under
-//! the proven bound. In the common case the deferred list is never
-//! touched and the traversal I/O matches the paper's; in the corner case
-//! the engine stays exact (the property tests against brute force check
-//! this).
+//! (no I/O — the nodes are not read), and after refinement the same
+//! center loop runs again over the deferred items whose `lb` still beats
+//! the `k`-th best verified answer, expanding their nodes under that
+//! bound. In the common case the deferred list is never touched and the
+//! traversal I/O matches the paper's; in the corner case the engine
+//! stays exact (the property tests against brute force check this).
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
 use crate::cache::{DistanceCache, DistanceCacheConfig};
@@ -169,8 +174,8 @@ pub enum DegradationPolicy {
 }
 
 /// Which refinement a query runs. Every mode shares Algorithm 2's
-/// social and road pruning phases; only the refinement over the
-/// surviving candidate centers differs.
+/// social and road pruning phases and its center loop; only `k` and
+/// how one center is verified differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryMode {
     /// The exact optimum (Algorithm 2). The default.
@@ -179,17 +184,18 @@ pub enum QueryMode {
     /// The `k` best answers over *distinct candidate centers* (each
     /// center contributes its optimal feasible group), ascending by
     /// `maxdist`; `TopK(1)` coincides with [`QueryMode::Exact`]'s
-    /// optimum. Runs with δ-pruning off (a δ cut is only sound for the
-    /// single best answer). `TopK(0)` is rejected as
+    /// optimum. The δ cut stays sound: the deferred fallback re-examines
+    /// every cut item below the `k`-th bound. `TopK(0)` is rejected as
     /// [`GpSsnError::InvalidQuery`]. Under truncation the answers are
     /// all verified and the completion carries the gap of the `k`-th
     /// slot (`f64::INFINITY` when fewer than `k` were verified).
     TopK(usize),
     /// The paper's §5 future-work *subset sampling*: refinement draws
     /// `samples` random connected groups per center (seeded by `seed`)
-    /// instead of enumerating, on plain Dijkstra. Any answer satisfies
-    /// Definition 5 exactly but may be suboptimal or missed; sampled
-    /// draws count against `max_groups_enumerated`.
+    /// instead of enumerating, on plain Dijkstra; the centers come from
+    /// the same search as Exact, δ fallback included. Any answer
+    /// satisfies Definition 5 exactly but may be suboptimal or missed;
+    /// sampled draws count against `max_groups_enumerated`.
     Approximate {
         /// Random groups drawn per candidate center.
         samples: usize,
@@ -278,11 +284,25 @@ pub struct GpSsnEngine<'a> {
     ch_breaker: CircuitBreaker,
 }
 
-/// Work items of the road-side best-first traversal.
-#[derive(Debug, Clone, Copy)]
+/// Work items of the center loop: an `I_R` node still to read, or a
+/// candidate center. The derived order breaks [`MinHeap`] key ties:
+/// nodes before centers, then by id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Item {
     Node(u32),
     Center(PoiId),
+}
+
+/// One query's road-search state, shared by the traversal and the
+/// center loop: the query, the `u_q` bounds Eqs. 16–17 read, and `δ`.
+struct RoadSearch<'s> {
+    q: &'s GpSsnQuery,
+    opts: &'s QueryOptions,
+    candidates: &'s [UserId],
+    uq_interest: &'s gpssn_social::InterestVector,
+    uq_rn: &'s [f64],
+    scand_ub: Vec<f64>,
+    delta: f64,
 }
 
 impl<'a> GpSsnEngine<'a> {
@@ -516,37 +536,69 @@ impl<'a> GpSsnEngine<'a> {
         let candidates = gpssn_obs::phase(obs, "prune_social", || {
             self.social_phase(q, opts, &mut counts)
         });
+        let k = match opts.mode {
+            QueryMode::TopK(k) => k,
+            _ => 1,
+        };
         let (mut answers, delta, outstanding) = match opts.mode {
-            QueryMode::Exact => {
-                let (answer, delta, outstanding) =
-                    self.road_phase(q, opts, &candidates, &mut counts, &meter, obs);
-                (answer.into_iter().collect(), delta, outstanding)
-            }
-            QueryMode::TopK(k) => {
-                self.refine_top_k(q, k, opts, &candidates, &mut counts, &meter, obs)
+            QueryMode::Exact | QueryMode::TopK(_) => {
+                let mut ws = DijkstraWorkspace::new();
+                let mut chws = gpssn_graph::ChSearch::new();
+                let mut ctx = VerifyContext {
+                    ws: &mut ws,
+                    ch: self.ch_for(opts).map(|oracle| ChBackend {
+                        oracle,
+                        search: &mut chws,
+                    }),
+                    cache: self.distance_cache.as_ref(),
+                    breaker: Some(&self.ch_breaker),
+                    budget: &meter,
+                    obs,
+                };
+                let found = self.road_search(
+                    q,
+                    k,
+                    opts,
+                    &candidates,
+                    &mut counts,
+                    &meter,
+                    obs,
+                    |users, center, bound, unresolved| {
+                        verify_center_guarded(
+                            self.ssn,
+                            q,
+                            users,
+                            center,
+                            bound,
+                            &mut ctx,
+                            opts.degradation,
+                            unresolved,
+                        )
+                        .and_then(|v| v.answer)
+                    },
+                );
+                note_workspaces(&meter, &ws, &chws);
+                found
             }
             QueryMode::Approximate { samples, seed } => {
-                let (centers, outstanding, delta) = gpssn_obs::phase(obs, "prune_road", || {
-                    self.collect_centers(q, opts, &candidates, &mut counts, &meter)
-                });
-                counts[Counter::CandidatePois] = centers.len() as u64;
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let (answer, unresolved) = gpssn_obs::phase(obs, "sample", || {
-                    self.sample_centers(q, &candidates, &centers, samples, &mut rng, &meter)
-                });
-                (
-                    answer.into_iter().collect(),
-                    delta,
-                    outstanding.min(unresolved),
+                self.road_search(
+                    q,
+                    1,
+                    opts,
+                    &candidates,
+                    &mut counts,
+                    &meter,
+                    obs,
+                    |users, (_, center), bound, _| {
+                        crate::sampling::verify_center_sampled(
+                            self.ssn, q, users, center, bound, samples, &mut rng, &meter,
+                        )
+                    },
                 )
             }
         };
         counts += &meter.snapshot();
-        let k = if let QueryMode::TopK(k) = opts.mode {
-            k
-        } else {
-            1
-        };
         let trip = meter.trip();
         let mut completion = completion_of(trip, &counts, &answers, k, outstanding);
 
@@ -558,10 +610,9 @@ impl<'a> GpSsnEngine<'a> {
             && opts.degradation == DegradationPolicy::Ladder
             && matches!(completion, Completion::Failed(_))
         {
-            let (rescued, rescue_counts) = gpssn_obs::phase(obs, "degrade_sampling", || {
-                self.sampling_rescue(q, opts, &candidates)
+            let rescued = gpssn_obs::phase(obs, "degrade_sampling", || {
+                self.sampling_rescue(q, opts, &candidates, &mut counts)
             });
-            counts += &rescue_counts;
             if let Some(ans) = rescued {
                 answers.push(ans);
                 completion = Completion::DegradedSampling;
@@ -683,93 +734,26 @@ impl<'a> GpSsnEngine<'a> {
         Ok(())
     }
 
-    /// [`QueryMode::TopK`] refinement: collects every candidate center
-    /// with δ-pruning off, then runs the shared center loop
-    /// ([`GpSsnEngine::refine_centers`]) for the `k` best. Returns the
-    /// answers (ascending `maxdist`, distinct groups), `δ`, and the
-    /// smallest lower bound left unresolved.
-    #[allow(clippy::too_many_arguments)]
-    fn refine_top_k(
-        &self,
-        q: &GpSsnQuery,
-        k: usize,
-        opts: &QueryOptions,
-        candidates: &[UserId],
-        counts: &mut QueryCounters,
-        meter: &BudgetState,
-        obs: Option<&Obs>,
-    ) -> (Vec<GpSsnAnswer>, f64, f64) {
-        let opts = QueryOptions {
-            use_delta_pruning: false,
-            ..opts.clone()
-        };
-        let (centers, outstanding, delta) = gpssn_obs::phase(obs, "prune_road", || {
-            self.collect_centers(q, &opts, candidates, counts, meter)
-        });
-        counts[Counter::CandidatePois] = centers.len() as u64;
-        let (answers, unresolved) = gpssn_obs::phase(obs, "refine", || {
-            self.refine_centers(q, k, &opts, candidates, &centers, meter, obs)
-        });
-        (answers, delta, outstanding.min(unresolved))
-    }
-
-    /// Subset-sampling refinement (the paper's §5 estimator) over
-    /// centers sorted ascending by `lb`: draws `samples` random
-    /// connected groups per center and keeps the best feasible one.
-    /// Returns the answer and the smallest lower bound left unresolved
-    /// when the budget tripped (`f64::INFINITY` otherwise).
-    fn sample_centers(
-        &self,
-        q: &GpSsnQuery,
-        candidates: &[UserId],
-        centers: &[(f64, PoiId)],
-        samples: usize,
-        rng: &mut rand::rngs::StdRng,
-        meter: &BudgetState,
-    ) -> (Option<GpSsnAnswer>, f64) {
-        let mut best: Option<GpSsnAnswer> = None;
-        let mut best_val = f64::INFINITY;
-        let mut unresolved = f64::INFINITY;
-        for &(lb, center) in centers {
-            if lb >= best_val {
-                break;
-            }
-            if meter.is_tripped() {
-                unresolved = lb;
-                break;
-            }
-            let filtered = self.filter_candidates_for_center(candidates, center, best_val);
-            if let Some(ans) = crate::sampling::verify_center_sampled(
-                self.ssn, q, &filtered, center, best_val, samples, rng, meter,
-            ) {
-                best_val = ans.maxdist;
-                best = Some(ans);
-            }
-            if meter.is_tripped() {
-                unresolved = lb;
-                break;
-            }
-        }
-        (best, unresolved)
-    }
-
-    /// The ladder's sampling rung: re-collects candidate centers under a
-    /// small *fresh* work budget (the original meter is spent or
-    /// faulted) and draws random connected groups per center — the
+    /// The ladder's sampling rung: re-runs the road search under a small
+    /// *fresh* work budget (the original meter is spent or faulted),
+    /// verifying centers by drawing random connected groups — the
     /// paper's §5 future-work subset sampler. Any answer returned
     /// satisfies Definition 5 exactly; only its optimality is unknown.
-    /// Deterministic: the RNG is seeded from the query user and the
-    /// budget is counted in work units, not wall-clock time. The
-    /// sampler runs on plain Dijkstra, touching none of the CH or
-    /// refinement machinery the faults came from. Also returns the
-    /// rescue's own counts (pages, pops, groups, settles), which the
-    /// caller adds to the query's.
+    /// Deterministic: the RNG is seeded from the query user, the budget
+    /// is counted in work units, not wall-clock time, and only the
+    /// first `RESCUE_CENTERS` centers the loop reaches are sampled (the
+    /// rest are skipped unverified). The sampler runs on plain
+    /// Dijkstra, touching none of the CH or refinement machinery the
+    /// faults came from. The rescue's own work (pages, pops, groups,
+    /// settles) is added to `counts`, and its traversal's center count
+    /// replaces [`Counter::CandidatePois`].
     fn sampling_rescue(
         &self,
         q: &GpSsnQuery,
         opts: &QueryOptions,
         candidates: &[UserId],
-    ) -> (Option<GpSsnAnswer>, QueryCounters) {
+        counts: &mut QueryCounters,
+    ) -> Option<GpSsnAnswer> {
         const RESCUE_SAMPLES: usize = 32;
         const RESCUE_CENTERS: usize = 64;
         let budget = QueryBudget {
@@ -779,79 +763,35 @@ impl<'a> GpSsnEngine<'a> {
             deadline: None,
         };
         let meter = BudgetState::new(&budget);
-        let mut counts = QueryCounters::default();
-        let (mut centers, _, _) = self.collect_centers(q, opts, candidates, &mut counts, &meter);
-        centers.truncate(RESCUE_CENTERS);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_0000 ^ u64::from(q.user));
-        let (answer, _) =
-            self.sample_centers(q, candidates, &centers, RESCUE_SAMPLES, &mut rng, &meter);
-        counts += &meter.snapshot();
-        (answer, counts)
-    }
-
-    /// Traversal-only road phase: collects candidate centers with their
-    /// lower bounds, sorted ascending by `(lb, id)`, without refinement
-    /// (shared by the approximate and top-k modes and the sampling
-    /// rung). δ-cut items are dropped, not deferred. Also returns the
-    /// smallest lower bound left unexplored when the budget tripped
-    /// mid-traversal (`f64::INFINITY` otherwise) and the final `δ`.
-    fn collect_centers(
-        &self,
-        q: &GpSsnQuery,
-        opts: &QueryOptions,
-        candidates: &[UserId],
-        counts: &mut QueryCounters,
-        meter: &BudgetState,
-    ) -> (Vec<(f64, PoiId)>, f64, f64) {
-        let idx = &self.road_index;
-        let uq_interest = self.ssn.social().interest(q.user);
-        let uq_rn = self.social_index.user_rn_dists(q.user);
-        let h = idx.pivots().len();
-        let mut scand_ub = vec![f64::INFINITY; h];
-        for (k, s) in scand_ub.iter_mut().enumerate() {
-            *s = uq_rn[k];
-        }
-        for &u in candidates {
-            for (k, &d) in self.social_index.user_rn_dists(u).iter().enumerate() {
-                scand_ub[k] = scand_ub[k].max(d);
-            }
-        }
-        let mut heap = MinHeap::new();
-        let mut centers = Vec::new();
-        let mut delta = f64::INFINITY;
-        let mut outstanding = f64::INFINITY;
-        heap.push(0.0, Item::Node(idx.tree().root()));
-        while let Some((lb, item)) = heap.pop() {
-            meter.note_pop();
-            if meter.is_tripped() {
-                outstanding = lb;
-                break;
-            }
-            if opts.use_delta_pruning && lb > delta {
-                break;
-            }
-            match item {
-                Item::Node(n) => {
-                    self.touch(counts, gpssn_index::io::page_ids::road(n));
-                    self.expand_node(
-                        q,
-                        opts,
-                        n,
-                        uq_interest,
-                        uq_rn,
-                        &scand_ub,
-                        &mut heap,
-                        &mut centers,
-                        &mut delta,
-                        counts,
-                        false,
-                    );
+        let mut sampled = 0;
+        let (answers, _, _) = self.road_search(
+            q,
+            1,
+            opts,
+            candidates,
+            counts,
+            &meter,
+            None,
+            |users, (_, center), bound, _| {
+                sampled += 1;
+                if sampled > RESCUE_CENTERS {
+                    return None;
                 }
-                Item::Center(o) => centers.push((lb, o)),
-            }
-        }
-        centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        (centers, outstanding, delta)
+                crate::sampling::verify_center_sampled(
+                    self.ssn,
+                    q,
+                    users,
+                    center,
+                    bound,
+                    RESCUE_SAMPLES,
+                    &mut rng,
+                    &meter,
+                )
+            },
+        );
+        *counts += &meter.snapshot();
+        answers.into_iter().next()
     }
 
     // ------------------------------------------------------------------
@@ -973,18 +913,28 @@ impl<'a> GpSsnEngine<'a> {
     // Phase 2: road traversal + refinement (Algorithm 2 lines 11–31)
     // ------------------------------------------------------------------
 
+    /// Algorithm 2's road search, run by every query mode: one
+    /// best-first traversal of `I_R` under the `δ` cut, then the center
+    /// loop ([`GpSsnEngine::center_loop`]) twice — under the `refine`
+    /// phase over the traversal's centers, and under `refine_fallback`
+    /// over the deferred `δ`-cut items, keeping the answers found so
+    /// far (see the module docs). `verify` checks one center against a
+    /// bound. Returns the `k` best answers (ascending `maxdist`), the
+    /// final `δ`, and the smallest lower bound left unresolved by a
+    /// budget trip or an absorbed fault (`f64::INFINITY` when none).
     #[allow(clippy::too_many_arguments)]
-    fn road_phase(
+    fn road_search(
         &self,
         q: &GpSsnQuery,
+        k: usize,
         opts: &QueryOptions,
         candidates: &[UserId],
         counts: &mut QueryCounters,
         meter: &BudgetState,
         obs: Option<&Obs>,
-    ) -> (Option<GpSsnAnswer>, f64, f64) {
+        mut verify: impl FnMut(&[UserId], (f64, PoiId), f64, &mut f64) -> Option<GpSsnAnswer>,
+    ) -> (Vec<GpSsnAnswer>, f64, f64) {
         let idx = &self.road_index;
-        let uq_interest = self.ssn.social().interest(q.user);
         let uq_rn = self.social_index.user_rn_dists(q.user);
 
         // If no feasible user group exists at all (independent of R),
@@ -992,14 +942,14 @@ impl<'a> GpSsnEngine<'a> {
         // A cut check proves nothing — proceed; the traversal below trips
         // on its first pop and degrades cleanly.
         if candidates.len() < q.tau {
-            return (None, f64::INFINITY, f64::INFINITY);
+            return (Vec::new(), f64::INFINITY, f64::INFINITY);
         }
         let mut enabled = vec![false; self.ssn.social().num_users()];
         for &u in candidates {
             enabled[u as usize] = true;
         }
         match probe_groups(self.ssn.social(), q, Some(&enabled), meter, |_| true) {
-            Probe::Infeasible => return (None, f64::INFINITY, f64::INFINITY),
+            Probe::Infeasible => return (Vec::new(), f64::INFINITY, f64::INFINITY),
             Probe::Found(_) => meter.add(Counter::PairsRefined, 1),
             Probe::Cut => {}
         }
@@ -1030,167 +980,58 @@ impl<'a> GpSsnEngine<'a> {
             };
             scand_ub[k] = uq_rn[k].max(kth);
         }
+        let mut s = RoadSearch {
+            q,
+            opts,
+            candidates,
+            uq_interest: self.ssn.social().interest(q.user),
+            uq_rn,
+            scand_ub,
+            delta: f64::INFINITY,
+        };
 
         let mut heap = MinHeap::new();
-        let mut deferred: Vec<(f64, Item)> = Vec::new();
-        let mut centers: Vec<(f64, PoiId)> = Vec::new();
-        let mut delta = f64::INFINITY;
+        let mut centers = MinHeap::new();
+        let mut deferred = MinHeap::new();
         // Smallest lower bound left unresolved when the budget trips:
         // heap pops come out in ascending `lb`, so the lb in hand at the
-        // trip bounds everything still queued; deferred items and
-        // unverified centers fold in separately.
+        // trip bounds everything still queued; centers and deferred
+        // items are folded in by the center loop, which stops at its
+        // first item on a tripped meter.
         let mut outstanding = f64::INFINITY;
-        heap.push(0.0, Item::Node(idx.tree().root()));
-
+        heap.push(0.0, idx.tree().root());
         gpssn_obs::phase(obs, "prune_road", || {
-            while let Some((lb, item)) = heap.pop() {
+            while let Some((lb, n)) = heap.pop() {
                 meter.note_pop();
                 if meter.is_tripped() {
-                    outstanding = outstanding.min(lb);
+                    outstanding = lb;
                     break;
                 }
-                if opts.use_delta_pruning && lb > delta {
+                if opts.use_delta_pruning && lb > s.delta {
                     // Paper line 14: everything remaining is δ-cut. Keep
                     // for the exactness fallback; no I/O is spent on
                     // them now.
-                    match item {
-                        Item::Node(n) => {
-                            counts[Counter::PoisPrunedIndex] += idx.node(n).poi_count as u64;
-                        }
-                        Item::Center(_) => {
-                            counts[Counter::PoisPrunedObject] += 1;
-                        }
-                    }
-                    deferred.push((lb, item));
+                    counts[Counter::PoisPrunedIndex] += idx.node(n).poi_count as u64;
+                    deferred.push(lb, Item::Node(n));
                     continue;
                 }
-                match item {
-                    Item::Node(n) => {
-                        self.touch(counts, gpssn_index::io::page_ids::road(n));
-                        self.expand_node(
-                            q,
-                            opts,
-                            n,
-                            uq_interest,
-                            uq_rn,
-                            &scand_ub,
-                            &mut heap,
-                            &mut centers,
-                            &mut delta,
-                            counts,
-                            true,
-                        );
-                    }
-                    Item::Center(o) => centers.push((lb, o)),
-                }
+                self.touch(counts, gpssn_index::io::page_ids::road(n));
+                self.expand_node(&mut s, n, counts, true, &mut |lb, item| match item {
+                    Item::Node(child) => heap.push(lb, child),
+                    Item::Center(_) => centers.push(lb, item),
+                });
             }
         });
+        counts[Counter::CandidatePois] = centers.data.len() as u64;
 
-        // Refinement over surviving centers, cheapest lower bound first
-        // (ties broken by center id, as in `collect_centers`).
-        centers.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        if meter.is_tripped() {
-            // Traversal was cut short: every collected center is still
-            // unverified, so its lb is outstanding.
-            outstanding = centers.iter().fold(outstanding, |m, &(lb, _)| m.min(lb));
-        }
-        let (answers, unresolved) = gpssn_obs::phase(obs, "refine", || {
-            self.refine_centers(q, 1, opts, candidates, &centers, meter, obs)
-        });
-        outstanding = outstanding.min(unresolved);
-        let mut best = answers.into_iter().next();
-        let mut best_val = best.as_ref().map_or(f64::INFINITY, |a| a.maxdist);
-
-        // Exactness fallback: deferred items that still beat the best.
-        deferred.sort_by(|a, b| a.0.total_cmp(&b.0));
-        if meter.is_tripped() {
-            // Deferred work never ran; anything cheaper than the best
-            // verified answer is unresolved (folding in resolved items
-            // only widens the reported gap — conservative, never wrong).
-            outstanding = deferred.iter().fold(outstanding, |m, &(lb, _)| m.min(lb));
-        } else {
-            gpssn_obs::phase(obs, "refine_fallback", || {
-                let mut ws = DijkstraWorkspace::new();
-                let mut chws = gpssn_graph::ChSearch::new();
-                let mut ctx = VerifyContext {
-                    ws: &mut ws,
-                    ch: self.ch_for(opts).map(|oracle| ChBackend {
-                        oracle,
-                        search: &mut chws,
-                    }),
-                    cache: self.distance_cache.as_ref(),
-                    breaker: Some(&self.ch_breaker),
-                    budget: meter,
-                    obs,
-                };
-                let mut fallback = MinHeap::new();
-                for (lb, item) in deferred {
-                    if lb < best_val {
-                        fallback.push(lb, item);
-                    }
-                }
-                while let Some((lb, item)) = fallback.pop() {
-                    if lb >= best_val {
-                        break;
-                    }
-                    meter.note_pop();
-                    if meter.is_tripped() {
-                        outstanding = outstanding.min(lb);
-                        break;
-                    }
-                    match item {
-                        Item::Node(n) => {
-                            self.touch(counts, gpssn_index::io::page_ids::road(n));
-                            let mut local_centers = Vec::new();
-                            self.expand_node(
-                                q,
-                                opts,
-                                n,
-                                uq_interest,
-                                uq_rn,
-                                &scand_ub,
-                                &mut fallback,
-                                &mut local_centers,
-                                &mut delta,
-                                counts,
-                                false,
-                            );
-                            for (clb, c) in local_centers {
-                                fallback.push(clb, Item::Center(c));
-                            }
-                        }
-                        Item::Center(center) => {
-                            let filtered =
-                                self.filter_candidates_for_center(candidates, center, best_val);
-                            let Some(v) = verify_center_guarded(
-                                self.ssn,
-                                q,
-                                &filtered,
-                                (lb, center),
-                                best_val,
-                                &mut ctx,
-                                opts.degradation,
-                                &mut outstanding,
-                            ) else {
-                                continue;
-                            };
-                            if let Some(ans) = v.answer {
-                                best_val = ans.maxdist;
-                                best = Some(ans);
-                            }
-                            if meter.is_tripped() {
-                                outstanding = outstanding.min(lb);
-                                break;
-                            }
-                        }
-                    }
-                }
-                note_workspaces(meter, &ws, &chws);
+        let mut answers = Vec::new();
+        for (phase, items) in [("refine", centers), ("refine_fallback", deferred)] {
+            let unresolved = gpssn_obs::phase(obs, phase, || {
+                self.center_loop(&mut s, k, items, &mut answers, counts, meter, &mut verify)
             });
+            outstanding = outstanding.min(unresolved);
         }
-
-        counts[Counter::CandidatePois] = centers.len() as u64;
-        (best, delta, outstanding)
+        (answers, s.delta, outstanding)
     }
 
     /// Records an access to index page `page`: a physical read unless the
@@ -1234,66 +1075,52 @@ impl<'a> GpSsnEngine<'a> {
             .collect()
     }
 
-    /// Algorithm 2's refinement loop, shared by [`QueryMode::Exact`]
-    /// (`k = 1`) and [`QueryMode::TopK`]: verifies `centers` (sorted
-    /// ascending by `(lb, id)`) in order, keeps the `k` best distinct
-    /// answers, and stops once `lb` reaches the `k`-th best value (`∞`
-    /// while fewer than `k` are held). Each center is verified against
-    /// that bound, with its candidates filtered by it: a user whose pivot
-    /// lower bound reaches the bound has an exact cost at least as large,
-    /// so [`verify_center`] would drop the user anyway. Returns the
-    /// answers (ascending `maxdist`) and the smallest `lb` left
-    /// unresolved by a budget trip or an absorbed fault (`f64::INFINITY`
-    /// when none).
+    /// Algorithm 2's center loop, shared by every mode and by both
+    /// rounds of [`GpSsnEngine::road_search`]: pops `heap` in ascending
+    /// `(lb, item)` order, keeps the `k` best distinct answers in
+    /// `answers`, and stops once `lb` reaches the `k`-th best value (`∞`
+    /// while fewer than `k` are held). A center is verified by `verify`
+    /// against that bound, with its candidates filtered by it: a user
+    /// whose pivot lower bound reaches the bound has an exact cost at
+    /// least as large, so verification would drop the user anyway. A
+    /// node (a deferred `δ`-cut subtree) is read and expanded, its
+    /// children and centers pushed back; only an expanded node is
+    /// charged a heap pop. Returns the smallest `lb` left unresolved by
+    /// a budget trip or an absorbed fault (`f64::INFINITY` when none).
     #[allow(clippy::too_many_arguments)]
-    fn refine_centers(
+    fn center_loop(
         &self,
-        q: &GpSsnQuery,
+        s: &mut RoadSearch<'_>,
         k: usize,
-        opts: &QueryOptions,
-        candidates: &[UserId],
-        centers: &[(f64, PoiId)],
+        mut heap: MinHeap<Item>,
+        answers: &mut Vec<GpSsnAnswer>,
+        counts: &mut QueryCounters,
         meter: &BudgetState,
-        obs: Option<&Obs>,
-    ) -> (Vec<GpSsnAnswer>, f64) {
-        let mut answers: Vec<GpSsnAnswer> = Vec::new();
+        verify: &mut impl FnMut(&[UserId], (f64, PoiId), f64, &mut f64) -> Option<GpSsnAnswer>,
+    ) -> f64 {
         let mut unresolved = f64::INFINITY;
-        let mut ws = DijkstraWorkspace::new();
-        let mut chws = gpssn_graph::ChSearch::new();
-        let mut ctx = VerifyContext {
-            ws: &mut ws,
-            ch: self.ch_for(opts).map(|oracle| ChBackend {
-                oracle,
-                search: &mut chws,
-            }),
-            cache: self.distance_cache.as_ref(),
-            breaker: Some(&self.ch_breaker),
-            budget: meter,
-            obs,
-        };
-        for &(lb, center) in centers {
+        while let Some((lb, item)) = heap.pop() {
             let bound = answers.get(k - 1).map_or(f64::INFINITY, |a| a.maxdist);
             if lb >= bound {
                 break;
+            }
+            if let Item::Node(_) = item {
+                meter.note_pop();
             }
             if meter.is_tripped() {
                 unresolved = unresolved.min(lb);
                 break;
             }
-            let filtered = self.filter_candidates_for_center(candidates, center, bound);
-            let Some(v) = verify_center_guarded(
-                self.ssn,
-                q,
-                &filtered,
-                (lb, center),
-                bound,
-                &mut ctx,
-                opts.degradation,
-                &mut unresolved,
-            ) else {
-                continue;
+            let center = match item {
+                Item::Node(n) => {
+                    self.touch(counts, gpssn_index::io::page_ids::road(n));
+                    self.expand_node(s, n, counts, false, &mut |lb, item| heap.push(lb, item));
+                    continue;
+                }
+                Item::Center(c) => c,
             };
-            if let Some(ans) = v.answer {
+            let users = self.filter_candidates_for_center(s.candidates, center, bound);
+            if let Some(ans) = verify(&users, (lb, center), bound, &mut unresolved) {
                 // Centers with the same ball can verify the same (S, R)
                 // pair: hold it once, at the smaller value (for `k = 1`
                 // this is plain replace-on-improvement).
@@ -1311,76 +1138,73 @@ impl<'a> GpSsnEngine<'a> {
             }
             if meter.is_tripped() {
                 // This center's verification was itself cut short, so it
-                // remains unresolved (centers are sorted, so `lb` also
-                // bounds every center we will now skip).
+                // remains unresolved (items pop in ascending `lb`, so `lb`
+                // also bounds every item left in the heap).
                 unresolved = unresolved.min(lb);
                 break;
             }
         }
-        note_workspaces(meter, &ws, &chws);
-        (answers, unresolved)
+        unresolved
     }
 
     /// Expands one `I_R` node: applies Lemma 6 / Lemma 1 matching pruning
-    /// and pushes surviving children (or candidate centers) with their
-    /// Eq. 17 lower bounds; updates `δ` with guarded Eq. 16/5 upper
+    /// and hands surviving children (or candidate centers) to `push` with
+    /// their Eq. 17 lower bounds; updates `δ` with guarded Eq. 16/5 upper
     /// bounds.
-    #[allow(clippy::too_many_arguments)]
     fn expand_node(
         &self,
-        q: &GpSsnQuery,
-        opts: &QueryOptions,
+        s: &mut RoadSearch<'_>,
         node: u32,
-        uq_interest: &gpssn_social::InterestVector,
-        uq_rn: &[f64],
-        scand_ub: &[f64],
-        heap: &mut MinHeap<Item>,
-        centers: &mut Vec<(f64, PoiId)>,
-        delta: &mut f64,
         counts: &mut QueryCounters,
         count_stats: bool,
+        push: &mut impl FnMut(f64, Item),
     ) {
-        let idx = &self.road_index;
+        let (q, idx) = (s.q, &self.road_index);
         for e in &idx.tree().node(node).entries {
             match *e {
                 Entry::Item { item: poi, .. } => {
                     let aug = idx.poi(poi);
                     // Lemma 1 via the sup_K superset (Lemma 2).
-                    if opts.use_matching_pruning
-                        && ub_match_score_keywords(uq_interest, &aug.sup_keywords) < q.theta
+                    if s.opts.use_matching_pruning
+                        && ub_match_score_keywords(s.uq_interest, &aug.sup_keywords) < q.theta
                     {
                         if count_stats {
                             counts[Counter::PoisPrunedObject] += 1;
                         }
                         continue;
                     }
-                    let lb = lb_maxdist_poi(uq_rn, &aug.pivot_dists);
+                    let lb = lb_maxdist_poi(s.uq_rn, &aug.pivot_dists);
                     // Eq. 18 guard at object granularity: sub_K certifies
                     // a θ-matching ball for u_q.
-                    if gpssn_ssn::match_score_keywords(uq_interest, &aug.sub_keywords) >= q.theta {
-                        *delta = delta.min(ub_maxdist_poi(scand_ub, &aug.pivot_dists, q.radius));
+                    if gpssn_ssn::match_score_keywords(s.uq_interest, &aug.sub_keywords) >= q.theta
+                    {
+                        s.delta =
+                            s.delta
+                                .min(ub_maxdist_poi(&s.scand_ub, &aug.pivot_dists, q.radius));
                     }
-                    centers.push((lb, poi));
+                    push(lb, Item::Center(poi));
                 }
                 Entry::Child { node: child, .. } => {
                     let aug = idx.node(child);
                     // Lemma 6 via the node signature (Eq. 15).
-                    if opts.use_matching_pruning
-                        && ub_match_score_signature(uq_interest, &aug.sup_sig) < q.theta
+                    if s.opts.use_matching_pruning
+                        && ub_match_score_signature(s.uq_interest, &aug.sup_sig) < q.theta
                     {
                         if count_stats {
                             counts[Counter::PoisPrunedIndex] += aug.poi_count as u64;
                         }
                         continue;
                     }
-                    let lb = lb_maxdist_node(uq_rn, &aug.lb_pivot, &aug.ub_pivot);
+                    let lb = lb_maxdist_node(s.uq_rn, &aug.lb_pivot, &aug.ub_pivot);
                     // Lemma 7 guard: Eq. 18 over the node samples
                     // certifies a candidate set inside, enabling the
                     // Eq. 16 δ update.
-                    if lb_match_score_node(idx, aug, &[uq_interest]) >= q.theta {
-                        *delta = delta.min(ub_maxdist_node(scand_ub, &aug.ub_pivot, q.radius));
+                    if lb_match_score_node(idx, aug, &[s.uq_interest]) >= q.theta {
+                        s.delta =
+                            s.delta
+                                .min(ub_maxdist_node(&s.scand_ub, &aug.ub_pivot, q.radius));
                     }
-                    heap.push(lb, Item::Node(child));
+                    push(lb, Item::Node(child));
                 }
             }
         }
@@ -1604,13 +1428,20 @@ pub(crate) fn run_isolated(
 }
 
 /// A minimal binary min-heap keyed by `f64` (NaN-free by construction).
+/// Equal keys pop in ascending value order, so the pop sequence does not
+/// depend on the push order.
 struct MinHeap<T> {
     data: Vec<(f64, T)>,
 }
 
-impl<T: Copy> MinHeap<T> {
+impl<T: Copy + Ord> MinHeap<T> {
     fn new() -> Self {
         MinHeap { data: Vec::new() }
+    }
+
+    fn less(&self, i: usize, j: usize) -> bool {
+        let (a, b) = (&self.data[i], &self.data[j]);
+        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
     }
 
     fn push(&mut self, key: f64, value: T) {
@@ -1619,7 +1450,7 @@ impl<T: Copy> MinHeap<T> {
         let mut i = self.data.len() - 1;
         while i > 0 {
             let p = (i - 1) / 2;
-            if self.data[i].0 < self.data[p].0 {
+            if self.less(i, p) {
                 self.data.swap(i, p);
                 i = p;
             } else {
@@ -1637,10 +1468,10 @@ impl<T: Copy> MinHeap<T> {
         loop {
             let (l, r) = (2 * i + 1, 2 * i + 2);
             let mut min = i;
-            if l < self.data.len() && self.data[l].0 < self.data[min].0 {
+            if l < self.data.len() && self.less(l, min) {
                 min = l;
             }
-            if r < self.data.len() && self.data[r].0 < self.data[min].0 {
+            if r < self.data.len() && self.less(r, min) {
                 min = r;
             }
             if min == i {
@@ -1830,5 +1661,32 @@ mod tests {
         assert_eq!(h.pop(), Some((2.0, 'c')));
         assert_eq!(h.pop(), Some((3.0, 'a')));
         assert_eq!(h.pop(), None);
+
+        // Equal keys pop in `Item` order (nodes first, then by id), so
+        // the main phase verifies centers in ascending `(lb, id)` order
+        // whatever order they were pushed in.
+        let mut h = MinHeap::new();
+        for (key, item) in [
+            (2.0, Item::Center(9)),
+            (1.0, Item::Center(7)),
+            (2.0, Item::Center(3)),
+            (2.0, Item::Node(5)),
+            (1.0, Item::Center(2)),
+            (2.0, Item::Center(4)),
+        ] {
+            h.push(key, item);
+        }
+        let order: Vec<(f64, Item)> = std::iter::from_fn(|| h.pop()).collect();
+        assert_eq!(
+            order,
+            [
+                (1.0, Item::Center(2)),
+                (1.0, Item::Center(7)),
+                (2.0, Item::Node(5)),
+                (2.0, Item::Center(3)),
+                (2.0, Item::Center(4)),
+                (2.0, Item::Center(9)),
+            ]
+        );
     }
 }

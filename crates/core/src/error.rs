@@ -17,7 +17,7 @@
 
 use crate::stats::{Counter, QueryCounters};
 use gpssn_social::UserId;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// Everything that can go wrong while serving a GP-SSN query.
@@ -189,7 +189,9 @@ impl Completion {
 pub struct QueryBudget {
     /// Wall-clock deadline, measured from query start.
     pub deadline: Option<Duration>,
-    /// Cap on best-first heap pops (road-index traversal, Eq. 17 order).
+    /// Cap on best-first heap pops (road-index traversal, Eq. 17 order):
+    /// every traversal pop, `δ`-cut or not, and every deferred node the
+    /// fallback expands. Centers are not charged.
     pub max_heap_pops: Option<u64>,
     /// Cap on group-enumeration work, the only bound on it: one unit per
     /// admission check of the feasibility kernel (refinement probes,
@@ -266,12 +268,10 @@ pub const DEADLINE_CHECK_PERIOD: u64 = 64;
 /// state is sticky — every later check reports the same [`Trip`] so the
 /// whole pipeline unwinds cooperatively.
 ///
-/// The meter also holds the query's shared counts: one relaxed atomic
-/// per [`Counter`], read back once with [`BudgetState::snapshot`]. One
-/// instance serves exactly one query, on the thread running it; it is
-/// `&self` everywhere and `Sync` like the rest of the engine, so the
-/// atomics below are written to stay correct if several threads ever
-/// charged it at once.
+/// The meter also holds the query's shared counts: one cell per
+/// [`Counter`], read back once with [`BudgetState::snapshot`]. One
+/// instance serves exactly one query, on the thread running it, so the
+/// state is plain [`Cell`]s behind `&self` (the meter is not `Sync`).
 ///
 /// Settles are one unit across distance backends: a Dijkstra batch
 /// charges every vertex it settles; a contraction-hierarchy batch
@@ -284,31 +284,9 @@ pub struct BudgetState {
     max_pops: u64,
     max_groups: u64,
     max_settles: u64,
-    /// `0` = not tripped; otherwise `1 + Trip discriminant` of the first
-    /// trip (sticky via compare-exchange).
-    tripped: AtomicU8,
-    counts: [AtomicU64; Counter::COUNT],
-}
-
-const TRIP_NONE: u8 = 0;
-
-fn trip_encode(t: Trip) -> u8 {
-    match t {
-        Trip::Deadline => 1,
-        Trip::HeapPops => 2,
-        Trip::Groups => 3,
-        Trip::DijkstraSettles => 4,
-    }
-}
-
-fn trip_decode(v: u8) -> Option<Trip> {
-    match v {
-        TRIP_NONE => None,
-        1 => Some(Trip::Deadline),
-        2 => Some(Trip::HeapPops),
-        3 => Some(Trip::Groups),
-        _ => Some(Trip::DijkstraSettles),
-    }
+    /// The first trip (sticky).
+    tripped: Cell<Option<Trip>>,
+    counts: [Cell<u64>; Counter::COUNT],
 }
 
 impl BudgetState {
@@ -319,8 +297,8 @@ impl BudgetState {
             max_pops: budget.max_heap_pops.unwrap_or(u64::MAX),
             max_groups: budget.max_groups_enumerated.unwrap_or(u64::MAX),
             max_settles: budget.max_dijkstra_settles.unwrap_or(u64::MAX),
-            tripped: AtomicU8::new(TRIP_NONE),
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            tripped: Cell::new(None),
+            counts: std::array::from_fn(|_| Cell::new(0)),
         }
     }
 
@@ -357,13 +335,13 @@ impl BudgetState {
             return Some(t);
         }
         let counter = &self.counts[c as usize];
-        let n = counter.fetch_add(1, Ordering::Relaxed);
+        let n = counter.get();
         if n >= max {
-            // Uncount the tripping attempt so the reported metric never
-            // exceeds the budget, even when several workers race here.
-            counter.fetch_sub(1, Ordering::Relaxed);
+            // The tripping attempt is not counted, so the reported
+            // metric never exceeds the budget.
             return self.trip_now(kind);
         }
+        counter.set(n + 1);
         if (n + 1).is_multiple_of(DEADLINE_CHECK_PERIOD) {
             return self.check_deadline();
         }
@@ -382,13 +360,9 @@ impl BudgetState {
             Counter::ChSettles => Counter::DijkstraSettles,
             _ => Counter::ChSettles,
         };
-        // SeqCst on both backends' add and load: of two workers adding to
-        // different backends at once, at least one sees the other's
-        // settles, so a sum crossing the cap always trips.
-        let own = self.counts[backend as usize]
-            .fetch_add(n, Ordering::SeqCst)
-            .saturating_add(n);
-        let total = own.saturating_add(self.counts[other as usize].load(Ordering::SeqCst));
+        let own = self.counts[backend as usize].get().saturating_add(n);
+        self.counts[backend as usize].set(own);
+        let total = own.saturating_add(self.counts[other as usize].get());
         if let Some(t) = self.trip() {
             return Some(t);
         }
@@ -403,14 +377,15 @@ impl BudgetState {
     /// [`Self::note_group`] and [`Self::add_settles`]).
     #[inline]
     pub fn add(&self, c: Counter, n: u64) {
-        self.counts[c as usize].fetch_add(n, Ordering::Relaxed);
+        let cell = &self.counts[c as usize];
+        cell.set(cell.get().wrapping_add(n));
     }
 
     /// The counts recorded so far.
     pub fn snapshot(&self) -> QueryCounters {
         let mut out = QueryCounters::default();
         for &c in Counter::ALL {
-            out[c] = self.counts[c as usize].load(Ordering::Relaxed);
+            out[c] = self.counts[c as usize].get();
         }
         out
     }
@@ -432,7 +407,7 @@ impl BudgetState {
 
     /// The first trip, if any.
     pub fn trip(&self) -> Option<Trip> {
-        trip_decode(self.tripped.load(Ordering::Relaxed))
+        self.tripped.get()
     }
 
     #[inline]
@@ -444,17 +419,12 @@ impl BudgetState {
     }
 
     fn trip_now(&self, t: Trip) -> Option<Trip> {
-        // First trip wins; later (possibly different) trips from racing
-        // workers keep reporting the original cause.
-        match self.tripped.compare_exchange(
-            TRIP_NONE,
-            trip_encode(t),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => Some(t),
-            Err(prev) => trip_decode(prev),
+        // First trip wins: a later (possibly different) trip keeps
+        // reporting the original cause.
+        if self.tripped.get().is_none() {
+            self.tripped.set(Some(t));
         }
+        self.tripped.get()
     }
 }
 

@@ -137,10 +137,12 @@ fn tiny_group_budget_never_claims_exact() {
     // query whose budget runs out mid-enumeration must come back
     // truncated with a sound gap (or exact and optimal), never exact and
     // wrong. 60 admission checks cut most probes at τ 3–6; 5 also cut
-    // the "does any group exist" pre-check. The top-3 arm holds the
-    // shared center loop to the same contract against the exhaustive
-    // top-k oracle (the true 3rd value lies within the reported gap) at
-    // τ 3–4, where that oracle is cheap enough for a debug build.
+    // the "does any group exist" pre-check; 200 lets many top-3 searches
+    // finish (they pay for the same pre-check as Exact). The top-3 arm
+    // holds the shared center loop to the same contract against the
+    // exhaustive top-k oracle (the true 3rd value lies within the
+    // reported gap) at τ 3–4, where that oracle is cheap enough for a
+    // debug build.
     const K: usize = 3;
     let mut truncated = 0usize;
     let mut exact = 0usize;
@@ -166,7 +168,7 @@ fn tiny_group_budget_never_claims_exact() {
                 } else {
                     Vec::new()
                 };
-                for groups in [5, 60] {
+                for groups in [5, 60, 200] {
                     let budget = QueryBudget {
                         max_groups_enumerated: Some(groups),
                         ..Default::default()
