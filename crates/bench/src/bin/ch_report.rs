@@ -3,7 +3,8 @@
 //! share of it and the label size), point-to-point latency, and the
 //! many-to-many kernel against one Dijkstra sweep per source, on the
 //! largest bench road graph (30k intersections by default). Both query
-//! shapes are asserted bitwise against Dijkstra before they are timed.
+//! shapes are asserted bitwise against Dijkstra before they are timed,
+//! and every sampled pair bitwise against its reverse.
 //! The same comparison runs under Criterion in `benches/ch.rs`; this bin
 //! trades statistical rigor for a single machine-readable artifact.
 //!
@@ -113,6 +114,12 @@ fn main() {
             c[0].to_bits(),
             "CH answer diverged at {s}->{t}"
         );
+        let (back, _) = ch.dists(&mut cs, &[(t, 0.0)], &[s]);
+        assert_eq!(
+            c[0].to_bits(),
+            back[0].to_bits(),
+            "CH answer is not symmetric at {s}<->{t}"
+        );
     }
     let p2p_dijkstra = median_secs(5, || {
         for &(s, t) in &queries {
@@ -148,6 +155,20 @@ fn main() {
             );
         }
     }
+    // The transposed matrix, targets as sources, must be its mirror.
+    let target_seeds: Vec<[(NodeId, f64); 1]> = targets.iter().map(|&t| [(t, 0.0)]).collect();
+    let target_refs: Vec<&[(NodeId, f64)]> = target_seeds.iter().map(|s| &s[..]).collect();
+    let source_nodes: Vec<NodeId> = sources.iter().map(|s| s[0].0).collect();
+    let (mirror, _) = ch.batch_dists(&mut cs, &target_refs, &source_nodes);
+    for i in 0..source_nodes.len() {
+        for j in 0..targets.len() {
+            assert_eq!(
+                matrix[i * targets.len() + j].to_bits(),
+                mirror[j * source_nodes.len() + i].to_bits(),
+                "CH many-to-many is not symmetric at source {i} <-> target {j}"
+            );
+        }
+    }
     let m2m_dijkstra = median_secs(5, || {
         for s in &source_refs {
             std::hint::black_box(dijkstra_targets(g, s, &targets));
@@ -165,7 +186,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"graph\": {{\"vertices\": {}, \"edges\": {}, \"seed\": {}}},\n  \
-         \"build\": {{\"shortcuts\": {}, \"label_entries\": {}, \"sequential_secs\": {:.6}, \
+         \"build\": {{\"shortcuts\": {}, \"label_entries\": {}, \"label_bytes\": {}, \"sequential_secs\": {:.6}, \
          \"threads4_secs\": {:.6}, \"label_secs\": {:.6}}},\n  \
          \"p2p\": {{\"queries\": {}, \"dijkstra_secs_per_query\": {:.9}, \
          \"ch_secs_per_query\": {:.9}, \"speedup\": {:.3}}},\n  \
@@ -176,6 +197,7 @@ fn main() {
         seed,
         ch.num_shortcuts(),
         ch.num_label_entries(),
+        ch.label_bytes(),
         build_secs,
         build_threads_secs,
         label_secs,

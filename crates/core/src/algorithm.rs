@@ -130,10 +130,10 @@ impl EngineConfig {
 
 /// Which oracle serves refinement-time `dist_RN` computations.
 ///
-/// Both backends return bit-identical distances (the CH oracle unpacks
-/// every winning up–down path and refolds original edge weights in
-/// Dijkstra's exact operation order — see `gpssn_graph::ch`), so the
-/// choice affects speed and metering only, never answers.
+/// Both backends return bit-identical distances (road lengths sit on the
+/// `2⁻³²` grid, so a CH search key is exactly Dijkstra's sum — see
+/// `gpssn_graph::ch`), so the choice affects speed and metering only,
+/// never answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DistanceBackend {
     /// Multi-target Dijkstra sweeps over the road graph.
@@ -1247,12 +1247,11 @@ impl<'a> GpSsnEngine<'a> {
 }
 
 /// Folds one refinement scope's workspace telemetry into the meter:
-/// runs prepared, runs that reused already-sized storage, and CH
-/// near-tie path unpacks. Called once per scope, not per run.
+/// runs prepared and runs that reused already-sized storage. Called
+/// once per scope, not per run.
 fn note_workspaces(meter: &BudgetState, ws: &DijkstraWorkspace, chws: &gpssn_graph::ChSearch) {
     meter.add(Counter::WsResets, ws.resets() + chws.resets());
     meter.add(Counter::HeapRecycles, ws.recycles() + chws.recycles());
-    meter.add(Counter::ChUnpacks, chws.unpacks());
 }
 
 /// Runs [`verify_center`] on the center `(lb, center)` under the query's

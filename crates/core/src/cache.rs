@@ -13,21 +13,20 @@
 //! * balls are keyed by `(center, radius.to_bits())` — exact radius,
 //!   no bucketing slack, so the cached member list is exactly what
 //!   [`gpssn_road::PoiSet::network_ball`] returns;
-//! * distances are keyed by `(source, target, direction)` — `(user,
-//!   poi, FromUser)` or `(poi, user, FromPoi)`. Direction matters
-//!   for bit-identity: Dijkstra from the user's home and Dijkstra from
-//!   the POI traverse the same shortest path but sum its edge weights
-//!   in opposite orders, which floating-point addition does not promise
-//!   to reconcile. Keying the direction means a hit only ever replaces
-//!   a run that would have produced the very same bits.
+//! * distances are keyed by `(user, poi)`. Road lengths and offsets sit
+//!   on the `2⁻³²` grid, so `dist_RN` is exact and bitwise symmetric:
+//!   a run from the user's home and a run from the POI give the same
+//!   bits, and one cell serves both directions.
 //!
-//! Distances are probed and stored a whole row at a time
-//! ([`DistanceCache::get_row`] / [`DistanceCache::put_row`]): refinement
-//! needs all of a row or recomputes all of it, so a row is one lock and
-//! one hash per key. A row's shard is chosen by its source id, so every
-//! key of a row lives in the same shard. Keys are dataset ids, never
-//! strings a client chooses, so both shard selection and the maps use a
-//! fixed multiplicative hasher (`IdHasher`) instead of SipHash.
+//! Distances are probed and stored a block at a time
+//! ([`DistanceCache::get_block`] / [`DistanceCache::put_block`]):
+//! refinement needs all of a row or recomputes all of it. A cell's
+//! shard is chosen by its POI, so the common row — one POI against many
+//! users — is one lock and one hash per key, and a user's row over a
+//! ball takes each shard's lock once per run of cells in it. Keys are
+//! dataset ids, never strings a client chooses, so both shard selection
+//! and the maps use a fixed multiplicative hasher (`IdHasher`) instead
+//! of SipHash.
 //!
 //! The cache is sharded (one mutex per shard) so concurrent serve and
 //! batch query threads do not serialize on a single lock,
@@ -44,16 +43,6 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Which endpoint seeded the Dijkstra that produced a cached distance.
-/// See the module docs for why this is part of the key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DistDir {
-    /// Seeded at the user's home, targeting POI positions.
-    FromUser,
-    /// Seeded at the POI position, targeting user homes.
-    FromPoi,
-}
 
 /// Capacity configuration for [`DistanceCache`].
 #[derive(Debug, Clone)]
@@ -82,9 +71,8 @@ type BallKey = (PoiId, u64);
 /// A cached ball row: the `(poi, dist_RN)` pairs inside `⊙(center, r)`,
 /// shared by `Arc` so hits never copy.
 type BallRow = Arc<Vec<(PoiId, f64)>>;
-/// `(row source, row target, direction)`: `(user, poi, FromUser)` or
-/// `(poi, user, FromPoi)`.
-type DistKey = (u32, u32, DistDir);
+/// `(user, poi)`: one cell, whichever end a run started from.
+type DistKey = (u32, PoiId);
 
 /// Multiplicative word hasher (the FxHash mixing step) for the cache's
 /// integer keys: one rotate, xor and multiply per word written. It is
@@ -173,8 +161,8 @@ impl<K: Eq + Hash + Clone, V: Clone> Shard<K, V> {
 
 /// Lifetime counters of one [`DistanceCache`] (never reset; the per-query
 /// view is the cache counters of [`crate::QueryCounters`], in the same
-/// unit: a row probe counts every key of the row as a hit when the whole
-/// row is resident and as a miss otherwise). All sums saturate.
+/// unit: a block probe counts every key of the block as a hit when the
+/// whole block is resident and as a miss otherwise). All sums saturate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheLifetimeStats {
     /// Ball lookups served from the cache.
@@ -183,9 +171,9 @@ pub struct CacheLifetimeStats {
     pub ball_misses: u64,
     /// Ball entries displaced by the capacity bound.
     pub ball_evictions: u64,
-    /// `dist_RN` keys served from the cache (whole-row hits).
+    /// `dist_RN` keys served from the cache (whole-block hits).
     pub dist_hits: u64,
-    /// `dist_RN` keys of rows that missed (recomputed whole).
+    /// `dist_RN` keys of blocks that missed (recomputed whole).
     pub dist_misses: u64,
     /// `dist_RN` entries displaced by the capacity bound.
     pub dist_evictions: u64,
@@ -299,52 +287,63 @@ impl DistanceCache {
         lock_shard(shard).insert(key, ball);
     }
 
-    /// The cached `dist_RN` row from `source` to every entry of
-    /// `targets`, computed in direction `dir` — a user and its POIs for
-    /// [`DistDir::FromUser`], a POI and its users for
-    /// [`DistDir::FromPoi`]. All-or-nothing: `None` unless every key is
-    /// resident. One lock for the whole row; lifetime tallies count
-    /// every key of the row as a hit or as a miss.
-    pub fn get_row(&self, dir: DistDir, source: u32, targets: &[u32]) -> Option<Vec<f64>> {
-        let n = targets.len() as u64;
+    /// The cached `dist_RN` cells of the `users × pois` block, row-major
+    /// (a user's row over POIs, or one POI's column over users, comes
+    /// back in target order either way). All-or-nothing: `None` unless
+    /// every cell is resident. Lifetime tallies count every cell of the
+    /// block as a hit or as a miss.
+    pub fn get_block(&self, users: &[u32], pois: &[PoiId]) -> Option<Vec<f64>> {
+        let n = (users.len() * pois.len()) as u64;
         if gpssn_failpoint::failpoint!("cache::spurious_miss") {
             // A dropped entry is indistinguishable from a FIFO eviction.
             self.dist_misses.fetch_add(n, Ordering::Relaxed);
             return None;
         }
-        let row: Option<Vec<f64>> = {
-            let shard = lock_shard(self.row_shard(dir, source));
-            targets
-                .iter()
-                .map(|&t| shard.get(&(source, t, dir)))
-                .collect()
-        };
-        let tally = if row.is_some() {
+        let mut block = Vec::with_capacity(n as usize);
+        self.for_cells(users, pois, |shard, key, _| block.extend(shard.get(&key)));
+        let block = (block.len() as u64 == n).then_some(block);
+        let tally = if block.is_some() {
             &self.dist_hits
         } else {
             &self.dist_misses
         };
         tally.fetch_add(n, Ordering::Relaxed);
-        row
+        block
     }
 
-    /// Stores the row [`Self::get_row`] describes: `dists[j]` is the
-    /// distance from `source` to `targets[j]` in direction `dir`.
-    pub fn put_row(&self, dir: DistDir, source: u32, targets: &[u32], dists: &[f64]) {
-        debug_assert_eq!(targets.len(), dists.len());
-        let shard = self.row_shard(dir, source);
+    /// Stores the block [`Self::get_block`] describes: `dists` holds the
+    /// `users × pois` cells row-major.
+    pub fn put_block(&self, users: &[u32], pois: &[PoiId], dists: &[f64]) {
+        debug_assert_eq!(users.len() * pois.len(), dists.len());
         if gpssn_failpoint::failpoint!("cache::poison") {
-            poison_shard(shard);
+            poison_shard(&self.dists[pois.first().map_or(0, |o| shard_of(o, self.dists.len()))]);
         }
-        let mut shard = lock_shard(shard);
-        for (&t, &d) in targets.iter().zip(dists) {
-            shard.insert((source, t, dir), d);
-        }
+        self.for_cells(users, pois, |shard, key, k| shard.insert(key, dists[k]));
     }
 
-    /// The shard holding every key of the row from `source` in `dir`.
-    fn row_shard(&self, dir: DistDir, source: u32) -> &Mutex<Shard<DistKey, f64>> {
-        &self.dists[shard_of(&(source, dir), self.dists.len())]
+    /// Visits the `users × pois` cells row-major, each with its index and
+    /// its shard (picked by the POI) locked. A run of cells in one shard
+    /// shares one lock, and at most one lock is held at a time.
+    fn for_cells(
+        &self,
+        users: &[u32],
+        pois: &[PoiId],
+        mut f: impl FnMut(&mut Shard<DistKey, f64>, DistKey, usize),
+    ) {
+        let cells = users
+            .iter()
+            .flat_map(|&u| pois.iter().map(move |&o| (u, o)));
+        let mut held: Option<(usize, MutexGuard<'_, Shard<DistKey, f64>>)> = None;
+        for (k, (u, o)) in cells.enumerate() {
+            let s = shard_of(&o, self.dists.len());
+            if held.as_ref().is_none_or(|h| h.0 != s) {
+                drop(held.take());
+                held = Some((s, lock_shard(&self.dists[s])));
+            }
+            if let Some((_, shard)) = held.as_mut() {
+                f(shard, (u, o), k);
+            }
+        }
     }
 
     /// Ball entries currently resident (across all shards).
@@ -410,23 +409,23 @@ mod tests {
         }
     }
 
-    /// Single-key row helpers: the row API with one target.
-    fn put(c: &DistanceCache, dir: DistDir, source: u32, target: u32, d: f64) {
-        c.put_row(dir, source, &[target], &[d]);
+    /// Single-cell helpers: the block API with one user and one POI.
+    fn put(c: &DistanceCache, user: u32, poi: u32, d: f64) {
+        c.put_block(&[user], &[poi], &[d]);
     }
 
-    fn get(c: &DistanceCache, dir: DistDir, source: u32, target: u32) -> Option<f64> {
-        c.get_row(dir, source, &[target]).map(|row| row[0])
+    fn get(c: &DistanceCache, user: u32, poi: u32) -> Option<f64> {
+        c.get_block(&[user], &[poi]).map(|block| block[0])
     }
 
     #[test]
     fn round_trips_values() {
         let c = DistanceCache::new(&tiny());
-        assert!(get(&c, DistDir::FromUser, 1, 2).is_none());
-        put(&c, DistDir::FromUser, 1, 2, 3.25);
-        assert_eq!(get(&c, DistDir::FromUser, 1, 2), Some(3.25));
-        // Direction is part of the key.
-        assert!(get(&c, DistDir::FromPoi, 1, 2).is_none());
+        assert!(get(&c, 1, 2).is_none());
+        put(&c, 1, 2, 3.25);
+        assert_eq!(get(&c, 1, 2), Some(3.25));
+        // The key is ordered: (user 2, poi 1) is another cell.
+        assert!(get(&c, 2, 1).is_none());
 
         let ball = Arc::new(vec![(7u32, 1.5f64), (9, 2.0)]);
         c.put_ball(3, 2.5, Arc::clone(&ball));
@@ -441,28 +440,31 @@ mod tests {
             dist_capacity: 64,
             shards: 4,
         });
-        c.put_row(DistDir::FromPoi, 7, &[1, 2, 3], &[0.5, 1.5, 2.5]);
-        assert_eq!(
-            c.get_row(DistDir::FromPoi, 7, &[3, 1]),
-            Some(vec![2.5, 0.5])
-        );
-        // One absent key misses the whole row, and every key of it is
+        // POI 7's column over users 1..=3.
+        c.put_block(&[1, 2, 3], &[7], &[0.5, 1.5, 2.5]);
+        assert_eq!(c.get_block(&[3, 1], &[7]), Some(vec![2.5, 0.5]));
+        // One cell serves both directions: user 2's row over POI 7.
+        assert_eq!(c.get_block(&[2], &[7]), Some(vec![1.5]));
+        // One absent key misses the whole block, and every key of it is
         // tallied as a miss.
-        assert!(c.get_row(DistDir::FromPoi, 7, &[1, 4, 2]).is_none());
+        assert!(c.get_block(&[1, 4, 2], &[7]).is_none());
         let s = c.lifetime_stats();
-        assert_eq!((s.dist_hits, s.dist_misses), (2, 3));
-        // An empty row is trivially resident.
-        assert_eq!(c.get_row(DistDir::FromUser, 9, &[]), Some(vec![]));
+        assert_eq!((s.dist_hits, s.dist_misses), (3, 3));
+        // A user's row spread over several shards round-trips in order.
+        let pois: Vec<u32> = (0..16).collect();
+        let row: Vec<f64> = pois.iter().map(|&o| o as f64 + 0.25).collect();
+        c.put_block(&[5], &pois, &row);
+        assert_eq!(c.get_block(&[5], &pois), Some(row));
+        // An empty block is trivially resident.
+        assert_eq!(c.get_block(&[9], &[]), Some(vec![]));
     }
 
     #[test]
     fn id_hasher_spreads_sequential_ids_over_shards() {
         let shards = 8;
         let mut counts = vec![0usize; shards];
-        for source in 0..800u32 {
-            for dir in [DistDir::FromUser, DistDir::FromPoi] {
-                counts[shard_of(&(source, dir), shards)] += 1;
-            }
+        for poi in 0..1600u32 {
+            counts[shard_of(&poi, shards)] += 1;
         }
         assert!(
             counts.iter().all(|&k| k > 100 && k < 300),
@@ -474,12 +476,12 @@ mod tests {
     fn fifo_eviction_bounds_residency() {
         let c = DistanceCache::new(&tiny());
         for i in 0..10u32 {
-            put(&c, DistDir::FromUser, i, 0, i as f64);
+            put(&c, i, 0, i as f64);
         }
         assert_eq!(c.dist_entries(), 4);
         // Oldest entries left; newest retained.
-        assert!(get(&c, DistDir::FromUser, 0, 0).is_none());
-        assert_eq!(get(&c, DistDir::FromUser, 9, 0), Some(9.0));
+        assert!(get(&c, 0, 0).is_none());
+        assert_eq!(get(&c, 9, 0), Some(9.0));
     }
 
     #[test]
@@ -488,11 +490,11 @@ mod tests {
         // Fresh cache: all-zero stats and a safe hit rate.
         assert_eq!(c.lifetime_stats(), CacheLifetimeStats::default());
         assert_eq!(c.lifetime_stats().hit_rate(), 0.0);
-        put(&c, DistDir::FromUser, 1, 1, 1.0);
-        assert!(get(&c, DistDir::FromUser, 1, 1).is_some()); // hit
-        assert!(get(&c, DistDir::FromUser, 2, 2).is_none()); // miss
+        put(&c, 1, 1, 1.0);
+        assert!(get(&c, 1, 1).is_some()); // hit
+        assert!(get(&c, 2, 2).is_none()); // miss
         for i in 0..10u32 {
-            put(&c, DistDir::FromPoi, i, 0, i as f64); // overflows cap 4
+            put(&c, 0, i + 10, i as f64); // overflows cap 4
         }
         let s = c.lifetime_stats();
         assert_eq!(s.dist_hits, 1);
@@ -508,7 +510,7 @@ mod tests {
             dist_capacity: 8,
             shards: 2,
         });
-        put(&c, DistDir::FromUser, 1, 1, 1.0);
+        put(&c, 1, 1, 1.0);
         let occ = c.dist_shard_occupancy();
         assert_eq!(occ.len(), 2);
         assert_eq!(occ.iter().map(|o| o.entries).sum::<usize>(), 1);
@@ -523,7 +525,7 @@ mod tests {
             dist_capacity: 0,
             shards: 4,
         });
-        put(&c, DistDir::FromPoi, 1, 1, 1.0);
+        put(&c, 1, 1, 1.0);
         c.put_ball(1, 1.0, Arc::new(vec![]));
         assert_eq!(c.dist_entries(), 0);
         assert_eq!(c.ball_entries(), 0);
@@ -533,7 +535,7 @@ mod tests {
     fn reinsert_refreshes_without_duplicating() {
         let c = DistanceCache::new(&tiny());
         for _ in 0..10 {
-            put(&c, DistDir::FromUser, 1, 1, 2.0);
+            put(&c, 1, 1, 2.0);
         }
         assert_eq!(c.dist_entries(), 1);
     }
@@ -541,7 +543,7 @@ mod tests {
     #[test]
     fn poisoned_shard_recovers_with_data_intact() {
         let c = Arc::new(DistanceCache::new(&tiny()));
-        put(&c, DistDir::FromUser, 5, 5, 7.5);
+        put(&c, 5, 5, 7.5);
         // Poison the (single) dist shard by panicking while holding it.
         let c2 = Arc::clone(&c);
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
@@ -550,8 +552,8 @@ mod tests {
         }));
         assert!(c.dists[0].is_poisoned());
         // Reads and writes keep working; prior entries survive.
-        assert_eq!(get(&c, DistDir::FromUser, 5, 5), Some(7.5));
-        put(&c, DistDir::FromPoi, 6, 6, 1.25);
-        assert_eq!(get(&c, DistDir::FromPoi, 6, 6), Some(1.25));
+        assert_eq!(get(&c, 5, 5), Some(7.5));
+        put(&c, 6, 6, 1.25);
+        assert_eq!(get(&c, 6, 6), Some(1.25));
     }
 }

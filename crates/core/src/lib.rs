@@ -56,7 +56,7 @@ pub use baseline::{
     try_exact_baseline_with_obs, BaselineEstimate,
 };
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use cache::{CacheLifetimeStats, DistDir, DistanceCache, DistanceCacheConfig, ShardOccupancy};
+pub use cache::{CacheLifetimeStats, DistanceCache, DistanceCacheConfig, ShardOccupancy};
 pub use error::{BudgetState, Completion, GpSsnError, QueryBudget, Trip};
 pub use query::{GpSsnAnswer, GpSsnQuery};
 pub use refinement::{verify_center, CenterVerification, ChBackend, VerifyContext};

@@ -21,7 +21,7 @@
 //!    cost would fit inside a shorter, infeasible prefix).
 
 use crate::breaker::CircuitBreaker;
-use crate::cache::{DistDir, DistanceCache};
+use crate::cache::DistanceCache;
 use crate::error::{BudgetState, GpSsnError};
 use crate::query::{GpSsnAnswer, GpSsnQuery};
 use crate::stats::Counter;
@@ -101,10 +101,9 @@ pub struct ChBackend<'a> {
 /// ([`Counter::ChBatches`] counts calls, each carrying any number of
 /// sources); plain Dijkstra runs one multi-target sweep per source
 /// ([`Counter::DijkstraBatches`] counts sweeps). Both paths produce
-/// bit-identical values (the CH oracle unpacks shortcuts and refolds
-/// original edge weights in Dijkstra's exact operation order, source to
-/// target), and settles are charged to the same budget either way, on
-/// the backend that served them.
+/// bit-identical values (road lengths sit on the `2⁻³²` grid, so every
+/// sum is exact), and settles are charged to the same budget either way,
+/// on the backend that served them.
 fn dist_batch(
     ssn: &SpatialSocialNetwork,
     ctx: &mut VerifyContext<'_>,
@@ -157,26 +156,42 @@ fn dist_batch(
     matrix
 }
 
-/// The `dist_RN` rows from each source (ids `source_ids`: user homes for
-/// [`DistDir::FromUser`], POIs for [`DistDir::FromPoi`]) to every
-/// target, row-major like [`dist_batch`]. Rows the cache holds whole
-/// are served from it (all-or-nothing per row: a partial hit recomputes
-/// the row); every other row is computed in one [`dist_batch`] call and
-/// inserted, even when the budget trips mid-call (the values are
-/// exact). The direction is part of the cache key (see [`crate::cache`]
-/// for why). `None` means the budget tripped.
-fn cached_rows(
+/// Exact costs `c(u) = max_{o∈R} dist_RN(u, o)` of `users` over the
+/// ball `R` (ids `r_ids` at `positions`). With `from_poi` the rows run
+/// from each POI over the users' homes, otherwise from each home over
+/// the ball; either way gives the same bits, and a cell cached from one
+/// side serves the other. Rows the cache holds whole are served from it
+/// (all-or-nothing per row: a partial hit recomputes the row); every
+/// other row is computed in one [`dist_batch`] call and inserted, even
+/// when the budget trips mid-call (the values are exact). `None` means
+/// the budget tripped.
+fn user_costs(
     ssn: &SpatialSocialNetwork,
     ctx: &mut VerifyContext<'_>,
-    dir: DistDir,
-    (source_ids, sources): (&[u32], &[NetworkPoint]),
-    (target_ids, targets): (&[u32], &[NetworkPoint]),
+    from_poi: bool,
+    (r_ids, positions): (&[PoiId], &[NetworkPoint]),
+    users: &[UserId],
 ) -> Option<Vec<f64>> {
+    let homes: Vec<NetworkPoint> = users.iter().map(|&u| ssn.home(u)).collect();
+    let (sources, targets) = if from_poi {
+        (positions, &homes[..])
+    } else {
+        (&homes[..], positions)
+    };
+    // Row `i` as a cache block of `(users, pois)` cells.
+    let block = move |i: usize| {
+        if from_poi {
+            (users, &r_ids[i..=i])
+        } else {
+            (&users[i..=i], r_ids)
+        }
+    };
     let n = targets.len();
     let mut matrix = vec![0.0f64; sources.len() * n];
     let mut missed: Vec<usize> = Vec::new();
-    for (i, &id) in source_ids.iter().enumerate() {
-        match ctx.cache.and_then(|c| c.get_row(dir, id, target_ids)) {
+    for i in 0..sources.len() {
+        let (us, os) = block(i);
+        match ctx.cache.and_then(|c| c.get_block(us, os)) {
             Some(row) => {
                 ctx.budget.add(Counter::DistHits, n as u64);
                 matrix[i * n..(i + 1) * n].copy_from_slice(&row);
@@ -191,56 +206,18 @@ fn cached_rows(
             matrix[i * n..(i + 1) * n].copy_from_slice(row);
             if let Some(cache) = ctx.cache {
                 ctx.budget.add(Counter::DistMisses, n as u64);
-                cache.put_row(dir, source_ids[i], target_ids, row);
+                let (us, os) = block(i);
+                cache.put_block(us, os, row);
             }
         }
     }
     if ctx.budget.is_tripped() {
-        None
-    } else {
-        Some(matrix)
+        return None;
     }
-}
-
-/// Exact costs `c(u) = max_{o∈R} dist_RN(u, o)` of `users` over the
-/// ball `R` (ids `r_ids` at `positions`), folded in ball order. With
-/// `from_poi` the distances run from each POI to the users' homes,
-/// otherwise from each home to the POIs; a user's cost bits depend on
-/// the direction, never on which other users share the batch. `None`
-/// means the budget tripped.
-fn user_costs(
-    ssn: &SpatialSocialNetwork,
-    ctx: &mut VerifyContext<'_>,
-    from_poi: bool,
-    (r_ids, positions): (&[PoiId], &[NetworkPoint]),
-    users: &[UserId],
-) -> Option<Vec<f64>> {
-    let homes: Vec<NetworkPoint> = users.iter().map(|&u| ssn.home(u)).collect();
     let mut costs = vec![0.0f64; users.len()];
-    if from_poi {
-        let matrix = cached_rows(
-            ssn,
-            ctx,
-            DistDir::FromPoi,
-            (r_ids, positions),
-            (users, &homes),
-        )?;
-        for col in matrix.chunks_exact(users.len()) {
-            for (c, &d) in costs.iter_mut().zip(col) {
-                *c = c.max(d);
-            }
-        }
-    } else {
-        let matrix = cached_rows(
-            ssn,
-            ctx,
-            DistDir::FromUser,
-            (users, &homes),
-            (r_ids, positions),
-        )?;
-        for (c, row) in costs.iter_mut().zip(matrix.chunks_exact(r_ids.len())) {
-            *c = row.iter().copied().fold(0.0f64, f64::max);
-        }
+    for (k, &d) in matrix.iter().enumerate() {
+        let u = if from_poi { k % n } else { k / n };
+        costs[u] = costs[u].max(d);
     }
     Some(costs)
 }
@@ -414,8 +391,8 @@ pub fn verify_center(
 
     // Cost direction, decided on the whole eligible set: one row per
     // ball POI (columns over users) beats one row per user whenever
-    // |R| <= |eligible| — the common case. The query user's cost from
-    // the user side is the `cq` just computed.
+    // |R| <= |eligible| — the common case. Both give the same bits, so
+    // the query user's cost is the `cq` just computed.
     let from_poi = positions.len() <= eligible.len();
     let graph = ssn.social().graph();
     let m = ssn.social().num_users();
@@ -429,7 +406,7 @@ pub fn verify_center(
     let mut costs: Vec<(UserId, f64)> = Vec::new();
     let mut layer = vec![q.user];
     for depth in 0..q.tau {
-        let layer_costs = if depth == 0 && !from_poi {
+        let layer_costs = if depth == 0 {
             vec![cq]
         } else {
             let Some(c) = user_costs(ssn, ctx, from_poi, ball_pts, &layer) else {
@@ -732,12 +709,13 @@ mod tests {
             let v = verify_center(&ssn, &q, &[0, 1, 2, 3, 4], 0, 10.0, &mut ctx)
                 .expect("no invariant faults in tests");
             assert_eq!(v.answer.map(|a| a.maxdist), brute_force(&ssn, &q, 0));
-            // |R| = 2 cells for u_q's own row, then 2 per costed user.
+            // |R| = 2 cells for u_q's own row, which also serves depth 0,
+            // then 2 per other costed user.
             let c = budget.snapshot();
             let lookups = c[Counter::DistHits] + c[Counter::DistMisses];
-            assert_eq!(lookups, 2 * (1 + costed.len() as u64), "τ={tau}");
+            assert_eq!(lookups, 2 * costed.len() as u64, "τ={tau}");
             for u in 0..5 {
-                let cell = cache.get_row(DistDir::FromPoi, 0, &[u]);
+                let cell = cache.get_block(&[u], &[0]);
                 assert_eq!(cell.is_some(), costed.contains(&u), "τ={tau} user {u}");
             }
         }

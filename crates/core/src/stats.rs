@@ -91,9 +91,6 @@ counters! {
     /// Workspace runs that reused already-sized storage — lazy
     /// touched-list reset plus recycled heap, no allocation.
     HeapRecycles => "heap_recycles", "gpssn_heap_recycles_total";
-    /// CH near-tie candidate paths unpacked to original edges for
-    /// bit-exactness.
-    ChUnpacks => "ch_unpacks", "gpssn_ch_unpacks_total";
     /// Total users `m`.
     UsersTotal => "users_total", "gpssn_users_scanned_total";
     /// Users under social-index nodes pruned at index level.

@@ -14,61 +14,37 @@
 //! label*; a query is then one forward sweep per source plus a scan of
 //! each target's label.
 //!
-//! ## Bit-identical answers
+//! ## Exact answers
 //!
 //! The rest of the engine treats distances as exact tokens: caches key on
 //! them, refinement compares them with `total_cmp`, and the equivalence
-//! suite asserts engines agree bitwise. A naive CH returns the *sum of
-//! shortcut weights* along the best up-down path, whose floating-point
-//! rounding differs from Dijkstra's left-to-right `dist[v] = dist[u] + w`
-//! accumulation. This implementation therefore never reports search keys:
+//! suite asserts engines agree bitwise. Edge weights sit on the grid of
+//! multiples of `2⁻³²` ([`crate::csr::grid_up`]) and a road network's
+//! total length stays below [`crate::csr::GRID_HEADROOM`] (`2²¹`), so
+//! every sum of weights and grid seed offsets up to a shortest-path
+//! length is exact, whatever its order. A search key — the sum of
+//! shortcut weights along an up-down path — is therefore exactly the
+//! length of the path it stands for, and the minimum key over a target's
+//! label is the shortest-path length: the very bits Dijkstra's
+//! left-to-right accumulation produces. Any other key is the rounding of
+//! a sum at least that long, and rounding is monotone, so it cannot
+//! undercut the minimum. A query reports that key; nothing is unpacked.
 //!
-//! 1. Dijkstra over non-negative weights returns, for every vertex, the
-//!    minimum over all paths of the *left-associated floating-point fold*
-//!    of the original edge weights (f64 addition of non-negative values is
-//!    monotone, so the greedy argument survives rounding).
-//! 2. Shortcut weights (`w₁ + w₂`, commutative, so orientation-free) are
-//!    used only to *steer* the bidirectional upward search.
-//! 3. The reported distance is obtained by unpacking the winning up-down
-//!    path to its original edge sequence and folding weights
-//!    source-to-target starting from the seed's initial distance —
-//!    reproducing Dijkstra's exact accumulation order.
-//! 4. Search keys are rounded differently from folds by at most a few
-//!    ULPs, so *every* meeting vertex whose key is within a small relative
-//!    tolerance of the best key is unpacked, and the minimum fold wins.
-//!    Symmetrically, a witness search during contraction suppresses a
-//!    shortcut only when the witness is shorter *by more than the same
-//!    tolerance*, so near-tied shortest paths always stay representable
-//!    as up-down paths.
-//!
-//! Exact ties fold to bitwise-equal values (weights are non-negative, so
-//! there is no `-0.0`, and `x + 0.0 == x` exactly — zero-weight edges are
-//! harmless). The residual gap — two distinct paths whose *search keys*
-//! round to within an ULP of each other while their folds differ — would
-//! require engineered weights and is property-tested against in practice;
-//! see DESIGN.md §9 for the full argument.
+//! A witness search suppresses a shortcut only when it finds a strictly
+//! shorter path. An equally long witness may run through another vertex
+//! contracted in the same independent-set round, and two such vertices
+//! would otherwise each rely on the other and both drop the pair.
+//! See DESIGN.md §9.
 //!
 //! [Geisberger et al. 2008]: https://doi.org/10.1007/978-3-540-68552-4_24
 
-use crate::csr::{CsrGraph, NodeId};
+use crate::csr::{grid_up, CsrGraph, NodeId};
 use crate::dijkstra::INFINITY;
 use crate::heap::IndexedMinHeap;
 use std::io::{self, BufRead, Write};
 
-/// Reversal flag on a packed arc reference (high bit of the arena index).
-const REV: u32 = 1 << 31;
-
-/// `mid` sentinel marking an arena arc as an original edge.
-const ORIGINAL: NodeId = NodeId::MAX;
-
 /// Rank sentinel for not-yet-contracted vertices during construction.
 const UNRANKED: u32 = u32::MAX;
-
-/// Relative tolerance separating "genuinely shorter" from "equal modulo
-/// floating-point rounding of search keys". Path folds and search keys
-/// agree to ~`path_len · ε ≈ 1e-13` relative; `1e-10` dominates that with
-/// headroom while still only ever capturing genuine near-ties.
-const KEY_TOL: f64 = 1e-10;
 
 /// Settle cap for witness searches during contraction. Witness searches
 /// are *sound under truncation*: giving up early only fails to find a
@@ -82,22 +58,14 @@ const WITNESS_SETTLE_CAP: usize = 64;
 const PAR_BUILD_FLOOR: usize = 256;
 
 /// One arc of the contraction arena: every original edge and every
-/// shortcut, in creation order. Stored in a canonical `tail -> head`
-/// orientation; packed references flip the [`REV`] bit to traverse it
-/// `head -> tail`.
+/// shortcut, in creation order.
 #[derive(Debug, Clone, Copy)]
 struct ArenaArc {
     tail: NodeId,
     head: NodeId,
-    /// Search-key weight: the original edge weight, or `w₁ + w₂` of the
-    /// two constituent arcs (commutative, hence orientation-free).
+    /// The original edge weight, or `w₁ + w₂` of the two arcs a shortcut
+    /// bridges (exact on the weight grid).
     weight: f64,
-    /// Contracted middle vertex, or [`ORIGINAL`] for original edges.
-    mid: NodeId,
-    /// Packed ref of the `tail -> mid` constituent (shortcuts only).
-    a: u32,
-    /// Packed ref of the `mid -> head` constituent (shortcuts only).
-    b: u32,
 }
 
 /// An upward-graph arc (towards a higher-ranked vertex).
@@ -105,8 +73,6 @@ struct ArenaArc {
 struct UpArc {
     head: NodeId,
     weight: f64,
-    /// Packed arena ref, oriented in the arc's travel direction.
-    packed: u32,
 }
 
 /// A contraction-hierarchy distance oracle over a [`CsrGraph`].
@@ -114,7 +80,8 @@ struct UpArc {
 /// Build once with [`ChOracle::build`]; answer point-to-point and
 /// many-to-many queries through a reusable [`ChSearch`] workspace.
 /// Answers are bit-identical to [`crate::dijkstra::dijkstra_targets`]
-/// over the same graph (see the module docs for why).
+/// over the same graph for seeds on the weight grid (see the module docs
+/// for why).
 #[derive(Debug, Clone)]
 pub struct ChOracle {
     n: usize,
@@ -152,6 +119,12 @@ impl ChOracle {
     #[inline]
     pub fn num_label_entries(&self) -> usize {
         self.labels.len()
+    }
+
+    /// Bytes the upward labels occupy (16 per entry).
+    #[inline]
+    pub fn label_bytes(&self) -> usize {
+        std::mem::size_of_val(self.labels.as_slice())
     }
 
     /// Builds the hierarchy using all available cores (equivalent to
@@ -196,26 +169,14 @@ impl ChOracle {
         // Entries are oriented self -> neighbour.
         let mut adj: Vec<Vec<AdjArc>> = vec![Vec::new(); n];
         let mut arena: Vec<ArenaArc> = Vec::with_capacity(graph.num_edges() * 2);
-        for (e, (u, v, w)) in graph.edges().enumerate() {
-            let idx = arena.len() as u32;
+        for (u, v, w) in graph.edges() {
             arena.push(ArenaArc {
                 tail: u,
                 head: v,
                 weight: w,
-                mid: ORIGINAL,
-                a: e as u32,
-                b: 0,
             });
-            adj[u as usize].push(AdjArc {
-                to: v,
-                weight: w,
-                packed: idx,
-            });
-            adj[v as usize].push(AdjArc {
-                to: u,
-                weight: w,
-                packed: idx | REV,
-            });
+            adj[u as usize].push(AdjArc { to: v, weight: w });
+            adj[v as usize].push(AdjArc { to: u, weight: w });
         }
         let num_original = arena.len();
 
@@ -304,25 +265,18 @@ impl ChOracle {
                 }
                 for &(ui, uj) in &out.shortcuts {
                     let sum = ui.weight + uj.weight;
-                    let idx = arena.len() as u32;
-                    assert!(idx < REV, "contraction arena overflow");
                     arena.push(ArenaArc {
                         tail: ui.to,
                         head: uj.to,
                         weight: sum,
-                        mid: out.v,
-                        a: ui.packed ^ REV, // u_i -> v
-                        b: uj.packed,       // v -> u_j
                     });
                     adj[ui.to as usize].push(AdjArc {
                         to: uj.to,
                         weight: sum,
-                        packed: idx,
                     });
                     adj[uj.to as usize].push(AdjArc {
                         to: ui.to,
                         weight: sum,
-                        packed: idx | REV,
                     });
                 }
             }
@@ -361,7 +315,7 @@ impl ChOracle {
 
     /// Assembles an oracle and computes its upward labels: one upward
     /// sweep from every vertex, each settled vertex kept with its sweep
-    /// distance and tree arc. The sweep is the one [`Self::batch_dists`]
+    /// distance. The sweep is the one [`Self::batch_dists`]
     /// would otherwise run per target, so a label is exactly that
     /// target's backward search space.
     fn with_labels(
@@ -384,25 +338,14 @@ impl ChOracle {
         };
         let mut search = ChSearch::new();
         search.prepare(n);
-        // Slot of each vertex within the current sweep (lossy: only read
-        // for a parent, which settled earlier in the same sweep).
-        let mut slot_of = vec![0u32; n];
         let mut labels = Vec::new();
         oracle.label_offsets.push(0);
         for t in 0..n as NodeId {
             oracle.upward_sweep(&mut search, &[(t, 0.0)]);
-            for (k, &m) in search.settled.iter().enumerate() {
-                slot_of[m as usize] = k as u32;
-                let p = search.parent[m as usize];
+            for &m in &search.settled {
                 labels.push(LabelEntry {
                     dist: search.dist[m as usize],
                     node: m,
-                    parent_slot: if p == NodeId::MAX {
-                        u32::MAX
-                    } else {
-                        slot_of[p as usize]
-                    },
-                    packed: search.parent_arc[m as usize],
                 });
             }
             oracle.label_offsets.push(labels.len());
@@ -420,7 +363,8 @@ impl ChOracle {
 
     /// Exact distances from `seeds` to every entry of `targets`,
     /// mirroring [`crate::dijkstra::dijkstra_targets`] restricted to the
-    /// targets (bit-identical values). Also returns the number of
+    /// targets (bit-identical values for seed distances on the weight
+    /// grid, [`crate::csr::grid_nearest`]). Also returns the number of
     /// vertices the forward upward sweep settled — the unit budgets
     /// charge, comparable to (and much smaller than) Dijkstra settle
     /// counts (see [`Self::batch_dists`]).
@@ -435,9 +379,8 @@ impl ChOracle {
 
     /// Label-based many-to-many kernel: one forward upward sweep per
     /// source seed list, then every *distinct* target's precomputed
-    /// upward label is scanned against the sweep's `dist[]` — once for
-    /// the best meeting key, once to unpack every near-tie candidate
-    /// and keep the minimum fold. Returns the row-major
+    /// upward label is scanned once against the sweep's `dist[]` for the
+    /// best meeting key. Returns the row-major
     /// `sources.len() × targets.len()` distance matrix plus the number
     /// of vertices the forward sweeps settled. Label scans are reads of
     /// a precomputed table (a handful of entries per target) and are
@@ -473,55 +416,35 @@ impl ChOracle {
             }
         }
 
-        search.folded.clear();
-        search.folded.resize(search.distinct.len(), INFINITY);
+        search.met.clear();
+        search.met.resize(search.distinct.len(), INFINITY);
         for (i, seeds) in sources.iter().enumerate() {
             settles += self.upward_sweep(search, seeds);
             for e in 0..search.distinct.len() {
-                search.folded[e] = self.meet(search, search.distinct[e]);
+                search.met[e] = self.meet(&search.dist, search.distinct[e]);
             }
             for (j, &c) in search.tcol.iter().enumerate() {
-                out[i * targets.len() + j] = search.folded[c as usize];
+                out[i * targets.len() + j] = search.met[c as usize];
             }
             search.reset_sweep();
         }
         (out, settles)
     }
 
-    /// Exact distance from the finished forward sweep in `search` to
-    /// `t`: the best meeting key over `t`'s label, then the minimum fold
-    /// over every label vertex within [`KEY_TOL`] of it. Both minima are
-    /// order-independent, so the scan order cannot change the bits.
-    fn meet(&self, search: &mut ChSearch, t: NodeId) -> f64 {
-        let label = self.label(t);
-        let mut best = INFINITY;
-        for l in label {
-            let key = search.dist[l.node as usize] + l.dist;
-            if key < best {
-                best = key;
-            }
-        }
-        if !best.is_finite() {
-            return INFINITY;
-        }
-        let mut folded = INFINITY;
-        for (slot, l) in label.iter().enumerate() {
-            // Vertices the sweep never reached sit at `INFINITY` and
-            // fail the tolerance test.
-            if search.dist[l.node as usize] + l.dist <= best * (1.0 + KEY_TOL) {
-                let fold = self.fold_candidate(search, l.node, label, slot);
-                if fold < folded {
-                    folded = fold;
-                }
-            }
-        }
-        folded
+    /// Exact distance from the finished forward sweep (`dist`) to `t`:
+    /// the best meeting key over `t`'s label. Vertices the sweep never
+    /// reached sit at `INFINITY`.
+    #[inline]
+    fn meet(&self, dist: &[f64], t: NodeId) -> f64 {
+        self.label(t)
+            .iter()
+            .map(|l| dist[l.node as usize] + l.dist)
+            .fold(INFINITY, f64::min)
     }
 
     /// Runs one upward Dijkstra sweep (forward and backward are the same
-    /// search on an undirected hierarchy). Leaves `dist`, `parent`,
-    /// `parent_arc`, `settled` describing the sweep; returns the settle
-    /// count.
+    /// search on an undirected hierarchy). Leaves `dist` and `settled`
+    /// describing the sweep; returns the settle count.
     fn upward_sweep(&self, search: &mut ChSearch, seeds: &[(NodeId, f64)]) -> u64 {
         for &(s, d0) in seeds {
             debug_assert!(d0 >= 0.0, "seed distances must be non-negative");
@@ -530,7 +453,6 @@ impl ChOracle {
                     search.touched.push(s);
                 }
                 search.dist[s as usize] = d0;
-                search.parent[s as usize] = NodeId::MAX;
                 search.heap.push_or_decrease(s, d0);
             }
         }
@@ -545,74 +467,11 @@ impl ChOracle {
                         search.touched.push(arc.head);
                     }
                     search.dist[arc.head as usize] = nd;
-                    search.parent[arc.head as usize] = v;
-                    search.parent_arc[arc.head as usize] = arc.packed;
                     search.heap.push_or_decrease(arc.head, nd);
                 }
             }
         }
         search.settled.len() as u64
-    }
-
-    /// Unpacks the up-down candidate path meeting at forward vertex `m`
-    /// and entry `slot` of the target's `label`, folding original edge
-    /// weights source-to-target starting from the seed's initial
-    /// distance — Dijkstra's exact accumulation order.
-    fn fold_candidate(
-        &self,
-        search: &mut ChSearch,
-        m: NodeId,
-        label: &[LabelEntry],
-        slot: usize,
-    ) -> f64 {
-        if gpssn_failpoint::failpoint!("ch::unpack") {
-            panic!("injected fault: ch::unpack");
-        }
-        search.unpacks += 1;
-        // Forward chain: walk m -> seed root, then fold in reverse
-        // (travel) order. The root's dist is its untouched seed d0.
-        search.fchain.clear();
-        let mut v = m;
-        while search.parent[v as usize] != NodeId::MAX {
-            search.fchain.push(search.parent_arc[v as usize]);
-            v = search.parent[v as usize];
-        }
-        let mut acc = search.dist[v as usize];
-        for k in (0..search.fchain.len()).rev() {
-            acc = self.fold_ref(&mut search.stack, search.fchain[k], acc);
-        }
-        // Backward chain: label slots walk m -> target, which *is*
-        // travel order; each up-arc is traversed against its stored
-        // direction.
-        let mut b = label[slot];
-        while b.parent_slot != u32::MAX {
-            acc = self.fold_ref(&mut search.stack, b.packed ^ REV, acc);
-            b = label[b.parent_slot as usize];
-        }
-        acc
-    }
-
-    /// Folds one packed arc ref: original edges add their weight; a
-    /// shortcut expands to its constituents in travel order (reversed
-    /// traversal flips the constituent order and their [`REV`] bits).
-    /// Iterative with an explicit stack — shortcut nesting is unbounded
-    /// on path-like graphs.
-    fn fold_ref(&self, stack: &mut Vec<u32>, packed: u32, mut acc: f64) -> f64 {
-        debug_assert!(stack.is_empty());
-        stack.push(packed);
-        while let Some(p) = stack.pop() {
-            let arc = &self.arena[(p & !REV) as usize];
-            if arc.mid == ORIGINAL {
-                acc += arc.weight;
-            } else if p & REV == 0 {
-                stack.push(arc.b);
-                stack.push(arc.a);
-            } else {
-                stack.push(arc.a ^ REV);
-                stack.push(arc.b ^ REV);
-            }
-        }
-        acc
     }
 
     /// Serializes the oracle as versioned plain text (rank + arena; the
@@ -631,11 +490,7 @@ impl ChOracle {
         }
         for arc in &self.arena {
             // `{:?}` prints the shortest decimal that round-trips f64.
-            writeln!(
-                w,
-                "{} {} {:?} {} {} {}",
-                arc.tail, arc.head, arc.weight, arc.mid, arc.a, arc.b
-            )?;
+            writeln!(w, "{} {} {:?}", arc.tail, arc.head, arc.weight)?;
         }
         Ok(())
     }
@@ -651,7 +506,7 @@ impl ChOracle {
         let n: usize = parse_field(it.next())?;
         let num_original: usize = parse_field(it.next())?;
         let arena_len: usize = parse_field(it.next())?;
-        if num_original > arena_len || arena_len >= REV as usize {
+        if num_original > arena_len || arena_len > u32::MAX as usize {
             return Err(bad_data("implausible ch arena size"));
         }
         // Cap pre-allocation from untrusted counts; the vectors still
@@ -667,32 +522,19 @@ impl ChOracle {
             let tail: NodeId = parse_field(it.next())?;
             let head: NodeId = parse_field(it.next())?;
             let weight: f64 = parse_field(it.next())?;
-            let mid: NodeId = parse_field(it.next())?;
-            let a: u32 = parse_field(it.next())?;
-            let b: u32 = parse_field(it.next())?;
+            if it.next().is_some() {
+                return Err(bad_data("trailing ch arc field"));
+            }
             if (tail as usize) >= n || (head as usize) >= n {
                 return Err(bad_data("ch arc endpoint out of range"));
             }
             if !(weight.is_finite() && weight >= 0.0) {
                 return Err(bad_data("ch arc weight must be finite and non-negative"));
             }
-            if mid != ORIGINAL {
-                if (mid as usize) >= n {
-                    return Err(bad_data("ch shortcut middle out of range"));
-                }
-                let child_bound = arena.len() as u32;
-                if (a & !REV) >= child_bound || (b & !REV) >= child_bound {
-                    return Err(bad_data("ch shortcut children must precede it"));
-                }
+            if grid_up(weight) != weight {
+                return Err(bad_data("ch arc weight is off the 2^-32 grid"));
             }
-            arena.push(ArenaArc {
-                tail,
-                head,
-                weight,
-                mid,
-                a,
-                b,
-            });
+            arena.push(ArenaArc { tail, head, weight });
         }
         let mut seen = vec![false; n];
         for &r in &rank {
@@ -717,7 +559,6 @@ impl ChOracle {
 struct AdjArc {
     to: NodeId,
     weight: f64,
-    packed: u32,
 }
 
 /// Counters from one [`ChOracle::build_with_stats`] run.
@@ -831,8 +672,8 @@ fn contract_candidate(
         ws.witness.run(adj, rank, ui.to, v, limit);
         for &uj in &ws.neighbors[i + 1..] {
             let sum = ui.weight + uj.weight;
-            if ws.witness.dist(uj.to) * (1.0 + KEY_TOL) < sum {
-                continue; // strictly shorter witness beyond rounding
+            if ws.witness.dist(uj.to) < sum {
+                continue; // strictly shorter witness
             }
             shortcuts.push((ui, uj));
         }
@@ -845,31 +686,22 @@ fn contract_candidate(
 }
 
 /// One entry of a vertex's upward label: a vertex its upward sweep
-/// settled, with the sweep distance and the tree arc back towards the
-/// label's root.
+/// settled, with the sweep distance (16 bytes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct LabelEntry {
     dist: f64,
     node: NodeId,
-    /// Index (within the same label) of the parent towards the root, or
-    /// `u32::MAX` at the root itself.
-    parent_slot: u32,
-    /// Packed ref of the up-arc `parent -> node`, to be folded reversed.
-    packed: u32,
 }
 
 /// Reusable state for [`ChOracle`] queries: the forward sweep's arrays
-/// and settled list, target dedup scratch, per-target results, and
-/// unpack scratch. Targets need no per-batch state beyond that — their
-/// search spaces are the oracle's precomputed labels. One per thread,
-/// like [`crate::DijkstraWorkspace`].
+/// and settled list, target dedup scratch, and per-target results.
+/// Targets need no per-batch state beyond that — their search spaces
+/// are the oracle's precomputed labels. One per thread, like
+/// [`crate::DijkstraWorkspace`].
 #[derive(Debug, Default)]
 pub struct ChSearch {
     /// Forward-sweep distance per vertex (`INFINITY` when untouched).
     dist: Vec<f64>,
-    /// Forward-sweep tree: parent vertex and packed arc into each vertex.
-    parent: Vec<NodeId>,
-    parent_arc: Vec<u32>,
     touched: Vec<NodeId>,
     settled: Vec<NodeId>,
     heap: IndexedMinHeap,
@@ -879,16 +711,11 @@ pub struct ChSearch {
     distinct: Vec<NodeId>,
     tcol: Vec<u32>,
     /// Current source's distance to each distinct target.
-    folded: Vec<f64>,
-    fchain: Vec<u32>,
-    stack: Vec<u32>,
+    met: Vec<f64>,
     /// Lifetime count of batches prepared by this workspace.
     resets: u64,
     /// Batches that reused already-sized storage (no growth needed).
     recycles: u64,
-    /// Lifetime count of candidate paths unpacked-and-folded to original
-    /// edges ([`ChOracle`] near-tie exactness work).
-    unpacks: u64,
 }
 
 impl ChSearch {
@@ -901,8 +728,6 @@ impl ChSearch {
         self.resets += 1;
         if self.dist.len() < n {
             self.dist.resize(n, INFINITY);
-            self.parent.resize(n, NodeId::MAX);
-            self.parent_arc.resize(n, 0);
             self.tslot.resize(n, 0);
             self.heap.grow(n);
         } else if n > 0 {
@@ -920,13 +745,6 @@ impl ChSearch {
     #[inline]
     pub fn recycles(&self) -> u64 {
         self.recycles
-    }
-
-    /// Lifetime number of near-tie candidate paths unpacked to original
-    /// edges and folded for bit-exactness.
-    #[inline]
-    pub fn unpacks(&self) -> u64 {
-        self.unpacks
     }
 
     /// Restores `dist` to `INFINITY` at every vertex the latest sweep
@@ -955,9 +773,7 @@ impl ChSearch {
         self.heap.clear();
         self.distinct.clear();
         self.tcol.clear();
-        self.folded.clear();
-        self.fchain.clear();
-        self.stack.clear();
+        self.met.clear();
     }
 }
 
@@ -1021,7 +837,7 @@ fn simulate_priority(
             let sum = ui.weight + uj.weight;
             // Count unless a strictly shorter witness exists (the same
             // test the contraction loop applies when inserting).
-            if witness.dist(uj.to) * (1.0 + KEY_TOL) >= sum {
+            if witness.dist(uj.to) >= sum {
                 shortcuts += 1;
             }
         }
@@ -1112,15 +928,15 @@ impl WitnessSearch {
 /// to its higher-ranked endpoint (counting sort by tail — deterministic).
 fn build_up_csr(n: usize, rank: &[u32], arena: &[ArenaArc]) -> (Vec<u32>, Vec<UpArc>) {
     let mut counts = vec![0u32; n + 1];
-    let orient = |arc: &ArenaArc, idx: usize| -> (NodeId, NodeId, u32) {
+    let orient = |arc: &ArenaArc| -> (NodeId, NodeId) {
         if rank[arc.tail as usize] < rank[arc.head as usize] {
-            (arc.tail, arc.head, idx as u32)
+            (arc.tail, arc.head)
         } else {
-            (arc.head, arc.tail, idx as u32 | REV)
+            (arc.head, arc.tail)
         }
     };
-    for (idx, arc) in arena.iter().enumerate() {
-        let (t, _, _) = orient(arc, idx);
+    for arc in arena {
+        let (t, _) = orient(arc);
         counts[t as usize + 1] += 1;
     }
     for i in 0..n {
@@ -1130,20 +946,18 @@ fn build_up_csr(n: usize, rank: &[u32], arena: &[ArenaArc]) -> (Vec<u32>, Vec<Up
     let mut arcs = vec![
         UpArc {
             head: 0,
-            weight: 0.0,
-            packed: 0
+            weight: 0.0
         };
         arena.len()
     ];
     let mut cursor = counts;
-    for (idx, arc) in arena.iter().enumerate() {
-        let (t, h, packed) = orient(arc, idx);
+    for arc in arena {
+        let (t, h) = orient(arc);
         let at = cursor[t as usize] as usize;
         cursor[t as usize] += 1;
         arcs[at] = UpArc {
             head: h,
             weight: arc.weight,
-            packed,
         };
     }
     (offsets, arcs)
@@ -1168,6 +982,7 @@ fn bad_data(msg: &str) -> io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::grid_nearest;
     use crate::dijkstra::{dijkstra_all, dijkstra_targets};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -1213,7 +1028,7 @@ mod tests {
 
     /// `w × h` grid with small integer weights: shortest paths tie
     /// exactly all over the grid, so one target often has several
-    /// meeting vertices within [`KEY_TOL`] of the best key.
+    /// meeting vertices at the best key.
     fn integer_grid(rng: &mut StdRng, w: usize, h: usize) -> CsrGraph {
         let id = |x: usize, y: usize| (y * w + x) as NodeId;
         let mut edges = Vec::new();
@@ -1307,8 +1122,6 @@ mod tests {
                 assert_eq!(a.tail, b.tail);
                 assert_eq!(a.head, b.head);
                 assert_eq!(a.weight.to_bits(), b.weight.to_bits());
-                assert_eq!(a.mid, b.mid);
-                assert_eq!((a.a, a.b), (b.a, b.b));
             }
             // The full serialized text (rank + arena) must match too.
             let mut par_bytes = Vec::new();
@@ -1346,10 +1159,7 @@ mod tests {
         assert_eq!(ch.label_offsets, back.label_offsets);
         assert_eq!(ch.labels.len(), back.labels.len());
         for (a, b) in ch.labels.iter().zip(&back.labels) {
-            assert_eq!(
-                (a.node, a.parent_slot, a.packed),
-                (b.node, b.parent_slot, b.packed)
-            );
+            assert_eq!(a.node, b.node);
             assert_eq!(a.dist.to_bits(), b.dist.to_bits());
         }
         let mut s = ChSearch::new();
@@ -1364,6 +1174,13 @@ mod tests {
     }
 
     #[test]
+    fn label_entries_take_16_bytes() {
+        assert_eq!(std::mem::size_of::<LabelEntry>(), 16);
+        let ch = ChOracle::build(&CsrGraph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]));
+        assert_eq!(ch.label_bytes(), 16 * ch.num_label_entries());
+    }
+
+    #[test]
     fn labels_are_rooted_upward_trees() {
         let mut rng = StdRng::seed_from_u64(5);
         let g = random_graph(&mut rng, 120, 150, 0.05);
@@ -1371,22 +1188,20 @@ mod tests {
         for t in 0..g.num_nodes() as NodeId {
             let label = ch.label(t);
             assert_eq!((label[0].node, label[0].dist), (t, 0.0));
-            assert_eq!(label[0].parent_slot, u32::MAX);
-            for (k, l) in label.iter().enumerate().skip(1) {
-                // Parents settle first and sit strictly lower in rank.
-                let p = label[l.parent_slot as usize];
-                assert!((l.parent_slot as usize) < k);
-                assert!(ch.rank[p.node as usize] < ch.rank[l.node as usize]);
-                assert!(p.dist <= l.dist);
+            for pair in label.windows(2) {
+                // Settle order: distances never decrease, and every
+                // entry past the root ranks above it.
+                assert!(pair[0].dist <= pair[1].dist);
+                assert!(ch.rank[pair[1].node as usize] > ch.rank[t as usize]);
             }
         }
     }
 
     #[test]
-    fn grid_ties_fold_several_candidates() {
+    fn grid_ties_meet_at_several_label_vertices() {
         // Unit grid: every monotone staircase is a shortest path, so
         // most targets meet the forward sweep at several label vertices
-        // with exactly equal keys.
+        // with exactly equal keys, and the one minimum is still exact.
         let mut edges = Vec::new();
         for y in 0..6u32 {
             for x in 0..6u32 {
@@ -1407,12 +1222,15 @@ mod tests {
         for &t in &targets {
             assert_bits_eq(got[t as usize], want[t as usize], &format!("target {t}"));
         }
-        assert!(
-            s.unpacks() > targets.len() as u64,
-            "expected near-tie candidates, got {} unpacks for {} targets",
-            s.unpacks(),
-            targets.len()
-        );
+        ch.upward_sweep(&mut s, &[(0, 0.0)]);
+        let tied = targets
+            .iter()
+            .filter(|&&t| {
+                let keys = ch.label(t).iter().map(|l| s.dist[l.node as usize] + l.dist);
+                keys.filter(|&k| k == want[t as usize]).count() > 1
+            })
+            .count();
+        assert!(tied > 0, "expected targets with tied meeting keys");
     }
 
     #[test]
@@ -1426,16 +1244,14 @@ mod tests {
 
         // Leave the workspace as an unwind out of `batch_dists` would:
         // a forward sweep never reset, a stranded heap entry, and
-        // half-filled dedup, result and unpack scratch.
+        // half-filled dedup and result scratch.
         let mut s = ChSearch::new();
         s.prepare(ch.num_nodes());
         ch.upward_sweep(&mut s, &[(17, 0.0)]);
         s.heap.push_or_decrease(60, 0.75);
         s.distinct.extend_from_slice(&[3, 9]);
         s.tcol.push(1);
-        s.folded.push(2.5);
-        s.fchain.push(0);
-        s.stack.push(0);
+        s.met.push(2.5);
 
         s.hard_reset();
         for round in 0..2 {
@@ -1451,9 +1267,11 @@ mod tests {
         for text in [
             "",
             "notch 1 0 0\n",
-            "ch 2 1 1\n0\n1\n0 5 1.0 4294967295 0 0\n",
-            "ch 2 1 1\n0\n0\n0 1 1.0 4294967295 0 0\n",
-            "ch 2 1 1\n0\n1\n0 1 -1.0 4294967295 0 0\n",
+            "ch 2 1 1\n0\n1\n0 5 1.0\n",
+            "ch 2 1 1\n0\n0\n0 1 1.0\n",
+            "ch 2 1 1\n0\n1\n0 1 -1.0\n",
+            "ch 2 1 1\n0\n1\n0 1 0.1\n",
+            "ch 2 1 1\n0\n1\n0 1 1.0 4294967295 0 0\n",
         ] {
             let mut lines = std::io::BufReader::new(text.as_bytes()).lines();
             assert!(
@@ -1479,8 +1297,8 @@ mod tests {
             for _ in 0..3 {
                 let s1 = rng.gen_range(0..n) as NodeId;
                 let s2 = rng.gen_range(0..n) as NodeId;
-                let d1 = rng.gen_range(0.0..4.0);
-                let d2 = rng.gen_range(0.0..4.0);
+                let d1 = grid_nearest(rng.gen_range(0.0..4.0));
+                let d2 = grid_nearest(rng.gen_range(0.0..4.0));
                 let seeds = [(s1, d1), (s2, d2)];
                 let want = dijkstra_all(&g, &seeds);
                 let (got, _) = ch.dists(&mut s, &seeds, &targets);
@@ -1506,7 +1324,7 @@ mod tests {
             targets.push(0);
             targets.push((n / 2) as NodeId);
             let seed_lists: Vec<Vec<(NodeId, f64)>> = (0..3)
-                .map(|_| vec![(rng.gen_range(0..n) as NodeId, rng.gen_range(0.0..2.0))])
+                .map(|_| vec![(rng.gen_range(0..n) as NodeId, grid_nearest(rng.gen_range(0.0..2.0)))])
                 .collect();
             let refs: Vec<&[(NodeId, f64)]> = seed_lists.iter().map(|v| v.as_slice()).collect();
             let (got, _) = ch.batch_dists(&mut s, &refs, &targets);
@@ -1523,9 +1341,9 @@ mod tests {
         }
 
         /// The label kernel's tie path: on integer-weight grids several
-        /// meeting vertices tie exactly, and every one within the key
-        /// tolerance is folded. Two-seed sources and duplicate targets
-        /// must still match per-source Dijkstra bitwise.
+        /// meeting vertices tie exactly at the minimum key. Two-seed
+        /// sources and duplicate targets must still match per-source
+        /// Dijkstra bitwise.
         #[test]
         fn grid_ties_match_dijkstra_bitwise(seed in 0u64..1000, w in 2usize..9, h in 2usize..9) {
             let mut rng = StdRng::seed_from_u64(seed);

@@ -13,6 +13,41 @@ pub type NodeId = u32;
 /// Identifier of an undirected edge (index into the original edge list).
 pub type EdgeId = u32;
 
+/// `2³²`: lengths live on the grid of its reciprocal (see [`grid_up`]).
+const GRID_SCALE: f64 = 4_294_967_296.0;
+
+/// Exclusive bound on a road network's total edge length (`2²¹`). Every
+/// grid value below it fits in the 53-bit f64 significand with its
+/// `2⁻³²` digit, so each sum of shortest-path lengths and on-edge offsets
+/// is exact and therefore independent of summation order.
+pub const GRID_HEADROOM: f64 = 2_097_152.0;
+
+/// Rounds `x` **up** to the next multiple of `2⁻³²`. Edge weights enter
+/// the system through this, so a road length never drops below its
+/// Euclidean length. Values at or beyond [`GRID_HEADROOM`] (and
+/// non-finite ones) are already multiples of `2⁻³²` or invalid, and pass
+/// through unchanged.
+#[inline]
+pub fn grid_up(x: f64) -> f64 {
+    if x.abs() < GRID_HEADROOM {
+        (x * GRID_SCALE).ceil() / GRID_SCALE
+    } else {
+        x
+    }
+}
+
+/// Rounds `x` to the nearest multiple of `2⁻³²` (on-edge offsets and
+/// seed distances); passes values beyond [`GRID_HEADROOM`] through like
+/// [`grid_up`].
+#[inline]
+pub fn grid_nearest(x: f64) -> f64 {
+    if x.abs() < GRID_HEADROOM {
+        (x * GRID_SCALE).round() / GRID_SCALE
+    } else {
+        x
+    }
+}
+
 /// A neighbor entry: the adjacent node, the weight of the connecting edge,
 /// and the id of the undirected edge it came from.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,6 +76,7 @@ pub struct CsrGraph {
 
 impl CsrGraph {
     /// Builds a CSR graph with `n` vertices from an undirected edge list.
+    /// Each weight is rounded up onto the `2⁻³²` grid ([`grid_up`]).
     ///
     /// # Panics
     ///
@@ -61,6 +97,8 @@ impl CsrGraph {
             degree[u as usize] += 1;
             degree[v as usize] += 1;
         }
+        let edges: Vec<(NodeId, NodeId, f64)> =
+            edges.iter().map(|&(u, v, w)| (u, v, grid_up(w))).collect();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u32);
         let mut acc = 0u32;
@@ -95,7 +133,7 @@ impl CsrGraph {
         CsrGraph {
             offsets,
             neighbors,
-            edges: edges.to_vec(),
+            edges,
         }
     }
 
@@ -237,6 +275,19 @@ mod tests {
     #[test]
     fn total_weight_sums_edges() {
         assert_eq!(triangle().total_weight(), 7.0);
+    }
+
+    #[test]
+    fn weights_round_up_onto_the_grid() {
+        let g = CsrGraph::from_edges(2, &[(0, 1, 0.1)]);
+        let w = g.edge(0).2;
+        assert!(w >= 0.1 && w - 0.1 < 1.0 / GRID_SCALE);
+        assert_eq!((w * GRID_SCALE).fract(), 0.0);
+        assert_eq!(g.neighbors(0)[0].weight.to_bits(), w.to_bits());
+        assert_eq!(grid_up(w), w);
+        assert_eq!(grid_nearest(w), w);
+        assert_eq!(grid_up(GRID_HEADROOM * 4.0), GRID_HEADROOM * 4.0);
+        assert!(grid_up(f64::INFINITY).is_infinite());
     }
 
     #[test]

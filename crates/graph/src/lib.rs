@@ -38,7 +38,7 @@ pub mod workspace;
 pub use bfs::{bounded_hops, hop_distances};
 pub use ch::{ChBuildStats, ChOracle, ChSearch};
 pub use components::{connected_components, is_connected_subset};
-pub use csr::{CsrGraph, EdgeId, NodeId};
+pub use csr::{grid_nearest, grid_up, CsrGraph, EdgeId, NodeId, GRID_HEADROOM};
 pub use dijkstra::{
     dijkstra_all, dijkstra_bounded, dijkstra_targets, dijkstra_targets_counted, DistanceMap,
     INFINITY,

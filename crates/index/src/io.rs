@@ -105,10 +105,17 @@ use gpssn_spatial::KeywordSignature;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-const INDEX_MAGIC_V1: &str = "# gpssn-road-index v1";
-const INDEX_MAGIC_V2: &str = "# gpssn-road-index v2";
+/// Magic-line prefix shared by every format version.
+const INDEX_MAGIC_PREFIX: &str = "# gpssn-road-index ";
 
-/// The serialized sections of a v2 index file, in file order. Each is
+/// The current format: v2's checksummed sections, with every distance
+/// computed over road lengths on the `2⁻³²` grid and the CH section
+/// holding `tail head weight` arcs only. Files of older versions hold
+/// distances that grid-rounded lengths no longer reproduce, so they are
+/// refused with [`UnsupportedIndexVersion`] rather than loaded.
+const INDEX_MAGIC: &str = "# gpssn-road-index v3";
+
+/// The serialized sections of an index file, in file order. Each is
 /// independently CRC-32-checked on load, so corruption is reported (and,
 /// for the `ch` section, healed) at section granularity.
 const SECTION_NAMES: [&str; 4] = ["cfg", "pivots", "pois", "ch"];
@@ -119,7 +126,7 @@ const SECTION_NAMES: [&str; 4] = ["cfg", "pivots", "pois", "ch"];
 const MAX_PREALLOC: usize = 1 << 16;
 
 /// Typed payload behind the `InvalidData` [`io::Error`] returned when a
-/// v2 section fails its checksum; recover it with [`corrupt_section`].
+/// section fails its checksum; recover it with [`corrupt_section`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorruptSection {
     /// Which serialized section failed verification (`"cfg"`,
@@ -140,13 +147,42 @@ impl std::fmt::Display for CorruptSection {
 impl std::error::Error for CorruptSection {}
 
 /// The corrupt section's name, when `e` is a checksum failure from the
-/// v2 index reader (`None` for every other I/O error). This is what
+/// index reader (`None` for every other I/O error). This is what
 /// callers use to map the error onto a typed `IndexCorrupt` and to
 /// decide whether a rebuild can heal it.
 pub fn corrupt_section(e: &io::Error) -> Option<&str> {
     e.get_ref()?
         .downcast_ref::<CorruptSection>()
         .map(|c| c.section.as_str())
+}
+
+/// Typed payload behind the `InvalidData` [`io::Error`] returned for an
+/// index file of an older format version; recover it with
+/// [`unsupported_version`]. The cure is to rebuild the index.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnsupportedIndexVersion {
+    /// The version tag the file declares (e.g. `"v2"`).
+    pub found: String,
+}
+
+impl std::fmt::Display for UnsupportedIndexVersion {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "unsupported road-index version {} (this build reads v3); rebuild the index",
+            self.found
+        )
+    }
+}
+
+impl std::error::Error for UnsupportedIndexVersion {}
+
+/// The declared version, when `e` reports an index file of an older
+/// format version (`None` for every other I/O error).
+pub fn unsupported_version(e: &io::Error) -> Option<&str> {
+    e.get_ref()?
+        .downcast_ref::<UnsupportedIndexVersion>()
+        .map(|u| u.found.as_str())
 }
 
 fn corrupt(section: &str) -> io::Error {
@@ -158,7 +194,7 @@ fn corrupt(section: &str) -> io::Error {
     )
 }
 
-/// Serializes a [`RoadIndex`] as versioned plain text (the v2 sectioned
+/// Serializes a [`RoadIndex`] as versioned plain text (the v3 sectioned
 /// format: every section carries a line count and a CRC-32 of its body,
 /// so loads verify integrity per section).
 ///
@@ -169,7 +205,7 @@ fn corrupt(section: &str) -> io::Error {
 /// road network and are rebuilt on load.
 pub fn write_road_index<W: Write>(idx: &RoadIndex, w: W) -> io::Result<()> {
     let mut w = BufWriter::new(w);
-    writeln!(w, "{INDEX_MAGIC_V2}")?;
+    writeln!(w, "{INDEX_MAGIC}")?;
     let cfg = idx.config();
     let mut body = Vec::new();
     writeln!(
@@ -219,10 +255,10 @@ fn write_section<W: Write>(w: &mut W, name: &str, body: &[u8]) -> io::Result<()>
     w.write_all(body)
 }
 
-/// Deserializes a [`RoadIndex`] written by [`write_road_index`]. Reads
-/// both the current v2 sectioned format (verifying every section's
-/// CRC-32 — a mismatch is an `InvalidData` error carrying
-/// [`CorruptSection`]) and the legacy v1 format (no checksums).
+/// Deserializes a [`RoadIndex`] written by [`write_road_index`],
+/// verifying every section's CRC-32 — a mismatch is an `InvalidData`
+/// error carrying [`CorruptSection`]. A file of an older format version
+/// is an `InvalidData` error carrying [`UnsupportedIndexVersion`].
 ///
 /// `road` and `pois` must be the network and POI set the index was built
 /// over (counts are validated). An index saved without a CH oracle loads
@@ -233,15 +269,8 @@ pub fn read_road_index<R: Read>(road: &RoadNetwork, pois: &PoiSet, r: R) -> io::
     if gpssn_failpoint::failpoint!("index::read_road_index") {
         return Err(io::Error::other("injected fault: index::read_road_index"));
     }
-    let mut lines = BufReader::new(r).lines();
-    match next_line(&mut lines)?.trim() {
-        INDEX_MAGIC_V2 => {
-            let sections = read_sections(&mut lines)?;
-            assemble_v2(road, pois, &sections, false).map(|h| h.index)
-        }
-        INDEX_MAGIC_V1 => read_v1_body(road, pois, &mut lines),
-        _ => Err(bad_data("bad road-index magic")),
-    }
+    let sections = read_sections(r)?;
+    assemble(road, pois, &sections, false).map(|h| h.index)
 }
 
 /// Outcome of a healing index load (see [`read_road_index_healing`]).
@@ -255,14 +284,13 @@ pub struct HealedLoad {
     pub rebuilt_ch: bool,
 }
 
-/// Self-healing variant of [`read_road_index`]: a v2 file whose `ch`
+/// Self-healing variant of [`read_road_index`]: a file whose `ch`
 /// section fails its checksum is *healed* by rebuilding the
 /// contraction-hierarchy oracle from the road graph (deterministic, and
 /// answer-equivalent — the oracle is a pure accelerator). Corruption in
 /// any other section (`cfg`, `pivots`, `pois`) is not recoverable from
-/// the inputs at hand and stays a [`CorruptSection`] error; so does any
-/// corruption in a legacy v1 file, which carries no checksums to
-/// localize the damage.
+/// the inputs at hand and stays a [`CorruptSection`] error, and an older
+/// format version stays an [`UnsupportedIndexVersion`] error.
 pub fn read_road_index_healing<R: Read>(
     road: &RoadNetwork,
     pois: &PoiSet,
@@ -271,21 +299,11 @@ pub fn read_road_index_healing<R: Read>(
     if gpssn_failpoint::failpoint!("index::read_road_index") {
         return Err(io::Error::other("injected fault: index::read_road_index"));
     }
-    let mut lines = BufReader::new(r).lines();
-    match next_line(&mut lines)?.trim() {
-        INDEX_MAGIC_V2 => {
-            let sections = read_sections(&mut lines)?;
-            assemble_v2(road, pois, &sections, true)
-        }
-        INDEX_MAGIC_V1 => read_v1_body(road, pois, &mut lines).map(|index| HealedLoad {
-            index,
-            rebuilt_ch: false,
-        }),
-        _ => Err(bad_data("bad road-index magic")),
-    }
+    let sections = read_sections(r)?;
+    assemble(road, pois, &sections, true)
 }
 
-/// One v2 section, read off the file: its name, whether its body matched
+/// One section, read off the file: its name, whether its body matched
 /// the stored CRC, and the body text itself.
 struct Section {
     name: String,
@@ -293,8 +311,23 @@ struct Section {
     body: String,
 }
 
-/// Reads every `section <name> <lines> <crc32>` block to end of input.
-fn read_sections<B: BufRead>(lines: &mut io::Lines<B>) -> io::Result<Vec<Section>> {
+/// Checks the magic line, then reads every `section <name> <lines>
+/// <crc32>` block to end of input.
+fn read_sections<R: Read>(r: R) -> io::Result<Vec<Section>> {
+    let mut lines = BufReader::new(r).lines();
+    let magic = next_line(&mut lines)?;
+    let magic = magic.trim();
+    if magic != INDEX_MAGIC {
+        return Err(match magic.strip_prefix(INDEX_MAGIC_PREFIX) {
+            Some(version) => io::Error::new(
+                io::ErrorKind::InvalidData,
+                UnsupportedIndexVersion {
+                    found: version.to_string(),
+                },
+            ),
+            None => bad_data("bad road-index magic"),
+        });
+    }
     let mut out = Vec::new();
     while let Some(header) = lines.next() {
         let header = header?;
@@ -326,11 +359,11 @@ fn read_sections<B: BufRead>(lines: &mut io::Lines<B>) -> io::Result<Vec<Section
     Ok(out)
 }
 
-/// Parses the four verified v2 sections into a [`RoadIndex`]. With
+/// Parses the four verified sections into a [`RoadIndex`]. With
 /// `heal` set, a corrupt `ch` section is replaced by a fresh
 /// [`ChOracle::build`] over the road graph; otherwise (and for every
 /// other corrupt section) the load fails with [`CorruptSection`].
-fn assemble_v2(
+fn assemble(
     road: &RoadNetwork,
     pois: &PoiSet,
     sections: &[Section],
@@ -392,29 +425,6 @@ fn assemble_v2(
         index: RoadIndex::from_loaded_parts(pois, pivots, cfg, poi_aug, ch),
         rebuilt_ch,
     })
-}
-
-/// Parses a legacy v1 body (the magic line already consumed): the same
-/// sections as v2, concatenated with no headers and no checksums.
-fn read_v1_body<B: BufRead>(
-    road: &RoadNetwork,
-    pois: &PoiSet,
-    lines: &mut io::Lines<B>,
-) -> io::Result<RoadIndex> {
-    let (node_capacity, r_min, r_max, samples_per_node) = parse_cfg(lines)?;
-    let pivot_ids = parse_pivots(lines, road)?;
-    let poi_aug = parse_pois(lines, pois, pivot_ids.len())?;
-    let ch = parse_ch(lines, road)?;
-    let cfg = RoadIndexConfig {
-        node_capacity,
-        r_min,
-        r_max,
-        samples_per_node,
-        build_ch: ch.is_some(),
-        build: crate::build::BuildOptions::default(),
-    };
-    let pivots = RoadPivots::new_with_threads(road, pivot_ids, cfg.build.threads);
-    Ok(RoadIndex::from_loaded_parts(pois, pivots, cfg, poi_aug, ch))
 }
 
 fn parse_cfg<B: BufRead>(lines: &mut io::Lines<B>) -> io::Result<(usize, f64, f64, usize)> {
@@ -733,26 +743,13 @@ mod tests {
         }
     }
 
-    /// Strips the v2 framing (magic + `section` headers) down to the
-    /// legacy v1 layout: the same bodies, concatenated.
-    fn downgrade_to_v1(v2: &str) -> String {
-        let mut out = String::from("# gpssn-road-index v1\n");
-        for line in v2.lines().skip(1) {
-            if !line.starts_with("section ") {
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-        out
-    }
-
     /// Flips one character inside the body of the named section (leaving
     /// every header line intact), simulating bit rot.
-    fn corrupt_body(v2: &str, name: &str) -> String {
+    fn corrupt_body(text: &str, name: &str) -> String {
         let mut out = Vec::new();
         let mut in_target = false;
         let mut done = false;
-        for line in v2.lines() {
+        for line in text.lines() {
             if line.starts_with("section ") {
                 in_target = line.split_whitespace().nth(1) == Some(name);
                 out.push(line.to_string());
@@ -772,18 +769,23 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_still_load() {
+    fn older_format_versions_are_refused() {
         let (road, pois) = small_instance();
         let idx = build_index(&road, &pois, true);
         let mut buf = Vec::new();
         write_road_index(&idx, &mut buf).unwrap();
-        let v1 = downgrade_to_v1(std::str::from_utf8(&buf).unwrap());
-        let back = read_road_index(&road, &pois, v1.as_bytes()).unwrap();
-        assert_same_index(&idx, &back);
-        // The healing reader also accepts v1 (without healing anything).
-        let healed = read_road_index_healing(&road, &pois, v1.as_bytes()).unwrap();
-        assert!(!healed.rebuilt_ch);
-        assert_same_index(&idx, &healed.index);
+        let text = std::str::from_utf8(&buf).unwrap();
+        for old in ["v1", "v2"] {
+            let file = text.replacen("v3", old, 1);
+            let err = read_road_index(&road, &pois, file.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(unsupported_version(&err), Some(old));
+            assert!(err.to_string().contains("rebuild"), "{err}");
+            let err = read_road_index_healing(&road, &pois, file.as_bytes()).unwrap_err();
+            assert_eq!(unsupported_version(&err), Some(old));
+        }
+        let err = read_road_index(&road, &pois, b"# wrong magic\n".as_slice()).unwrap_err();
+        assert_eq!(unsupported_version(&err), None);
     }
 
     #[test]

@@ -38,7 +38,8 @@ pub mod social_index;
 pub use build::{BuildOptions, BuildStages};
 pub use io::{
     corrupt_section, load_road_index, load_road_index_healing, read_road_index,
-    read_road_index_healing, save_road_index, write_road_index, CorruptSection, HealedLoad,
+    read_road_index_healing, save_road_index, unsupported_version, write_road_index,
+    CorruptSection, HealedLoad, UnsupportedIndexVersion,
 };
 pub use pivot_select::{select_road_pivots, select_social_pivots, PivotSelectConfig};
 pub use road_index::{PoiAugment, RoadIndex, RoadIndexConfig, RoadNodeAugment};

@@ -119,9 +119,9 @@ fn compose_point_dist(a: &NetworkPoint, b: &NetworkPoint, blen: f64, d_bu: f64, 
 /// per source, one precomputed-label scan per distinct target-edge
 /// endpoint.
 /// Values are bit-identical to calling the Dijkstra backend
-/// ([`dist_rn_many_counted_with`]) per source (`dist[i][j]` folds
-/// source-to-target like a Dijkstra seeded at `sources[i]`;
-/// property-tested below). The returned count is the number of vertices
+/// ([`dist_rn_many_counted_with`]) per source, in either direction:
+/// lengths and offsets sit on the `2⁻³²` grid, so every sum is exact
+/// (property-tested below). The returned count is the number of vertices
 /// the forward upward sweeps settled — the budget unit charged for CH
 /// batches (see [`ChOracle::batch_dists`]).
 pub fn dist_rn_matrix_ch(
@@ -508,11 +508,94 @@ mod tests {
             let d10 = dist_rn(&net, &pts[1], &pts[0]);
             let d02 = dist_rn(&net, &pts[0], &pts[2]);
             let d12 = dist_rn(&net, &pts[1], &pts[2]);
-            prop_assert!((d01 - d10).abs() < 1e-9, "symmetry");
+            prop_assert_eq!(d01.to_bits(), d10.to_bits(), "symmetry");
             prop_assert!(d01 >= 0.0);
             let euclid = pts[0].location(&net).distance(&pts[1].location(&net));
             prop_assert!(d01 + 1e-9 >= euclid, "network >= euclidean: {d01} vs {euclid}");
             prop_assert!(d02 <= d01 + d12 + 1e-9, "triangle inequality");
+        }
+
+        /// `dist_RN(a, b)` and `dist_RN(b, a)` are the same bits on both
+        /// backends, for random points, same-edge pairs and points at
+        /// vertices, and the two backends agree.
+        #[test]
+        fn dist_rn_is_bitwise_symmetric(seed in 0u64..1500, n in 4usize..28) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let net = random_ch_net(&mut rng, n);
+            let ch = gpssn_graph::ChOracle::build(net.graph());
+            let mut cs = gpssn_graph::ChSearch::new();
+            let mut ws = DijkstraWorkspace::new();
+            let m = net.num_edges();
+            let mut pts: Vec<NetworkPoint> = (0..5)
+                .map(|_| {
+                    let e = rng.gen_range(0..m) as u32;
+                    NetworkPoint::new(&net, e, rng.gen_range(0.0..=1.0) * net.edge_length(e))
+                })
+                .collect();
+            let twin_edge = pts[0].edge;
+            pts.push(NetworkPoint::new(
+                &net,
+                twin_edge,
+                rng.gen_range(0.0..=1.0) * net.edge_length(twin_edge),
+            ));
+            for _ in 0..2 {
+                let (u, _, _) = net.edge(rng.gen_range(0..m) as u32);
+                pts.push(NetworkPoint::at_vertex(&net, u));
+            }
+            let k = pts.len();
+            let (matrix, _) = dist_rn_matrix_ch(&net, &ch, &mut cs, &pts, &pts);
+            let rows: Vec<Vec<f64>> = pts
+                .iter()
+                .map(|a| dist_rn_many_counted_with(&net, &mut ws, a, &pts).0)
+                .collect();
+            for i in 0..k {
+                for j in 0..k {
+                    let (dij, dji) = (rows[i][j], rows[j][i]);
+                    prop_assert_eq!(
+                        dij.to_bits(), dji.to_bits(),
+                        "seed {} dijkstra {}<->{}: {:?} vs {:?}", seed, i, j, dij, dji
+                    );
+                    prop_assert_eq!(
+                        matrix[i * k + j].to_bits(), matrix[j * k + i].to_bits(),
+                        "seed {} ch {}<->{}", seed, i, j
+                    );
+                    prop_assert_eq!(matrix[i * k + j].to_bits(), dij.to_bits());
+                }
+            }
+        }
+
+        /// The Euclidean distance between two points' locations never
+        /// exceeds their road distance on generated networks — the
+        /// Euclidean prefilters rely on it, and it holds because edge
+        /// lengths round up onto the grid.
+        #[test]
+        fn euclidean_never_exceeds_dist_rn(seed in 0u64..1000) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let net = crate::generate_road_network(
+                &crate::RoadGenConfig {
+                    num_vertices: 40,
+                    space_size: 10.0,
+                    neighbors_per_vertex: 2,
+                },
+                &mut rng,
+            );
+            let m = net.num_edges();
+            let mut pts: Vec<NetworkPoint> = (0..6)
+                .map(|_| {
+                    let e = rng.gen_range(0..m) as u32;
+                    NetworkPoint::new(&net, e, rng.gen_range(0.0..=1.0) * net.edge_length(e))
+                })
+                .collect();
+            pts.push(NetworkPoint::new(&net, pts[0].edge, rng.gen_range(0.0..=1.0) * net.edge_length(pts[0].edge)));
+            pts.push(NetworkPoint::at_vertex(&net, rng.gen_range(0..net.num_vertices()) as u32));
+            let mut ws = DijkstraWorkspace::new();
+            for a in &pts {
+                let (row, _) = dist_rn_many_counted_with(&net, &mut ws, a, &pts);
+                for (b, d) in pts.iter().zip(row) {
+                    let euclid = a.location(&net).distance(&b.location(&net));
+                    prop_assert!(euclid <= d, "seed {}: euclid {:?} > dist_RN {:?}", seed, euclid, d);
+                }
+            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! The road network `G_r` (Definition 1): intersections with coordinates,
 //! road segments as weighted edges.
 
-use gpssn_graph::{CsrGraph, EdgeId, NodeId};
+use gpssn_graph::{CsrGraph, EdgeId, NodeId, GRID_HEADROOM};
 use gpssn_spatial::Point;
 
 /// A spatial road network: a weighted undirected graph whose vertices
@@ -28,18 +28,45 @@ impl RoadNetwork {
 
     /// Builds a road network with explicit edge lengths (lengths must be
     /// at least the Euclidean endpoint distance for the Euclidean-prefilter
-    /// optimizations to stay exact; this is asserted in debug builds).
+    /// optimizations to stay exact; this is asserted in debug builds, and
+    /// a length up to 1e-9 short is lifted to it). Lengths are rounded up
+    /// onto the `2⁻³²` grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the total length reaches [`GRID_HEADROOM`] (`2²¹`),
+    /// beyond which sums of lengths stop being exact; see
+    /// [`RoadNetwork::try_from_weighted_edges`].
     pub fn from_weighted_edges(locations: Vec<Point>, edges: &[(NodeId, NodeId, f64)]) -> Self {
-        #[cfg(debug_assertions)]
-        for &(u, v, w) in edges {
-            let euclid = locations[u as usize].distance(&locations[v as usize]);
-            debug_assert!(
-                w + 1e-9 >= euclid,
-                "edge ({u},{v}) shorter ({w}) than Euclidean distance ({euclid})"
-            );
+        match Self::try_from_weighted_edges(locations, edges) {
+            Some(net) => net,
+            None => panic!("total road length must stay below 2^21 (GRID_HEADROOM)"),
         }
-        let graph = CsrGraph::from_edges(locations.len(), edges);
-        RoadNetwork { graph, locations }
+    }
+
+    /// [`RoadNetwork::from_weighted_edges`], returning `None` instead of
+    /// panicking when the total length reaches [`GRID_HEADROOM`].
+    pub fn try_from_weighted_edges(
+        locations: Vec<Point>,
+        edges: &[(NodeId, NodeId, f64)],
+    ) -> Option<Self> {
+        // A length within the tolerance below its Euclidean distance is
+        // lifted to it, so the Euclidean prefilters stay exact.
+        let edges: Vec<(NodeId, NodeId, f64)> = edges
+            .iter()
+            .map(|&(u, v, w)| {
+                let euclid = locations[u as usize].distance(&locations[v as usize]);
+                debug_assert!(
+                    w + 1e-9 >= euclid,
+                    "edge ({u},{v}) shorter ({w}) than Euclidean distance ({euclid})"
+                );
+                (u, v, w.max(euclid))
+            })
+            .collect();
+        let graph = CsrGraph::from_edges(locations.len(), &edges);
+        // Grid values add exactly, so a total that rounds is already
+        // past the bound.
+        (graph.total_weight() < GRID_HEADROOM).then_some(RoadNetwork { graph, locations })
     }
 
     /// Underlying graph.
@@ -127,6 +154,10 @@ mod tests {
         let locs = vec![Point::new(0.0, 0.0), Point::new(3.0, 4.0)];
         let net = RoadNetwork::from_weighted_edges(locs, &[(0, 1, 7.5)]);
         assert_eq!(net.edge_length(0), 7.5);
+        // Within the 1e-9 tolerance below Euclidean: lifted to it.
+        let unit = vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)];
+        let net = RoadNetwork::from_weighted_edges(unit, &[(0, 1, 0.9999999995)]);
+        assert_eq!(net.edge_length(0), 1.0);
     }
 
     #[test]
@@ -135,6 +166,18 @@ mod tests {
     fn rejects_sub_euclidean_lengths() {
         let locs = vec![Point::new(0.0, 0.0), Point::new(3.0, 4.0)];
         RoadNetwork::from_weighted_edges(locs, &[(0, 1, 4.9)]);
+    }
+
+    #[test]
+    fn rejects_totals_beyond_the_grid_headroom() {
+        let locs = vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)];
+        assert!(RoadNetwork::try_from_weighted_edges(locs.clone(), &[(0, 1, 1e12)]).is_none());
+        let half = GRID_HEADROOM / 2.0;
+        assert!(
+            RoadNetwork::try_from_weighted_edges(locs.clone(), &[(0, 1, half), (1, 0, half)])
+                .is_none()
+        );
+        assert!(RoadNetwork::try_from_weighted_edges(locs, &[(0, 1, half)]).is_some());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::distance::{self, dist_rn};
 use crate::network::RoadNetwork;
-use gpssn_graph::{DijkstraWorkspace, EdgeId, NodeId};
+use gpssn_graph::{grid_nearest, DijkstraWorkspace, EdgeId, NodeId};
 use gpssn_spatial::{Point, RStarTree};
 
 /// Identifier of a POI within a [`PoiSet`].
@@ -14,17 +14,21 @@ pub type PoiId = u32;
 pub struct NetworkPoint {
     /// The road segment the point lies on.
     pub edge: EdgeId,
-    /// Distance from the edge's first endpoint, in `[0, edge_length]`.
+    /// Distance from the edge's first endpoint, in `[0, edge_length]`,
+    /// on the `2⁻³²` grid ([`NetworkPoint::new`] puts it there; exact,
+    /// symmetric `dist_RN` relies on it).
     pub offset: f64,
 }
 
 impl NetworkPoint {
-    /// Creates a network point, clamping `offset` into the edge.
+    /// Creates a network point: `offset` is rounded to the nearest
+    /// multiple of `2⁻³²` (the grid edge lengths live on, so every
+    /// along-edge sum stays exact) and clamped into the edge.
     pub fn new(net: &RoadNetwork, edge: EdgeId, offset: f64) -> Self {
         let len = net.edge_length(edge);
         NetworkPoint {
             edge,
-            offset: offset.clamp(0.0, len),
+            offset: grid_nearest(offset).clamp(0.0, len),
         }
     }
 

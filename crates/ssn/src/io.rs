@@ -135,7 +135,8 @@ pub fn read_ssn<R: Read>(r: R) -> io::Result<SpatialSocialNetwork> {
         }
         edges.push((u, v, len));
     }
-    let road = RoadNetwork::from_weighted_edges(locations, &edges);
+    let road = RoadNetwork::try_from_weighted_edges(locations, &edges)
+        .ok_or_else(|| bad("total road length must stay below 2^21".to_string()))?;
     let num_edges = road.num_edges();
 
     let np: usize = field(&next("pois")?, "pois")?;
@@ -422,6 +423,10 @@ mod tests {
             (
                 good.replace("road-edges 1\n0 1 1.0", "road-edges 1\n0 1 NaN"),
                 "NaN length",
+            ),
+            (
+                good.replace("road-edges 1\n0 1 1.0", "road-edges 1\n0 1 1e12"),
+                "total length beyond the 2^21 grid headroom",
             ),
             (
                 good.replace("pois 1\n0 0.5", "pois 1\n9 0.5"),

@@ -4,7 +4,7 @@
 //! CH contraction, chunked pivot tables and augmentation) is that the
 //! *serialized* index is a pure function of the inputs — the thread
 //! count sizes the worker pool and nothing else. These tests pin that
-//! contract at the workspace level, over the real v2 on-disk format:
+//! contract at the workspace level, over the real on-disk format:
 //!
 //! 1. **Road-index bytes** — the full pipeline (pivot tables, POI
 //!    augmentation, STR tree, CH oracle) built at 1, 2, 8, and 0 (= all

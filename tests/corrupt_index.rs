@@ -9,8 +9,8 @@
 
 use gpssn::graph::ValueDistribution;
 use gpssn::index::{
-    corrupt_section, read_road_index, read_road_index_healing, write_road_index, RoadIndex,
-    RoadIndexConfig,
+    corrupt_section, read_road_index, read_road_index_healing, unsupported_version,
+    write_road_index, RoadIndex, RoadIndexConfig,
 };
 use gpssn::road::{
     generate_pois, generate_road_network, PoiGenConfig, PoiSet, RoadGenConfig, RoadNetwork,
@@ -116,7 +116,7 @@ fn healing_reader_survives_every_single_bit_flip() {
         + text
             .lines()
             .find(|l| l.starts_with("section ch "))
-            .expect("v2 file has a ch section")
+            .expect("index file has a ch section")
             .len()
         + 1;
 
@@ -145,4 +145,27 @@ fn healing_reader_survives_every_single_bit_flip() {
         healed_loads > 0,
         "no flip in the CH body exercised the healing path"
     );
+}
+
+/// A file written under the v2 format holds distances over lengths that
+/// were not on the `2⁻³²` grid. Both readers refuse it with a typed
+/// "unsupported version, rebuild" error instead of loading answers that
+/// would silently differ.
+#[test]
+fn v2_index_files_get_a_typed_rebuild_error() {
+    let (road, pois) = tiny_instance();
+    let idx = tiny_index(&road, &pois);
+    let mut bytes = Vec::new();
+    write_road_index(&idx, &mut bytes).unwrap();
+    let text = std::str::from_utf8(&bytes).unwrap();
+    let (magic, body) = text.split_once('\n').unwrap();
+    assert_eq!(magic, "# gpssn-road-index v3");
+    let v2 = format!("# gpssn-road-index v2\n{body}");
+    let err = read_road_index(&road, &pois, v2.as_bytes()).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::InvalidData);
+    assert_eq!(unsupported_version(&err), Some("v2"));
+    assert_eq!(corrupt_section(&err), None);
+    assert!(err.to_string().contains("rebuild"), "{err}");
+    let err = read_road_index_healing(&road, &pois, v2.as_bytes()).unwrap_err();
+    assert_eq!(unsupported_version(&err), Some("v2"));
 }

@@ -63,8 +63,9 @@ fn engine_matches_brute_force_across_seeds_and_parameters() {
                             (Some(e), Some(g)) => {
                                 answered += 1;
                                 check_answer(&ssn, &q, g).expect("engine answer invalid");
-                                assert!(
-                                    (e.maxdist - g.maxdist).abs() < 1e-6,
+                                assert_eq!(
+                                    e.maxdist.to_bits(),
+                                    g.maxdist.to_bits(),
                                     "objective mismatch seed={seed} q={q:?}: \
                                      baseline {} vs engine {}",
                                     e.maxdist,
@@ -120,7 +121,11 @@ fn engine_matches_brute_force_on_zipf_data() {
                 (None, None) => {}
                 (Some(e), Some(g)) => {
                     answered += 1;
-                    assert!((e.maxdist - g.maxdist).abs() < 1e-6, "seed {seed} τ={tau}");
+                    assert_eq!(
+                        e.maxdist.to_bits(),
+                        g.maxdist.to_bits(),
+                        "seed {seed} τ={tau}"
+                    );
                 }
                 other => panic!("mismatch on seed {seed} τ={tau}: {other:?}"),
             }
@@ -191,7 +196,7 @@ fn tiny_group_budget_never_claims_exact() {
                         (Completion::Exact, None, None) => exact += 1,
                         (Completion::Exact, Some(g), Some(o)) => {
                             exact += 1;
-                            assert!((g - o).abs() < 1e-6, "{what}: {g} vs {o}");
+                            assert_eq!(g.to_bits(), o.to_bits(), "{what}: {g} vs {o}");
                         }
                         (Completion::TruncatedWithGap(gap), Some(g), Some(o)) => {
                             truncated += 1;
@@ -212,7 +217,7 @@ fn tiny_group_budget_never_claims_exact() {
                             top_exact += 1;
                             assert_eq!(got.len(), oracle.len(), "{what}");
                             for (g, o) in got.iter().zip(&oracle) {
-                                assert!((g - o).abs() < 1e-6, "{what}");
+                                assert_eq!(g.to_bits(), o.to_bits(), "{what}");
                             }
                         }
                         Completion::TruncatedWithGap(gap) => {
@@ -268,8 +273,9 @@ fn every_pruning_subset_is_exact() {
         let got = query(&engine, &q, &opts).answers.pop();
         match (&reference, &got) {
             (None, None) => {}
-            (Some(a), Some(b)) => assert!(
-                (a.maxdist - b.maxdist).abs() < 1e-6,
+            (Some(a), Some(b)) => assert_eq!(
+                a.maxdist.to_bits(),
+                b.maxdist.to_bits(),
                 "mask {mask}: {} vs {}",
                 a.maxdist,
                 b.maxdist
