@@ -293,12 +293,18 @@ enum Item {
     Center(PoiId),
 }
 
+/// The per-center user test the center loop hands to verification: a
+/// query candidate whose pivot lower bound to the center is below the
+/// bound being verified against (see [`GpSsnEngine::center_loop`]).
+type MayJoin<'a> = &'a dyn Fn(UserId) -> bool;
+
 /// One query's road-search state, shared by the traversal and the
-/// center loop: the query, the `u_q` bounds Eqs. 16–17 read, and `δ`.
+/// center loop: the query, its candidate users as a per-user mask, the
+/// `u_q` bounds Eqs. 16–17 read, and `δ`.
 struct RoadSearch<'s> {
     q: &'s GpSsnQuery,
     opts: &'s QueryOptions,
-    candidates: &'s [UserId],
+    is_candidate: Vec<bool>,
     uq_interest: &'s gpssn_social::InterestVector,
     uq_rn: &'s [f64],
     scand_ub: Vec<f64>,
@@ -554,6 +560,7 @@ impl<'a> GpSsnEngine<'a> {
                     breaker: Some(&self.ch_breaker),
                     budget: &meter,
                     obs,
+                    marks: Default::default(),
                 };
                 let found = self.road_search(
                     q,
@@ -563,13 +570,13 @@ impl<'a> GpSsnEngine<'a> {
                     &mut counts,
                     &meter,
                     obs,
-                    |users, center, bound, unresolved| {
+                    |may_join, center, bound, unresolved| {
                         verify_center_guarded(
                             self.ssn,
                             q,
-                            users,
                             center,
                             bound,
+                            may_join,
                             &mut ctx,
                             opts.degradation,
                             unresolved,
@@ -590,9 +597,16 @@ impl<'a> GpSsnEngine<'a> {
                     &mut counts,
                     &meter,
                     obs,
-                    |users, (_, center), bound, _| {
+                    |may_join, (_, center), bound, _| {
                         crate::sampling::verify_center_sampled(
-                            self.ssn, q, users, center, bound, samples, &mut rng, &meter,
+                            self.ssn,
+                            q,
+                            (&candidates, may_join),
+                            center,
+                            bound,
+                            samples,
+                            &mut rng,
+                            &meter,
                         )
                     },
                 )
@@ -773,7 +787,7 @@ impl<'a> GpSsnEngine<'a> {
             counts,
             &meter,
             None,
-            |users, (_, center), bound, _| {
+            |may_join, (_, center), bound, _| {
                 sampled += 1;
                 if sampled > RESCUE_CENTERS {
                     return None;
@@ -781,7 +795,7 @@ impl<'a> GpSsnEngine<'a> {
                 crate::sampling::verify_center_sampled(
                     self.ssn,
                     q,
-                    users,
+                    (candidates, may_join),
                     center,
                     bound,
                     RESCUE_SAMPLES,
@@ -919,9 +933,10 @@ impl<'a> GpSsnEngine<'a> {
     /// phase over the traversal's centers, and under `refine_fallback`
     /// over the deferred `δ`-cut items, keeping the answers found so
     /// far (see the module docs). `verify` checks one center against a
-    /// bound. Returns the `k` best answers (ascending `maxdist`), the
-    /// final `δ`, and the smallest lower bound left unresolved by a
-    /// budget trip or an absorbed fault (`f64::INFINITY` when none).
+    /// bound, admitting only the users its [`MayJoin`] test passes.
+    /// Returns the `k` best answers (ascending `maxdist`), the final `δ`,
+    /// and the smallest lower bound left unresolved by a budget trip or
+    /// an absorbed fault (`f64::INFINITY` when none).
     #[allow(clippy::too_many_arguments)]
     fn road_search(
         &self,
@@ -932,7 +947,7 @@ impl<'a> GpSsnEngine<'a> {
         counts: &mut QueryCounters,
         meter: &BudgetState,
         obs: Option<&Obs>,
-        mut verify: impl FnMut(&[UserId], (f64, PoiId), f64, &mut f64) -> Option<GpSsnAnswer>,
+        mut verify: impl FnMut(MayJoin<'_>, (f64, PoiId), f64, &mut f64) -> Option<GpSsnAnswer>,
     ) -> (Vec<GpSsnAnswer>, f64, f64) {
         let idx = &self.road_index;
         let uq_rn = self.social_index.user_rn_dists(q.user);
@@ -944,11 +959,13 @@ impl<'a> GpSsnEngine<'a> {
         if candidates.len() < q.tau {
             return (Vec::new(), f64::INFINITY, f64::INFINITY);
         }
-        let mut enabled = vec![false; self.ssn.social().num_users()];
+        // One candidate mask per query: the pre-check and every center read it.
+        let mut is_candidate = vec![false; self.ssn.social().num_users()];
         for &u in candidates {
-            enabled[u as usize] = true;
+            is_candidate[u as usize] = true;
         }
-        match probe_groups(self.ssn.social(), q, Some(&enabled), meter, |_| true) {
+        let candidate = |u: UserId| is_candidate[u as usize];
+        match probe_groups(self.ssn.social(), q, candidate, meter, |_| true) {
             Probe::Infeasible => return (Vec::new(), f64::INFINITY, f64::INFINITY),
             Probe::Found(_) => meter.add(Counter::PairsRefined, 1),
             Probe::Cut => {}
@@ -983,7 +1000,7 @@ impl<'a> GpSsnEngine<'a> {
         let mut s = RoadSearch {
             q,
             opts,
-            candidates,
+            is_candidate,
             uq_interest: self.ssn.social().interest(q.user),
             uq_rn,
             scand_ub,
@@ -1053,37 +1070,16 @@ impl<'a> GpSsnEngine<'a> {
         }
     }
 
-    /// Drops candidates whose pivot lower bound to `center` already
-    /// reaches `best_val` — they cannot belong to an improving group.
-    fn filter_candidates_for_center(
-        &self,
-        candidates: &[UserId],
-        center: PoiId,
-        best_val: f64,
-    ) -> Vec<UserId> {
-        if !best_val.is_finite() {
-            return candidates.to_vec();
-        }
-        let center_rn = &self.road_index.poi(center).pivot_dists;
-        candidates
-            .iter()
-            .copied()
-            .filter(|&u| {
-                crate::pruning::lb_maxdist_poi(self.social_index.user_rn_dists(u), center_rn)
-                    < best_val
-            })
-            .collect()
-    }
-
     /// Algorithm 2's center loop, shared by every mode and by both
     /// rounds of [`GpSsnEngine::road_search`]: pops `heap` in ascending
     /// `(lb, item)` order, keeps the `k` best distinct answers in
     /// `answers`, and stops once `lb` reaches the `k`-th best value (`∞`
     /// while fewer than `k` are held). A center is verified by `verify`
-    /// against that bound, with its candidates filtered by it: a user
-    /// whose pivot lower bound reaches the bound has an exact cost at
-    /// least as large, so verification would drop the user anyway. A
-    /// node (a deferred `δ`-cut subtree) is read and expanded, its
+    /// against that bound, with a [`MayJoin`] test that admits a query
+    /// candidate unless its pivot lower bound to the center reaches the
+    /// bound (skipped while the bound is infinite): such a user's exact
+    /// cost is at least as large, so verification would drop the user
+    /// anyway. A node (a deferred `δ`-cut subtree) is read and expanded, its
     /// children and centers pushed back; only an expanded node is
     /// charged a heap pop. Returns the smallest `lb` left unresolved by
     /// a budget trip or an absorbed fault (`f64::INFINITY` when none).
@@ -1096,7 +1092,7 @@ impl<'a> GpSsnEngine<'a> {
         answers: &mut Vec<GpSsnAnswer>,
         counts: &mut QueryCounters,
         meter: &BudgetState,
-        verify: &mut impl FnMut(&[UserId], (f64, PoiId), f64, &mut f64) -> Option<GpSsnAnswer>,
+        verify: &mut impl FnMut(MayJoin<'_>, (f64, PoiId), f64, &mut f64) -> Option<GpSsnAnswer>,
     ) -> f64 {
         let mut unresolved = f64::INFINITY;
         while let Some((lb, item)) = heap.pop() {
@@ -1119,8 +1115,13 @@ impl<'a> GpSsnEngine<'a> {
                 }
                 Item::Center(c) => c,
             };
-            let users = self.filter_candidates_for_center(s.candidates, center, bound);
-            if let Some(ans) = verify(&users, (lb, center), bound, &mut unresolved) {
+            let center_rn = &self.road_index.poi(center).pivot_dists;
+            let may_join = |u: UserId| {
+                s.is_candidate[u as usize]
+                    && (!bound.is_finite()
+                        || lb_maxdist_poi(self.social_index.user_rn_dists(u), center_rn) < bound)
+            };
+            if let Some(ans) = verify(&may_join, (lb, center), bound, &mut unresolved) {
                 // Centers with the same ball can verify the same (S, R)
                 // pair: hold it once, at the smaller value (for `k = 1`
                 // this is plain replace-on-improvement).
@@ -1255,57 +1256,48 @@ fn note_workspaces(meter: &BudgetState, ws: &DijkstraWorkspace, chws: &gpssn_gra
 }
 
 /// Runs [`verify_center`] on the center `(lb, center)` under the query's
-/// fault policy. An `Err` (broken internal invariant) is always absorbed
-/// as a query fault; under [`DegradationPolicy::Ladder`] a *panic*
-/// inside verification is additionally caught per-center and absorbed
-/// the same way, while `FailFast` lets it propagate to the batch
-/// isolation layer (the legacy behavior). A verified center's subsets
-/// count as pairs refined. A faulted center (`None`) stays unresolved:
-/// its `lb` is folded into `unresolved`, and the nonzero fault count
-/// keeps the completion from claiming `Exact`.
+/// fault policy. Under [`DegradationPolicy::Ladder`] a *panic* inside
+/// verification is caught per-center and absorbed as a query fault,
+/// while `FailFast` lets it propagate to the batch isolation layer (the
+/// legacy behavior). A verified center's subsets count as pairs
+/// refined. A faulted center (`None`) stays unresolved: its `lb` is
+/// folded into `unresolved`, and the nonzero fault count keeps the
+/// completion from claiming `Exact`.
 #[allow(clippy::too_many_arguments)]
 fn verify_center_guarded(
     ssn: &SpatialSocialNetwork,
     q: &GpSsnQuery,
-    candidates: &[UserId],
     (lb, center): (f64, PoiId),
     bound: f64,
+    may_join: MayJoin<'_>,
     ctx: &mut VerifyContext<'_>,
     policy: DegradationPolicy,
     unresolved: &mut f64,
 ) -> Option<CenterVerification> {
-    let res = if policy == DegradationPolicy::Ladder {
+    let verified = if policy == DegradationPolicy::Ladder {
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            verify_center(ssn, q, candidates, center, bound, ctx)
+            verify_center(ssn, q, center, bound, may_join, ctx)
         }));
-        match attempt {
-            Ok(r) => r,
-            Err(_) => {
-                // The unwound verification may have left this worker's
-                // CH workspace mid-sweep; wipe it so later batches stay
-                // bit-identical.
-                if let Some(chb) = ctx.ch.as_mut() {
-                    chb.search.hard_reset();
-                }
-                Err(GpSsnError::Internal(format!(
-                    "refinement panicked verifying center {center}"
-                )))
+        if attempt.is_err() {
+            // The unwound verification may have left this worker's CH
+            // workspace mid-sweep; wipe it so later batches stay
+            // bit-identical.
+            if let Some(chb) = ctx.ch.as_mut() {
+                chb.search.hard_reset();
             }
         }
+        attempt.ok()
     } else {
-        verify_center(ssn, q, candidates, center, bound, ctx)
+        Some(verify_center(ssn, q, center, bound, may_join, ctx))
     };
-    match res {
-        Ok(v) => {
-            ctx.budget.add(Counter::PairsRefined, v.subsets_examined);
-            Some(v)
-        }
-        Err(_) => {
+    match &verified {
+        Some(v) => ctx.budget.add(Counter::PairsRefined, v.subsets_examined),
+        None => {
             ctx.budget.add(Counter::RefineFaults, 1);
             *unresolved = unresolved.min(lb);
-            None
         }
     }
+    verified
 }
 
 /// The error reported when a cut query verified nothing: the tripped

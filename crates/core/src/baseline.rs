@@ -213,10 +213,11 @@ pub fn exact_baseline_top_k(
 /// `meter` trips).
 fn all_groups(ssn: &SpatialSocialNetwork, q: &GpSsnQuery, meter: &BudgetState) -> Vec<Vec<UserId>> {
     let mut groups = Vec::new();
-    probe_groups(ssn.social(), q, None, meter, |s| {
+    let take = |s: &[UserId]| {
         groups.push(s.to_vec());
         false
-    });
+    };
+    probe_groups(ssn.social(), q, |_| true, meter, take);
     groups
 }
 

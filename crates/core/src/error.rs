@@ -194,9 +194,10 @@ pub struct QueryBudget {
     /// fallback expands. Centers are not charged.
     pub max_heap_pops: Option<u64>,
     /// Cap on group-enumeration work, the only bound on it: one unit per
-    /// admission check of the feasibility kernel (refinement probes,
-    /// the feasibility pre-check, the Baseline), per group the sampler
-    /// draws, and per (group, ball) pair the Baseline scores.
+    /// admission check of an enabled user by the feasibility kernel
+    /// (refinement probes, the feasibility pre-check, the Baseline), per
+    /// group the sampler draws, and per (group, ball) pair the Baseline
+    /// scores.
     pub max_groups_enumerated: Option<u64>,
     /// Cap on vertices settled by refinement-time distance batches:
     /// every settle of a plain Dijkstra batch, and the forward

@@ -7,12 +7,14 @@
 //! group for it:
 //!
 //! 1. compute `R(o_i)` exactly and its keyword union;
-//! 2. keep candidate users whose `Match_Score(u, R) >= θ` (the query user
-//!    must qualify);
-//! 3. compute the exact cost `c(u) = max_{o∈R} dist_RN(u, o)` of every
-//!    eligible user a group could contain: those within `τ − 1` hops of
-//!    `u_q` through eligible users cheaper than the incumbent, costed
-//!    one breadth-first layer (one distance batch) at a time;
+//! 2. the query user must satisfy `Match_Score(u_q, R) >= θ` and cost
+//!    less than the incumbent;
+//! 3. one breadth-first pass from `u_q`, to `τ − 1` hops, decides which
+//!    users the center considers: a user is tested the first time the
+//!    search reaches them (a query candidate, pivot lower bound below the
+//!    incumbent, `Match_Score >= θ`), and each layer of users that pass is
+//!    costed in one distance batch, `c(u) = max_{o∈R} dist_RN(u, o)`; the
+//!    search continues only through users cheaper than the incumbent;
 //! 4. the optimal group minimizes `max_{u∈S} c(u)` subject to: `|S| = τ`,
 //!    `u_q ∈ S`, `S` connected in `G_s`, pairwise interest `>= γ`.
 //!    Enabling users in ascending cost order makes feasibility *monotone*
@@ -22,7 +24,7 @@
 
 use crate::breaker::CircuitBreaker;
 use crate::cache::DistanceCache;
-use crate::error::{BudgetState, GpSsnError};
+use crate::error::BudgetState;
 use crate::query::{GpSsnAnswer, GpSsnQuery};
 use crate::stats::Counter;
 use gpssn_graph::{enumerate_connected_subsets, ChOracle, ChSearch, DijkstraWorkspace};
@@ -85,6 +87,51 @@ pub struct VerifyContext<'a> {
     /// center opens a `verify_center` span under the enclosing
     /// refinement phase's span.
     pub obs: Option<&'a gpssn_obs::Obs>,
+    /// Per-center user marks, reused by every center this scope verifies.
+    pub marks: UserMarks,
+}
+
+/// Which users the center being verified has reached, and each costed
+/// user's rank in its cost order. A new stamp per center makes every user
+/// read as unreached, so nothing is cleared between centers and a
+/// verification that unwound leaves no state behind. The first center
+/// that needs the per-user table allocates it.
+#[derive(Debug, Default)]
+pub struct UserMarks {
+    stamp: u32,
+    /// Per user: the stamp of the center that last reached them, and
+    /// their rank in that center's cost order ([`UNRANKED`] if none).
+    by_user: Vec<(u32, u32)>,
+}
+
+const UNRANKED: u32 = u32::MAX;
+
+impl UserMarks {
+    /// Starts a center: every one of `num_users` users reads as unreached.
+    fn begin(&mut self, num_users: usize) {
+        if self.stamp == u32::MAX {
+            *self = UserMarks::default();
+        }
+        let len = self.by_user.len().max(num_users);
+        self.by_user.resize(len, (0, UNRANKED));
+        self.stamp += 1;
+    }
+
+    /// Marks `u` reached; `false` if this center had already reached them.
+    fn reach(&mut self, u: UserId) -> bool {
+        let m = &mut self.by_user[u as usize];
+        if m.0 == self.stamp {
+            return false;
+        }
+        *m = (self.stamp, UNRANKED);
+        true
+    }
+
+    /// `u`'s rank in this center's cost order, if this center costed them.
+    fn rank(&self, u: UserId) -> Option<usize> {
+        let (stamp, rank) = self.by_user[u as usize];
+        (stamp == self.stamp && rank != UNRANKED).then_some(rank as usize)
+    }
 }
 
 /// A CH oracle handle paired with a reusable search workspace.
@@ -235,29 +282,30 @@ pub(crate) enum Probe {
 }
 
 /// The feasibility kernel: enumerates the connected `τ`-groups that
-/// contain `q.user`, draw only on `enabled` users (every user for
-/// `None`) and have pairwise interest `>= γ`, offering each to `take`;
-/// the first group `take` accepts ends the probe as [`Probe::Found`].
+/// contain `q.user`, draw only on `enabled` users and have pairwise
+/// interest `>= γ`, offering each to `take`; the first group `take`
+/// accepts ends the probe as [`Probe::Found`].
 ///
 /// A group grows only through users γ-compatible with every current
 /// member. Pairwise γ is hereditary (every subset of a valid group is
 /// valid), so this skips only partial groups no valid group contains,
 /// and the valid groups arrive in the order of the unfiltered
 /// enumeration (see [`enumerate_connected_subsets`]): the first group a
-/// probe finds is unchanged. Every admission check is charged to `meter`
-/// as one [`Counter::GroupsEnumerated`], so a probe that rejects every
-/// partial group still trips [`crate::QueryBudget::max_groups_enumerated`];
-/// any trip ends the probe as [`Probe::Cut`].
+/// probe finds is unchanged. Every admission check of an enabled user is
+/// charged to `meter` as one [`Counter::GroupsEnumerated`] (a disabled
+/// user is rejected for free), so a probe that rejects every partial
+/// group still trips [`crate::QueryBudget::max_groups_enumerated`]; any
+/// trip ends the probe as [`Probe::Cut`].
 pub(crate) fn probe_groups(
     social: &SocialNetwork,
     q: &GpSsnQuery,
-    enabled: Option<&[bool]>,
+    enabled: impl Fn(UserId) -> bool,
     meter: &BudgetState,
     mut take: impl FnMut(&[UserId]) -> bool,
 ) -> Probe {
     let mut admit = |set: &[UserId], v: UserId| {
-        meter.note_group().is_none()
-            && enabled.is_none_or(|e| e[v as usize])
+        enabled(v)
+            && meter.note_group().is_none()
             && set.iter().all(|&u| social.score(u, v) >= q.gamma)
     };
     let mut found = None;
@@ -283,34 +331,32 @@ pub(crate) fn probe_groups(
 ///
 /// **Reachable users only.** A group is connected, contains `u_q` and
 /// has `τ` members, each cheaper than `best_so_far` if the group is to
-/// beat it. So exact costs are computed layer by layer in a
-/// breadth-first expansion from `u_q` over the θ-eligible users, to
-/// `τ − 1` hops, continuing only through users cheaper than
-/// `best_so_far`; each layer is one batch. The binary search then runs
-/// over the users reached. No probe can touch an unreached user (the
-/// enumerator grows a set only through enabled neighbours of its
-/// members), so the minimal feasible prefix, its group and the maxdist
-/// bits are those of costing every eligible user.
+/// beat it. So one breadth-first pass from `u_q`, to `τ − 1` hops,
+/// decides which users the center considers: the first time it reaches
+/// a user, the user joins the next layer if `may_join` admits them (the
+/// caller's test: a query candidate whose pivot lower bound is below
+/// `best_so_far`) and `Match_Score(u, R) >= θ`. Each layer is costed in
+/// one batch, and the pass continues only through users cheaper than
+/// `best_so_far`. The binary search then runs over the users reached.
+/// No probe can touch an unreached user (the enumerator grows a set only
+/// through enabled neighbours of its members), so the minimal feasible
+/// prefix, its group and the maxdist bits are those of costing every
+/// eligible user. Per-center work is proportional to the users reached,
+/// never to the population or the candidate count.
 ///
 /// **Determinism.** On a completed (untripped) search the returned
 /// group is the one found at the minimal feasible cost-prefix `k*` — a
 /// pure function of the center, the exact user costs, and the query's
 /// social constraints. Any `best_so_far` larger than the center's
 /// optimal value yields the same group bit-for-bit.
-///
-/// **Errors.** `Err` means an internal invariant was violated (a group
-/// member missing from the cost table) — never a budget trip, which is
-/// reported through [`CenterVerification::answer`] as before. Callers
-/// treat an `Err` center as unresolved: record the fault, keep the
-/// query alive, and let the degradation ladder decide what to serve.
 pub fn verify_center(
     ssn: &SpatialSocialNetwork,
     q: &GpSsnQuery,
-    candidates: &[UserId],
     center: PoiId,
     best_so_far: f64,
+    may_join: impl Fn(UserId) -> bool,
     ctx: &mut VerifyContext<'_>,
-) -> Result<CenterVerification, GpSsnError> {
+) -> CenterVerification {
     if q.user == test_hooks::PANIC_ON_USER.load(std::sync::atomic::Ordering::Relaxed) {
         panic!("test hook: injected refinement fault for user {}", q.user);
     }
@@ -356,52 +402,30 @@ pub fn verify_center(
     };
     drop(ball_span);
     if ball.is_empty() {
-        return Ok(out);
+        return out;
     }
     let r_ids: Vec<PoiId> = ball.iter().map(|&(o, _)| o).collect();
     let union = ssn.pois().keyword_union(&r_ids);
 
     // Matching eligibility (the query user must qualify).
     if match_score_keywords(ssn.social().interest(q.user), &union) < q.theta {
-        return Ok(out);
+        return out;
     }
 
     // Exact cost of the query user first — one row, cheapest exit.
     let positions: Vec<NetworkPoint> = r_ids.iter().map(|&o| ssn.pois().get(o).position).collect();
     let ball_pts = (&r_ids[..], &positions[..]);
     let Some(cq) = user_costs(ssn, ctx, false, ball_pts, &[q.user]) else {
-        return Ok(out);
+        return out;
     };
     let cq = cq[0];
     if cq >= best_so_far || budget.is_tripped() {
-        return Ok(out); // any group containing u_q costs at least cq
+        return out; // any group containing u_q costs at least cq
     }
 
-    let mut eligible: Vec<UserId> = candidates
-        .iter()
-        .copied()
-        .filter(|&u| match_score_keywords(ssn.social().interest(u), &union) >= q.theta)
-        .collect();
-    if !eligible.contains(&q.user) {
-        eligible.push(q.user);
-    }
-    if eligible.len() < q.tau {
-        return Ok(out);
-    }
-
-    // Cost direction, decided on the whole eligible set: one row per
-    // ball POI (columns over users) beats one row per user whenever
-    // |R| <= |eligible| — the common case. Both give the same bits, so
-    // the query user's cost is the `cq` just computed.
-    let from_poi = positions.len() <= eligible.len();
-    let graph = ssn.social().graph();
-    let m = ssn.social().num_users();
-    // Eligible users not yet costed.
-    let mut open = vec![false; m];
-    for &u in &eligible {
-        open[u as usize] = true;
-    }
-    open[q.user as usize] = false;
+    let social = ssn.social();
+    ctx.marks.begin(social.num_users());
+    ctx.marks.reach(q.user);
     // Reached users (exact cost below `best_so_far`), layer by layer.
     let mut costs: Vec<(UserId, f64)> = Vec::new();
     let mut layer = vec![q.user];
@@ -409,8 +433,11 @@ pub fn verify_center(
         let layer_costs = if depth == 0 {
             vec![cq]
         } else {
+            // One row per ball POI when |R| <= |layer|, else one per user:
+            // both give the same bits and share cached cells.
+            let from_poi = positions.len() <= layer.len();
             let Some(c) = user_costs(ssn, ctx, from_poi, ball_pts, &layer) else {
-                return Ok(out);
+                return out;
             };
             c
         };
@@ -427,9 +454,13 @@ pub fn verify_center(
         }
         layer.clear();
         for &(u, _) in &costs[reached..] {
-            for nb in graph.neighbors(u) {
-                if std::mem::take(&mut open[nb.node as usize]) {
-                    layer.push(nb.node);
+            for nb in social.graph().neighbors(u) {
+                let v = nb.node;
+                if ctx.marks.reach(v)
+                    && may_join(v)
+                    && match_score_keywords(social.interest(v), &union) >= q.theta
+                {
+                    layer.push(v);
                 }
             }
         }
@@ -439,31 +470,28 @@ pub fn verify_center(
     }
     // Total order (panic-proof under NaN) with an id tie-break, so the
     // enabled prefix at any length is canonical — independent of the
-    // candidate ordering the caller happened to pass. Every reached user
-    // beats the incumbent; if the query user does not, nobody is reached.
+    // order the search reached users in. Every reached user beats the
+    // incumbent; if the query user does not, nobody is reached.
     costs.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     if costs.len() < q.tau {
-        return Ok(out);
+        return out;
+    }
+    for (rank, &(u, _)) in costs.iter().enumerate() {
+        ctx.marks.by_user[u as usize].1 = rank as u32;
     }
 
     // Binary search the smallest feasible enabled prefix (feasibility is
-    // monotone in the prefix length). One mask serves every probe: each
-    // enables its prefix, probes, and clears it again. `open` is reused
-    // for it, cleared of the eligible users the expansion left in it.
-    for &u in &eligible {
-        open[u as usize] = false;
-    }
-    let mut enabled = open;
-    let mut feasible_at = |k: usize, out: &mut CenterVerification| -> Probe {
-        for &(u, _) in &costs[..k] {
-            enabled[u as usize] = true;
-        }
-        let probe = probe_groups(ssn.social(), q, Some(&enabled), budget, |_| true);
-        for &(u, _) in &costs[..k] {
-            enabled[u as usize] = false;
-        }
-        out.subsets_examined += matches!(probe, Probe::Found(_)) as u64;
-        probe
+    // monotone in the prefix length): the prefix of length `k` is the
+    // users ranked below `k`, so a probe's group consists of ranked users
+    // and costs what its highest-ranked member costs.
+    let marks = &ctx.marks;
+    let feasible_at = |k: usize| {
+        let enabled = |u| marks.rank(u).is_some_and(|r| r < k);
+        probe_groups(social, q, enabled, budget, |_| true)
+    };
+    let group_maxdist = |g: &[UserId]| {
+        let top = g.iter().filter_map(|&u| marks.rank(u)).max();
+        top.map_or(0.0, |r| costs[r].1)
     };
 
     // Every feasibility probe below may be cut short by the budget. A
@@ -473,24 +501,7 @@ pub fn verify_center(
     // answer. So: keep the cheapest group seen, and on a cut stop
     // searching and report it — the caller folds this center's lower
     // bound into the anytime gap, which keeps the bound sound.
-    let group_maxdist = |g: &[UserId]| -> Result<f64, GpSsnError> {
-        let mut md = 0.0f64;
-        for &u in g {
-            match costs.iter().find(|&&(v, _)| v == u) {
-                Some(&(_, c)) => md = md.max(c),
-                // Feasibility probes only enable users drawn from the
-                // cost prefix, so a missing member is a broken internal
-                // invariant — surface it as a typed error, not a panic.
-                None => {
-                    return Err(GpSsnError::Internal(format!(
-                        "refinement invariant violated: group member {u} missing from cost table \
-                         of center {center}"
-                    )))
-                }
-            }
-        }
-        Ok(md)
-    };
+    //
     // Two trackers over the feasibility probes: `min_prefix_group` is
     // the group from the feasible probe at the *smallest* prefix
     // (feasible probes occur at strictly decreasing prefixes, so a
@@ -502,29 +513,26 @@ pub fn verify_center(
     // cheapest group any probe returned: the fallback reported when a
     // budget trip stops the search before it reaches `k*`.
     let mut best_verified: Option<(Vec<UserId>, f64)> = None;
-    let mut min_prefix_group: Option<Vec<UserId>> = None;
-    let record = |g: Vec<UserId>,
-                  best: &mut Option<(Vec<UserId>, f64)>,
-                  minp: &mut Option<Vec<UserId>>|
-     -> Result<(), GpSsnError> {
-        let md = group_maxdist(&g)?;
-        if best.as_ref().is_none_or(|&(_, b)| md < b) {
-            *best = Some((g.clone(), md));
+    let mut min_prefix_group: Option<(Vec<UserId>, f64)> = None;
+    let mut record = |g: Vec<UserId>| {
+        out.subsets_examined += 1;
+        let md = group_maxdist(&g);
+        if best_verified.as_ref().is_none_or(|&(_, b)| md < b) {
+            best_verified = Some((g.clone(), md));
         }
-        *minp = Some(g);
-        Ok(())
+        min_prefix_group = Some((g, md));
     };
     let mut lo = q.tau; // smallest prefix that could host a group
     let mut hi = costs.len();
-    match feasible_at(hi, &mut out) {
-        Probe::Found(g) => record(g, &mut best_verified, &mut min_prefix_group)?,
-        _ => return Ok(out), // infeasible (or cut before any find)
+    match feasible_at(hi) {
+        Probe::Found(g) => record(g),
+        _ => return out, // infeasible (or cut before any find)
     }
     while lo < hi && !budget.is_tripped() {
         let mid = (lo + hi) / 2;
-        match feasible_at(mid, &mut out) {
+        match feasible_at(mid) {
             Probe::Found(g) => {
-                record(g, &mut best_verified, &mut min_prefix_group)?;
+                record(g);
                 hi = mid;
             }
             Probe::Infeasible => lo = mid + 1,
@@ -539,13 +547,7 @@ pub fn verify_center(
     let chosen = if budget.is_tripped() {
         best_verified
     } else {
-        match min_prefix_group {
-            Some(g) => {
-                let md = group_maxdist(&g)?;
-                Some((g, md))
-            }
-            None => None,
-        }
+        min_prefix_group
     };
     if let Some((group, maxdist)) = chosen {
         if maxdist < best_so_far {
@@ -560,7 +562,7 @@ pub fn verify_center(
             });
         }
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -588,9 +590,9 @@ mod tests {
             breaker: None,
             budget: &budget,
             obs: None,
+            marks: UserMarks::default(),
         };
-        verify_center(ssn, q, candidates, center, best, &mut ctx)
-            .expect("no invariant faults in tests")
+        verify_center(ssn, q, center, best, |u| candidates.contains(&u), &mut ctx)
     }
 
     /// Line road 0..4 (x = 0, 2, 4, 6, 8); POIs at x = 1, 3, 7.
@@ -628,7 +630,9 @@ mod tests {
     /// 0–1, 1–2, 0–3, 3–4. Costs over the ball {x=1, x=3}: user 0 (x=0)
     /// 3, user 1 (x=20) 19, user 2 (x=2) 1, user 3 (x=4) 3, user 4
     /// (x=2) 1. User 2 is cheap but reachable only through the costly
-    /// user 1; user 4 is cheap but two hops from user 0.
+    /// user 1; user 4 is cheap but two hops from user 0, through user 3,
+    /// whose Match_Score over the ball's keywords is 0.9 (1.8 for the
+    /// others).
     fn reach_fixture() -> SpatialSocialNetwork {
         let locs: Vec<Point> = (0..11).map(|i| Point::new(2.0 * i as f64, 0.0)).collect();
         let edges: Vec<(u32, u32)> = (0..10).map(|i| (i, i + 1)).collect();
@@ -640,10 +644,9 @@ mod tests {
                 Poi::new(NetworkPoint::new(&road, 1, 1.0), vec![1]),
             ],
         );
-        let social = SocialNetwork::new(
-            vec![InterestVector::new(vec![0.9, 0.9]); 5],
-            &[(0, 1), (1, 2), (0, 3), (3, 4)],
-        );
+        let mut interests = vec![InterestVector::new(vec![0.9, 0.9]); 5];
+        interests[3] = InterestVector::new(vec![0.9, 0.0]);
+        let social = SocialNetwork::new(interests, &[(0, 1), (1, 2), (0, 3), (3, 4)]);
         let homes = [(0, 0.0), (9, 2.0), (1, 0.0), (2, 0.0), (1, 0.0)]
             .map(|(e, off)| NetworkPoint::new(&road, e, off))
             .to_vec();
@@ -687,12 +690,23 @@ mod tests {
     fn costs_only_users_a_group_can_reach() {
         let ssn = reach_fixture();
         // Ball {x=1, x=3} around POI 0; the incumbent 10 is below c(1).
-        for (tau, costed) in [(2, vec![0, 1, 3]), (3, vec![0, 1, 3, 4])] {
+        // Rows: (τ, θ, the user an injected pivot bound rejects, users
+        // costed).
+        for (tau, theta, rejected, costed) in [
+            (2, 0.5, None, vec![0, 1, 3]),
+            (3, 0.5, None, vec![0, 1, 3, 4]),
+            // User 3 is cheap and adjacent to u_q, but its pivot bound
+            // reaches the incumbent: it is never costed, and user 4
+            // behind it is never reached.
+            (3, 0.5, Some(3), vec![0, 1]),
+            // User 3 fails θ, which blocks the only path to user 4.
+            (3, 1.0, None, vec![0, 1]),
+        ] {
             let q = GpSsnQuery {
                 user: 0,
                 tau,
                 gamma: 0.5,
-                theta: 0.5,
+                theta,
                 radius: 2.1,
             };
             let cache = DistanceCache::new(&crate::DistanceCacheConfig::default());
@@ -705,18 +719,28 @@ mod tests {
                 breaker: None,
                 budget: &budget,
                 obs: None,
+                marks: UserMarks::default(),
             };
-            let v = verify_center(&ssn, &q, &[0, 1, 2, 3, 4], 0, 10.0, &mut ctx)
-                .expect("no invariant faults in tests");
-            assert_eq!(v.answer.map(|a| a.maxdist), brute_force(&ssn, &q, 0));
+            let v = verify_center(&ssn, &q, 0, 10.0, |u| Some(u) != rejected, &mut ctx);
+            // A sound bound rejects only users costing at least the
+            // incumbent; the injected one hides user 3's group {0, 3, 4}.
+            let expected = match rejected {
+                Some(_) => None,
+                None => brute_force(&ssn, &q, 0).filter(|&md| md < 10.0),
+            };
+            assert_eq!(v.answer.map(|a| a.maxdist), expected, "τ={tau} θ={theta}");
             // |R| = 2 cells for u_q's own row, which also serves depth 0,
             // then 2 per other costed user.
             let c = budget.snapshot();
             let lookups = c[Counter::DistHits] + c[Counter::DistMisses];
-            assert_eq!(lookups, 2 * costed.len() as u64, "τ={tau}");
+            assert_eq!(lookups, 2 * costed.len() as u64, "τ={tau} θ={theta}");
             for u in 0..5 {
                 let cell = cache.get_block(&[u], &[0]);
-                assert_eq!(cell.is_some(), costed.contains(&u), "τ={tau} user {u}");
+                assert_eq!(
+                    cell.is_some(),
+                    costed.contains(&u),
+                    "τ={tau} θ={theta} user {u}"
+                );
             }
         }
     }
@@ -752,7 +776,6 @@ mod tests {
             theta: 0.0,
             radius: 1.0,
         };
-        let candidates: Vec<UserId> = (0..=FRIENDS as u32).collect();
         let mut ws = DijkstraWorkspace::new();
         let budget = BudgetState::unlimited();
         let mut ctx = VerifyContext {
@@ -762,9 +785,9 @@ mod tests {
             breaker: None,
             budget: &budget,
             obs: None,
+            marks: UserMarks::default(),
         };
-        let v = verify_center(&ssn, &q, &candidates, 0, f64::INFINITY, &mut ctx)
-            .expect("no invariant faults in tests");
+        let v = verify_center(&ssn, &q, 0, f64::INFINITY, |_| true, &mut ctx);
         assert!(v.answer.is_none());
         assert_eq!(v.subsets_examined, 0);
         // The root, each friend, and each later friend offered to a
@@ -772,6 +795,24 @@ mod tests {
         // where testing only complete groups walks C(12, 3) = 220.
         let groups = budget.snapshot()[Counter::GroupsEnumerated];
         assert!(groups <= 79, "{groups} admission checks");
+    }
+
+    #[test]
+    fn disabled_neighbours_cost_no_admission_check() {
+        let ssn = fixture();
+        // User 1's friends 0 and 2 are both disabled.
+        let q = GpSsnQuery {
+            user: 1,
+            tau: 2,
+            gamma: 0.0,
+            theta: 0.0,
+            radius: 2.1,
+        };
+        let budget = BudgetState::unlimited();
+        let probe = probe_groups(ssn.social(), &q, |u| u == 1, &budget, |_| true);
+        assert!(matches!(probe, Probe::Infeasible));
+        // The root's own admission is the only check charged.
+        assert_eq!(budget.snapshot()[Counter::GroupsEnumerated], 1);
     }
 
     #[test]

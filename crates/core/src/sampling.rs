@@ -61,18 +61,20 @@ pub fn sample_connected_group<R: Rng + ?Sized>(
 }
 
 /// Sampled counterpart of [`crate::refinement::verify_center`]: draws up
-/// to `samples` random connected groups among the `θ`-eligible candidate
-/// users and keeps the best feasible one. Exact in its *checks*,
-/// approximate in its *search*. Each draw counts against the budget's
-/// group allowance and each cost Dijkstra against its settle allowance;
-/// a trip abandons the center (returning whatever was already verified
-/// stays sound, but we return `None` to keep the anytime gap
-/// conservative — the caller treats the center as unresolved).
+/// to `samples` random connected groups among the `candidates` that
+/// `may_join` admits (the caller's per-user pivot-bound test) and that
+/// are `θ`-eligible, and keeps the best feasible one. Exact in its
+/// *checks*, approximate in its *search*. Each draw counts against the
+/// budget's group allowance and each cost Dijkstra against its settle
+/// allowance; a trip abandons the center (returning whatever was
+/// already verified stays sound, but we return `None` to keep the
+/// anytime gap conservative — the caller treats the center as
+/// unresolved).
 #[allow(clippy::too_many_arguments)]
 pub fn verify_center_sampled<R: Rng + ?Sized>(
     ssn: &SpatialSocialNetwork,
     q: &GpSsnQuery,
-    candidates: &[UserId],
+    (candidates, may_join): (&[UserId], &dyn Fn(UserId) -> bool),
     center: PoiId,
     best_so_far: f64,
     samples: usize,
@@ -92,7 +94,7 @@ pub fn verify_center_sampled<R: Rng + ?Sized>(
     let mut allowed = vec![false; ssn.social().num_users()];
     let mut eligible_count = 0usize;
     for &u in candidates {
-        if match_score_keywords(ssn.social().interest(u), &union) >= q.theta {
+        if may_join(u) && match_score_keywords(ssn.social().interest(u), &union) >= q.theta {
             allowed[u as usize] = true;
             eligible_count += 1;
         }
@@ -190,6 +192,37 @@ mod tests {
     }
 
     #[test]
+    fn never_samples_a_user_whose_bound_reaches_the_incumbent() {
+        let ssn = synthetic(&SyntheticConfig::uni().scaled(0.006), 9);
+        let q = GpSsnQuery {
+            user: 0,
+            tau: 2,
+            gamma: 0.3,
+            theta: 0.3,
+            radius: 2.5,
+        };
+        let candidates: Vec<u32> = (0..ssn.social().num_users() as u32).collect();
+        // The users drawn over every center, each center verified
+        // against a finite incumbent with the given per-user bound test.
+        let drawn = |may_join: &dyn Fn(UserId) -> bool| -> Vec<UserId> {
+            let mut rng = StdRng::seed_from_u64(1);
+            let budget = BudgetState::unlimited();
+            (0..ssn.pois().len() as u32)
+                .filter_map(|center| {
+                    let pool = (&candidates[..], may_join);
+                    verify_center_sampled(&ssn, &q, pool, center, 1e9, 20, &mut rng, &budget)
+                })
+                .flat_map(|a| a.users)
+                .collect()
+        };
+        assert!(drawn(&|_| true).iter().any(|&u| u % 2 == 1));
+        // An injected bound that reaches the incumbent for every odd user.
+        let kept = drawn(&|u| u % 2 == 0);
+        assert!(!kept.is_empty());
+        assert!(kept.iter().all(|&u| u % 2 == 0), "{kept:?}");
+    }
+
+    #[test]
     fn sampled_answers_are_valid_and_no_better_than_exact() {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.006), 9);
         let q = GpSsnQuery {
@@ -208,7 +241,7 @@ mod tests {
             if let Some(a) = verify_center_sampled(
                 &ssn,
                 &q,
-                &candidates,
+                (&candidates, &|_| true),
                 center,
                 bound,
                 20,

@@ -61,9 +61,9 @@ counters! {
     HeapPops => "heap_pops", "gpssn_heap_pops_total";
     /// Group-enumeration work, the unit of
     /// [`crate::QueryBudget::max_groups_enumerated`]: mostly admission
-    /// checks of the feasibility kernel, one per user offered to a
-    /// partial group (the query user as its root included), plus one per
-    /// group the sampler draws.
+    /// checks of the feasibility kernel, one per enabled user offered to
+    /// a partial group (the query user as its root included), plus one
+    /// per group the sampler draws.
     GroupsEnumerated => "groups_enumerated", "gpssn_groups_enumerated_total";
     /// Refinement `dist_RN` batches answered by plain Dijkstra sweeps.
     DijkstraBatches => "dijkstra_batches", "gpssn_distance_batches_total" ["backend" = "dijkstra"];

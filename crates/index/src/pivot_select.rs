@@ -76,13 +76,14 @@ pub fn select_social_pivots(net: &SocialNetwork, cfg: &PivotSelectConfig) -> Vec
     })
 }
 
-/// Generic Algorithm 1 over any single-source distance oracle.
+/// Generic Algorithm 1 over any single-source distance oracle. A graph
+/// with fewer than `cfg.count` vertices gets every vertex as a pivot.
 fn select_pivots<F>(n: usize, cfg: &PivotSelectConfig, column: F) -> Vec<NodeId>
 where
     F: Fn(NodeId) -> Vec<f64> + Sync,
 {
     assert!(cfg.count >= 1, "need at least one pivot");
-    assert!(n >= cfg.count, "more pivots requested than vertices");
+    let count = cfg.count.min(n);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     // Fixed evaluation sample.
@@ -125,8 +126,8 @@ where
     let mut global_best: Vec<NodeId> = Vec::new();
     for _ in 0..cfg.global_iter.max(1) {
         // Random initial pivot set (distinct).
-        let mut pivots: Vec<NodeId> = Vec::with_capacity(cfg.count);
-        while pivots.len() < cfg.count {
+        let mut pivots: Vec<NodeId> = Vec::with_capacity(count);
+        while pivots.len() < count {
             let cand = rng.gen_range(0..n) as NodeId;
             if !pivots.contains(&cand) {
                 pivots.push(cand);
@@ -134,7 +135,7 @@ where
         }
         let mut local_cost = cost_of(&pivots, &mut columns);
         for _ in 0..cfg.swap_iter {
-            let slot = rng.gen_range(0..cfg.count);
+            let slot = rng.gen_range(0..count);
             let replacement = rng.gen_range(0..n) as NodeId;
             if pivots.contains(&replacement) {
                 continue;
@@ -223,6 +224,15 @@ mod tests {
     }
 
     #[test]
+    fn count_beyond_vertices_takes_every_vertex() {
+        let cfg = PivotSelectConfig {
+            count: 10,
+            ..Default::default()
+        };
+        assert_eq!(select_road_pivots(&grid(2, 2), &cfg), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
     fn deterministic_under_seed() {
         let net = grid(5, 5);
         let cfg = PivotSelectConfig {
@@ -291,18 +301,5 @@ mod tests {
             },
         );
         assert_eq!(pivots.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "more pivots")]
-    fn rejects_too_many_pivots() {
-        let net = grid(2, 2);
-        select_road_pivots(
-            &net,
-            &PivotSelectConfig {
-                count: 10,
-                ..Default::default()
-            },
-        );
     }
 }

@@ -11,7 +11,7 @@ use gpssn::index::{PivotSelectConfig, SocialIndexConfig};
 use gpssn::road::{NetworkPoint, Poi, PoiSet, RoadNetwork};
 use gpssn::social::{InterestVector, SocialNetwork};
 use gpssn::spatial::Point;
-use gpssn::ssn::{synthetic, SpatialSocialNetwork, SyntheticConfig};
+use gpssn::ssn::{read_ssn, synthetic, write_ssn, SpatialSocialNetwork, SyntheticConfig};
 
 fn tiny_engine_cfg() -> EngineConfig {
     EngineConfig {
@@ -375,4 +375,47 @@ fn colocated_users_and_pois_work() {
     let out = query(&engine, &q, &Default::default());
     let ans = out.answer().expect("trivially feasible");
     assert_eq!(ans.maxdist, 0.0);
+}
+
+#[test]
+fn two_vertex_network_builds_with_default_config() {
+    // Fewer road vertices and users than the default pivot counts.
+    let locs = vec![Point::new(0.0, 0.0), Point::new(1.0, 0.0)];
+    let road = RoadNetwork::from_euclidean_edges(locs, &[(0, 1)]);
+    let pois = PoiSet::new(
+        &road,
+        vec![Poi::new(NetworkPoint::new(&road, 0, 0.5), vec![0])],
+    );
+    let social = SocialNetwork::new(
+        vec![
+            InterestVector::new(vec![1.0]),
+            InterestVector::new(vec![1.0]),
+        ],
+        &[(0, 1)],
+    );
+    let homes = vec![
+        NetworkPoint::new(&road, 0, 0.0),
+        NetworkPoint::new(&road, 0, 1.0),
+    ];
+    let mut bytes = Vec::new();
+    write_ssn(
+        &SpatialSocialNetwork::new(road, pois, social, homes),
+        &mut bytes,
+    )
+    .expect("in-memory write");
+    let ssn = read_ssn(&bytes[..]).expect("a valid .ssn");
+    let engine = GpSsnEngine::build(&ssn, EngineConfig::default());
+    let q = GpSsnQuery {
+        user: 0,
+        tau: 2,
+        gamma: 0.5,
+        theta: 0.5,
+        radius: 1.0,
+    };
+    let out = engine
+        .try_query(&q, &Default::default(), &QueryBudget::unlimited())
+        .expect("a valid query");
+    assert_eq!(out.completion, Completion::Exact);
+    let ans = out.answer().expect("both users reach the POI");
+    assert_eq!((ans.users.as_slice(), ans.maxdist), (&[0, 1][..], 0.5));
 }
