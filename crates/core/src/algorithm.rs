@@ -18,9 +18,11 @@
 //!    ascending `lb` order with early termination (`lb` reaching the
 //!    `k`-th best value; `k = 1` outside [`QueryMode::TopK`]).
 //!
-//! Every [`QueryMode`] runs this one search; the modes differ only in
-//! `k` and in how a center is verified (exact enumeration, or subset
-//! sampling for [`QueryMode::Approximate`] and the ladder's rescue).
+//! Every [`QueryMode`] runs this one search and verifies each center with
+//! [`verify_center`]; the modes differ only in `k` and in how a center
+//! searches the users it reached ([`CenterSearch`]: exact enumeration, or
+//! subset sampling for [`QueryMode::Approximate`] and the ladder's
+//! rescue).
 //!
 //! **Exactness.** The paper's `δ` cut can, in corner cases, discard the
 //! region holding the only (or a better) feasible answer, because the
@@ -43,7 +45,7 @@ use crate::pruning::{
 };
 use crate::query::{GpSsnAnswer, GpSsnQuery};
 use crate::refinement::{
-    probe_groups, verify_center, CenterVerification, ChBackend, Probe, VerifyContext,
+    probe_groups, verify_center, CenterSearch, CenterVerification, ChBackend, Probe, VerifyContext,
 };
 use crate::serve::{ServeConfig, ServeObs, ServeObsConfig, ServeRequest, Submission};
 use crate::stats::{Counter, QueryCounters, QueryMetrics, QueryOutcome};
@@ -57,7 +59,6 @@ use gpssn_road::{PoiId, RoadPivots};
 use gpssn_social::{SocialPivots, UserId};
 use gpssn_spatial::Entry;
 use gpssn_ssn::SpatialSocialNetwork;
-use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -128,23 +129,6 @@ impl EngineConfig {
     }
 }
 
-/// Which oracle serves refinement-time `dist_RN` computations.
-///
-/// Both backends return bit-identical distances (road lengths sit on the
-/// `2⁻³²` grid, so a CH search key is exactly Dijkstra's sum — see
-/// `gpssn_graph::ch`), so the choice affects speed and metering only,
-/// never answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DistanceBackend {
-    /// Multi-target Dijkstra sweeps over the road graph.
-    Dijkstra,
-    /// The road index's contraction-hierarchy oracle. Falls back to
-    /// [`DistanceBackend::Dijkstra`] silently when the index carries no
-    /// oracle (`RoadIndexConfig::build_ch = false`, or an index loaded
-    /// from a CH-less file).
-    Ch,
-}
-
 /// What to serve when the exact pipeline cannot produce an answer.
 ///
 /// The engine degrades along a fixed ladder of rungs, each strictly
@@ -190,12 +174,14 @@ pub enum QueryMode {
     /// all verified and the completion carries the gap of the `k`-th
     /// slot (`f64::INFINITY` when fewer than `k` were verified).
     TopK(usize),
-    /// The paper's §5 future-work *subset sampling*: refinement draws
-    /// `samples` random connected groups per center (seeded by `seed`)
-    /// instead of enumerating, on plain Dijkstra; the centers come from
-    /// the same search as Exact, δ fallback included. Any answer
-    /// satisfies Definition 5 exactly but may be suboptimal or missed;
-    /// sampled draws count against `max_groups_enumerated`.
+    /// The paper's §5 future-work *subset sampling*: each center draws
+    /// `samples` random connected groups (seeded by `seed`) from the
+    /// users its verification reached, instead of enumerating
+    /// ([`CenterSearch::Sample`]); everything else — the centers, δ
+    /// fallback included, the ball, the distance backend and caches — is
+    /// Exact's. Any answer satisfies Definition 5 exactly but may be
+    /// suboptimal or missed; each draw counts against
+    /// `max_groups_enumerated`.
     Approximate {
         /// Random groups drawn per candidate center.
         samples: usize,
@@ -233,12 +219,6 @@ pub struct QueryOptions {
     /// geometric `maxdist`/`mindist` comparison for Lemma 8 (the
     /// geometric test is sufficient-only; the tight test prunes more).
     pub use_tight_mbr_test: bool,
-    /// Oracle serving refinement-time `dist_RN` rows and columns. The
-    /// default [`DistanceBackend::Ch`] uses the road index's contraction
-    /// hierarchy when it carries one and degrades to Dijkstra otherwise;
-    /// answers are bit-identical either way. The sampling-based
-    /// approximate path always uses Dijkstra.
-    pub distance_backend: DistanceBackend,
     /// What to serve when the exact pipeline cannot produce an answer
     /// (see [`DegradationPolicy`]). The default, `FailFast`, preserves
     /// the legacy failure behavior exactly.
@@ -256,7 +236,6 @@ impl Default for QueryOptions {
             use_matching_pruning: true,
             use_delta_pruning: true,
             use_tight_mbr_test: false,
-            distance_backend: DistanceBackend::Ch,
             degradation: DegradationPolicy::default(),
             mode: QueryMode::default(),
         }
@@ -293,14 +272,10 @@ enum Item {
     Center(PoiId),
 }
 
-/// The per-center user test the center loop hands to verification: a
-/// query candidate whose pivot lower bound to the center is below the
-/// bound being verified against (see [`GpSsnEngine::center_loop`]).
-type MayJoin<'a> = &'a dyn Fn(UserId) -> bool;
-
 /// One query's road-search state, shared by the traversal and the
 /// center loop: the query, its candidate users as a per-user mask, the
-/// `u_q` bounds Eqs. 16–17 read, and `δ`.
+/// `u_q` bounds Eqs. 16–17 read, `δ`, and how many more centers may be
+/// verified.
 struct RoadSearch<'s> {
     q: &'s GpSsnQuery,
     opts: &'s QueryOptions,
@@ -309,6 +284,7 @@ struct RoadSearch<'s> {
     uq_rn: &'s [f64],
     scand_ub: Vec<f64>,
     delta: f64,
+    centers_left: usize,
 }
 
 impl<'a> GpSsnEngine<'a> {
@@ -464,16 +440,6 @@ impl<'a> GpSsnEngine<'a> {
         }
     }
 
-    /// The CH oracle serving this query's `dist_RN` batches, honouring
-    /// [`QueryOptions::distance_backend`]: `None` under the Dijkstra
-    /// backend or when the road index carries no oracle.
-    fn ch_for(&self, opts: &QueryOptions) -> Option<&gpssn_graph::ChOracle> {
-        match opts.distance_backend {
-            DistanceBackend::Dijkstra => None,
-            DistanceBackend::Ch => self.road_index.ch(),
-        }
-    }
-
     /// The attached telemetry sink when it is live (metrics or tracing
     /// enabled); dormant and absent sinks both come back `None`, so
     /// every instrumentation site downstream stays a single check.
@@ -546,72 +512,21 @@ impl<'a> GpSsnEngine<'a> {
             QueryMode::TopK(k) => k,
             _ => 1,
         };
-        let (mut answers, delta, outstanding) = match opts.mode {
-            QueryMode::Exact | QueryMode::TopK(_) => {
-                let mut ws = DijkstraWorkspace::new();
-                let mut chws = gpssn_graph::ChSearch::new();
-                let mut ctx = VerifyContext {
-                    ws: &mut ws,
-                    ch: self.ch_for(opts).map(|oracle| ChBackend {
-                        oracle,
-                        search: &mut chws,
-                    }),
-                    cache: self.distance_cache.as_ref(),
-                    breaker: Some(&self.ch_breaker),
-                    budget: &meter,
-                    obs,
-                    marks: Default::default(),
-                };
-                let found = self.road_search(
-                    q,
-                    k,
-                    opts,
-                    &candidates,
-                    &mut counts,
-                    &meter,
-                    obs,
-                    |may_join, center, bound, unresolved| {
-                        verify_center_guarded(
-                            self.ssn,
-                            q,
-                            center,
-                            bound,
-                            may_join,
-                            &mut ctx,
-                            opts.degradation,
-                            unresolved,
-                        )
-                        .and_then(|v| v.answer)
-                    },
-                );
-                note_workspaces(&meter, &ws, &chws);
-                found
-            }
-            QueryMode::Approximate { samples, seed } => {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                self.road_search(
-                    q,
-                    1,
-                    opts,
-                    &candidates,
-                    &mut counts,
-                    &meter,
-                    obs,
-                    |may_join, (_, center), bound, _| {
-                        crate::sampling::verify_center_sampled(
-                            self.ssn,
-                            q,
-                            (&candidates, may_join),
-                            center,
-                            bound,
-                            samples,
-                            &mut rng,
-                            &meter,
-                        )
-                    },
-                )
-            }
+        let search = match opts.mode {
+            QueryMode::Approximate { samples, seed } => CenterSearch::sample(samples, seed),
+            _ => CenterSearch::Prefix,
         };
+        let (mut answers, delta, outstanding) = self.road_search(
+            q,
+            k,
+            opts,
+            &candidates,
+            &mut counts,
+            &meter,
+            obs,
+            search,
+            usize::MAX,
+        );
         counts += &meter.snapshot();
         let trip = meter.trip();
         let mut completion = completion_of(trip, &counts, &answers, k, outstanding);
@@ -755,11 +670,12 @@ impl<'a> GpSsnEngine<'a> {
     /// satisfies Definition 5 exactly; only its optimality is unknown.
     /// Deterministic: the RNG is seeded from the query user, the budget
     /// is counted in work units, not wall-clock time, and only the
-    /// first `RESCUE_CENTERS` centers the loop reaches are sampled (the
-    /// rest are skipped unverified). The sampler runs on plain
-    /// Dijkstra, touching none of the CH or refinement machinery the
-    /// faults came from. The rescue's own work (pages, pops, groups,
-    /// settles) is added to `counts`, and its traversal's center count
+    /// first `RESCUE_CENTERS` centers the loop reaches are verified (the
+    /// rest are skipped unverified). Verification runs as in every mode,
+    /// CH oracle and breaker included: a CH fault is re-served from
+    /// Dijkstra, and a fault inside a center's verification is absorbed
+    /// per center. The rescue's own work (pages, pops, groups, settles,
+    /// faults) is added to `counts`, and its traversal's center count
     /// replaces [`Counter::CandidatePois`].
     fn sampling_rescue(
         &self,
@@ -777,8 +693,7 @@ impl<'a> GpSsnEngine<'a> {
             deadline: None,
         };
         let meter = BudgetState::new(&budget);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EED_0000 ^ u64::from(q.user));
-        let mut sampled = 0;
+        let search = CenterSearch::sample(RESCUE_SAMPLES, 0x5EED_0000 ^ u64::from(q.user));
         let (answers, _, _) = self.road_search(
             q,
             1,
@@ -787,22 +702,8 @@ impl<'a> GpSsnEngine<'a> {
             counts,
             &meter,
             None,
-            |may_join, (_, center), bound, _| {
-                sampled += 1;
-                if sampled > RESCUE_CENTERS {
-                    return None;
-                }
-                crate::sampling::verify_center_sampled(
-                    self.ssn,
-                    q,
-                    (candidates, may_join),
-                    center,
-                    bound,
-                    RESCUE_SAMPLES,
-                    &mut rng,
-                    &meter,
-                )
-            },
+            search,
+            RESCUE_CENTERS,
         );
         *counts += &meter.snapshot();
         answers.into_iter().next()
@@ -932,8 +833,11 @@ impl<'a> GpSsnEngine<'a> {
     /// loop ([`GpSsnEngine::center_loop`]) twice — under the `refine`
     /// phase over the traversal's centers, and under `refine_fallback`
     /// over the deferred `δ`-cut items, keeping the answers found so
-    /// far (see the module docs). `verify` checks one center against a
-    /// bound, admitting only the users its [`MayJoin`] test passes.
+    /// far (see the module docs). Every center is verified by
+    /// [`verify_center`] under `search`, on one [`VerifyContext`] (the CH
+    /// oracle when the road index has one, the breaker, the distance
+    /// cache, `meter`); at most `max_centers` centers are verified, and
+    /// later ones are skipped unverified. `obs` times the phases.
     /// Returns the `k` best answers (ascending `maxdist`), the final `δ`,
     /// and the smallest lower bound left unresolved by a budget trip or
     /// an absorbed fault (`f64::INFINITY` when none).
@@ -947,7 +851,8 @@ impl<'a> GpSsnEngine<'a> {
         counts: &mut QueryCounters,
         meter: &BudgetState,
         obs: Option<&Obs>,
-        mut verify: impl FnMut(MayJoin<'_>, (f64, PoiId), f64, &mut f64) -> Option<GpSsnAnswer>,
+        search: CenterSearch,
+        max_centers: usize,
     ) -> (Vec<GpSsnAnswer>, f64, f64) {
         let idx = &self.road_index;
         let uq_rn = self.social_index.user_rn_dists(q.user);
@@ -1005,6 +910,7 @@ impl<'a> GpSsnEngine<'a> {
             uq_rn,
             scand_ub,
             delta: f64::INFINITY,
+            centers_left: max_centers,
         };
 
         let mut heap = MinHeap::new();
@@ -1041,13 +947,30 @@ impl<'a> GpSsnEngine<'a> {
         });
         counts[Counter::CandidatePois] = centers.data.len() as u64;
 
+        let mut ws = DijkstraWorkspace::new();
+        let mut chws = gpssn_graph::ChSearch::new();
+        let mut ctx = VerifyContext {
+            ws: &mut ws,
+            ch: self.road_index.ch().map(|oracle| ChBackend {
+                oracle,
+                search: &mut chws,
+            }),
+            cache: self.distance_cache.as_ref(),
+            breaker: Some(&self.ch_breaker),
+            budget: meter,
+            obs: self.obs(),
+            marks: Default::default(),
+            search,
+        };
         let mut answers = Vec::new();
         for (phase, items) in [("refine", centers), ("refine_fallback", deferred)] {
             let unresolved = gpssn_obs::phase(obs, phase, || {
-                self.center_loop(&mut s, k, items, &mut answers, counts, meter, &mut verify)
+                self.center_loop(&mut s, k, items, &mut answers, counts, &mut ctx)
             });
             outstanding = outstanding.min(unresolved);
         }
+        drop(ctx);
+        note_workspaces(meter, &ws, &chws);
         (answers, s.delta, outstanding)
     }
 
@@ -1074,8 +997,8 @@ impl<'a> GpSsnEngine<'a> {
     /// rounds of [`GpSsnEngine::road_search`]: pops `heap` in ascending
     /// `(lb, item)` order, keeps the `k` best distinct answers in
     /// `answers`, and stops once `lb` reaches the `k`-th best value (`∞`
-    /// while fewer than `k` are held). A center is verified by `verify`
-    /// against that bound, with a [`MayJoin`] test that admits a query
+    /// while fewer than `k` are held). A center is verified on `ctx`
+    /// against that bound, with a `may_join` test that admits a query
     /// candidate unless its pivot lower bound to the center reaches the
     /// bound (skipped while the bound is infinite): such a user's exact
     /// cost is at least as large, so verification would drop the user
@@ -1083,7 +1006,6 @@ impl<'a> GpSsnEngine<'a> {
     /// children and centers pushed back; only an expanded node is
     /// charged a heap pop. Returns the smallest `lb` left unresolved by
     /// a budget trip or an absorbed fault (`f64::INFINITY` when none).
-    #[allow(clippy::too_many_arguments)]
     fn center_loop(
         &self,
         s: &mut RoadSearch<'_>,
@@ -1091,9 +1013,9 @@ impl<'a> GpSsnEngine<'a> {
         mut heap: MinHeap<Item>,
         answers: &mut Vec<GpSsnAnswer>,
         counts: &mut QueryCounters,
-        meter: &BudgetState,
-        verify: &mut impl FnMut(MayJoin<'_>, (f64, PoiId), f64, &mut f64) -> Option<GpSsnAnswer>,
+        ctx: &mut VerifyContext<'_>,
     ) -> f64 {
+        let meter = ctx.budget;
         let mut unresolved = f64::INFINITY;
         while let Some((lb, item)) = heap.pop() {
             let bound = answers.get(k - 1).map_or(f64::INFINITY, |a| a.maxdist);
@@ -1113,15 +1035,27 @@ impl<'a> GpSsnEngine<'a> {
                     self.expand_node(s, n, counts, false, &mut |lb, item| heap.push(lb, item));
                     continue;
                 }
+                Item::Center(_) if s.centers_left == 0 => continue,
                 Item::Center(c) => c,
             };
+            s.centers_left -= 1;
             let center_rn = &self.road_index.poi(center).pivot_dists;
             let may_join = |u: UserId| {
                 s.is_candidate[u as usize]
                     && (!bound.is_finite()
                         || lb_maxdist_poi(self.social_index.user_rn_dists(u), center_rn) < bound)
             };
-            if let Some(ans) = verify(&may_join, (lb, center), bound, &mut unresolved) {
+            let verified = verify_center_guarded(
+                self.ssn,
+                s.q,
+                (lb, center),
+                bound,
+                may_join,
+                ctx,
+                s.opts.degradation,
+                &mut unresolved,
+            );
+            if let Some(ans) = verified.and_then(|v| v.answer) {
                 // Centers with the same ball can verify the same (S, R)
                 // pair: hold it once, at the smaller value (for `k = 1`
                 // this is plain replace-on-improvement).
@@ -1269,7 +1203,7 @@ fn verify_center_guarded(
     q: &GpSsnQuery,
     (lb, center): (f64, PoiId),
     bound: f64,
-    may_join: MayJoin<'_>,
+    may_join: impl Fn(UserId) -> bool,
     ctx: &mut VerifyContext<'_>,
     policy: DegradationPolicy,
     unresolved: &mut f64,
@@ -1480,8 +1414,8 @@ mod tests {
     use super::*;
     use gpssn_ssn::{synthetic, SyntheticConfig};
 
-    fn small_engine(ssn: &SpatialSocialNetwork) -> GpSsnEngine<'_> {
-        let cfg = EngineConfig {
+    fn small_cfg() -> EngineConfig {
+        EngineConfig {
             num_road_pivots: 3,
             num_social_pivots: 3,
             social_index: SocialIndexConfig {
@@ -1490,8 +1424,11 @@ mod tests {
                 ..Default::default()
             },
             ..Default::default()
-        };
-        GpSsnEngine::build(ssn, cfg)
+        }
+    }
+
+    fn small_engine(ssn: &SpatialSocialNetwork) -> GpSsnEngine<'_> {
+        GpSsnEngine::build(ssn, small_cfg())
     }
 
     fn run(engine: &GpSsnEngine<'_>, q: &GpSsnQuery, opts: &QueryOptions) -> QueryOutcome {
@@ -1569,8 +1506,11 @@ mod tests {
             radius: 2.5,
         };
         let full = run(&engine, &q, &QueryOptions::default());
+        // Every pruning rule off, on an index without CH (Dijkstra rows).
+        let mut cfg = small_cfg();
+        cfg.road_index.build_ch = false;
         let no_prune = run(
-            &engine,
+            &GpSsnEngine::build(&ssn, cfg),
             &q,
             &QueryOptions {
                 use_interest_pruning: false,
@@ -1579,7 +1519,6 @@ mod tests {
                 use_delta_pruning: false,
                 collect_stats: false,
                 use_tight_mbr_test: false,
-                distance_backend: DistanceBackend::Dijkstra,
                 degradation: DegradationPolicy::FailFast,
                 mode: QueryMode::Exact,
             },

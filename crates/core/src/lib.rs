@@ -48,9 +48,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod tuning;
 
-pub use algorithm::{
-    DegradationPolicy, DistanceBackend, EngineConfig, GpSsnEngine, QueryMode, QueryOptions,
-};
+pub use algorithm::{DegradationPolicy, EngineConfig, GpSsnEngine, QueryMode, QueryOptions};
 pub use baseline::{
     estimate_baseline_cost, exact_baseline, exact_baseline_top_k, try_exact_baseline,
     try_exact_baseline_with_obs, BaselineEstimate,
@@ -59,8 +57,8 @@ pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::{CacheLifetimeStats, DistanceCache, DistanceCacheConfig, ShardOccupancy};
 pub use error::{BudgetState, Completion, GpSsnError, QueryBudget, Trip};
 pub use query::{GpSsnAnswer, GpSsnQuery};
-pub use refinement::{verify_center, CenterVerification, ChBackend, VerifyContext};
-pub use sampling::{sample_connected_group, verify_center_sampled};
+pub use refinement::{verify_center, CenterSearch, CenterVerification, ChBackend, VerifyContext};
+pub use sampling::sample_connected_group;
 pub use serve::{
     serve, serve_jsonl, OverloadPolicy, ServeConfig, ServeObs, ServeObsConfig, ServeRequest,
     ServeResponse, ServeStats, Submission,

@@ -21,6 +21,11 @@
 //!    in the enabled prefix, so a binary search over prefix lengths finds
 //!    the optimal objective `c_k` exactly (any group with smaller maximum
 //!    cost would fit inside a shorter, infeasible prefix).
+//!
+//! Steps 1–3 are shared by every query mode; step 4 is the context's
+//! [`CenterSearch`]: the exact prefix search above, or the paper's §5
+//! subset sampling ([`crate::sampling`]), which draws random connected
+//! groups from the same reached users.
 
 use crate::breaker::CircuitBreaker;
 use crate::cache::DistanceCache;
@@ -31,6 +36,8 @@ use gpssn_graph::{enumerate_connected_subsets, ChOracle, ChSearch, DijkstraWorks
 use gpssn_road::{dist_rn_many_counted_with, dist_rn_matrix_ch, NetworkPoint, PoiId};
 use gpssn_social::{SocialNetwork, UserId};
 use gpssn_ssn::{match_score_keywords, SpatialSocialNetwork};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Fault-injection points for the panic-isolation tests. Always compiled
@@ -50,20 +57,21 @@ pub mod test_hooks {
 pub struct CenterVerification {
     /// Best feasible answer for this center, if any. When the budget
     /// trips mid-verification this holds the best *fully verified* group
-    /// found before the trip (possibly none) — every group a feasibility
-    /// probe returns has had connectivity and pairwise interest checked
-    /// exactly, so it is a valid answer even if the probe's *verdict* was
-    /// cut short. The caller must still treat the center as unresolved
-    /// for gap purposes (a better group may exist at a shorter prefix).
+    /// found before the trip (possibly none) — every group a probe or a
+    /// draw returns has had connectivity and pairwise interest checked
+    /// exactly, so it is a valid answer even if the search was cut short.
+    /// The caller must still treat the center as unresolved for gap
+    /// purposes (a better group may exist at a shorter prefix).
     pub answer: Option<GpSsnAnswer>,
-    /// Number of `(S, R)` pairs examined: complete `τ`-groups the
-    /// feasibility probes reached.
+    /// Number of `(S, R)` pairs examined: complete valid `τ`-groups the
+    /// feasibility probes or draws reached.
     pub subsets_examined: u64,
 }
 
 /// Per-scope state threaded through [`verify_center`]: a reusable
 /// Dijkstra workspace (allocation-free repeated runs), the optional
-/// cross-query [`DistanceCache`], and the query's budget meter.
+/// cross-query [`DistanceCache`], the query's budget meter, and the
+/// mode's [`CenterSearch`].
 pub struct VerifyContext<'a> {
     /// Reused across every Dijkstra this scope runs.
     pub ws: &'a mut DijkstraWorkspace,
@@ -89,6 +97,39 @@ pub struct VerifyContext<'a> {
     pub obs: Option<&'a gpssn_obs::Obs>,
     /// Per-center user marks, reused by every center this scope verifies.
     pub marks: UserMarks,
+    /// How each center searches its reached users for a group.
+    pub search: CenterSearch,
+}
+
+/// How [`verify_center`] searches the users it reached (step 4 of the
+/// module docs). Both searches check every Definition-5 predicate
+/// exactly; on a budget trip both report the best group verified before
+/// it.
+#[derive(Debug)]
+pub enum CenterSearch {
+    /// The optimum: binary search over cost-ordered enabled prefixes
+    /// ([`crate::QueryMode::Exact`] and [`crate::QueryMode::TopK`]).
+    Prefix,
+    /// The paper's §5 subset sampling ([`crate::QueryMode::Approximate`]
+    /// and the ladder's rescue): `samples` random connected groups per
+    /// center, keeping the cheapest valid one. Each draw is one
+    /// admission check of the budget.
+    Sample {
+        /// Random groups drawn per center.
+        samples: usize,
+        /// The scope's generator: the same seed gives the same draws.
+        rng: StdRng,
+    },
+}
+
+impl CenterSearch {
+    /// Subset sampling with `samples` draws per center, seeded by `seed`.
+    pub fn sample(samples: usize, seed: u64) -> Self {
+        CenterSearch::Sample {
+            samples,
+            rng: StdRng::seed_from_u64(seed),
+        }
+    }
 }
 
 /// Which users the center being verified has reached, and each costed
@@ -131,6 +172,27 @@ impl UserMarks {
     fn rank(&self, u: UserId) -> Option<usize> {
         let (stamp, rank) = self.by_user[u as usize];
         (stamp == self.stamp && rank != UNRANKED).then_some(rank as usize)
+    }
+}
+
+/// The users one center reached, ranked by exact cost: what a
+/// [`CenterSearch`] draws its groups from.
+pub(crate) struct Ranked<'a> {
+    /// `(user, cost)` in ascending `(cost, id)` order.
+    costs: &'a [(UserId, f64)],
+    marks: &'a UserMarks,
+}
+
+impl Ranked<'_> {
+    /// `u`'s rank in the cost order, if the center reached them.
+    pub(crate) fn rank(&self, u: UserId) -> Option<usize> {
+        self.marks.rank(u)
+    }
+
+    /// A group of ranked users costs what its highest-ranked member costs.
+    pub(crate) fn maxdist(&self, group: &[UserId]) -> f64 {
+        let top = group.iter().filter_map(|&u| self.rank(u)).max();
+        top.map_or(0.0, |r| self.costs[r].1)
     }
 }
 
@@ -337,18 +399,20 @@ pub(crate) fn probe_groups(
 /// caller's test: a query candidate whose pivot lower bound is below
 /// `best_so_far`) and `Match_Score(u, R) >= θ`. Each layer is costed in
 /// one batch, and the pass continues only through users cheaper than
-/// `best_so_far`. The binary search then runs over the users reached.
-/// No probe can touch an unreached user (the enumerator grows a set only
-/// through enabled neighbours of its members), so the minimal feasible
-/// prefix, its group and the maxdist bits are those of costing every
-/// eligible user. Per-center work is proportional to the users reached,
-/// never to the population or the candidate count.
+/// `best_so_far`. The context's [`CenterSearch`] then runs over the users
+/// reached, every mode alike. No probe or draw can touch an unreached
+/// user (both grow a set only through enabled neighbours of its
+/// members), so the exact search's minimal feasible prefix, its group
+/// and the maxdist bits are those of costing every eligible user.
+/// Per-center work is proportional to the users reached, never to the
+/// population or the candidate count.
 ///
-/// **Determinism.** On a completed (untripped) search the returned
+/// **Determinism.** On a completed (untripped) exact search the returned
 /// group is the one found at the minimal feasible cost-prefix `k*` — a
 /// pure function of the center, the exact user costs, and the query's
 /// social constraints. Any `best_so_far` larger than the center's
-/// optimal value yields the same group bit-for-bit.
+/// optimal value yields the same group bit-for-bit. A sampled search is
+/// a function of the same inputs and the generator's state.
 pub fn verify_center(
     ssn: &SpatialSocialNetwork,
     q: &GpSsnQuery,
@@ -480,75 +544,32 @@ pub fn verify_center(
         ctx.marks.by_user[u as usize].1 = rank as u32;
     }
 
-    // Binary search the smallest feasible enabled prefix (feasibility is
-    // monotone in the prefix length): the prefix of length `k` is the
-    // users ranked below `k`, so a probe's group consists of ranked users
-    // and costs what its highest-ranked member costs.
-    let marks = &ctx.marks;
-    let feasible_at = |k: usize| {
-        let enabled = |u| marks.rank(u).is_some_and(|r| r < k);
-        probe_groups(social, q, enabled, budget, |_| true)
+    // Every group a search returns was checked exactly before any cut, so
+    // it stays a valid answer: `best_verified` keeps the cheapest, and is
+    // what a tripped search reports (the caller folds this center's lower
+    // bound into the anytime gap, which keeps the bound sound).
+    let ranked = Ranked {
+        costs: &costs,
+        marks: &ctx.marks,
     };
-    let group_maxdist = |g: &[UserId]| {
-        let top = g.iter().filter_map(|&u| marks.rank(u)).max();
-        top.map_or(0.0, |r| costs[r].1)
-    };
-
-    // Every feasibility probe below may be cut short by the budget. A
-    // cut only invalidates the probe's *verdict* (it proves nothing, so
-    // the binary search must never narrow on it); a group the probe did
-    // return was checked exactly before the cut and stays a valid
-    // answer. So: keep the cheapest group seen, and on a cut stop
-    // searching and report it — the caller folds this center's lower
-    // bound into the anytime gap, which keeps the bound sound.
-    //
-    // Two trackers over the feasibility probes: `min_prefix_group` is
-    // the group from the feasible probe at the *smallest* prefix
-    // (feasible probes occur at strictly decreasing prefixes, so a
-    // plain overwrite suffices). On a completed search that probe is at
-    // the minimal feasible prefix `k*` — the binary search always
-    // probes `k*` itself — making the group a pure function of the
-    // center and the costs, independent of `best_so_far` (see the
-    // determinism note on [`verify_center`]). `best_verified` is the
-    // cheapest group any probe returned: the fallback reported when a
-    // budget trip stops the search before it reaches `k*`.
     let mut best_verified: Option<(Vec<UserId>, f64)> = None;
-    let mut min_prefix_group: Option<(Vec<UserId>, f64)> = None;
-    let mut record = |g: Vec<UserId>| {
+    let mut record = |g: &[UserId]| {
         out.subsets_examined += 1;
-        let md = group_maxdist(&g);
+        let md = ranked.maxdist(g);
         if best_verified.as_ref().is_none_or(|&(_, b)| md < b) {
-            best_verified = Some((g.clone(), md));
+            best_verified = Some((g.to_vec(), md));
         }
-        min_prefix_group = Some((g, md));
     };
-    let mut lo = q.tau; // smallest prefix that could host a group
-    let mut hi = costs.len();
-    match feasible_at(hi) {
-        Probe::Found(g) => record(g),
-        _ => return out, // infeasible (or cut before any find)
-    }
-    while lo < hi && !budget.is_tripped() {
-        let mid = (lo + hi) / 2;
-        match feasible_at(mid) {
-            Probe::Found(g) => {
-                record(g);
-                hi = mid;
-            }
-            Probe::Infeasible => lo = mid + 1,
-            Probe::Cut => break, // verdict truncated: proves nothing
+    let min_prefix = match &mut ctx.search {
+        CenterSearch::Prefix => prefix_search(social, q, &ranked, budget, &mut record),
+        CenterSearch::Sample { samples, rng } => {
+            crate::sampling::sample_groups(social, q, &ranked, *samples, rng, budget, &mut record);
+            None
         }
-    }
-    // When the search ran to completion, `hi` is the minimal feasible
-    // prefix and its probe's group is optimal: its maxdist equals
-    // costs[hi-1].1, and any cheaper group would fit inside a shorter,
-    // infeasible prefix. On a trip, fall back to the best group verified
-    // before the cut.
-    let chosen = if budget.is_tripped() {
-        best_verified
-    } else {
-        min_prefix_group
     };
+    let chosen = min_prefix
+        .filter(|_| !budget.is_tripped())
+        .or(best_verified);
     if let Some((group, maxdist)) = chosen {
         if maxdist < best_so_far {
             let mut users = group;
@@ -565,15 +586,82 @@ pub fn verify_center(
     out
 }
 
+/// The exact search over one center's ranked users: binary search the
+/// smallest feasible enabled prefix (feasibility is monotone in the
+/// prefix length). The prefix of length `k` is the users ranked below
+/// `k`, so a probe's group consists of ranked users. Every group a probe
+/// returns goes to `record`.
+///
+/// A cut probe only invalidates its *verdict* (it proves nothing, so the
+/// search never narrows on it and stops there). Feasible probes occur at
+/// strictly decreasing prefixes, and a completed search always probes the
+/// minimal feasible prefix `k*` itself, so the group returned — the one
+/// found at the smallest prefix — is then optimal: its maxdist is the
+/// `k*`-th cost, any cheaper group would fit inside a shorter, infeasible
+/// prefix, and the group is a pure function of the center and the costs,
+/// independent of `best_so_far` (see the determinism note on
+/// [`verify_center`]).
+fn prefix_search(
+    social: &SocialNetwork,
+    q: &GpSsnQuery,
+    ranked: &Ranked<'_>,
+    budget: &BudgetState,
+    record: &mut impl FnMut(&[UserId]),
+) -> Option<(Vec<UserId>, f64)> {
+    let feasible_at = |k: usize| {
+        let enabled = |u| ranked.rank(u).is_some_and(|r| r < k);
+        probe_groups(social, q, enabled, budget, |_| true)
+    };
+    let mut lo = q.tau; // smallest prefix that could host a group
+    let mut hi = ranked.costs.len();
+    let mut min_prefix_group = match feasible_at(hi) {
+        Probe::Found(g) => g,
+        _ => return None, // infeasible (or cut before any find)
+    };
+    record(&min_prefix_group);
+    while lo < hi && !budget.is_tripped() {
+        let mid = (lo + hi) / 2;
+        match feasible_at(mid) {
+            Probe::Found(g) => {
+                record(&g);
+                min_prefix_group = g;
+                hi = mid;
+            }
+            Probe::Infeasible => lo = mid + 1,
+            Probe::Cut => break, // verdict truncated: proves nothing
+        }
+    }
+    let md = ranked.maxdist(&min_prefix_group);
+    Some((min_prefix_group, md))
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gpssn_road::{Poi, PoiSet, RoadNetwork};
     use gpssn_social::{InterestVector, SocialNetwork};
     use gpssn_spatial::Point;
 
-    /// Drives [`verify_center`] with a fresh workspace, no cache, and an
-    /// unlimited budget.
+    /// A context on Dijkstra with no cache, breaker or telemetry.
+    pub(crate) fn bare_ctx<'a>(
+        ws: &'a mut DijkstraWorkspace,
+        budget: &'a BudgetState,
+        search: CenterSearch,
+    ) -> VerifyContext<'a> {
+        VerifyContext {
+            ws,
+            ch: None,
+            cache: None,
+            breaker: None,
+            budget,
+            obs: None,
+            marks: UserMarks::default(),
+            search,
+        }
+    }
+
+    /// Drives the exact [`verify_center`] with a fresh workspace, no
+    /// cache, and an unlimited budget.
     fn verify(
         ssn: &SpatialSocialNetwork,
         q: &GpSsnQuery,
@@ -583,15 +671,7 @@ mod tests {
     ) -> CenterVerification {
         let mut ws = DijkstraWorkspace::new();
         let budget = BudgetState::unlimited();
-        let mut ctx = VerifyContext {
-            ws: &mut ws,
-            ch: None,
-            cache: None,
-            breaker: None,
-            budget: &budget,
-            obs: None,
-            marks: UserMarks::default(),
-        };
+        let mut ctx = bare_ctx(&mut ws, &budget, CenterSearch::Prefix);
         verify_center(ssn, q, center, best, |u| candidates.contains(&u), &mut ctx)
     }
 
@@ -654,8 +734,14 @@ mod tests {
     }
 
     /// One center's optimum by brute force: every connected τ-group
-    /// containing `u_q`, costed with one-shot `dist_RN` runs.
-    fn brute_force(ssn: &SpatialSocialNetwork, q: &GpSsnQuery, center: PoiId) -> Option<f64> {
+    /// containing `u_q` whose other members pass `may_join`, costed with
+    /// one-shot `dist_RN` runs.
+    fn brute_force(
+        ssn: &SpatialSocialNetwork,
+        q: &GpSsnQuery,
+        center: PoiId,
+        may_join: impl Fn(UserId) -> bool,
+    ) -> Option<f64> {
         let pos = ssn.pois().get(center).position;
         let ball: Vec<PoiId> = ssn
             .pois()
@@ -674,9 +760,10 @@ mod tests {
         let mut best: Option<f64> = None;
         let mut all = |_: &[UserId], _: UserId| true;
         enumerate_connected_subsets(ssn.social().graph(), q.user, q.tau, &mut all, &mut |s| {
-            let eligible = s
-                .iter()
-                .all(|&u| match_score_keywords(ssn.social().interest(u), &union) >= q.theta);
+            let eligible = s.iter().all(|&u| {
+                (u == q.user || may_join(u))
+                    && match_score_keywords(ssn.social().interest(u), &union) >= q.theta
+            });
             if eligible && ssn.social().pairwise_interest_holds(s, q.gamma) {
                 let md = s.iter().map(|&u| cost(u)).fold(0.0f64, f64::max);
                 best = Some(best.map_or(md, |b| b.min(md)));
@@ -689,18 +776,21 @@ mod tests {
     #[test]
     fn costs_only_users_a_group_can_reach() {
         let ssn = reach_fixture();
-        // Ball {x=1, x=3} around POI 0; the incumbent 10 is below c(1).
-        // Rows: (τ, θ, the user an injected pivot bound rejects, users
-        // costed).
-        for (tau, theta, rejected, costed) in [
-            (2, 0.5, None, vec![0, 1, 3]),
-            (3, 0.5, None, vec![0, 1, 3, 4]),
+        // Ball {x=1, x=3} around POI 0. Rows: (τ, θ, the user an injected
+        // pivot bound rejects, the incumbent, users costed).
+        for (tau, theta, rejected, incumbent, costed) in [
+            (2, 0.5, None, 10.0, vec![0, 1, 3]),
+            (3, 0.5, None, 10.0, vec![0, 1, 3, 4]),
             // User 3 is cheap and adjacent to u_q, but its pivot bound
             // reaches the incumbent: it is never costed, and user 4
             // behind it is never reached.
-            (3, 0.5, Some(3), vec![0, 1]),
+            (3, 0.5, Some(3), 10.0, vec![0, 1]),
             // User 3 fails θ, which blocks the only path to user 4.
-            (3, 1.0, None, vec![0, 1]),
+            (3, 1.0, None, 10.0, vec![0, 1]),
+            // Above c(1) = 19 the costly user 1 may join, while the
+            // rejected user 3 stays out of every group: the cheap {0, 3}
+            // is never found, nor drawn.
+            (2, 0.5, Some(3), 20.0, vec![0, 1]),
         ] {
             let q = GpSsnQuery {
                 user: 0,
@@ -709,38 +799,40 @@ mod tests {
                 theta,
                 radius: 2.1,
             };
-            let cache = DistanceCache::new(&crate::DistanceCacheConfig::default());
-            let mut ws = DijkstraWorkspace::new();
-            let budget = BudgetState::unlimited();
-            let mut ctx = VerifyContext {
-                ws: &mut ws,
-                ch: None,
-                cache: Some(&cache),
-                breaker: None,
-                budget: &budget,
-                obs: None,
-                marks: UserMarks::default(),
-            };
-            let v = verify_center(&ssn, &q, 0, 10.0, |u| Some(u) != rejected, &mut ctx);
-            // A sound bound rejects only users costing at least the
-            // incumbent; the injected one hides user 3's group {0, 3, 4}.
-            let expected = match rejected {
-                Some(_) => None,
-                None => brute_force(&ssn, &q, 0).filter(|&md| md < 10.0),
-            };
-            assert_eq!(v.answer.map(|a| a.maxdist), expected, "τ={tau} θ={theta}");
-            // |R| = 2 cells for u_q's own row, which also serves depth 0,
-            // then 2 per other costed user.
-            let c = budget.snapshot();
-            let lookups = c[Counter::DistHits] + c[Counter::DistMisses];
-            assert_eq!(lookups, 2 * costed.len() as u64, "τ={tau} θ={theta}");
-            for u in 0..5 {
-                let cell = cache.get_block(&[u], &[0]);
-                assert_eq!(
-                    cell.is_some(),
-                    costed.contains(&u),
-                    "τ={tau} θ={theta} user {u}"
-                );
+            let may_join = |u| Some(u) != rejected;
+            let row = format!("τ={tau} θ={theta} rejected {rejected:?} < {incumbent}");
+            let optimum = brute_force(&ssn, &q, 0, may_join).filter(|&md| md < incumbent);
+            // The exact search, then one draw per seed: every group drawn
+            // that passes γ is the sampled search's answer.
+            let searches = (0..16).map(|seed| CenterSearch::sample(1, seed));
+            for search in std::iter::once(CenterSearch::Prefix).chain(searches) {
+                let exact = matches!(search, CenterSearch::Prefix);
+                let cache = DistanceCache::new(&crate::DistanceCacheConfig::default());
+                let mut ws = DijkstraWorkspace::new();
+                let budget = BudgetState::unlimited();
+                let mut ctx = VerifyContext {
+                    cache: Some(&cache),
+                    ..bare_ctx(&mut ws, &budget, search)
+                };
+                let v = verify_center(&ssn, &q, 0, incumbent, may_join, &mut ctx);
+                match (exact, v.answer) {
+                    (true, answer) => assert_eq!(answer.map(|a| a.maxdist), optimum, "{row}"),
+                    (false, Some(a)) => {
+                        assert!(a.users.iter().all(|u| costed.contains(u)), "{row}: {a:?}");
+                        assert!(optimum.is_some_and(|o| a.maxdist >= o), "{row}: {a:?}");
+                    }
+                    (false, None) => {}
+                }
+                // |R| = 2 cells for u_q's own row, which also serves depth
+                // 0, then 2 per other costed user: both searches cost
+                // only what the reach stage costed.
+                let c = budget.snapshot();
+                let lookups = c[Counter::DistHits] + c[Counter::DistMisses];
+                assert_eq!(lookups, 2 * costed.len() as u64, "{row}");
+                for u in 0..5 {
+                    let cell = cache.get_block(&[u], &[0]);
+                    assert_eq!(cell.is_some(), costed.contains(&u), "{row} user {u}");
+                }
             }
         }
     }
@@ -778,15 +870,7 @@ mod tests {
         };
         let mut ws = DijkstraWorkspace::new();
         let budget = BudgetState::unlimited();
-        let mut ctx = VerifyContext {
-            ws: &mut ws,
-            ch: None,
-            cache: None,
-            breaker: None,
-            budget: &budget,
-            obs: None,
-            marks: UserMarks::default(),
-        };
+        let mut ctx = bare_ctx(&mut ws, &budget, CenterSearch::Prefix);
         let v = verify_center(&ssn, &q, 0, f64::INFINITY, |_| true, &mut ctx);
         assert!(v.answer.is_none());
         assert_eq!(v.subsets_examined, 0);

@@ -5,18 +5,19 @@
 //!
 //! [`sample_connected_group`] grows a random connected `τ`-subset from
 //! `u_q` by repeatedly absorbing a uniformly random frontier vertex.
-//! [`verify_center_sampled`] replaces the exhaustive feasibility check of
-//! the exact refinement with a fixed number of such draws: the result is
-//! a *valid* answer whenever one is returned (every Definition-5
-//! predicate is still checked exactly) but may be suboptimal or missed —
-//! the classic sampling trade-off, quantified in the ablation benches.
+//! Under [`crate::refinement::CenterSearch::Sample`],
+//! [`crate::refinement::verify_center`] replaces the exact prefix search
+//! with a fixed number of such draws over the users its shared reach
+//! stage ranked (the same ball, distance backend, caches and budget as
+//! every mode): the result is a *valid* answer whenever one is returned
+//! (every Definition-5 predicate is still checked exactly) but may be
+//! suboptimal or missed — the classic sampling trade-off, quantified in
+//! the ablation benches.
 
 use crate::error::BudgetState;
-use crate::query::{GpSsnAnswer, GpSsnQuery};
-use crate::stats::Counter;
-use gpssn_road::{dist_rn_many_counted, NetworkPoint, PoiId};
-use gpssn_social::UserId;
-use gpssn_ssn::{match_score_keywords, SpatialSocialNetwork};
+use crate::query::GpSsnQuery;
+use crate::refinement::Ranked;
+use gpssn_social::{SocialNetwork, UserId};
 use rand::Rng;
 
 /// Draws one connected subset of size `k` containing `root` by random
@@ -26,141 +27,67 @@ pub fn sample_connected_group<R: Rng + ?Sized>(
     graph: &gpssn_graph::CsrGraph,
     root: UserId,
     k: usize,
-    allowed: &[bool],
+    allowed: impl Fn(UserId) -> bool,
     rng: &mut R,
 ) -> Option<Vec<UserId>> {
-    if k == 0 || !allowed[root as usize] {
+    if k == 0 || !allowed(root) {
         return None;
     }
-    let mut in_set = vec![false; graph.num_nodes()];
     let mut set = Vec::with_capacity(k);
     let mut frontier: Vec<UserId> = Vec::new();
-    in_set[root as usize] = true;
-    set.push(root);
-    let push_neighbors = |v: UserId, frontier: &mut Vec<UserId>, in_set: &[bool]| {
+    let absorb = |v: UserId, set: &mut Vec<UserId>, frontier: &mut Vec<UserId>| {
+        set.push(v);
         for nb in graph.neighbors(v) {
             let u = nb.node;
-            if allowed[u as usize] && !in_set[u as usize] && !frontier.contains(&u) {
+            if allowed(u) && !set.contains(&u) && !frontier.contains(&u) {
                 frontier.push(u);
             }
         }
     };
-    push_neighbors(root, &mut frontier, &in_set);
+    absorb(root, &mut set, &mut frontier);
     while set.len() < k {
         if frontier.is_empty() {
             return None;
         }
-        let idx = rng.gen_range(0..frontier.len());
-        let v = frontier.swap_remove(idx);
-        in_set[v as usize] = true;
-        set.push(v);
-        push_neighbors(v, &mut frontier, &in_set);
+        let v = frontier.swap_remove(rng.gen_range(0..frontier.len()));
+        absorb(v, &mut set, &mut frontier);
     }
     set.sort_unstable();
     Some(set)
 }
 
-/// Sampled counterpart of [`crate::refinement::verify_center`]: draws up
-/// to `samples` random connected groups among the `candidates` that
-/// `may_join` admits (the caller's per-user pivot-bound test) and that
-/// are `θ`-eligible, and keeps the best feasible one. Exact in its
-/// *checks*, approximate in its *search*. Each draw counts against the
-/// budget's group allowance and each cost Dijkstra against its settle
-/// allowance; a trip abandons the center (returning whatever was
-/// already verified stays sound, but we return `None` to keep the
-/// anytime gap conservative — the caller treats the center as
-/// unresolved).
-#[allow(clippy::too_many_arguments)]
-pub fn verify_center_sampled<R: Rng + ?Sized>(
-    ssn: &SpatialSocialNetwork,
+/// The sampled search over one center's ranked users: up to `samples`
+/// random connected groups from `u_q` among them, each passed to
+/// `record` if its pairwise interest holds. Each draw is one admission
+/// check of `budget`; a trip ends the search.
+pub(crate) fn sample_groups<R: Rng + ?Sized>(
+    social: &SocialNetwork,
     q: &GpSsnQuery,
-    (candidates, may_join): (&[UserId], &dyn Fn(UserId) -> bool),
-    center: PoiId,
-    best_so_far: f64,
+    ranked: &Ranked<'_>,
     samples: usize,
     rng: &mut R,
     budget: &BudgetState,
-) -> Option<GpSsnAnswer> {
-    let center_pos = ssn.pois().get(center).position;
-    let ball = ssn.pois().network_ball(ssn.road(), &center_pos, q.radius);
-    if ball.is_empty() {
-        return None;
-    }
-    let r_ids: Vec<PoiId> = ball.iter().map(|&(o, _)| o).collect();
-    let union = ssn.pois().keyword_union(&r_ids);
-    if match_score_keywords(ssn.social().interest(q.user), &union) < q.theta {
-        return None;
-    }
-    let mut allowed = vec![false; ssn.social().num_users()];
-    let mut eligible_count = 0usize;
-    for &u in candidates {
-        if may_join(u) && match_score_keywords(ssn.social().interest(u), &union) >= q.theta {
-            allowed[u as usize] = true;
-            eligible_count += 1;
-        }
-    }
-    if !allowed[q.user as usize] {
-        allowed[q.user as usize] = true;
-        eligible_count += 1;
-    }
-    if eligible_count < q.tau {
-        return None;
-    }
-
-    let positions: Vec<NetworkPoint> = r_ids.iter().map(|&o| ssn.pois().get(o).position).collect();
-    let mut cost_cache: std::collections::HashMap<UserId, f64> = Default::default();
-    let cost = |u: UserId, cache: &mut std::collections::HashMap<UserId, f64>| -> f64 {
-        *cache.entry(u).or_insert_with(|| {
-            let (dists, settled) = dist_rn_many_counted(ssn.road(), &ssn.home(u), &positions);
-            budget.add_settles(Counter::DijkstraSettles, settled);
-            dists.into_iter().fold(0.0f64, f64::max)
-        })
-    };
-    if cost(q.user, &mut cost_cache) >= best_so_far || budget.is_tripped() {
-        return None;
-    }
-
-    let mut best: Option<GpSsnAnswer> = None;
-    let mut best_val = best_so_far;
+    record: &mut impl FnMut(&[UserId]),
+) {
     for _ in 0..samples {
-        budget.note_group();
-        if budget.is_tripped() {
-            return None;
+        if budget.note_group().is_some() {
+            return;
         }
-        let Some(group) =
-            sample_connected_group(ssn.social().graph(), q.user, q.tau, &allowed, rng)
-        else {
-            continue;
-        };
-        if !ssn.social().pairwise_interest_holds(&group, q.gamma) {
-            continue;
-        }
-        let maxdist = group
-            .iter()
-            .map(|&u| cost(u, &mut cost_cache))
-            .fold(0.0f64, f64::max);
-        if budget.is_tripped() {
-            return None;
-        }
-        if maxdist < best_val {
-            best_val = maxdist;
-            let mut pois = r_ids.clone();
-            pois.sort_unstable();
-            best = Some(GpSsnAnswer {
-                users: group,
-                pois,
-                maxdist,
-            });
+        let allowed = |u| ranked.rank(u).is_some();
+        let drawn = sample_connected_group(social.graph(), q.user, q.tau, allowed, rng);
+        if let Some(group) = drawn.filter(|g| social.pairwise_interest_holds(g, q.gamma)) {
+            record(&group);
         }
     }
-    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline::exact_baseline;
-    use crate::query::check_answer;
+    use crate::query::{check_answer, GpSsnAnswer};
+    use crate::refinement::{tests::bare_ctx, verify_center, CenterSearch};
+    use gpssn_graph::DijkstraWorkspace;
     use gpssn_ssn::{synthetic, SyntheticConfig};
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -168,11 +95,10 @@ mod tests {
     fn sampled_groups_are_connected_and_sized() {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 3);
         let graph = ssn.social().graph();
-        let allowed = vec![true; ssn.social().num_users()];
         let mut rng = StdRng::seed_from_u64(5);
         let mut drawn = 0;
         for _ in 0..50 {
-            if let Some(g) = sample_connected_group(graph, 0, 3, &allowed, &mut rng) {
+            if let Some(g) = sample_connected_group(graph, 0, 3, |_| true, &mut rng) {
                 drawn += 1;
                 assert_eq!(g.len(), 3);
                 assert!(g.contains(&0));
@@ -185,41 +111,10 @@ mod tests {
     #[test]
     fn stuck_expansion_returns_none() {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 3);
-        let mut allowed = vec![false; ssn.social().num_users()];
-        allowed[0] = true; // only the root allowed: size-2 groups impossible
+        // Only the root allowed: size-2 groups impossible.
         let mut rng = StdRng::seed_from_u64(5);
-        assert!(sample_connected_group(ssn.social().graph(), 0, 2, &allowed, &mut rng).is_none());
-    }
-
-    #[test]
-    fn never_samples_a_user_whose_bound_reaches_the_incumbent() {
-        let ssn = synthetic(&SyntheticConfig::uni().scaled(0.006), 9);
-        let q = GpSsnQuery {
-            user: 0,
-            tau: 2,
-            gamma: 0.3,
-            theta: 0.3,
-            radius: 2.5,
-        };
-        let candidates: Vec<u32> = (0..ssn.social().num_users() as u32).collect();
-        // The users drawn over every center, each center verified
-        // against a finite incumbent with the given per-user bound test.
-        let drawn = |may_join: &dyn Fn(UserId) -> bool| -> Vec<UserId> {
-            let mut rng = StdRng::seed_from_u64(1);
-            let budget = BudgetState::unlimited();
-            (0..ssn.pois().len() as u32)
-                .filter_map(|center| {
-                    let pool = (&candidates[..], may_join);
-                    verify_center_sampled(&ssn, &q, pool, center, 1e9, 20, &mut rng, &budget)
-                })
-                .flat_map(|a| a.users)
-                .collect()
-        };
-        assert!(drawn(&|_| true).iter().any(|&u| u % 2 == 1));
-        // An injected bound that reaches the incumbent for every odd user.
-        let kept = drawn(&|u| u % 2 == 0);
-        assert!(!kept.is_empty());
-        assert!(kept.iter().all(|&u| u % 2 == 0), "{kept:?}");
+        let graph = ssn.social().graph();
+        assert!(sample_connected_group(graph, 0, 2, |u| u == 0, &mut rng).is_none());
     }
 
     #[test]
@@ -233,32 +128,19 @@ mod tests {
             radius: 2.5,
         };
         let exact = exact_baseline(&ssn, &q);
-        let mut rng = StdRng::seed_from_u64(1);
-        let candidates: Vec<u32> = (0..ssn.social().num_users() as u32).collect();
+        let mut ws = DijkstraWorkspace::new();
+        let budget = BudgetState::unlimited();
+        let mut ctx = bare_ctx(&mut ws, &budget, CenterSearch::sample(20, 1));
         let mut best: Option<GpSsnAnswer> = None;
         for center in 0..ssn.pois().len() as u32 {
             let bound = best.as_ref().map_or(f64::INFINITY, |b| b.maxdist);
-            if let Some(a) = verify_center_sampled(
-                &ssn,
-                &q,
-                (&candidates, &|_| true),
-                center,
-                bound,
-                20,
-                &mut rng,
-                &BudgetState::unlimited(),
-            ) {
+            if let Some(a) = verify_center(&ssn, &q, center, bound, |_| true, &mut ctx).answer {
                 best = Some(a);
             }
         }
-        if let Some(ans) = &best {
-            check_answer(&ssn, &q, ans).expect("sampled answer violates Definition 5");
-            if let Some(e) = &exact {
-                assert!(
-                    ans.maxdist + 1e-9 >= e.maxdist,
-                    "sampling beat the exact optimum"
-                );
-            }
-        }
+        let ans = best.expect("fixture: sampling finds a group");
+        check_answer(&ssn, &q, &ans).expect("sampled answer violates Definition 5");
+        let e = exact.expect("fixture: the query is feasible");
+        assert!(ans.maxdist >= e.maxdist, "sampling beat the exact optimum");
     }
 }

@@ -20,7 +20,8 @@
 
 use gpssn::core::query::check_answer;
 use gpssn::core::{
-    Completion, DegradationPolicy, EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget, QueryOptions,
+    Completion, Counter, DegradationPolicy, EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget,
+    QueryOptions,
 };
 use gpssn::failpoint::{install, FaultPlan};
 use gpssn::ssn::{synthetic, SyntheticConfig};
@@ -187,5 +188,50 @@ fn always_firing_ch_faults_stay_exact_via_the_breaker() {
         engine.ch_breaker().state(),
         gpssn::core::BreakerState::Closed,
         "CH fail-points never reached the breaker"
+    );
+}
+
+/// The ladder's sampling rescue verifies centers as every mode does, CH
+/// oracle included: with the oracle panicking on every batch, a query
+/// whose own budget trips at its first pop is still rescued, every
+/// distance re-served from the Dijkstra fallback.
+#[test]
+fn sampling_rescue_rides_the_dijkstra_fallback_under_ch_faults() {
+    use gpssn::failpoint::FireRule;
+
+    let _serial = PLAN_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 11);
+    let engine = GpSsnEngine::build(&ssn, EngineConfig::default());
+    let opts = QueryOptions {
+        degradation: DegradationPolicy::Ladder,
+        ..Default::default()
+    };
+    let budget = QueryBudget {
+        max_heap_pops: Some(1),
+        ..Default::default()
+    };
+    let q = GpSsnQuery {
+        user: 0,
+        tau: 2,
+        gamma: 0.3,
+        theta: 0.3,
+        radius: 3.0,
+    };
+    let plan = FaultPlan::new(99).with_site("ch::settle_exhaustion", FireRule::Always);
+    let _guard = install(plan);
+    let out = engine
+        .try_query(&q, &opts, &budget)
+        .expect("trips and CH faults degrade, never Err");
+    assert!(
+        matches!(out.completion, Completion::DegradedSampling),
+        "expected the sampling rung, got {:?}",
+        out.completion
+    );
+    let ans = out.answer().expect("the sampling rung carries an answer");
+    check_answer(&ssn, &q, ans).expect("rescued answer violates Definition 5");
+    let c = &out.metrics.counters;
+    assert!(
+        c[Counter::ChFaults] > 0,
+        "the rescue never tried the CH oracle: {c:?}"
     );
 }

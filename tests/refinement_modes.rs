@@ -7,7 +7,7 @@
 
 mod common;
 use common::{assert_bit_identical, corpus, query};
-use gpssn::core::algorithm::{DistanceBackend, EngineConfig, QueryOptions};
+use gpssn::core::algorithm::EngineConfig;
 use gpssn::core::{Counter, DistanceCacheConfig, GpSsnEngine, GpSsnQuery};
 use gpssn::index::{PivotSelectConfig, SocialIndexConfig};
 use gpssn::ssn::{synthetic, SyntheticConfig};
@@ -30,29 +30,28 @@ fn small_cfg(seed: u64, cache: Option<DistanceCacheConfig>) -> EngineConfig {
     }
 }
 
-fn backend_opts(backend: DistanceBackend) -> QueryOptions {
-    QueryOptions {
-        distance_backend: backend,
-        ..Default::default()
-    }
-}
-
 #[test]
 fn ch_backend_is_bit_identical_to_dijkstra() {
+    // An engine whose road index skipped CH construction serves every
+    // `dist_RN` row from Dijkstra — the path CH-less index files and
+    // the breaker fallback take — and must answer bit-identically.
     let mut checked = 0usize;
     let mut answered = 0usize;
     let mut ch_engaged = 0usize;
     for seed in 0..4u64 {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.004), seed);
         let engine = GpSsnEngine::build(&ssn, small_cfg(seed, None));
+        let mut chless_cfg = small_cfg(seed, None);
+        chless_cfg.road_index.build_ch = false;
+        let chless = GpSsnEngine::build(&ssn, chless_cfg);
         for q in corpus(&ssn, seed) {
-            let dij = query(&engine, &q, &backend_opts(DistanceBackend::Dijkstra));
-            let ch = query(&engine, &q, &backend_opts(DistanceBackend::Ch));
+            let dij = query(&chless, &q, &Default::default());
+            let ch = query(&engine, &q, &Default::default());
             assert_bit_identical(dij.answer(), ch.answer(), "CH backend vs Dijkstra");
             assert_eq!(
                 dij.metrics.counters[Counter::ChBatches],
                 0,
-                "Dijkstra backend must not touch the CH oracle"
+                "a CH-less index cannot have served CH batches"
             );
             ch_engaged += (ch.metrics.counters[Counter::ChBatches] > 0) as usize;
             checked += 1;
@@ -65,28 +64,6 @@ fn ch_backend_is_bit_identical_to_dijkstra() {
         ch_engaged >= 10,
         "the CH oracle barely engaged ({ch_engaged} queries) — the test proves nothing"
     );
-}
-
-#[test]
-fn ch_less_index_falls_back_to_dijkstra() {
-    // An engine whose road index skipped CH construction still serves
-    // queries under the default `DistanceBackend::Ch`: the backend
-    // degrades to Dijkstra silently and reports zero CH batches.
-    let ssn = synthetic(&SyntheticConfig::uni().scaled(0.004), 7);
-    let mut chless_cfg = small_cfg(7, None);
-    chless_cfg.road_index.build_ch = false;
-    let chless = GpSsnEngine::build(&ssn, chless_cfg);
-    let full = GpSsnEngine::build(&ssn, small_cfg(7, None));
-    for q in corpus(&ssn, 7) {
-        let a = query(&chless, &q, &Default::default());
-        let b = query(&full, &q, &backend_opts(DistanceBackend::Dijkstra));
-        assert_bit_identical(a.answer(), b.answer(), "CH-less fallback vs Dijkstra");
-        assert_eq!(
-            a.metrics.counters[Counter::ChBatches],
-            0,
-            "a CH-less index cannot have served CH batches"
-        );
-    }
 }
 
 #[test]
