@@ -1,4 +1,4 @@
-//! Microbenchmarks for the R\*-tree substrate behind `I_R`.
+//! Microbenchmarks for the STR-packed R-tree behind `I_R`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpssn_spatial::{Point, RStarTree, Rect};
@@ -20,7 +20,7 @@ fn bench_build(c: &mut Criterion) {
         let pts = random_points(n, 3);
         group.bench_with_input(BenchmarkId::from_parameter(n), &pts, |b, pts| {
             b.iter(|| {
-                black_box(RStarTree::bulk_build(
+                black_box(RStarTree::str_bulk_load(
                     32,
                     pts.iter().enumerate().map(|(i, &p)| (i as u32, p)),
                 ))
@@ -32,7 +32,7 @@ fn bench_build(c: &mut Criterion) {
 
 fn bench_queries(c: &mut Criterion) {
     let pts = random_points(10_000, 5);
-    let tree = RStarTree::bulk_build(32, pts.iter().enumerate().map(|(i, &p)| (i as u32, p)));
+    let tree = RStarTree::str_bulk_load(32, pts.iter().enumerate().map(|(i, &p)| (i as u32, p)));
     let mut group = c.benchmark_group("rstar_query");
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));

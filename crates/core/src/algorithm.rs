@@ -79,12 +79,6 @@ pub struct EngineConfig {
     /// index file: I/O then counts misses only. `None` reproduces the
     /// paper's raw page-access metric.
     pub page_cache_capacity: Option<usize>,
-    /// Build a pruned-landmark (2-hop) labeling of `G_s` and use *exact*
-    /// hop distances for the object-level social-distance rule (Lemma 4
-    /// with the bound replaced by the true `dist_SN`). The paper's pivot
-    /// lower bounds remain the default; exact labels trade index build
-    /// time for maximal distance-pruning power.
-    pub exact_social_distance: bool,
     /// Cross-query ball / `dist_RN` cache shared by every query this
     /// engine serves. Cached values are bit-identical to recomputation
     /// (see [`crate::cache`]), so under an unlimited budget answers are
@@ -110,7 +104,6 @@ impl Default for EngineConfig {
             social_index: SocialIndexConfig::default(),
             pivot_select: PivotSelectConfig::default(),
             page_cache_capacity: None,
-            exact_social_distance: false,
             distance_cache: Some(DistanceCacheConfig::default()),
             obs: None,
         }
@@ -252,8 +245,6 @@ pub struct GpSsnEngine<'a> {
     /// like a real database buffer manager, so hot pages (roots, upper
     /// index levels) stop costing physical reads after warm-up.
     page_cache: Option<std::sync::Mutex<gpssn_index::io::PageCache>>,
-    /// Exact 2-hop labels of `G_s` (when configured).
-    hop_labels: Option<gpssn_graph::HopLabels>,
     /// Cross-query ball / `dist_RN` cache (when configured).
     distance_cache: Option<DistanceCache>,
     /// Circuit breaker guarding the CH oracle across every query this
@@ -357,9 +348,6 @@ impl<'a> GpSsnEngine<'a> {
         let page_cache = cfg
             .page_cache_capacity
             .map(|cap| std::sync::Mutex::new(gpssn_index::io::PageCache::new(cap)));
-        let hop_labels = cfg
-            .exact_social_distance
-            .then(|| gpssn_graph::HopLabels::build(ssn.social().graph()));
         let distance_cache = cfg.distance_cache.as_ref().map(DistanceCache::new);
         GpSsnEngine {
             ssn,
@@ -367,7 +355,6 @@ impl<'a> GpSsnEngine<'a> {
             social_index,
             cfg,
             page_cache,
-            hop_labels,
             distance_cache,
             ch_breaker: CircuitBreaker::new(BreakerConfig::default()),
         }
@@ -674,7 +661,10 @@ impl<'a> GpSsnEngine<'a> {
     /// rest are skipped unverified). Verification runs as in every mode,
     /// CH oracle and breaker included: a CH fault is re-served from
     /// Dijkstra, and a fault inside a center's verification is absorbed
-    /// per center. The rescue's own work (pages, pops, groups, settles,
+    /// per center. So the rung rescues budget trips and CH faults, but
+    /// not a defect that fires at every center: the rescue shares the
+    /// one [`verify_center`], its centers fault too, and the query ends
+    /// `Failed`. The rescue's own work (pages, pops, groups, settles,
     /// faults) is added to `counts`, and its traversal's center count
     /// replaces [`Counter::CandidatePois`].
     fn sampling_rescue(
@@ -769,11 +759,7 @@ impl<'a> GpSsnEngine<'a> {
                     continue;
                 }
                 let by_dist = opts.use_social_distance_pruning
-                    && match &self.hop_labels {
-                        // Exact mode: the true dist_SN replaces the bound.
-                        Some(labels) => labels.dist(q.user, u) as usize >= q.tau,
-                        None => prune_user_by_social_distance(uq_sn, idx.user_sn_dists(u), q.tau),
-                    };
+                    && prune_user_by_social_distance(uq_sn, idx.user_sn_dists(u), q.tau);
                 let by_interest =
                     opts.use_interest_pruning && region.prunes_point(self.ssn.social().interest(u));
                 if by_dist || by_interest {

@@ -40,20 +40,6 @@ pub fn bounded_hops(graph: &CsrGraph, source: NodeId, max_hops: u32) -> Vec<u32>
     dist
 }
 
-/// Vertices within `max_hops` hops of `source` (including `source`),
-/// together with their hop distances, in BFS order.
-pub fn ball(graph: &CsrGraph, source: NodeId, max_hops: u32) -> Vec<(NodeId, u32)> {
-    let dist = bounded_hops(graph, source, max_hops);
-    let mut out: Vec<(NodeId, u32)> = dist
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d != UNREACHABLE)
-        .map(|(v, &d)| (v as NodeId, d))
-        .collect();
-    out.sort_by_key(|&(v, d)| (d, v));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,12 +82,6 @@ mod tests {
         let d = hop_distances(&g, 0);
         assert_eq!(d[2], UNREACHABLE);
         assert_eq!(d[3], UNREACHABLE);
-    }
-
-    #[test]
-    fn ball_contents_and_order() {
-        let b = ball(&path5(), 2, 1);
-        assert_eq!(b, vec![(2, 0), (1, 1), (3, 1)]);
     }
 
     #[test]

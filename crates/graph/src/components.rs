@@ -63,16 +63,6 @@ pub fn is_connected_subset(graph: &CsrGraph, subset: &[NodeId]) -> bool {
     count == subset.len()
 }
 
-/// Size of the largest connected component.
-pub fn largest_component_size(graph: &CsrGraph) -> usize {
-    let (labels, k) = connected_components(graph);
-    let mut sizes = vec![0usize; k];
-    for &l in &labels {
-        sizes[l as usize] += 1;
-    }
-    sizes.into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,11 +103,5 @@ mod tests {
         let g = CsrGraph::from_edges(3, &[(0, 1, 1.0), (0, 2, 1.0)]);
         assert!(!is_connected_subset(&g, &[1, 2]));
         assert!(is_connected_subset(&g, &[0, 1, 2]));
-    }
-
-    #[test]
-    fn largest_component() {
-        let g = CsrGraph::from_edges(6, &[(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)]);
-        assert_eq!(largest_component_size(&g), 3);
     }
 }

@@ -183,17 +183,6 @@ impl CsrGraph {
         self.edges.iter().copied()
     }
 
-    /// Whether the vertices `u` and `v` are adjacent.
-    pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        // Scan the smaller adjacency list.
-        let (a, b) = if self.degree(u) <= self.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.neighbors(a).iter().any(|nb| nb.node == b)
-    }
-
     /// Total weight of all edges.
     pub fn total_weight(&self) -> f64 {
         self.edges.iter().map(|&(_, _, w)| w).sum()
@@ -230,15 +219,6 @@ mod tests {
                 .iter()
                 .any(|nb| nb.node == u && nb.weight == w));
         }
-    }
-
-    #[test]
-    fn has_edge_checks_both_directions() {
-        let g = CsrGraph::from_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 0));
-        assert!(!g.has_edge(0, 2));
-        assert!(!g.has_edge(1, 3));
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl IndexedMinHeap {
         self.pos[item as usize] != NOT_IN_HEAP
     }
 
-    /// Current key of `item`, if present.
-    pub fn key_of(&self, item: u32) -> Option<f64> {
-        let p = self.pos[item as usize];
-        (p != NOT_IN_HEAP).then(|| self.heap[p as usize].0)
-    }
-
     /// Inserts `item` with `key`, or lowers its key if already present with
     /// a larger key. Returns `true` if the heap changed.
     pub fn push_or_decrease(&mut self, item: u32, key: f64) -> bool {
@@ -99,11 +93,6 @@ impl IndexedMinHeap {
             self.sift_down(0);
         }
         Some((item, key))
-    }
-
-    /// Smallest key without removing it.
-    pub fn peek_key(&self) -> Option<f64> {
-        self.heap.first().map(|&(k, _)| k)
     }
 
     /// Removes all items, keeping the allocation for reuse.
@@ -184,7 +173,7 @@ mod tests {
         let mut h = IndexedMinHeap::new(2);
         h.push_or_decrease(0, 1.0);
         assert!(!h.push_or_decrease(0, 5.0));
-        assert_eq!(h.key_of(0), Some(1.0));
+        assert_eq!(h.pop(), Some((0, 1.0)));
     }
 
     #[test]
@@ -199,15 +188,6 @@ mod tests {
         // Reusable after clear.
         h.push_or_decrease(3, 0.5);
         assert_eq!(h.pop(), Some((3, 0.5)));
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut h = IndexedMinHeap::new(3);
-        h.push_or_decrease(2, 7.0);
-        h.push_or_decrease(1, 4.0);
-        assert_eq!(h.peek_key(), Some(4.0));
-        assert_eq!(h.pop().unwrap().1, 4.0);
     }
 
     proptest! {

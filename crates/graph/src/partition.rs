@@ -26,14 +26,6 @@ impl Partitioning {
     pub fn num_parts(&self) -> usize {
         self.parts.len()
     }
-
-    /// Number of edges whose endpoints lie in different parts.
-    pub fn edge_cut(&self, graph: &CsrGraph) -> usize {
-        graph
-            .edges()
-            .filter(|&(u, v, _)| self.assignment[u as usize] != self.assignment[v as usize])
-            .count()
-    }
 }
 
 /// Partitions `graph` into parts of at most `max_part_size` vertices.
@@ -187,16 +179,6 @@ mod tests {
         let p = partition_graph(&g, 100);
         check_invariants(&g, &p, 100);
         assert_eq!(p.num_parts(), 1);
-    }
-
-    #[test]
-    fn edge_cut_counts_cross_edges() {
-        let g = CsrGraph::from_edges(4, &[(0, 1, 1.0), (2, 3, 1.0), (1, 2, 1.0)]);
-        let p = Partitioning {
-            assignment: vec![0, 0, 1, 1],
-            parts: vec![vec![0, 1], vec![2, 3]],
-        };
-        assert_eq!(p.edge_cut(&g), 1);
     }
 
     #[test]

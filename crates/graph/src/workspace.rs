@@ -93,11 +93,6 @@ impl DijkstraWorkspace {
         self.recycles
     }
 
-    /// Consumes the workspace, returning the latest distance map.
-    pub fn into_dist(self) -> Vec<f64> {
-        self.dist
-    }
-
     /// Consumes the workspace, returning the latest `(distance map,
     /// settled vertices)` pair — the shape of the one-shot functions in
     /// [`crate::dijkstra`].

@@ -232,13 +232,6 @@ impl RoadIndex {
         self.ch.as_ref()
     }
 
-    /// Drops the CH oracle (used by tests and by callers that need the
-    /// Dijkstra fallback path of an already-built index).
-    pub fn without_ch(mut self) -> Self {
-        self.ch = None;
-        self
-    }
-
     /// The underlying R\*-tree.
     #[inline]
     pub fn tree(&self) -> &RStarTree {

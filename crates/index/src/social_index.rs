@@ -18,7 +18,6 @@
 //! bound valid across components — see the module tests.
 
 use crate::build::{par_map, BuildOptions, BuildStages};
-use crate::pivot_select::PivotSelectConfig;
 use gpssn_graph::{partition_graph, CsrGraph, NodeId as GraphNodeId};
 use gpssn_road::RoadPivots;
 use gpssn_social::{SocialPivots, UserId, UNREACHABLE_HOPS};
@@ -31,14 +30,6 @@ pub struct SocialIndexConfig {
     pub leaf_size: usize,
     /// Children per internal node.
     pub fanout: usize,
-    /// Pivot-selection knobs (used by [`SocialIndex::build_with_selected_pivots`]).
-    pub pivot_select: PivotSelectConfig,
-    /// Partition each dominant-topic bucket separately so leaf interest
-    /// MBRs stay tight. Pure graph partitioning (the paper's METIS
-    /// reference) produces topic-diverse leaves whose wide MBRs defeat
-    /// the index-level interest pruning (Lemma 8); topic-aware leaves
-    /// restore it. Ablatable — see the `ablation` bench.
-    pub topic_aware_leaves: bool,
     /// Build parallelism (`0` = auto). Runtime-only: the built index is
     /// bit-identical for every thread count.
     pub build: BuildOptions,
@@ -49,8 +40,6 @@ impl Default for SocialIndexConfig {
         SocialIndexConfig {
             leaf_size: 64,
             fanout: 8,
-            pivot_select: PivotSelectConfig::default(),
-            topic_aware_leaves: true,
             build: BuildOptions::default(),
         }
     }
@@ -172,12 +161,15 @@ impl SocialIndex {
             user_count: 0,
         };
 
-        // Level 0: balanced connected partitions of G_s — either of the
-        // whole graph, or of each dominant-topic subgraph (tight MBRs) —
-        // then one leaf node per partition. Leaf MBR/bound accumulation
-        // is independent per leaf, so it fans out over leaf chunks.
+        // Level 0: balanced connected partitions of each dominant-topic
+        // subgraph of G_s (the whole graph when there are no topics), then
+        // one leaf node per partition. Pure graph partitioning (the
+        // paper's METIS reference) gives topic-diverse leaves whose wide
+        // interest MBRs defeat the index-level pruning of Lemma 8. Leaf
+        // MBR/bound accumulation is independent per leaf, so it fans out
+        // over leaf chunks.
         let t0 = std::time::Instant::now();
-        let leaf_parts: Vec<Vec<UserId>> = if cfg.topic_aware_leaves && d > 0 {
+        let leaf_parts: Vec<Vec<UserId>> = if d > 0 {
             topic_aware_partition(ssn, cfg.leaf_size)
         } else {
             partition_graph(social.graph(), cfg.leaf_size).parts
@@ -309,20 +301,6 @@ impl SocialIndex {
             hop_saturation,
         };
         (idx, stages)
-    }
-
-    /// Builds `I_S`, first selecting `l` social pivots with Algorithm 1.
-    pub fn build_with_selected_pivots(
-        ssn: &SpatialSocialNetwork,
-        num_pivots: usize,
-        road_pivots: &RoadPivots,
-        cfg: &SocialIndexConfig,
-    ) -> Self {
-        let mut ps = cfg.pivot_select.clone();
-        ps.count = num_pivots;
-        let pivots = crate::pivot_select::select_social_pivots(ssn.social(), &ps);
-        let sp = SocialPivots::new_with_threads(ssn.social(), pivots, cfg.build.threads);
-        Self::build(ssn, sp, road_pivots, cfg)
     }
 
     /// Root node id.
@@ -577,7 +555,6 @@ mod tests {
                     leaf_size: 16,
                     fanout: 4,
                     build: crate::build::BuildOptions::with_threads(threads),
-                    ..Default::default()
                 },
             )
         };
@@ -634,11 +611,26 @@ mod tests {
             &SocialIndexConfig {
                 leaf_size: 100_000,
                 fanout: 4,
-                topic_aware_leaves: false,
                 ..Default::default()
             },
         );
-        // A big leaf per connected component, then grouped to one root.
-        assert!(idx.height() <= 2);
+        // Nothing splits a dominant-topic bucket: one leaf per bucket.
+        let social = ssn.social();
+        let dominant = |u: UserId| {
+            let w = social.interest(u);
+            (0..social.num_topics()).max_by(|&a, &b| w.weight(a).total_cmp(&w.weight(b)))
+        };
+        let mut topics: Vec<_> = (0..social.num_users() as UserId).map(dominant).collect();
+        topics.sort_unstable();
+        topics.dedup();
+        let leaves: Vec<&SocialNode> = (0..idx.num_pages() as u32)
+            .map(|id| idx.node(id))
+            .filter(|n| n.level == 0)
+            .collect();
+        assert_eq!(leaves.len(), topics.len());
+        for leaf in leaves {
+            let t = dominant(leaf.users[0]);
+            assert!(leaf.users.iter().all(|&u| dominant(u) == t));
+        }
     }
 }

@@ -115,11 +115,6 @@ impl RoadNetwork {
     pub fn average_degree(&self) -> f64 {
         self.graph.average_degree()
     }
-
-    /// Total road length.
-    pub fn total_length(&self) -> f64 {
-        self.graph.total_weight()
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +140,6 @@ mod tests {
         for e in 0..4 {
             assert!((net.edge_length(e) - 1.0).abs() < 1e-12);
         }
-        assert_eq!(net.total_length(), 4.0);
         assert_eq!(net.average_degree(), 2.0);
     }
 

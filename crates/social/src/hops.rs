@@ -16,25 +16,10 @@ pub fn dist_sn_all(net: &SocialNetwork, source: UserId) -> Vec<u32> {
     bfs::hop_distances(net.graph(), source)
 }
 
-/// Exact hop distances truncated at `max_hops` (vertices farther away
-/// report [`UNREACHABLE_HOPS`]). This is the `(τ-1)`-bounded exploration
-/// GP-SSN uses to gather candidate users around `u_q`.
-pub fn dist_sn_bounded(net: &SocialNetwork, source: UserId, max_hops: u32) -> Vec<u32> {
-    bfs::bounded_hops(net.graph(), source, max_hops)
-}
-
 /// Exact hop distance between two users ([`UNREACHABLE_HOPS`] when
 /// disconnected).
 pub fn dist_sn(net: &SocialNetwork, a: UserId, b: UserId) -> u32 {
     dist_sn_all(net, a)[b as usize]
-}
-
-/// Users within `max_hops` of `source`, in BFS order (includes `source`).
-pub fn users_within(net: &SocialNetwork, source: UserId, max_hops: u32) -> Vec<UserId> {
-    bfs::ball(net.graph(), source, max_hops)
-        .into_iter()
-        .map(|(u, _)| u)
-        .collect()
 }
 
 #[cfg(test)]
@@ -53,24 +38,6 @@ mod tests {
         let net = chain(5);
         assert_eq!(dist_sn(&net, 0, 4), 4);
         assert_eq!(dist_sn(&net, 2, 2), 0);
-    }
-
-    #[test]
-    fn bounded_matches_lemma4_usage() {
-        let net = chain(6);
-        let tau = 3u32;
-        let d = dist_sn_bounded(&net, 0, tau - 1);
-        // Users with d >= tau are exactly those reported unreachable here.
-        assert_eq!(d[2], 2);
-        assert_eq!(d[3], UNREACHABLE_HOPS);
-    }
-
-    #[test]
-    fn users_within_contains_source_first() {
-        let net = chain(4);
-        let w = users_within(&net, 1, 1);
-        assert_eq!(w[0], 1);
-        assert_eq!(w.len(), 3);
     }
 
     #[test]

@@ -27,13 +27,6 @@ impl InterestVector {
         InterestVector { weights }
     }
 
-    /// The zero vector of dimension `d`.
-    pub fn zeros(d: usize) -> Self {
-        InterestVector {
-            weights: vec![0.0; d],
-        }
-    }
-
     /// Dimensionality `d` (number of topics).
     #[inline]
     pub fn dim(&self) -> usize {
@@ -132,7 +125,7 @@ mod tests {
 
     #[test]
     fn zero_vector_survives_normalization() {
-        let z = InterestVector::zeros(3);
+        let z = InterestVector::new(vec![0.0; 3]);
         assert_eq!(z.normalized(), z);
         assert_eq!(z.as_distribution(), z);
         assert_eq!(z.norm(), 0.0);

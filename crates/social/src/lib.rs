@@ -22,7 +22,6 @@
 pub mod generator;
 pub mod hops;
 pub mod interest;
-pub mod metrics;
 pub mod network;
 pub mod pivots;
 
@@ -31,6 +30,5 @@ pub use generator::{
 };
 pub use hops::UNREACHABLE_HOPS;
 pub use interest::{interest_score, InterestVector};
-pub use metrics::{hamming_distance, jaccard_score};
 pub use network::{SocialNetwork, UserId};
 pub use pivots::SocialPivots;

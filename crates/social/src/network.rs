@@ -80,12 +80,6 @@ impl SocialNetwork {
         interest_score(&self.interests[a as usize], &self.interests[b as usize])
     }
 
-    /// Whether `a` and `b` are friends.
-    #[inline]
-    pub fn are_friends(&self, a: UserId, b: UserId) -> bool {
-        self.graph.has_edge(a, b)
-    }
-
     /// Friends of `u`.
     pub fn friends(&self, u: UserId) -> impl Iterator<Item = UserId> + '_ {
         self.graph.neighbors(u).iter().map(|nb| nb.node)
@@ -133,8 +127,6 @@ mod tests {
         assert_eq!(net.num_users(), 5);
         assert_eq!(net.num_friendships(), 6);
         assert_eq!(net.num_topics(), 3);
-        assert!(net.are_friends(0, 1));
-        assert!(!net.are_friends(0, 4));
         assert_eq!(net.friends(0).count(), 2);
     }
 

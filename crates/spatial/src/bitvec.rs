@@ -42,13 +42,6 @@ impl KeywordSignature {
         KeywordSignature { bits: [0; WORDS] }
     }
 
-    /// Signature of a single keyword.
-    pub fn from_keyword(k: u32) -> Self {
-        let mut s = Self::empty();
-        s.insert(k);
-        s
-    }
-
     /// Signature of a keyword set.
     pub fn from_keywords(ks: impl IntoIterator<Item = u32>) -> Self {
         let mut s = Self::empty();
@@ -101,11 +94,6 @@ impl KeywordSignature {
     /// Whether no keyword was inserted (all bits clear).
     pub fn is_empty(&self) -> bool {
         self.bits.iter().all(|&w| w == 0)
-    }
-
-    /// Number of set bits (diagnostic).
-    pub fn popcount(&self) -> u32 {
-        self.bits.iter().map(|w| w.count_ones()).sum()
     }
 }
 

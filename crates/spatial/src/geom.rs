@@ -1,11 +1,8 @@
 //! 2-D points and minimum bounding rectangles.
 //!
-//! Provides the exact `mindist`/`maxdist` primitives the paper's pruning
-//! rules rely on: Lemma 7 uses `mindist(e_Ri, e_Rj)` between index-node
-//! MBRs, and Lemma 8 compares `maxdist(e_S.w, B')` with
-//! `mindist(e_S.w, B)` between an interest-vector MBR and a point. The
-//! same code serves both the 2-D spatial plane and (via the generic
-//! `d`-dimensional variants in `gpssn-core`) the interest space.
+//! Provides the point-to-MBR `mindist` that R-tree search prunes with;
+//! the `d`-dimensional interest-space variants Lemma 8 compares live in
+//! `gpssn-core`.
 
 /// A 2-D point.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,41 +98,9 @@ impl Rect {
         self.max.y = self.max.y.max(p.y);
     }
 
-    /// Area (0 for empty and degenerate rectangles).
-    pub fn area(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        (self.max.x - self.min.x) * (self.max.y - self.min.y)
-    }
-
-    /// Half-perimeter (the R\*-tree "margin").
-    pub fn margin(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        (self.max.x - self.min.x) + (self.max.y - self.min.y)
-    }
-
-    /// Center point.
-    pub fn center(&self) -> Point {
-        Point::new(
-            (self.min.x + self.max.x) / 2.0,
-            (self.min.y + self.max.y) / 2.0,
-        )
-    }
-
     /// Whether `p` lies inside (boundary inclusive).
     pub fn contains_point(&self, p: &Point) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
-    }
-
-    /// Whether `other` lies fully inside (boundary inclusive).
-    pub fn contains_rect(&self, other: &Rect) -> bool {
-        other.min.x >= self.min.x
-            && other.max.x <= self.max.x
-            && other.min.y >= self.min.y
-            && other.max.y <= self.max.y
     }
 
     /// Whether the rectangles overlap (boundary inclusive).
@@ -146,40 +111,11 @@ impl Rect {
             && other.min.y <= self.max.y
     }
 
-    /// Area of the intersection (0 when disjoint).
-    pub fn intersection_area(&self, other: &Rect) -> f64 {
-        let w = (self.max.x.min(other.max.x) - self.min.x.max(other.min.x)).max(0.0);
-        let h = (self.max.y.min(other.max.y) - self.min.y.max(other.min.y)).max(0.0);
-        w * h
-    }
-
     /// Minimum Euclidean distance from `p` to any point of the rectangle
     /// (0 if `p` is inside).
     pub fn min_dist_point(&self, p: &Point) -> f64 {
         let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
         let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
-        (dx * dx + dy * dy).sqrt()
-    }
-
-    /// Maximum Euclidean distance from `p` to any point of the rectangle.
-    pub fn max_dist_point(&self, p: &Point) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let dx = (p.x - self.min.x).abs().max((p.x - self.max.x).abs());
-        let dy = (p.y - self.min.y).abs().max((p.y - self.max.y).abs());
-        (dx * dx + dy * dy).sqrt()
-    }
-
-    /// Minimum Euclidean distance between two rectangles (0 if they
-    /// intersect). This is `mindist(e_Ri, e_Rj)` of Lemma 7.
-    pub fn min_dist_rect(&self, other: &Rect) -> f64 {
-        let dx = (self.min.x - other.max.x)
-            .max(0.0)
-            .max(other.min.x - self.max.x);
-        let dy = (self.min.y - other.max.y)
-            .max(0.0)
-            .max(other.min.y - self.max.y);
         (dx * dx + dy * dy).sqrt()
     }
 }
@@ -207,23 +143,11 @@ mod tests {
     }
 
     #[test]
-    fn union_and_area() {
-        let r1 = Rect::from_point(Point::new(0.0, 0.0));
-        let r2 = Rect::from_point(Point::new(2.0, 3.0));
-        let u = r1.union(&r2);
-        assert_eq!(u.area(), 6.0);
-        assert_eq!(u.margin(), 5.0);
-        assert_eq!(u.center(), Point::new(1.0, 1.5));
-    }
-
-    #[test]
     fn empty_rect_is_union_identity() {
         let e = Rect::empty();
         let r = Rect::new(Point::new(1.0, 1.0), Point::new(2.0, 2.0));
         assert!(e.is_empty());
         assert_eq!(e.union(&r), r);
-        assert_eq!(e.area(), 0.0);
-        assert_eq!(e.margin(), 0.0);
     }
 
     #[test]
@@ -231,22 +155,10 @@ mod tests {
         let big = Rect::new(Point::new(0.0, 0.0), Point::new(10.0, 10.0));
         let small = Rect::new(Point::new(2.0, 2.0), Point::new(3.0, 3.0));
         let outside = Rect::new(Point::new(20.0, 20.0), Point::new(21.0, 21.0));
-        assert!(big.contains_rect(&small));
-        assert!(!small.contains_rect(&big));
         assert!(big.intersects(&small));
         assert!(!big.intersects(&outside));
         assert!(big.contains_point(&Point::new(10.0, 10.0)));
         assert!(!big.contains_point(&Point::new(10.1, 10.0)));
-    }
-
-    #[test]
-    fn intersection_area_cases() {
-        let a = Rect::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0));
-        let b = Rect::new(Point::new(1.0, 1.0), Point::new(3.0, 3.0));
-        let c = Rect::new(Point::new(5.0, 5.0), Point::new(6.0, 6.0));
-        assert_eq!(a.intersection_area(&b), 1.0);
-        assert_eq!(a.intersection_area(&c), 0.0);
-        assert_eq!(a.intersection_area(&a), 4.0);
     }
 
     #[test]
@@ -258,18 +170,6 @@ mod tests {
         assert_eq!(r.min_dist_point(&Point::new(5.0, 1.0)), 3.0);
         // Diagonal.
         assert_eq!(r.min_dist_point(&Point::new(5.0, 6.0)), 5.0);
-        // Max dist from corner is the far corner.
-        assert_eq!(r.max_dist_point(&Point::new(0.0, 0.0)), (8.0f64).sqrt());
-    }
-
-    #[test]
-    fn min_dist_rect_cases() {
-        let a = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        let b = Rect::new(Point::new(4.0, 5.0), Point::new(6.0, 7.0));
-        assert_eq!(a.min_dist_rect(&b), 5.0);
-        assert_eq!(a.min_dist_rect(&a), 0.0);
-        let touching = Rect::new(Point::new(1.0, 0.0), Point::new(2.0, 1.0));
-        assert_eq!(a.min_dist_rect(&touching), 0.0);
     }
 
     fn arb_point() -> impl Strategy<Value = Point> {
@@ -286,8 +186,8 @@ mod tests {
     }
 
     proptest! {
-        /// mindist lower-bounds and maxdist upper-bounds the distance to
-        /// every sampled point of the rectangle.
+        /// mindist lower-bounds the distance to every sampled point of the
+        /// rectangle.
         #[test]
         fn min_max_dist_bracket_sampled_points(r in arb_rect(), p in arb_point(),
                                                tx in 0.0f64..1.0, ty in 0.0f64..1.0) {
@@ -297,29 +197,18 @@ mod tests {
             );
             let d = p.distance(&q);
             prop_assert!(r.min_dist_point(&p) <= d + 1e-9);
-            prop_assert!(r.max_dist_point(&p) >= d - 1e-9);
         }
 
-        /// Union contains both inputs; intersection area is symmetric and
-        /// bounded by both areas.
+        /// Union contains both inputs and intersects each; intersection is
+        /// symmetric.
         #[test]
         fn union_and_intersection_laws(a in arb_rect(), b in arb_rect()) {
             let u = a.union(&b);
-            prop_assert!(u.contains_rect(&a));
-            prop_assert!(u.contains_rect(&b));
-            let i1 = a.intersection_area(&b);
-            let i2 = b.intersection_area(&a);
-            prop_assert!((i1 - i2).abs() < 1e-9);
-            prop_assert!(i1 <= a.area() + 1e-9 && i1 <= b.area() + 1e-9);
-        }
-
-        /// Rect-rect mindist lower-bounds point distances across the rects.
-        #[test]
-        fn rect_mindist_is_lower_bound(a in arb_rect(), b in arb_rect(),
-                                       t in 0.0f64..1.0, s in 0.0f64..1.0) {
-            let pa = Point::new(a.min.x + t * (a.max.x - a.min.x), a.min.y + s * (a.max.y - a.min.y));
-            let pb = Point::new(b.min.x + s * (b.max.x - b.min.x), b.min.y + t * (b.max.y - b.min.y));
-            prop_assert!(a.min_dist_rect(&b) <= pa.distance(&pb) + 1e-9);
+            for r in [a, b] {
+                prop_assert!(u.contains_point(&r.min) && u.contains_point(&r.max));
+                prop_assert!(u.intersects(&r));
+            }
+            prop_assert_eq!(a.intersects(&b), b.intersects(&a));
         }
     }
 }

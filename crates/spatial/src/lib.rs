@@ -3,11 +3,10 @@
 //! Self-contained computational-geometry layer for GP-SSN:
 //!
 //! * [`geom`] — 2-D points and minimum bounding rectangles (MBRs) with the
-//!   `mindist`/`maxdist` machinery used by every spatial pruning rule.
-//! * [`rstar`] — a from-scratch R\*-tree (Beckmann et al., SIGMOD 1990;
-//!   reference \[6\] of the paper): ChooseSubtree with overlap minimization,
-//!   R\* topological split, and forced reinsertion. This is the backbone of
-//!   the road-network index `I_R`.
+//!   point-to-MBR `mindist` that R-tree search prunes with.
+//! * [`rstar`] — a from-scratch R-tree, built only by Sort-Tile-Recursive
+//!   packing, standing in for the R\*-tree the paper names (reference
+//!   \[6\]). This is the backbone of the road-network index `I_R`.
 //! * [`bitvec`] — hashed keyword signatures (`sup_K` / `sub_K` bit vectors
 //!   of paper Section 4.1) with bit-OR aggregation up the tree.
 

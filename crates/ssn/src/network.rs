@@ -2,7 +2,6 @@
 
 use gpssn_road::{NetworkPoint, PoiSet, RoadNetwork};
 use gpssn_social::{SocialNetwork, UserId};
-use gpssn_spatial::Point;
 
 /// A spatial-social network: road network + POIs + social network + a
 /// home location on the road network for every user.
@@ -68,11 +67,6 @@ impl SpatialSocialNetwork {
         &self.homes
     }
 
-    /// 2-D coordinates of user `u`'s home.
-    pub fn home_location(&self, u: UserId) -> Point {
-        self.homes[u as usize].location(&self.road)
-    }
-
     /// Exact road-network distance from user `u`'s home to POI `o`
     /// (`dist_RN(u_j, o_i)` of Definition 5).
     pub fn user_poi_distance(&self, u: UserId, o: gpssn_road::PoiId) -> f64 {
@@ -105,6 +99,7 @@ mod tests {
     use super::*;
     use gpssn_road::Poi;
     use gpssn_social::InterestVector;
+    use gpssn_spatial::Point;
 
     /// A tiny deterministic fixture: 3-vertex line road, 2 POIs, 2 users.
     pub(crate) fn tiny() -> SpatialSocialNetwork {
@@ -140,8 +135,8 @@ mod tests {
         let ssn = tiny();
         assert_eq!(ssn.social().num_users(), 2);
         assert_eq!(ssn.pois().len(), 2);
-        assert_eq!(ssn.home_location(0), Point::new(0.0, 0.0));
-        assert_eq!(ssn.home_location(1), Point::new(4.0, 0.0));
+        assert_eq!(ssn.home(0).location(ssn.road()), Point::new(0.0, 0.0));
+        assert_eq!(ssn.home(1).location(ssn.road()), Point::new(4.0, 0.0));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Facade crate re-exporting the full GP-SSN stack:
 //!
 //! * [`graph`] — graph substrate (CSR graphs, Dijkstra, BFS, partitioning).
-//! * [`spatial`] — geometry and the R\*-tree.
+//! * [`spatial`] — geometry and the STR-packed R-tree.
 //! * [`road`] — spatial road networks `G_r` with POIs.
 //! * [`social`] — social networks `G_s` with interest vectors.
 //! * [`ssn`] — integrated spatial-social networks `G_rs` and datasets.

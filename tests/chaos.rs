@@ -235,3 +235,67 @@ fn sampling_rescue_rides_the_dijkstra_fallback_under_ch_faults() {
         "the rescue never tried the CH oracle: {c:?}"
     );
 }
+
+/// A verifier defect that fires at every center is not rescued: the
+/// ladder's sampling rung verifies centers through the same
+/// `verify_center`, so its centers fault too and the query ends
+/// `Failed` with the absorbed faults named, no panic escaping. Once the
+/// fault is gone the same engine answers exactly, bit for bit as a
+/// freshly built one.
+#[test]
+fn persistent_verifier_fault_fails_the_ladder_and_leaves_the_engine_sound() {
+    use gpssn::core::GpSsnError;
+    use gpssn::failpoint::FireRule;
+
+    let _serial = PLAN_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 11);
+    let engine = GpSsnEngine::build(&ssn, EngineConfig::default());
+    let opts = QueryOptions {
+        degradation: DegradationPolicy::Ladder,
+        ..Default::default()
+    };
+    let budget = QueryBudget::unlimited();
+    let q = GpSsnQuery {
+        user: 0,
+        tau: 2,
+        gamma: 0.3,
+        theta: 0.3,
+        radius: 3.0,
+    };
+
+    let plan = FaultPlan::new(99).with_site("refine::verify_center", FireRule::Always);
+    let guard = install(plan);
+    let out = engine
+        .try_query(&q, &opts, &budget)
+        .expect("verifier faults are absorbed per center, never Err");
+    drop(guard);
+    let Completion::Failed(GpSsnError::Internal(msg)) = &out.completion else {
+        panic!("expected Failed(Internal), got {:?}", out.completion);
+    };
+    assert!(out.answers.is_empty(), "failed completions carry no answer");
+    // The message counts the exact pass's faults; the counter adds the
+    // rescue's faulted centers.
+    let exact_faults: u64 = msg
+        .strip_suffix(" refinement fault(s) absorbed with no verified answer")
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("message does not name the absorbed faults: {msg}"));
+    assert!(exact_faults > 0, "{msg}");
+    assert!(
+        out.metrics.counters[Counter::RefineFaults] > exact_faults,
+        "RefineFaults {} does not count the rescue's centers beyond the exact pass's {exact_faults}",
+        out.metrics.counters[Counter::RefineFaults]
+    );
+
+    let after = engine
+        .try_query(&q, &opts, &budget)
+        .expect("fault-free run");
+    assert!(matches!(after.completion, Completion::Exact));
+    let ans = after.answer().expect("fixture query has an answer");
+    let fresh = GpSsnEngine::build(&ssn, EngineConfig::default())
+        .try_query(&q, &opts, &budget)
+        .expect("fault-free run");
+    let truth = fresh.answer().expect("fixture query has an answer");
+    assert_eq!(ans.maxdist.to_bits(), truth.maxdist.to_bits());
+    assert_eq!(ans.users, truth.users);
+    assert_eq!(ans.pois, truth.pois);
+}
