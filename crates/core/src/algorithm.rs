@@ -1481,49 +1481,6 @@ mod tests {
     }
 
     #[test]
-    fn ablation_modes_produce_same_answer() {
-        let ssn = synthetic(&SyntheticConfig::uni().scaled(0.012), 29);
-        let engine = small_engine(&ssn);
-        let q = GpSsnQuery {
-            user: 2,
-            tau: 2,
-            gamma: 0.4,
-            theta: 0.3,
-            radius: 2.5,
-        };
-        let full = run(&engine, &q, &QueryOptions::default());
-        // Every pruning rule off, on an index without CH (Dijkstra rows).
-        let mut cfg = small_cfg();
-        cfg.road_index.build_ch = false;
-        let no_prune = run(
-            &GpSsnEngine::build(&ssn, cfg),
-            &q,
-            &QueryOptions {
-                use_interest_pruning: false,
-                use_social_distance_pruning: false,
-                use_matching_pruning: false,
-                use_delta_pruning: false,
-                collect_stats: false,
-                use_tight_mbr_test: false,
-                degradation: DegradationPolicy::FailFast,
-                mode: QueryMode::Exact,
-            },
-        );
-        match (full.answer(), no_prune.answer()) {
-            (Some(a), Some(b)) => {
-                assert!(
-                    (a.maxdist - b.maxdist).abs() < 1e-6,
-                    "{} vs {}",
-                    a.maxdist,
-                    b.maxdist
-                )
-            }
-            (None, None) => {}
-            other => panic!("pruned and unpruned disagree: {other:?}"),
-        }
-    }
-
-    #[test]
     fn rejects_radius_outside_index_range() {
         let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 11);
         let engine = small_engine(&ssn);
@@ -1538,33 +1495,6 @@ mod tests {
             engine.try_query(&q, &QueryOptions::default(), &QueryBudget::unlimited()),
             Err(GpSsnError::RadiusOutOfIndexRange { .. })
         ));
-    }
-
-    #[test]
-    fn parallel_batch_matches_sequential() {
-        let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 41);
-        let engine = small_engine(&ssn);
-        let queries: Vec<GpSsnQuery> = (0..8u32)
-            .map(|u| GpSsnQuery {
-                user: u,
-                tau: 2,
-                gamma: 0.3,
-                theta: 0.3,
-                radius: 2.5,
-            })
-            .collect();
-        let opts = QueryOptions::default();
-        let budget = QueryBudget::unlimited();
-        let parallel = engine.try_query_batch(&queries, 4, &opts, &budget);
-        assert_eq!(queries.len(), parallel.len());
-        for (q, p) in queries.iter().zip(parallel) {
-            let (s, p) = (run(&engine, q, &opts), p.expect("valid query"));
-            assert_eq!(s.answers, p.answers);
-            assert_eq!(
-                s.metrics.counters[Counter::IoPages],
-                p.metrics.counters[Counter::IoPages]
-            );
-        }
     }
 
     #[test]

@@ -47,18 +47,6 @@ pub fn try_exact_baseline(
     q: &GpSsnQuery,
     budget: &QueryBudget,
 ) -> Result<Option<GpSsnAnswer>, GpSsnError> {
-    try_exact_baseline_with_obs(ssn, q, budget, None)
-}
-
-/// [`try_exact_baseline`] with telemetry: a `baseline` span wrapping
-/// the run, phase spans/timers for group enumeration and the ball scan,
-/// and a `gpssn_queries_total{path="baseline"}` counter.
-pub fn try_exact_baseline_with_obs(
-    ssn: &SpatialSocialNetwork,
-    q: &GpSsnQuery,
-    budget: &QueryBudget,
-    obs: Option<&gpssn_obs::Obs>,
-) -> Result<Option<GpSsnAnswer>, GpSsnError> {
     q.validate().map_err(GpSsnError::InvalidQuery)?;
     let num_users = ssn.social().num_users();
     if q.user as usize >= num_users {
@@ -67,16 +55,9 @@ pub fn try_exact_baseline_with_obs(
             num_users,
         });
     }
-    let obs = obs.filter(|o| o.active());
-    let _qspan = obs
-        .filter(|o| o.tracing_on())
-        .map(|o| o.tracer().span("baseline"));
-    if let Some(o) = obs {
-        o.inc("gpssn_queries_total", &[("path", "baseline")], 1);
-    }
     let meter = BudgetState::new(budget);
     // All feasible user groups.
-    let groups = gpssn_obs::phase(obs, "enumerate_groups", || all_groups(ssn, q, &meter));
+    let groups = all_groups(ssn, q, &meter);
     if let Some(trip) = meter.trip() {
         return Err(trip.into());
     }
@@ -86,9 +67,6 @@ pub fn try_exact_baseline_with_obs(
     // All candidate balls.
     let n = ssn.pois().len();
     let mut best: Option<GpSsnAnswer> = None;
-    let _scan_span = obs
-        .filter(|o| o.tracing_on())
-        .map(|o| o.tracer().span("scan_balls"));
     for center in 0..n as PoiId {
         let pos = ssn.pois().get(center).position;
         let ball = ssn.pois().network_ball(ssn.road(), &pos, q.radius);

@@ -51,7 +51,7 @@ pub mod tuning;
 pub use algorithm::{DegradationPolicy, EngineConfig, GpSsnEngine, QueryMode, QueryOptions};
 pub use baseline::{
     estimate_baseline_cost, exact_baseline, exact_baseline_top_k, try_exact_baseline,
-    try_exact_baseline_with_obs, BaselineEstimate,
+    BaselineEstimate,
 };
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use cache::{CacheLifetimeStats, DistanceCache, DistanceCacheConfig, ShardOccupancy};

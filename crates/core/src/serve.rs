@@ -1002,44 +1002,57 @@ fn control_response(engine: &GpSsnEngine<'_>, tele: &ServeObs, what: &str) -> St
 /// flushing after every line so downstream consumers see answers as
 /// they complete. Input is read incrementally — one line at a time,
 /// never slurped — so `gpq serve` on stdin and file mode share this one
-/// reader. A malformed line yields an in-order error record
-/// (`"code":"invalid_query"`) and the stream continues.
+/// reader. A malformed line — bad JSON, nesting past the parser's
+/// depth cap, bytes that are not UTF-8, or an empty line — yields an
+/// in-order error record (`"code":"invalid_query"`) and the stream
+/// continues.
 ///
 /// A line of the form `{"control":"flight"}` (or `"slo"`, `"metrics"`)
 /// is not a query: it writes one `{"control":...,"data":...}` dump line
 /// immediately — ahead of responses still in flight — and does not
 /// count as a submission.
 ///
-/// The returned `Err` only reports I/O failures on `input`/`output`;
-/// query-level failures are response records.
+/// The returned `Err` only reports I/O failures on `input`/`output` (a
+/// read failure also ends the stream); query-level failures are
+/// response records.
 pub fn serve_jsonl<R: BufRead, W: Write + Send>(
     engine: &GpSsnEngine<'_>,
     cfg: &ServeConfig,
-    input: R,
+    mut input: R,
     output: W,
 ) -> std::io::Result<ServeStats> {
     let io_err: Mutex<Option<std::io::Error>> = Mutex::new(None);
+    let keep_first = |e: std::io::Error| {
+        lock(&io_err).get_or_insert(e);
+    };
     let out = Mutex::new(output);
-    let submissions = input.lines().enumerate().filter_map(|(i, line)| {
-        let lineno = i as u64 + 1;
-        let line = match line {
-            Ok(l) => l,
-            Err(e) => {
-                // Surface the read error as this line's record and
-                // remember it for the caller; later lines may still
-                // parse (BufRead keeps yielding after e.g. invalid
-                // UTF-8 errors on some readers, and stopping here
-                // would silently drop them).
-                let mut slot = lock(&io_err);
-                let msg = e.to_string();
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
-                return Some(Submission::Rejected {
-                    id: lineno,
-                    error: GpSsnError::InvalidQuery(format!("line {lineno}: read error: {msg}")),
-                });
+    let mut buf = Vec::new();
+    let mut lineno = 0u64;
+    // Lines are read as bytes: a line that is not UTF-8 is one bad
+    // request, not a broken stream. A real read failure ends the stream
+    // and is reported to the caller.
+    let lines = std::iter::from_fn(|| {
+        buf.clear();
+        match input.read_until(b'\n', &mut buf) {
+            Ok(0) => None,
+            Ok(_) => {
+                lineno += 1;
+                let end = buf.len() - buf.ends_with(b"\n") as usize;
+                let end = end - buf[..end].ends_with(b"\r") as usize;
+                Some((lineno, std::str::from_utf8(&buf[..end]).map(str::to_string)))
             }
+            Err(e) => {
+                keep_first(e);
+                None
+            }
+        }
+    });
+    let submissions = lines.filter_map(|(lineno, line)| {
+        let Ok(line) = line else {
+            return Some(Submission::Rejected {
+                id: lineno,
+                error: GpSsnError::InvalidQuery(format!("line {lineno}: not valid UTF-8")),
+            });
         };
         if line.trim().is_empty() {
             return Some(Submission::Rejected {
@@ -1053,12 +1066,8 @@ pub fn serve_jsonl<R: BufRead, W: Write + Send>(
                 if let Some(what) = v.get("control").and_then(|c| c.as_str()) {
                     let reply = control_response(engine, &cfg.telemetry, what);
                     let mut w = lock(&out);
-                    let res = writeln!(w, "{reply}").and_then(|()| w.flush());
-                    if let Err(e) = res {
-                        let mut slot = lock(&io_err);
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
+                    if let Err(e) = writeln!(w, "{reply}").and_then(|()| w.flush()) {
+                        keep_first(e);
                     }
                     return None;
                 }
@@ -1075,12 +1084,8 @@ pub fn serve_jsonl<R: BufRead, W: Write + Send>(
     let stats = serve(engine, cfg, submissions, |resp| {
         let mut w = lock(&out);
         let line = response_line(&resp);
-        let res = writeln!(w, "{line}").and_then(|()| w.flush());
-        if let Err(e) = res {
-            let mut slot = lock(&io_err);
-            if slot.is_none() {
-                *slot = Some(e);
-            }
+        if let Err(e) = writeln!(w, "{line}").and_then(|()| w.flush()) {
+            keep_first(e);
         }
     });
     let first_err = lock(&io_err).take();
@@ -1093,6 +1098,7 @@ pub fn serve_jsonl<R: BufRead, W: Write + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parse_request_defaults_and_overrides() {
@@ -1199,5 +1205,54 @@ mod tests {
         assert_eq!(uniq.len(), cases.len(), "codes must be distinct: {cases:?}");
         assert_eq!(cases[0], "deadline_expired");
         assert_eq!(cases[1], "overloaded");
+    }
+
+    /// Request-shaped fragments, so generated lines reach the field
+    /// checks and not only the tokenizer.
+    const FRAGMENTS: [&str; 24] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        "\"user\"",
+        "\"tau\"",
+        "\"id\"",
+        "\"r\"",
+        "\"max_groups\"",
+        "\"timeout_ms\"",
+        "1",
+        "-7",
+        "2.5",
+        "1e308",
+        "1e999",
+        "null",
+        "true",
+        "\\u12",
+        "\\",
+        " ",
+        "\u{e9}",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever the line, `parse_request` returns a request or an
+        /// error: it never panics.
+        #[test]
+        fn parse_request_never_panics(
+            parts in collection::vec((0usize..FRAGMENTS.len() + 8, 0u32..0x11_0000), 0..48),
+        ) {
+            let line: String = parts
+                .iter()
+                .map(|&(i, c)| match FRAGMENTS.get(i) {
+                    Some(f) => f.to_string(),
+                    None => char::from_u32(c).map(String::from).unwrap_or_default(),
+                })
+                .collect();
+            let _ = parse_request(&line, 1, &QueryBudget::unlimited());
+        }
     }
 }

@@ -14,9 +14,11 @@
 //! * `GET /flight` — the flight recorder's ring as JSON.
 //!
 //! The listener runs on one thread with a non-blocking accept loop that
-//! polls a stop flag, so shutdown is bounded by one poll interval; each
-//! connection is handled synchronously with short socket timeouts
-//! (scrapes are small and local — concurrency here would buy nothing
+//! polls a stop flag, so shutdown is bounded by one poll interval plus
+//! the connection in hand; each connection is handled synchronously,
+//! with a 2 s deadline on its whole request head (a client that has not
+//! sent it by then gets 400) and a 2 s write timeout (scrapes are
+//! small and local — concurrency here would buy nothing
 //! but lock traffic against the serving path). Requests never touch
 //! the query queue: a scrape cannot slow a query beyond the shared
 //! mutex blips, and a stuck scraper cannot wedge the drain.
@@ -31,7 +33,7 @@ use gpssn_obs::Registry;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Everything a scrape needs, borrowed from the serve call.
 pub(crate) struct TelemetryCtx<'a, 'e> {
@@ -43,7 +45,10 @@ pub(crate) struct TelemetryCtx<'a, 'e> {
 
 /// How long the accept loop sleeps between polls of the stop flag.
 const POLL: Duration = Duration::from_millis(10);
-/// Per-connection socket timeout — scrapes are local and small.
+/// Deadline for a connection's whole request head, and the write
+/// timeout — scrapes are local and small. A deadline rather than a
+/// per-`read` timeout: a client trickling one byte at a time must not
+/// hold the single listener thread (and so `serve`'s return) for long.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(2);
 /// Cap on the request head we are willing to buffer.
 const MAX_HEAD: usize = 8 * 1024;
@@ -67,7 +72,6 @@ pub(crate) fn run_listener(listener: TcpListener, stop: &AtomicBool, ctx: Teleme
 
 fn handle_connection(mut stream: TcpStream, ctx: &TelemetryCtx<'_, '_>) -> std::io::Result<()> {
     stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(SOCKET_TIMEOUT))?;
     stream.set_write_timeout(Some(SOCKET_TIMEOUT))?;
     let head = match read_head(&mut stream) {
         Ok(h) => h,
@@ -117,12 +121,19 @@ fn handle_connection(mut stream: TcpStream, ctx: &TelemetryCtx<'_, '_>) -> std::
     }
 }
 
-/// Reads the request head (through the blank line); the routes take no
-/// bodies, so anything after it is ignored.
+/// Reads the request head (through the blank line) within
+/// [`SOCKET_TIMEOUT`] of the call; the routes take no bodies, so
+/// anything after it is ignored.
 fn read_head(stream: &mut TcpStream) -> std::io::Result<String> {
+    let deadline = Instant::now() + SOCKET_TIMEOUT;
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;

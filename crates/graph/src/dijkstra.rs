@@ -15,7 +15,6 @@
 //! the same machinery serves vertices, POIs, and user home locations.
 
 use crate::csr::{CsrGraph, NodeId};
-use crate::heap::IndexedMinHeap;
 use crate::workspace::DijkstraWorkspace;
 
 /// Sentinel distance for unreachable vertices.
@@ -56,17 +55,6 @@ pub fn dijkstra_targets(
     run(graph, seeds, INFINITY, Some(targets)).0
 }
 
-/// Like [`dijkstra_targets`], but also reports how many vertices the
-/// search settled — the unit in which query budgets meter Dijkstra work.
-pub fn dijkstra_targets_counted(
-    graph: &CsrGraph,
-    seeds: &[(NodeId, f64)],
-    targets: &[NodeId],
-) -> (DistanceMap, u64) {
-    let (dist, settled) = run(graph, seeds, INFINITY, Some(targets));
-    (dist, settled.len() as u64)
-}
-
 /// One-shot wrapper around [`DijkstraWorkspace`]: the workspace owns the
 /// single Dijkstra implementation; these free functions merely run a
 /// throwaway one (so reused and fresh runs cannot diverge).
@@ -82,52 +70,6 @@ fn run(
         Some(ts) => ws.run_targets(graph, seeds, ts),
     };
     ws.into_parts()
-}
-
-/// Dijkstra that also records the shortest-path tree: returns
-/// `(dist, parent)` where `parent[v]` is the predecessor of `v` on its
-/// shortest path from the seeds (`None` for seeds and unreached
-/// vertices). Use [`extract_path`] to materialize a route.
-pub fn dijkstra_with_parents(
-    graph: &CsrGraph,
-    seeds: &[(NodeId, f64)],
-) -> (DistanceMap, Vec<Option<NodeId>>) {
-    let n = graph.num_nodes();
-    let mut dist = vec![INFINITY; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut heap = IndexedMinHeap::new(n);
-    for &(s, d0) in seeds {
-        if d0 < dist[s as usize] {
-            dist[s as usize] = d0;
-            heap.push_or_decrease(s, d0);
-        }
-    }
-    while let Some((v, d)) = heap.pop() {
-        for nb in graph.neighbors(v) {
-            let nd = d + nb.weight;
-            if nd < dist[nb.node as usize] {
-                dist[nb.node as usize] = nd;
-                parent[nb.node as usize] = Some(v);
-                heap.push_or_decrease(nb.node, nd);
-            }
-        }
-    }
-    (dist, parent)
-}
-
-/// Walks `parent` pointers back from `target` to a seed, returning the
-/// vertex sequence seed→target. Empty when `target` was never reached
-/// and is not itself a seed (`parent[target].is_none()` and
-/// `dist == INFINITY` at the call site distinguish the two).
-pub fn extract_path(parent: &[Option<NodeId>], target: NodeId) -> Vec<NodeId> {
-    let mut path = vec![target];
-    let mut cur = target;
-    while let Some(p) = parent[cur as usize] {
-        path.push(p);
-        cur = p;
-    }
-    path.reverse();
-    path
 }
 
 /// Reference all-pairs shortest paths (Floyd–Warshall), used only in tests
@@ -232,34 +174,6 @@ mod tests {
         let g = diamond();
         let d = dijkstra_targets(&g, &[(0, 0.0)], &[]);
         assert!(d.iter().skip(1).all(|&x| x == INFINITY));
-    }
-
-    #[test]
-    fn parents_reconstruct_shortest_paths() {
-        let g = diamond();
-        let (dist, parent) = dijkstra_with_parents(&g, &[(0, 0.0)]);
-        let path = extract_path(&parent, 3);
-        assert_eq!(path, vec![0, 1, 3]); // length 2.0 beats 0-2-3 (3.5)
-                                         // Path lengths telescope to the distance map.
-        let mut acc = 0.0;
-        for w in path.windows(2) {
-            let (u, v) = (w[0], w[1]);
-            let weight = g
-                .neighbors(u)
-                .iter()
-                .find(|nb| nb.node == v)
-                .expect("path edge exists")
-                .weight;
-            acc += weight;
-        }
-        assert!((acc - dist[3]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn extract_path_of_seed_is_singleton() {
-        let g = diamond();
-        let (_, parent) = dijkstra_with_parents(&g, &[(2, 0.0)]);
-        assert_eq!(extract_path(&parent, 2), vec![2]);
     }
 
     fn random_graph(rng: &mut StdRng, n: usize, extra: usize) -> CsrGraph {

@@ -38,10 +38,7 @@ pub use bfs::{bounded_hops, hop_distances};
 pub use ch::{ChBuildStats, ChOracle, ChSearch};
 pub use components::{connected_components, is_connected_subset};
 pub use csr::{grid_nearest, grid_up, CsrGraph, EdgeId, NodeId, GRID_HEADROOM};
-pub use dijkstra::{
-    dijkstra_all, dijkstra_bounded, dijkstra_targets, dijkstra_targets_counted, DistanceMap,
-    INFINITY,
-};
+pub use dijkstra::{dijkstra_all, dijkstra_bounded, dijkstra_targets, DistanceMap, INFINITY};
 pub use heap::IndexedMinHeap;
 pub use partition::{partition_graph, Partitioning};
 pub use sampling::{IndexSampler, ValueDistribution};

@@ -212,7 +212,7 @@ impl DijkstraWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dijkstra::{dijkstra_all, dijkstra_bounded, dijkstra_targets_counted};
+    use crate::dijkstra::{dijkstra_all, dijkstra_bounded, dijkstra_targets};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -300,7 +300,8 @@ mod tests {
                     let t1 = rng.gen_range(0..n) as NodeId;
                     let t2 = rng.gen_range(0..n) as NodeId;
                     let targets = [t1, t2, t1]; // deliberate duplicate
-                    let (oracle, count_oracle) = dijkstra_targets_counted(&g, &[(s, 0.0)], &targets);
+                    let oracle = dijkstra_targets(&g, &[(s, 0.0)], &targets);
+                    let count_oracle = DijkstraWorkspace::new().run_targets(&g, &[(s, 0.0)], &targets);
                     let count = ws.run_targets(&g, &[(s, 0.0)], &targets);
                     prop_assert_eq!(count, count_oracle);
                     // Early termination leaves tails unexplored in both.

@@ -13,17 +13,6 @@ use gpssn_graph::{ChOracle, ChSearch, DijkstraWorkspace, NodeId};
 /// Exact road-network distance between two on-edge points.
 pub fn dist_rn(net: &RoadNetwork, a: &NetworkPoint, b: &NetworkPoint) -> f64 {
     let mut ws = DijkstraWorkspace::new();
-    dist_rn_with(net, &mut ws, a, b)
-}
-
-/// [`dist_rn`] running inside a caller-provided [`DijkstraWorkspace`], so
-/// repeated calls are allocation-free.
-pub fn dist_rn_with(
-    net: &RoadNetwork,
-    ws: &mut DijkstraWorkspace,
-    a: &NetworkPoint,
-    b: &NetworkPoint,
-) -> f64 {
     let (bu, bv, _) = net.edge(b.edge);
     ws.run_targets(net.graph(), &a.seeds(net), &[bu, bv]);
     point_dist_from_map(net, ws.dist(), a, b)
@@ -157,47 +146,6 @@ pub fn dist_rn_matrix_ch(
     (out, settles)
 }
 
-/// A materialized shortest route between two on-edge points: total
-/// length plus the intersection sequence travelled (empty when source and
-/// target share an edge and the direct along-edge path wins).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Route {
-    /// Total road-network length.
-    pub length: f64,
-    /// Intersections visited, in travel order.
-    pub vertices: Vec<NodeId>,
-}
-
-/// Computes the shortest route from `a` to `b` (exact), including the
-/// vertex sequence for turn-by-turn output. Returns `None` when `b` is
-/// unreachable.
-pub fn shortest_route(net: &RoadNetwork, a: &NetworkPoint, b: &NetworkPoint) -> Option<Route> {
-    use gpssn_graph::dijkstra::{dijkstra_with_parents, extract_path};
-    let (dist, parents) = dijkstra_with_parents(net.graph(), &a.seeds(net));
-    let (bu, bv, blen) = net.edge(b.edge);
-    let via_u = dist[bu as usize] + b.offset;
-    let via_v = dist[bv as usize] + (blen - b.offset);
-    let mut best = via_u.min(via_v);
-    let mut direct = false;
-    if a.edge == b.edge && (a.offset - b.offset).abs() < best {
-        best = (a.offset - b.offset).abs();
-        direct = true;
-    }
-    if !best.is_finite() {
-        return None;
-    }
-    let vertices = if direct {
-        Vec::new()
-    } else {
-        let end = if via_u <= via_v { bu } else { bv };
-        extract_path(&parents, end)
-    };
-    Some(Route {
-        length: best,
-        vertices,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,27 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn route_matches_distance_and_lists_vertices() {
-        let net = ring();
-        let a = NetworkPoint::new(&net, 0, 0.5); // bottom edge midpoint
-        let b = NetworkPoint::new(&net, 2, 0.5); // top edge midpoint
-        let route = shortest_route(&net, &a, &b).expect("reachable");
-        assert!((route.length - dist_rn(&net, &a, &b)).abs() < 1e-9);
-        // Two intersections are crossed either way around the ring.
-        assert_eq!(route.vertices.len(), 2);
-    }
-
-    #[test]
-    fn same_edge_direct_route_has_no_vertices() {
-        let net = ring();
-        let a = NetworkPoint::new(&net, 0, 0.1);
-        let b = NetworkPoint::new(&net, 0, 0.9);
-        let route = shortest_route(&net, &a, &b).unwrap();
-        assert!(route.vertices.is_empty());
-        assert!((route.length - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
     fn same_edge_wins_when_endpoints_unreachable_in_bounded_map() {
         // Two components: edge (0,1) and edge (2,3). Points a, b both sit
         // on edge (2,3), but the distance map is seeded at a point on
@@ -360,20 +287,6 @@ mod tests {
             assert_eq!(fresh, reused);
             assert_eq!(n_fresh, n_reused);
         }
-    }
-
-    #[test]
-    fn unreachable_route_is_none() {
-        let locs = vec![
-            Point::new(0.0, 0.0),
-            Point::new(1.0, 0.0),
-            Point::new(5.0, 0.0),
-            Point::new(6.0, 0.0),
-        ];
-        let net = RoadNetwork::from_euclidean_edges(locs, &[(0, 1), (2, 3)]);
-        let a = NetworkPoint::new(&net, 0, 0.5);
-        let b = NetworkPoint::new(&net, 1, 0.5);
-        assert!(shortest_route(&net, &a, &b).is_none());
     }
 
     fn random_connected_net(rng: &mut StdRng, n: usize) -> RoadNetwork {

@@ -136,26 +136,6 @@ fn io_cost_scales_sublinearly_with_pois() {
 }
 
 #[test]
-fn repeated_queries_are_deterministic() {
-    let ssn = DatasetKind::Zipf.build(0.02, 31);
-    let engine = engine_for(&ssn, 31);
-    let q = GpSsnQuery {
-        user: 5,
-        tau: 2,
-        gamma: 0.4,
-        theta: 0.4,
-        radius: 2.5,
-    };
-    let a = query(&engine, &q, &Default::default());
-    let b = query(&engine, &q, &Default::default());
-    assert_eq!(a.answers, b.answers);
-    assert_eq!(
-        a.metrics.counters[Counter::IoPages],
-        b.metrics.counters[Counter::IoPages]
-    );
-}
-
-#[test]
 fn larger_tau_is_harder_or_equal() {
     let ssn = DatasetKind::Uni.build(0.03, 13);
     let engine = engine_for(&ssn, 13);

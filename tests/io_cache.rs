@@ -1,5 +1,6 @@
-//! Buffer-pool accounting and the tight interest-MBR test: neither may
-//! change answers; both may only reduce cost / increase pruning.
+//! Buffer-pool accounting and the tight interest-MBR test may only
+//! reduce cost / increase pruning. That neither changes an answer is
+//! checked bitwise by `tests/differential.rs`.
 
 mod common;
 use common::query;
@@ -8,7 +9,7 @@ use gpssn::core::{Counter, EngineConfig, GpSsnEngine, GpSsnQuery};
 use gpssn::ssn::{synthetic, SyntheticConfig};
 
 #[test]
-fn page_cache_reduces_io_without_changing_answers() {
+fn page_cache_reduces_io() {
     let ssn = synthetic(&SyntheticConfig::uni().scaled(0.015), 19);
     let raw = GpSsnEngine::build(&ssn, EngineConfig::default());
     let cached = GpSsnEngine::build(
@@ -29,11 +30,6 @@ fn page_cache_reduces_io_without_changing_answers() {
         };
         let a = query(&raw, &q, &Default::default());
         let b = query(&cached, &q, &Default::default());
-        assert_eq!(
-            a.answer().map(|x| (x.users.clone(), x.pois.clone())),
-            b.answer().map(|x| (x.users.clone(), x.pois.clone())),
-            "cache changed the answer for user {user}"
-        );
         assert!(
             b.metrics.counters[Counter::IoPages] <= a.metrics.counters[Counter::IoPages],
             "cache increased I/O: {} > {}",
@@ -49,31 +45,7 @@ fn page_cache_reduces_io_without_changing_answers() {
 }
 
 #[test]
-fn tiny_cache_still_correct() {
-    let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 23);
-    let raw = GpSsnEngine::build(&ssn, EngineConfig::default());
-    let cached = GpSsnEngine::build(
-        &ssn,
-        EngineConfig {
-            page_cache_capacity: Some(1),
-            ..Default::default()
-        },
-    );
-    let q = GpSsnQuery {
-        user: 2,
-        tau: 2,
-        gamma: 0.3,
-        theta: 0.3,
-        radius: 2.0,
-    };
-    assert_eq!(
-        query(&raw, &q, &Default::default()).answers,
-        query(&cached, &q, &Default::default()).answers
-    );
-}
-
-#[test]
-fn tight_mbr_test_preserves_answers_and_prunes_no_less() {
+fn tight_mbr_test_prunes_no_less() {
     let ssn = synthetic(&SyntheticConfig::uni().scaled(0.02), 29);
     let engine = GpSsnEngine::build(&ssn, EngineConfig::default());
     for user in [3u32, 9, 17] {
@@ -100,11 +72,6 @@ fn tight_mbr_test_preserves_answers_and_prunes_no_less() {
                 use_tight_mbr_test: true,
                 ..Default::default()
             },
-        );
-        assert_eq!(
-            geo.answer().map(|a| a.maxdist),
-            tight.answer().map(|a| a.maxdist),
-            "tight MBR test changed the answer"
         );
         assert!(
             tight.metrics.counters[Counter::UsersPrunedIndex]

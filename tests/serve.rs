@@ -1,10 +1,10 @@
-//! Serving-layer contract tests: a batch (which runs on the serve loop)
-//! is bit-identical to sequential execution at every thread count and
-//! sheds dead-on-arrival slots, the serve loop preserves submission
-//! order, admission
-//! control sheds expired and overloaded requests *without engine work*,
-//! and the JSONL front-end turns malformed lines into in-order error
-//! records instead of aborting the stream.
+//! Serving-layer contract tests: the serve loop preserves submission
+//! order, admission control sheds expired and overloaded requests
+//! *without engine work* (in a batch too), and the JSONL front-end
+//! turns malformed, hostile and non-UTF-8 lines into in-order error
+//! records instead of aborting the stream. That a batch and a JSONL
+//! stream answer bit-identically to `try_query` is checked by
+//! `tests/differential.rs`.
 
 mod common;
 use gpssn::core::{
@@ -65,38 +65,6 @@ fn assert_same_outcome(
     }
 }
 
-/// A batch produces bit-identical per-slot results to the sequential
-/// engine at every thread count, including 7 (more workers than divide
-/// the batch evenly) and 0 (auto-detect). Its deadline counts from
-/// submission, so a zero deadline is shed before the engine runs.
-#[test]
-fn batch_schedules_bit_identical_across_thread_counts() {
-    let ssn = dataset();
-    let engine = GpSsnEngine::build(&ssn, EngineConfig::default());
-    let queries = skewed_queries(ssn.social().num_users() as u32, 24);
-    let opts = QueryOptions::default();
-    let budget = QueryBudget::unlimited();
-
-    let sequential: Vec<_> = queries
-        .iter()
-        .map(|q| engine.try_query(q, &opts, &budget))
-        .collect();
-
-    for threads in [1usize, 2, 7, 0] {
-        let got = engine.try_query_batch(&queries, threads, &opts, &budget);
-        assert_eq!(got.len(), queries.len());
-        for (i, (g, s)) in got.iter().zip(&sequential).enumerate() {
-            assert_same_outcome(g, s, &format!("threads={threads} slot {i}"));
-        }
-        let dead = QueryBudget::with_deadline(Duration::ZERO);
-        let shed = engine.try_query_batch(&queries[..1], threads, &opts, &dead);
-        assert!(
-            matches!(shed[..], [Err(GpSsnError::DeadlineExpired)]),
-            "{shed:?}"
-        );
-    }
-}
-
 /// `serve` delivers every response in submission order, streaming, with
 /// answers bit-identical to the sequential engine.
 #[test]
@@ -145,7 +113,8 @@ fn serve_preserves_submission_order_and_answers() {
 
 /// Requests whose deadline is already spent are shed before any engine
 /// work: the typed `DeadlineExpired` comes back, the shed is metered,
-/// and the engine's own counters stay at zero.
+/// and the engine's own counters stay at zero. A batch's deadline
+/// counts from submission too, so a zero deadline sheds its slot.
 #[test]
 fn expired_deadlines_shed_without_engine_work() {
     let ssn = dataset();
@@ -188,11 +157,23 @@ fn expired_deadlines_shed_without_engine_work() {
     }
     assert_eq!(stats.shed_expired, 5);
     assert_eq!(stats.served, 0, "no request may reach the engine");
+    let dead = QueryBudget::with_deadline(Duration::ZERO);
+    let shed = engine.try_query_batch(
+        &[GpSsnQuery::with_defaults(3)],
+        2,
+        &QueryOptions::default(),
+        &dead,
+    );
+    assert!(
+        matches!(shed[..], [Err(GpSsnError::DeadlineExpired)]),
+        "{shed:?}"
+    );
 
     let snap = obs.base_registry().snapshot();
     assert_eq!(
         snap.counter("gpssn_serve_shed_total", &[("reason", "expired")]),
-        5
+        6,
+        "five served sheds and one batch shed"
     );
     assert_eq!(snap.counter("gpssn_serve_served_total", &[]), 0);
     assert_eq!(
@@ -257,7 +238,9 @@ fn overloaded_queue_sheds_with_typed_error() {
 
 /// The JSONL front-end: one response line per input line, in input
 /// order; malformed lines become `invalid_query` error records
-/// mid-stream and later lines still run.
+/// mid-stream and later lines still run. So do hostile lines: nesting
+/// deep enough to overflow a recursive parser, bytes that are not
+/// UTF-8, an empty line.
 #[test]
 fn serve_jsonl_streams_and_survives_malformed_lines() {
     let ssn = dataset();
@@ -273,16 +256,19 @@ fn serve_jsonl_streams_and_survives_malformed_lines() {
         "{\"id\":13,\"tau\":2}\n", // missing required user
         "{\"id\":14,\"user\":7,\"timeout_ms\":0}\n", // dead on arrival
     );
+    let mut input = input.as_bytes().to_vec();
+    input.resize(input.len() + 1_000_000, b'[');
+    input.extend_from_slice(b"\n{\"user\":\xff\xfe}\n\n{\"id\":19,\"user\":8}\n");
     let mut out = Vec::new();
-    let stats = serve_jsonl(&engine, &cfg, input.as_bytes(), &mut out).expect("no I/O errors");
-    assert_eq!(stats.submitted, 5);
-    assert_eq!(stats.rejected, 2, "two malformed lines");
+    let stats = serve_jsonl(&engine, &cfg, &input[..], &mut out).expect("no I/O errors");
+    assert_eq!(stats.submitted, 9);
+    assert_eq!(stats.rejected, 5, "two malformed and three hostile lines");
     assert_eq!(stats.shed_expired, 1);
-    assert_eq!(stats.served, 2);
+    assert_eq!(stats.served, 3);
 
     let text = String::from_utf8(out).expect("output is UTF-8");
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 5, "one response line per input line");
+    assert_eq!(lines.len(), 9, "one response line per input line");
     let parsed: Vec<json::Value> = lines
         .iter()
         .map(|l| json::parse(l).unwrap_or_else(|e| panic!("bad response line {l:?}: {e}")))
@@ -306,4 +292,14 @@ fn serve_jsonl_streams_and_survives_malformed_lines() {
     assert_eq!(field(3, "code"), "invalid_query");
     assert_eq!(field(4, "id"), "14");
     assert_eq!(field(4, "code"), "deadline_expired");
+    for (i, id) in [(5, "6"), (6, "7"), (7, "8")] {
+        assert_eq!(
+            (field(i, "id"), field(i, "code")),
+            (id.into(), "invalid_query".into())
+        );
+    }
+    assert_eq!(
+        (field(8, "id"), field(8, "status")),
+        ("19".into(), "ok".into())
+    );
 }

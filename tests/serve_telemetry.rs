@@ -1,9 +1,10 @@
 //! Continuous-observability contract tests for the serve path: the
 //! live HTTP telemetry endpoint answers all four routes while traffic
 //! is in flight, tail-based trace sampling keeps every interesting
-//! trace and exactly the configured head rate of the boring rest,
-//! observability never perturbs answers (bit-identical on/off), and
-//! the queue-depth gauge returns to zero after every drain.
+//! trace and exactly the configured head rate of the boring rest, a
+//! trickling client cannot hold the listener, and the queue-depth gauge
+//! returns to zero after every drain. That observability never perturbs
+//! answers is checked bitwise by `tests/differential.rs`.
 
 use gpssn::core::{
     serve, serve_jsonl, EngineConfig, GpSsnEngine, GpSsnError, GpSsnQuery, OverloadPolicy,
@@ -383,72 +384,6 @@ fn zero_latency_threshold_keeps_every_trace() {
     assert_eq!(tele.flight().dropped(), 2);
 }
 
-/// Observability must never perturb answers: the same stream served
-/// with full observability (metrics + tracing + tail sampling + flight
-/// recorder) and with none produces bit-identical responses.
-#[test]
-fn answers_bit_identical_with_observability_on_and_off() {
-    let ssn = dataset();
-    let num_users = ssn.social().num_users() as u32;
-    let queries: Vec<GpSsnQuery> = (0..12u32)
-        .map(|i| {
-            let mut q = GpSsnQuery::with_defaults((i * 11) % num_users);
-            q.radius = if i % 3 == 0 { 2.5 } else { 1.0 };
-            q
-        })
-        .collect();
-
-    let run = |with_obs: bool| -> Vec<(u64, String)> {
-        let obs = with_obs.then(|| {
-            std::sync::Arc::new(Obs::new(ObsConfig {
-                metrics: true,
-                tracing: true,
-                trace_capacity: 1 << 14,
-            }))
-        });
-        let engine = GpSsnEngine::build(
-            &ssn,
-            EngineConfig {
-                obs,
-                ..Default::default()
-            },
-        );
-        let tele = std::sync::Arc::new(ServeObs::default());
-        let cfg = ServeConfig {
-            threads: 2,
-            telemetry: tele,
-            ..Default::default()
-        };
-        let out = Mutex::new(Vec::new());
-        serve(
-            &engine,
-            &cfg,
-            queries.iter().enumerate().map(|(i, q)| {
-                Submission::Request(ServeRequest {
-                    id: i as u64,
-                    query: q.clone(),
-                    budget: QueryBudget::unlimited(),
-                })
-            }),
-            |resp| {
-                // Render the full answer (bit-exact distance) so the
-                // comparison cannot pass on rounding.
-                let rendered = match &resp.result {
-                    Ok(out) => match out.answer() {
-                        Some(a) => format!("{:?}|{:?}|{:x}", a.users, a.pois, a.maxdist.to_bits()),
-                        None => "none".into(),
-                    },
-                    Err(e) => format!("err:{e}"),
-                };
-                out.lock().unwrap().push((resp.id, rendered));
-            },
-        );
-        out.into_inner().unwrap()
-    };
-
-    assert_eq!(run(true), run(false), "observability perturbed answers");
-}
-
 /// In-stream control lines return the same dumps as the HTTP routes,
 /// immediately, without counting as submissions.
 #[test]
@@ -498,6 +433,65 @@ fn control_lines_dump_telemetry_in_stream() {
         .iter()
         .any(|l| l.starts_with("{\"control\":\"bogus\"") && l.contains("unknown control")));
     assert!(lines.iter().any(|l| l.contains("\"id\":1")));
+}
+
+/// A client that trickles its request head one byte at a time holds
+/// the single listener thread only until the head deadline (it gets
+/// 400), so a scrape queued behind it is answered, and `serve` returns
+/// soon after input EOF while such a client is connected. Two serve
+/// calls run at once so that both waits share one deadline.
+#[test]
+fn trickling_client_cannot_hold_the_listener() {
+    let engine = shared_engine();
+    // Sends an unfinished request head, one byte per 100 ms, for at
+    // most 5 s or until the server hangs up.
+    let trickle = |mut client: TcpStream| {
+        let head = b"GET /health HTTP/1.1\r\nX: "
+            .iter()
+            .chain(std::iter::repeat(&b'y'));
+        for b in head.take(50) {
+            if client.write_all(&[*b]).is_err() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    };
+    std::thread::scope(|scope| {
+        let [(tx_a, addr_a, serve_a), (tx_b, _, serve_b)] = [(); 2].map(|()| {
+            let tele = std::sync::Arc::new(ServeObs::default());
+            let cfg = ServeConfig {
+                threads: 1,
+                telemetry: tele.clone(),
+                telemetry_addr: Some("127.0.0.1:0".into()),
+                ..Default::default()
+            };
+            let (tx, rx) = mpsc::channel::<Submission>();
+            let handle = scope.spawn(move || serve(engine, &cfg, rx, |_| {}));
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let addr = loop {
+                if let Some(a) = tele.telemetry_addr() {
+                    break a;
+                }
+                assert!(Instant::now() < deadline, "listener never bound");
+                std::thread::sleep(Duration::from_millis(5));
+            };
+            let client = TcpStream::connect(addr).expect("connect trickler");
+            scope.spawn(move || trickle(client));
+            (tx, addr, handle)
+        });
+        let eof = Instant::now();
+        drop(tx_b);
+        let (status, _) = http_get(addr_a, "/health");
+        assert!(status.contains("200"), "scrape behind a trickler: {status}");
+        serve_b.join().expect("serve returns");
+        let waited = eof.elapsed();
+        assert!(
+            waited < Duration::from_secs(3),
+            "serve returned {waited:?} after input EOF"
+        );
+        drop(tx_a);
+        serve_a.join().expect("serve returns");
+    });
 }
 
 proptest! {
