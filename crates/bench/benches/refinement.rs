@@ -1,6 +1,6 @@
-//! Center-refinement benchmarks: cold vs warm cross-query distance
-//! cache. Both return bit-identical answers (see
-//! `tests/refinement_modes.rs`); this measures what the cache saves.
+//! Center-refinement benchmarks: no cross-query ball cache vs a warm
+//! one. Both return bit-identical answers (see `tests/differential.rs`);
+//! this measures what the cache saves.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gpssn_bench::run_query;
@@ -35,7 +35,7 @@ fn workload() -> Vec<GpSsnQuery> {
         .collect()
 }
 
-/// Cold vs warm distance cache. "cold" rebuilds nothing —
+/// Cold vs warm ball cache. "cold" rebuilds nothing —
 /// the cache is simply absent — while "warm" replays the workload
 /// against a cache already populated by a priming pass, the cross-query
 /// batch scenario the cache exists for.
@@ -57,12 +57,7 @@ fn bench_cache(c: &mut Criterion) {
     });
 
     let cached = engine(&ssn, Some(DistanceCacheConfig::default()));
-    let hits_misses = |c: &QueryCounters| {
-        (
-            c[Counter::BallHits] + c[Counter::DistHits],
-            c[Counter::BallMisses] + c[Counter::DistMisses],
-        )
-    };
+    let hits_misses = |c: &QueryCounters| (c[Counter::BallHits], c[Counter::BallMisses]);
     let mut tallies = (0u64, 0u64);
     for q in &queries {
         let out = run_query(&cached, q, &QueryOptions::default()); // priming pass

@@ -79,12 +79,10 @@ pub struct EngineConfig {
     /// index file: I/O then counts misses only. `None` reproduces the
     /// paper's raw page-access metric.
     pub page_cache_capacity: Option<usize>,
-    /// Cross-query ball / `dist_RN` cache shared by every query this
-    /// engine serves. Cached values are bit-identical to recomputation
-    /// (see [`crate::cache`]), so under an unlimited budget answers are
-    /// unchanged; under a tight budget hits simply stretch how far the
-    /// budget reaches (cached work charges no Dijkstra settles). `None`
-    /// disables caching.
+    /// Cross-query ball cache shared by every query this engine serves.
+    /// Cached balls are bit-identical to recomputation (see
+    /// [`crate::cache`]), and computing a ball charges no budget, so
+    /// answers are unchanged under any budget. `None` disables caching.
     pub distance_cache: Option<DistanceCacheConfig>,
     /// Telemetry sink shared by every query this engine serves: phase
     /// spans (text flamegraph / Chrome trace) plus per-query counters
@@ -245,7 +243,7 @@ pub struct GpSsnEngine<'a> {
     /// like a real database buffer manager, so hot pages (roots, upper
     /// index levels) stop costing physical reads after warm-up.
     page_cache: Option<std::sync::Mutex<gpssn_index::io::PageCache>>,
-    /// Cross-query ball / `dist_RN` cache (when configured).
+    /// Cross-query ball cache (when configured).
     distance_cache: Option<DistanceCache>,
     /// Circuit breaker guarding the CH oracle across every query this
     /// engine serves: repeated CH faults open it, redirecting distance
@@ -365,12 +363,12 @@ impl<'a> GpSsnEngine<'a> {
         &self.ch_breaker
     }
 
-    /// The engine's cross-query distance cache, if configured.
+    /// The engine's cross-query ball cache, if configured.
     pub fn distance_cache(&self) -> Option<&DistanceCache> {
         self.distance_cache.as_ref()
     }
 
-    /// Publishes the distance cache's lifetime counters and per-shard
+    /// Publishes the ball cache's lifetime counters and per-shard
     /// occupancy/capacity gauges into the attached telemetry registry.
     /// Values are absolute (set, not added), so calling this repeatedly
     /// — e.g. right before scraping — never double-counts. A no-op
@@ -384,46 +382,15 @@ impl<'a> GpSsnEngine<'a> {
         };
         let reg = o.base_registry();
         let life = cache.lifetime_stats();
-        for (kind, hits, misses, evictions) in [
-            (
-                "ball",
-                life.ball_hits,
-                life.ball_misses,
-                life.ball_evictions,
-            ),
-            (
-                "dist",
-                life.dist_hits,
-                life.dist_misses,
-                life.dist_evictions,
-            ),
-        ] {
-            reg.set_counter("gpssn_cache_lifetime_hits_total", &[("kind", kind)], hits);
-            reg.set_counter(
-                "gpssn_cache_lifetime_misses_total",
-                &[("kind", kind)],
-                misses,
-            );
-            reg.set_counter("gpssn_cache_evictions_total", &[("kind", kind)], evictions);
-        }
+        let kind = [("kind", "ball")];
+        reg.set_counter("gpssn_cache_lifetime_hits_total", &kind, life.ball_hits);
+        reg.set_counter("gpssn_cache_lifetime_misses_total", &kind, life.ball_misses);
+        reg.set_counter("gpssn_cache_evictions_total", &kind, life.ball_evictions);
         reg.set_gauge("gpssn_cache_hit_rate", &[], life.hit_rate());
-        for (kind, shards) in [
-            ("ball", cache.ball_shard_occupancy()),
-            ("dist", cache.dist_shard_occupancy()),
-        ] {
-            for (i, s) in shards.iter().enumerate() {
-                let shard = i.to_string();
-                reg.set_gauge(
-                    "gpssn_cache_shard_entries",
-                    &[("kind", kind), ("shard", &shard)],
-                    s.entries as f64,
-                );
-                reg.set_gauge(
-                    "gpssn_cache_shard_capacity",
-                    &[("kind", kind), ("shard", &shard)],
-                    s.capacity as f64,
-                );
-            }
+        for (i, s) in cache.ball_shard_occupancy().iter().enumerate() {
+            let labels = [("kind", "ball"), ("shard", &i.to_string())];
+            reg.set_gauge("gpssn_cache_shard_entries", &labels, s.entries as f64);
+            reg.set_gauge("gpssn_cache_shard_capacity", &labels, s.capacity as f64);
         }
     }
 
@@ -814,8 +781,10 @@ impl<'a> GpSsnEngine<'a> {
     // Phase 2: road traversal + refinement (Algorithm 2 lines 11–31)
     // ------------------------------------------------------------------
 
-    /// Algorithm 2's road search, run by every query mode: one
-    /// best-first traversal of `I_R` under the `δ` cut, then the center
+    /// Algorithm 2's road search, run by every query mode: under the
+    /// `prune_road` phase, the candidate mask, the group-existence
+    /// pre-check, Eq. 16's companion bound and one best-first traversal
+    /// of `I_R` under the `δ` cut; then the center
     /// loop ([`GpSsnEngine::center_loop`]) twice — under the `refine`
     /// phase over the traversal's centers, and under `refine_fallback`
     /// over the deferred `δ`-cut items, keeping the answers found so
@@ -842,63 +811,6 @@ impl<'a> GpSsnEngine<'a> {
     ) -> (Vec<GpSsnAnswer>, f64, f64) {
         let idx = &self.road_index;
         let uq_rn = self.social_index.user_rn_dists(q.user);
-
-        // If no feasible user group exists at all (independent of R),
-        // every center is infeasible: answer None without touching I_R.
-        // A cut check proves nothing — proceed; the traversal below trips
-        // on its first pop and degrades cleanly.
-        if candidates.len() < q.tau {
-            return (Vec::new(), f64::INFINITY, f64::INFINITY);
-        }
-        // One candidate mask per query: the pre-check and every center read it.
-        let mut is_candidate = vec![false; self.ssn.social().num_users()];
-        for &u in candidates {
-            is_candidate[u as usize] = true;
-        }
-        let candidate = |u: UserId| is_candidate[u as usize];
-        match probe_groups(self.ssn.social(), q, candidate, meter, |_| true) {
-            Probe::Infeasible => return (Vec::new(), f64::INFINITY, f64::INFINITY),
-            Probe::Found(_) => meter.add(Counter::PairsRefined, 1),
-            Probe::Cut => {}
-        }
-
-        // Eq. 16's `max_{u_j ∈ S}` term. The loosest sound choice is the
-        // elementwise max over all candidates; we use a much tighter form:
-        // per pivot, the `(τ-1)`-th smallest companion distance (the
-        // best-case group of u_q plus its τ-1 pivot-closest candidates).
-        // This upper-bounds the objective of *some* τ-group — not
-        // necessarily a feasible one, which is exactly why δ-cut items go
-        // to the deferred list instead of being dropped (see module docs).
-        let h = idx.pivots().len();
-        let mut scand_ub = vec![0.0f64; h];
-        for k in 0..h {
-            let mut companions: Vec<f64> = candidates
-                .iter()
-                .filter(|&&u| u != q.user)
-                .map(|&u| self.social_index.user_rn_dists(u)[k])
-                .collect();
-            companions.sort_by(|a, b| a.total_cmp(b));
-            let need = q.tau.saturating_sub(1);
-            let kth = if need == 0 {
-                0.0
-            } else if companions.len() < need {
-                f64::INFINITY
-            } else {
-                companions[need - 1]
-            };
-            scand_ub[k] = uq_rn[k].max(kth);
-        }
-        let mut s = RoadSearch {
-            q,
-            opts,
-            is_candidate,
-            uq_interest: self.ssn.social().interest(q.user),
-            uq_rn,
-            scand_ub,
-            delta: f64::INFINITY,
-            centers_left: max_centers,
-        };
-
         let mut heap = MinHeap::new();
         let mut centers = MinHeap::new();
         let mut deferred = MinHeap::new();
@@ -908,8 +820,37 @@ impl<'a> GpSsnEngine<'a> {
         // items are folded in by the center loop, which stops at its
         // first item on a tripped meter.
         let mut outstanding = f64::INFINITY;
-        heap.push(0.0, idx.tree().root());
-        gpssn_obs::phase(obs, "prune_road", || {
+        let search_state = gpssn_obs::phase(obs, "prune_road", || {
+            // If no feasible user group exists at all (independent of R),
+            // every center is infeasible: answer None without touching
+            // I_R. A cut check proves nothing — proceed; the traversal
+            // below trips on its first pop and degrades cleanly.
+            if candidates.len() < q.tau {
+                return None;
+            }
+            // One candidate mask per query: the pre-check and every center
+            // read it.
+            let mut is_candidate = vec![false; self.ssn.social().num_users()];
+            for &u in candidates {
+                is_candidate[u as usize] = true;
+            }
+            let candidate = |u: UserId| is_candidate[u as usize];
+            match probe_groups(self.ssn.social(), q, candidate, meter, |_| true) {
+                Probe::Infeasible => return None,
+                Probe::Found(_) => meter.add(Counter::PairsRefined, 1),
+                Probe::Cut => {}
+            }
+            let mut s = RoadSearch {
+                q,
+                opts,
+                is_candidate,
+                uq_interest: self.ssn.social().interest(q.user),
+                uq_rn,
+                scand_ub: self.companion_bound(q, candidates, uq_rn),
+                delta: f64::INFINITY,
+                centers_left: max_centers,
+            };
+            heap.push(0.0, idx.tree().root());
             while let Some((lb, n)) = heap.pop() {
                 meter.note_pop();
                 if meter.is_tripped() {
@@ -930,7 +871,11 @@ impl<'a> GpSsnEngine<'a> {
                     Item::Center(_) => centers.push(lb, item),
                 });
             }
+            Some(s)
         });
+        let Some(mut s) = search_state else {
+            return (Vec::new(), f64::INFINITY, f64::INFINITY);
+        };
         counts[Counter::CandidatePois] = centers.data.len() as u64;
 
         let mut ws = DijkstraWorkspace::new();
@@ -946,6 +891,7 @@ impl<'a> GpSsnEngine<'a> {
             budget: meter,
             obs: self.obs(),
             marks: Default::default(),
+            uq_row: Default::default(),
             search,
         };
         let mut answers = Vec::new();
@@ -958,6 +904,35 @@ impl<'a> GpSsnEngine<'a> {
         drop(ctx);
         note_workspaces(meter, &ws, &chws);
         (answers, s.delta, outstanding)
+    }
+
+    /// Eq. 16's `max_{u_j ∈ S}` term. The loosest sound choice is the
+    /// elementwise max over all candidates; we use a much tighter form:
+    /// per pivot, the `(τ-1)`-th smallest companion distance (the
+    /// best-case group of u_q plus its τ-1 pivot-closest candidates).
+    /// This upper-bounds the objective of *some* τ-group — not
+    /// necessarily a feasible one, which is exactly why δ-cut items go
+    /// to the deferred list instead of being dropped (see module docs).
+    fn companion_bound(&self, q: &GpSsnQuery, candidates: &[UserId], uq_rn: &[f64]) -> Vec<f64> {
+        let need = q.tau.saturating_sub(1);
+        (0..self.road_index.pivots().len())
+            .map(|k| {
+                let mut companions: Vec<f64> = candidates
+                    .iter()
+                    .filter(|&&u| u != q.user)
+                    .map(|&u| self.social_index.user_rn_dists(u)[k])
+                    .collect();
+                companions.sort_by(|a, b| a.total_cmp(b));
+                let kth = if need == 0 {
+                    0.0
+                } else if companions.len() < need {
+                    f64::INFINITY
+                } else {
+                    companions[need - 1]
+                };
+                uq_rn[k].max(kth)
+            })
+            .collect()
     }
 
     /// Records an access to index page `page`: a physical read unless the

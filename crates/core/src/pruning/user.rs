@@ -154,6 +154,11 @@ fn max_dist_sq_box(lb: &[f64], ub: &[f64], p: &[f64]) -> f64 {
 /// candidates — such users can never complete a pairwise-compatible group
 /// of size `tau`. The query user is never removed (callers re-check it).
 ///
+/// A user's partner count is only compared with `tau - 1`, so it stops
+/// there: every round keeps the same survivors as a full count, in
+/// `O(c · τ)` score calls per round when most candidates are compatible
+/// instead of `O(c²)`.
+///
 /// Returns the surviving candidates (order preserved).
 pub fn corollary2_filter(
     candidates: &[UserId],
@@ -174,6 +179,7 @@ pub fn corollary2_filter(
                 alive
                     .iter()
                     .filter(|&&v| v != u && score(u, v) >= gamma)
+                    .take(tau - 1)
                     .count()
             })
             .collect();
@@ -257,6 +263,21 @@ mod tests {
         };
         let out = corollary2_filter(&[0, 1, 2, 3], 1, 3, 0.5, score);
         assert_eq!(out, vec![1]);
+    }
+
+    #[test]
+    fn corollary2_stops_counting_partners_at_tau_minus_one() {
+        // 100 mutually compatible users at τ = 3: one round keeps
+        // everyone, and each user needs only its first 2 partners (a
+        // full count would score every ordered pair, 100 · 99 calls).
+        let calls = std::cell::Cell::new(0usize);
+        let users: Vec<UserId> = (0..100).collect();
+        let out = corollary2_filter(&users, 0, 3, 0.5, |_, _| {
+            calls.set(calls.get() + 1);
+            1.0
+        });
+        assert_eq!(out, users);
+        assert_eq!(calls.get(), 100 * 2);
     }
 
     #[test]

@@ -6,9 +6,12 @@
 //! predicate). Verifying a center means finding the best feasible user
 //! group for it:
 //!
-//! 1. compute `R(o_i)` exactly and its keyword union;
-//! 2. the query user must satisfy `Match_Score(u_q, R) >= θ` and cost
-//!    less than the incumbent;
+//! 1. compute `R(o_i)` exactly;
+//! 2. the query user must cost less than the incumbent (every group
+//!    contains `u_q`, so `c(u_q)` bounds every group at the center) and
+//!    satisfy `Match_Score(u_q, R) >= θ` over the ball's keyword union; a
+//!    center that fails either is *settled* there, before any other user
+//!    is costed;
 //! 3. one breadth-first pass from `u_q`, to `τ − 1` hops, decides which
 //!    users the center considers: a user is tested the first time the
 //!    search reaches them (a query candidate, pivot lower bound below the
@@ -70,8 +73,8 @@ pub struct CenterVerification {
 
 /// Per-scope state threaded through [`verify_center`]: a reusable
 /// Dijkstra workspace (allocation-free repeated runs), the optional
-/// cross-query [`DistanceCache`], the query's budget meter, and the
-/// mode's [`CenterSearch`].
+/// cross-query [`DistanceCache`], the query's budget meter, the query
+/// user's distance row, and the mode's [`CenterSearch`].
 pub struct VerifyContext<'a> {
     /// Reused across every Dijkstra this scope runs.
     pub ws: &'a mut DijkstraWorkspace,
@@ -81,7 +84,7 @@ pub struct VerifyContext<'a> {
     /// `gpssn_graph::ch`); ball computation always stays on Dijkstra
     /// (the oracle serves point-to-point distances, not range scans).
     pub ch: Option<ChBackend<'a>>,
-    /// Cross-query ball / `dist_RN` cache, if the engine has one.
+    /// Cross-query ball cache, if the engine has one.
     pub cache: Option<&'a DistanceCache>,
     /// The engine's CH circuit breaker, if one guards the oracle. A
     /// panic out of a CH batch records a failure and the batch is
@@ -91,12 +94,15 @@ pub struct VerifyContext<'a> {
     pub breaker: Option<&'a CircuitBreaker>,
     /// The query's budget meter.
     pub budget: &'a BudgetState,
-    /// Telemetry sink, if the engine has one attached. Each verified
-    /// center opens a `verify_center` span under the enclosing
-    /// refinement phase's span.
+    /// Telemetry sink, if the engine has one attached. A center that
+    /// gets past the query user's tests opens a `verify_center` span
+    /// under the enclosing refinement phase's span, and a ball computed
+    /// (not served from the cache) a `ball` span.
     pub obs: Option<&'a gpssn_obs::Obs>,
     /// Per-center user marks, reused by every center this scope verifies.
     pub marks: UserMarks,
+    /// The query user's `dist_RN` row, shared by every center.
+    pub uq_row: UserRow,
     /// How each center searches its reached users for a group.
     pub search: CenterSearch,
 }
@@ -173,6 +179,16 @@ impl UserMarks {
         let (stamp, rank) = self.by_user[u as usize];
         (stamp == self.stamp && rank != UNRANKED).then_some(rank as usize)
     }
+}
+
+/// `dist_RN(u, o)` per POI id for one user `u` (the query user), NaN
+/// until a center's ball needs it. It depends on `u`'s home only, so
+/// it stays valid for every center and query of `u`; a center for
+/// another user starts it afresh.
+#[derive(Debug, Default)]
+pub struct UserRow {
+    user: Option<UserId>,
+    dists: Vec<f64>,
 }
 
 /// The users one center reached, ranked by exact cost: what a
@@ -266,19 +282,16 @@ fn dist_batch(
 }
 
 /// Exact costs `c(u) = max_{o∈R} dist_RN(u, o)` of `users` over the
-/// ball `R` (ids `r_ids` at `positions`). With `from_poi` the rows run
-/// from each POI over the users' homes, otherwise from each home over
-/// the ball; either way gives the same bits, and a cell cached from one
-/// side serves the other. Rows the cache holds whole are served from it
-/// (all-or-nothing per row: a partial hit recomputes the row); every
-/// other row is computed in one [`dist_batch`] call and inserted, even
-/// when the budget trips mid-call (the values are exact). `None` means
-/// the budget tripped.
+/// ball positions, in one [`dist_batch`] call. With `from_poi` the rows
+/// run from each POI over the users' homes, otherwise from each home
+/// over the ball; both give the same bits, and the caller picks the
+/// direction with fewer sources (the cheaper CH batch). `None` means the
+/// budget tripped.
 fn user_costs(
     ssn: &SpatialSocialNetwork,
     ctx: &mut VerifyContext<'_>,
     from_poi: bool,
-    (r_ids, positions): (&[PoiId], &[NetworkPoint]),
+    positions: &[NetworkPoint],
     users: &[UserId],
 ) -> Option<Vec<f64>> {
     let homes: Vec<NetworkPoint> = users.iter().map(|&u| ssn.home(u)).collect();
@@ -287,48 +300,86 @@ fn user_costs(
     } else {
         (&homes[..], positions)
     };
-    // Row `i` as a cache block of `(users, pois)` cells.
-    let block = move |i: usize| {
-        if from_poi {
-            (users, &r_ids[i..=i])
-        } else {
-            (&users[i..=i], r_ids)
-        }
-    };
-    let n = targets.len();
-    let mut matrix = vec![0.0f64; sources.len() * n];
-    let mut missed: Vec<usize> = Vec::new();
-    for i in 0..sources.len() {
-        let (us, os) = block(i);
-        match ctx.cache.and_then(|c| c.get_block(us, os)) {
-            Some(row) => {
-                ctx.budget.add(Counter::DistHits, n as u64);
-                matrix[i * n..(i + 1) * n].copy_from_slice(&row);
-            }
-            None => missed.push(i),
-        }
-    }
-    if !missed.is_empty() {
-        let points: Vec<NetworkPoint> = missed.iter().map(|&i| sources[i]).collect();
-        let rows = dist_batch(ssn, ctx, &points, targets);
-        for (&i, row) in missed.iter().zip(rows.chunks_exact(n)) {
-            matrix[i * n..(i + 1) * n].copy_from_slice(row);
-            if let Some(cache) = ctx.cache {
-                ctx.budget.add(Counter::DistMisses, n as u64);
-                let (us, os) = block(i);
-                cache.put_block(us, os, row);
-            }
-        }
-    }
+    let matrix = dist_batch(ssn, ctx, sources, targets);
     if ctx.budget.is_tripped() {
         return None;
     }
+    let n = targets.len();
     let mut costs = vec![0.0f64; users.len()];
     for (k, &d) in matrix.iter().enumerate() {
         let u = if from_poi { k % n } else { k / n };
         costs[u] = costs[u].max(d);
     }
     Some(costs)
+}
+
+/// The query user's exact cost over `ball`, read from the context's
+/// [`UserRow`]: the ball POIs the row lacks are computed in one
+/// [`dist_batch`] call and kept. Sums are exact, so the maximum has the
+/// bits of costing `user` over the ball directly. `None` means the
+/// budget tripped.
+fn query_user_cost(
+    ssn: &SpatialSocialNetwork,
+    ctx: &mut VerifyContext<'_>,
+    user: UserId,
+    ball: &[(PoiId, f64)],
+) -> Option<f64> {
+    if ctx.uq_row.user != Some(user) {
+        ctx.uq_row.user = Some(user);
+        ctx.uq_row.dists.clear();
+        ctx.uq_row.dists.resize(ssn.pois().len(), f64::NAN);
+    }
+    let missing: Vec<PoiId> = ball
+        .iter()
+        .map(|&(o, _)| o)
+        .filter(|&o| ctx.uq_row.dists[o as usize].is_nan())
+        .collect();
+    if !missing.is_empty() {
+        let targets: Vec<NetworkPoint> = missing
+            .iter()
+            .map(|&o| ssn.pois().get(o).position)
+            .collect();
+        let row = dist_batch(ssn, ctx, &[ssn.home(user)], &targets);
+        for (&o, d) in missing.iter().zip(row) {
+            ctx.uq_row.dists[o as usize] = d;
+        }
+    }
+    if ctx.budget.is_tripped() {
+        return None;
+    }
+    let cost = ball.iter().map(|&(o, _)| ctx.uq_row.dists[o as usize]);
+    Some(cost.fold(0.0f64, f64::max))
+}
+
+/// The ball `⊙(center, r)`: served from the cache when it holds it,
+/// otherwise computed under a `ball` span (and inserted).
+fn center_ball(
+    ssn: &SpatialSocialNetwork,
+    q: &GpSsnQuery,
+    center: PoiId,
+    ctx: &mut VerifyContext<'_>,
+) -> Arc<Vec<(PoiId, f64)>> {
+    let cached = ctx
+        .cache
+        .map(|cache| (cache, cache.get_ball(center, q.radius)));
+    if let Some((_, Some(ball))) = cached {
+        ctx.budget.add(Counter::BallHits, 1);
+        return ball;
+    }
+    let _span = ctx
+        .obs
+        .filter(|o| o.tracing_on())
+        .map(|o| o.tracer().span("ball"));
+    let center_pos = ssn.pois().get(center).position;
+    let ball = ssn
+        .pois()
+        .network_ball_with(ssn.road(), ctx.ws, &center_pos, q.radius);
+    let ball = Arc::new(ball);
+    if let Some((cache, _)) = cached {
+        ctx.budget.add(Counter::BallMisses, 1);
+        cache.put_ball(center, q.radius, Arc::clone(&ball));
+    }
+    ball
 }
 
 /// One feasibility probe's verdict.
@@ -391,6 +442,14 @@ pub(crate) fn probe_groups(
 /// the best group it had fully verified by then (see
 /// [`CenterVerification::answer`]).
 ///
+/// **Settled on `u_q`.** The center is settled — no other user costed,
+/// no span opened — when `c(u_q)`, read from the context's row of the
+/// query user's distances, reaches `best_so_far`
+/// ([`Counter::CentersSettledCost`]), or else when `Match_Score(u_q, R)`
+/// is below `θ` ([`Counter::CentersSettledTheta`]). Either way no group
+/// at the center qualifies. Every other center counts as
+/// [`Counter::CentersSearched`] and runs under a `verify_center` span.
+///
 /// **Reachable users only.** A group is connected, contains `u_q` and
 /// has `τ` members, each cheaper than `best_so_far` if the group is to
 /// beat it. So one breadth-first pass from `u_q`, to `τ − 1` hops,
@@ -427,65 +486,34 @@ pub fn verify_center(
     if gpssn_failpoint::failpoint!("refine::verify_center") {
         panic!("injected fault: refine::verify_center (center {center})");
     }
-    let _vspan = ctx
-        .obs
-        .filter(|o| o.tracing_on())
-        .map(|o| o.tracer().span("verify_center"));
     let mut out = CenterVerification {
         answer: None,
         subsets_examined: 0,
     };
     let budget = ctx.budget;
-    let center_pos = ssn.pois().get(center).position;
-    let ball_span = ctx
-        .obs
-        .filter(|o| o.tracing_on())
-        .map(|o| o.tracer().span("ball"));
-    let ball: Arc<Vec<(PoiId, f64)>> = match ctx.cache {
-        Some(cache) => match cache.get_ball(center, q.radius) {
-            Some(b) => {
-                budget.add(Counter::BallHits, 1);
-                b
-            }
-            None => {
-                budget.add(Counter::BallMisses, 1);
-                let b = Arc::new(ssn.pois().network_ball_with(
-                    ssn.road(),
-                    ctx.ws,
-                    &center_pos,
-                    q.radius,
-                ));
-                cache.put_ball(center, q.radius, Arc::clone(&b));
-                b
-            }
-        },
-        None => Arc::new(
-            ssn.pois()
-                .network_ball_with(ssn.road(), ctx.ws, &center_pos, q.radius),
-        ),
-    };
-    drop(ball_span);
+    let ball = center_ball(ssn, q, center, ctx);
     if ball.is_empty() {
         return out;
     }
-    let r_ids: Vec<PoiId> = ball.iter().map(|&(o, _)| o).collect();
-    let union = ssn.pois().keyword_union(&r_ids);
-
-    // Matching eligibility (the query user must qualify).
-    if match_score_keywords(ssn.social().interest(q.user), &union) < q.theta {
-        return out;
-    }
-
-    // Exact cost of the query user first — one row, cheapest exit.
-    let positions: Vec<NetworkPoint> = r_ids.iter().map(|&o| ssn.pois().get(o).position).collect();
-    let ball_pts = (&r_ids[..], &positions[..]);
-    let Some(cq) = user_costs(ssn, ctx, false, ball_pts, &[q.user]) else {
+    let Some(cq) = query_user_cost(ssn, ctx, q.user, &ball) else {
         return out;
     };
-    let cq = cq[0];
-    if cq >= best_so_far || budget.is_tripped() {
+    if cq >= best_so_far {
+        budget.add(Counter::CentersSettledCost, 1);
         return out; // any group containing u_q costs at least cq
     }
+    let r_ids: Vec<PoiId> = ball.iter().map(|&(o, _)| o).collect();
+    let union = ssn.pois().keyword_union(&r_ids);
+    if match_score_keywords(ssn.social().interest(q.user), &union) < q.theta {
+        budget.add(Counter::CentersSettledTheta, 1);
+        return out;
+    }
+    budget.add(Counter::CentersSearched, 1);
+    let _vspan = ctx
+        .obs
+        .filter(|o| o.tracing_on())
+        .map(|o| o.tracer().span("verify_center"));
+    let positions: Vec<NetworkPoint> = r_ids.iter().map(|&o| ssn.pois().get(o).position).collect();
 
     let social = ssn.social();
     ctx.marks.begin(social.num_users());
@@ -498,9 +526,9 @@ pub fn verify_center(
             vec![cq]
         } else {
             // One row per ball POI when |R| <= |layer|, else one per user:
-            // both give the same bits and share cached cells.
+            // both give the same bits.
             let from_poi = positions.len() <= layer.len();
-            let Some(c) = user_costs(ssn, ctx, from_poi, ball_pts, &layer) else {
+            let Some(c) = user_costs(ssn, ctx, from_poi, &positions, &layer) else {
                 return out;
             };
             c
@@ -656,6 +684,7 @@ pub(crate) mod tests {
             budget,
             obs: None,
             marks: UserMarks::default(),
+            uq_row: UserRow::default(),
             search,
         }
     }
@@ -823,18 +852,54 @@ pub(crate) mod tests {
                     }
                     (false, None) => {}
                 }
-                // |R| = 2 cells for u_q's own row, which also serves depth
-                // 0, then 2 per other costed user: both searches cost
-                // only what the reach stage costed.
+                // Dijkstra runs one sweep per source, and no layer here
+                // has more users than |R| = 2: one sweep per costed user,
+                // u_q's own row included. Both searches cost only what
+                // the reach stage costed.
                 let c = budget.snapshot();
-                let lookups = c[Counter::DistHits] + c[Counter::DistMisses];
-                assert_eq!(lookups, 2 * costed.len() as u64, "{row}");
-                for u in 0..5 {
-                    let cell = cache.get_block(&[u], &[0]);
-                    assert_eq!(cell.is_some(), costed.contains(&u), "{row} user {u}");
-                }
+                assert_eq!(c[Counter::DijkstraBatches], costed.len() as u64, "{row}");
             }
         }
+    }
+
+    #[test]
+    fn centers_settle_on_the_query_users_row_computed_once() {
+        let ssn = reach_fixture();
+        // Both centers' balls are {x=1, x=3}, where u_q costs 3.
+        let q = GpSsnQuery {
+            user: 0,
+            tau: 2,
+            gamma: 0.5,
+            theta: 0.5,
+            radius: 2.1,
+        };
+        let mut ws = DijkstraWorkspace::new();
+        let budget = BudgetState::unlimited();
+        let mut ctx = bare_ctx(&mut ws, &budget, CenterSearch::Prefix);
+        for center in [0, 1] {
+            let v = verify_center(&ssn, &q, center, 3.0, |_| true, &mut ctx);
+            assert!(v.answer.is_none());
+        }
+        // One sweep from u_q's home served both centers, and neither
+        // costed another user.
+        let c = budget.snapshot();
+        assert_eq!(c[Counter::DijkstraBatches], 1);
+        assert_eq!(c[Counter::CentersSettledCost], 2);
+        // Below the incumbent, θ settles the center, still on u_q's row.
+        let strict = GpSsnQuery { theta: 2.0, ..q };
+        let v = verify_center(&ssn, &strict, 0, 10.0, |_| true, &mut ctx);
+        assert!(v.answer.is_none());
+        let c = budget.snapshot();
+        assert_eq!(c[Counter::DijkstraBatches], 1);
+        assert_eq!(c[Counter::CentersSettledTheta], 1);
+        assert_eq!(c[Counter::CentersSearched], 0);
+        // A searched center reuses the row too: only its layer {1, 3}
+        // costs sweeps, one from each of the 2 ball POIs.
+        let v = verify_center(&ssn, &q, 0, 10.0, |_| true, &mut ctx);
+        assert_eq!(v.answer.map(|a| a.maxdist), Some(3.0));
+        let c = budget.snapshot();
+        assert_eq!(c[Counter::CentersSearched], 1);
+        assert_eq!(c[Counter::DijkstraBatches], 3);
     }
 
     #[test]

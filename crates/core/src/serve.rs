@@ -934,8 +934,9 @@ fn push_answer(line: &mut String, answer: Option<&GpSsnAnswer>) {
 ///
 /// `status` is `"ok"` for any outcome the engine produced — including
 /// truncated and sampling-degraded completions, which scripts can tell
-/// apart by `completion` (and `gap`) — and `"error"` for validation
-/// failures, shed requests, and `Failed` completions.
+/// apart by `completion` (and `gap`, `null` when unbounded) — and
+/// `"error"` for validation failures, shed requests, and `Failed`
+/// completions.
 pub(crate) fn response_line(resp: &ServeResponse) -> String {
     let mut line = format!("{{\"id\":{}", resp.id);
     match &resp.result {
@@ -945,7 +946,12 @@ pub(crate) fn response_line(resp: &ServeResponse) -> String {
                 out.completion.rung()
             ));
             if let crate::Completion::TruncatedWithGap(gap) = out.completion {
-                line.push_str(&format!(",\"gap\":{gap}"));
+                // JSON has no infinity: a top-k short of k answers has an
+                // unbounded gap, written `null`.
+                match gap.is_finite() {
+                    true => line.push_str(&format!(",\"gap\":{gap}")),
+                    false => line.push_str(",\"gap\":null"),
+                }
             }
             push_answer(&mut line, out.answer());
             line.push_str(&format!(
@@ -1186,6 +1192,31 @@ mod tests {
             v.get("users").and_then(|x| x.as_array()).map(|a| a.len()),
             Some(2)
         );
+    }
+
+    #[test]
+    fn an_unbounded_gap_is_json_null() {
+        let render = |gap: f64| {
+            let short = ServeResponse {
+                id: 2,
+                result: Ok(QueryOutcome {
+                    answers: Vec::new(),
+                    completion: crate::Completion::TruncatedWithGap(gap),
+                    metrics: Default::default(),
+                }),
+                queue_wait: Duration::ZERO,
+            };
+            let line = response_line(&short);
+            json::parse(&line).unwrap_or_else(|e| panic!("{line}: {e}"))
+        };
+        let v = render(f64::INFINITY);
+        assert_eq!(
+            v.get("completion").and_then(|x| x.as_str()),
+            Some("truncated")
+        );
+        assert_eq!(v.get("gap"), Some(&json::Value::Null));
+        let v = render(0.5);
+        assert_eq!(v.get("gap").and_then(|x| x.as_f64()), Some(0.5));
     }
 
     #[test]

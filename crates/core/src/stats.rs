@@ -77,15 +77,10 @@ counters! {
     /// targets' precomputed upward labels are scanned, not settled, so
     /// this is the whole budget charge of a CH batch.
     ChSettles => "ch_settles", "gpssn_settles_total" ["backend" = "ch"];
-    /// Road-network balls served from the cross-query distance cache.
+    /// Road-network balls served from the cross-query ball cache.
     BallHits => "ball_hits", "gpssn_cache_lookups_total" ["kind" = "ball", "result" = "hit"];
     /// Road-network balls computed (and inserted).
     BallMisses => "ball_misses", "gpssn_cache_lookups_total" ["kind" = "ball", "result" = "miss"];
-    /// `dist_RN` values served from the cache (every key of a resident
-    /// row).
-    DistHits => "dist_hits", "gpssn_cache_lookups_total" ["kind" = "dist", "result" = "hit"];
-    /// `dist_RN` values computed (every key of a row that missed).
-    DistMisses => "dist_misses", "gpssn_cache_lookups_total" ["kind" = "dist", "result" = "miss"];
     /// Workspace runs prepared during refinement (Dijkstra + CH).
     WsResets => "ws_resets", "gpssn_workspace_resets_total";
     /// Workspace runs that reused already-sized storage — lazy
@@ -125,6 +120,16 @@ counters! {
     /// one per probe and far below [`Counter::GroupsEnumerated`], which
     /// counts the admission checks spent reaching them.
     PairsRefined => "pairs_refined", "gpssn_pairs_refined_total";
+    /// Centers settled on the query user's own cost: `c(u_q)` reached the
+    /// incumbent, so no group at the center can beat it.
+    CentersSettledCost => "centers_settled_cost", "gpssn_centers_total" ["outcome" = "settled_cost"];
+    /// Centers settled on the query user's `Match_Score` over the ball,
+    /// which is below `θ`.
+    CentersSettledTheta => "centers_settled_theta",
+        "gpssn_centers_total" ["outcome" = "settled_theta"];
+    /// Centers that passed both tests and searched their reachable users:
+    /// one `verify_center` span each.
+    CentersSearched => "centers_searched", "gpssn_centers_total" ["outcome" = "searched"];
     /// Candidate users surviving both pruning stages.
     CandidateUsers => "candidate_users", "gpssn_candidate_users_total";
     /// Candidate POI centers surviving both pruning stages.
@@ -263,16 +268,13 @@ impl QueryCounters {
         1.0 - (self[Counter::PairsRefined] as f64 / total).min(1.0)
     }
 
-    /// Fraction of all distance-cache lookups (balls and distances)
-    /// served from the cache; `0.0` when there were none. Saturating
-    /// arithmetic throughout: reading metrics before the first query
-    /// (all-zero tallies) or after pathological overflow yields a rate
-    /// in `[0, 1]`, never a division by zero or a wrapped sum.
+    /// Fraction of ball lookups served from the cache; `0.0` when there
+    /// were none. Saturating arithmetic: reading metrics before the first
+    /// query (all-zero tallies) or after pathological overflow yields a
+    /// rate in `[0, 1]`, never a division by zero or a wrapped sum.
     pub fn hit_rate(&self) -> f64 {
-        let hits = self[Counter::BallHits].saturating_add(self[Counter::DistHits]);
-        let total = hits
-            .saturating_add(self[Counter::BallMisses])
-            .saturating_add(self[Counter::DistMisses]);
+        let hits = self[Counter::BallHits];
+        let total = hits.saturating_add(self[Counter::BallMisses]);
         hits as f64 / total.max(1) as f64
     }
 
@@ -408,7 +410,6 @@ mod tests {
         // counter extremes.
         let s = counters(&[
             (Counter::BallHits, u64::MAX),
-            (Counter::DistHits, u64::MAX),
             (Counter::BallMisses, u64::MAX),
         ]);
         let r = s.hit_rate();

@@ -121,10 +121,22 @@ fn handle_connection(mut stream: TcpStream, ctx: &TelemetryCtx<'_, '_>) -> std::
     }
 }
 
-/// Reads the request head (through the blank line) within
-/// [`SOCKET_TIMEOUT`] of the call; the routes take no bodies, so
-/// anything after it is ignored.
-fn read_head(stream: &mut TcpStream) -> std::io::Result<String> {
+/// What [`read_head`] reads: a connection whose reads can be bounded in
+/// time.
+trait HeadSource: Read {
+    fn set_read_timeout(&mut self, timeout: Duration) -> std::io::Result<()>;
+}
+
+impl HeadSource for TcpStream {
+    fn set_read_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
+        TcpStream::set_read_timeout(self, Some(timeout))
+    }
+}
+
+/// Reads the request head (through the blank line, or up to
+/// [`MAX_HEAD`] bytes) within [`SOCKET_TIMEOUT`] of the call; the routes
+/// take no bodies, so anything after it is ignored.
+fn read_head(stream: &mut impl HeadSource) -> std::io::Result<String> {
     let deadline = Instant::now() + SOCKET_TIMEOUT;
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
@@ -133,7 +145,7 @@ fn read_head(stream: &mut TcpStream) -> std::io::Result<String> {
         if left.is_zero() {
             return Err(std::io::ErrorKind::TimedOut.into());
         }
-        stream.set_read_timeout(Some(left))?;
+        stream.set_read_timeout(left)?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;
@@ -229,4 +241,67 @@ pub(crate) fn health_json(ctx: &TelemetryCtx<'_, '_>) -> String {
         ctx.tele.flight().len(),
         ctx.tele.flight().dropped(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::io::ErrorKind;
+
+    /// A client's bytes, delivered `chunk` at a time.
+    struct Client<'a> {
+        bytes: &'a [u8],
+        chunk: usize,
+    }
+
+    impl Read for Client<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.chunk.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    impl HeadSource for Client<'_> {
+        fn set_read_timeout(&mut self, _: Duration) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any bytes (or printable ones), up to three times the head
+        /// cap, with or without a blank line, in any chunking: a head or
+        /// a typed error, never a panic, and never more than the cap
+        /// plus one read.
+        #[test]
+        fn read_head_never_panics(
+            raw in collection::vec(0u8..=255, 0..3 * MAX_HEAD),
+            printable in 0u8..2,
+            blank_line_at in 0usize..6 * MAX_HEAD,
+            chunk in 1usize..1024,
+        ) {
+            let mut bytes: Vec<u8> = match printable {
+                1 => raw.iter().map(|b| 32 + b % 95).collect(),
+                _ => raw,
+            };
+            if blank_line_at <= bytes.len() {
+                bytes.splice(blank_line_at..blank_line_at, *b"\r\n\r\n");
+            }
+            let mut client = Client { bytes: &bytes, chunk };
+            match read_head(&mut client) {
+                Ok(head) => {
+                    prop_assert!(!head.is_empty());
+                    prop_assert!(head.len() < MAX_HEAD + chunk.min(512), "{} bytes", head.len());
+                }
+                Err(e) => prop_assert!(
+                    matches!(e.kind(), ErrorKind::UnexpectedEof | ErrorKind::InvalidData),
+                    "{e}"
+                ),
+            }
+        }
+    }
 }

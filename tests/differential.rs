@@ -12,7 +12,9 @@
 //! the top-3 values at τ ≤ 4) match bitwise; under a tiny group budget
 //! an exact completion is the optimum and a truncated one has a sound
 //! gap. Then every single-axis variation of the unbudgeted references,
-//! plus one cell that changes every axis at once, must equal the
+//! the JSONL entry point under each tiny budget (an unbounded gap is
+//! `null` on the wire), plus one cell that changes every axis at once,
+//! must equal the
 //! reference of its (mode, budget) in users, POIs, `maxdist` bits,
 //! completion and gap bits — and, with the cache off, in pages read
 //! across the observability and entry-point axes. The full product of
@@ -45,11 +47,11 @@ const THREADS: usize = 3;
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Cache {
     Off,
-    /// The default distance cache, on its first pass over the corpus.
+    /// The default ball cache, on its first pass over the corpus.
     Cold,
     /// The same engine's second pass: hits, not only misses.
     Warm,
-    /// 2 balls, 8 distance rows, 1 shard: evicting almost constantly.
+    /// 2 balls, 1 shard: evicting almost constantly.
     Evicting,
 }
 
@@ -97,8 +99,8 @@ const REFERENCE: Cell = Cell {
 };
 
 /// Every single-axis variation of the unbudgeted references, in run
-/// order (a warm pass follows its cold one), then the cell that changes
-/// every axis. Its options axis is the buffer pool: turning pruning off
+/// order (a warm pass follows its cold one), the JSONL entry point under
+/// each tiny budget, then the cell that changes every axis. Its options axis is the buffer pool: turning pruning off
 /// or tightening the MBR test changes which users a probe admits, so
 /// under a group budget those cells legitimately truncate elsewhere.
 fn variations() -> Vec<Cell> {
@@ -112,6 +114,16 @@ fn variations() -> Vec<Cell> {
         cells.push(Cell { obs: true, ..base });
         for entry in [Entry::Batch, Entry::Jsonl] {
             cells.push(Cell { entry, ..base });
+        }
+        // Budgeted response lines, where a short top-k writes its
+        // unbounded gap as `null`.
+        for groups in [Some(5), Some(60)] {
+            let entry = Entry::Jsonl;
+            cells.push(Cell {
+                entry,
+                groups,
+                ..base
+            });
         }
         for options in [Options::Unpruned, Options::TightMbr, Options::BufferPool] {
             cells.push(Cell { options, ..base });
@@ -166,8 +178,8 @@ impl<'a> Engines<'a> {
                 Cache::Off => None,
                 Cache::Evicting => Some(DistanceCacheConfig {
                     ball_capacity: 2,
-                    dist_capacity: 8,
                     shards: 1,
+                    ..Default::default()
                 }),
                 _ => Some(DistanceCacheConfig::default()),
             },
@@ -203,7 +215,7 @@ struct Key {
 struct Run {
     key: Key,
     io_pages: Option<u64>,
-    /// Ball plus distance cache hits, and CH batches (0 through JSONL).
+    /// Ball cache hits, and CH batches (0 through JSONL).
     hits: u64,
     ch_batches: u64,
 }
@@ -245,7 +257,7 @@ impl Run {
                     .collect(),
             },
             io_pages: Some(c[Counter::IoPages]),
-            hits: c[Counter::BallHits] + c[Counter::DistHits],
+            hits: c[Counter::BallHits],
             ch_batches: c[Counter::ChBatches],
         }
     }
@@ -270,7 +282,10 @@ impl Run {
         Run {
             key: Key {
                 completion: text("completion").to_string(),
-                gap_bits: num("gap").map(f64::to_bits),
+                gap_bits: match v.get("gap") {
+                    Some(json::Value::Null) => Some(f64::INFINITY.to_bits()),
+                    _ => num("gap").map(f64::to_bits),
+                },
                 answers: best.into_iter().collect(),
             },
             io_pages: num("io_pages").map(|p| p as u64),

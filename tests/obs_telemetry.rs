@@ -8,7 +8,10 @@
 //!    JSON our own minimal parser accepts, with the query → prune →
 //!    refine → verify_center → distance-layer span levels present and
 //!    `verify_center` spans parented under a refinement span.
-//! 3. **Batch determinism** — two identical batch runs on fresh engines
+//! 3. **Spans mark work** — a `verify_center` span per searched center
+//!    and a `ball` span per computed ball, as the center and ball
+//!    counters count them, so the spans per query stay bounded.
+//! 4. **Batch determinism** — two identical batch runs on fresh engines
 //!    produce identical counter maps, and so does a single-threaded run,
 //!    regardless of how the OS interleaves the serve workers (every
 //!    query adds its own counters to the one shared registry).
@@ -111,7 +114,7 @@ fn chrome_trace_is_valid_json_with_expected_span_levels() {
     assert_eq!(obs.tracer().dropped(), 0, "ring buffer overflowed");
 
     // Every span level of the query lifecycle is present, including at
-    // least one distance-layer span (`ball` always; `ch_p2p` /
+    // least one distance-layer span (`ball` without a cache; `ch_p2p` /
     // `dijkstra_batch` depending on which backend served).
     let has = |name: &str| records.iter().any(|r| r.name == name);
     for required in [
@@ -162,6 +165,57 @@ fn chrome_trace_is_valid_json_with_expected_span_levels() {
         assert_eq!(
             args.get("parent").and_then(|v| v.as_f64()),
             Some(rec.parent as f64)
+        );
+    }
+}
+
+#[test]
+fn spans_mark_work_that_the_center_counters_account_for() {
+    let ssn = synthetic(&SyntheticConfig::uni().scaled(0.01), 11);
+    let obs = Arc::new(Obs::full());
+    let cfg = EngineConfig {
+        distance_cache: Some(Default::default()),
+        ..small_cfg(11, Some(obs.clone()))
+    };
+    let engine = GpSsnEngine::build(&ssn, cfg);
+    let queries: Vec<_> = corpus(&ssn, 11).into_iter().take(12).collect();
+    // A cold pass computes each ball once; the warm pass hits every one.
+    for pass in ["cold", "warm"] {
+        obs.tracer().clear();
+        let mut sum = QueryCounters::default();
+        for q in &queries {
+            sum += &common::query(&engine, q, &Default::default())
+                .metrics
+                .counters;
+        }
+        let records = obs.tracer().records();
+        assert_eq!(obs.tracer().dropped(), 0, "ring buffer overflowed");
+        let spans = |name: &str| records.iter().filter(|r| r.name == name).count() as u64;
+        // A center settled on u_q's cost or θ opens no span.
+        assert_eq!(
+            spans("verify_center"),
+            sum[Counter::CentersSearched],
+            "{pass}"
+        );
+        assert!(
+            sum[Counter::CentersSettledCost] + sum[Counter::CentersSettledTheta] > 0,
+            "{pass}: no center settled on u_q"
+        );
+        assert_eq!(spans("ball"), sum[Counter::BallMisses], "{pass}");
+        if pass == "warm" {
+            assert_eq!(sum[Counter::BallMisses], 0, "warm pass recomputed a ball");
+        }
+        // The query root and at most 5 phases per query, then one span
+        // per searched center, distance batch and computed ball.
+        let bound = 6 * queries.len() as u64
+            + sum[Counter::CentersSearched]
+            + sum[Counter::ChBatches]
+            + sum[Counter::DijkstraBatches]
+            + sum[Counter::BallMisses];
+        assert!(
+            records.len() as u64 <= bound,
+            "{pass}: {} spans, bound {bound}",
+            records.len()
         );
     }
 }

@@ -1,7 +1,7 @@
-//! The cross-query distance cache's accounting: a repeated query hits,
-//! and the cache's lifetime tallies agree with each query's counters.
-//! That the cache (cold, warm or evicting) and the CH-less backend
-//! never change an answer is checked bitwise by `tests/differential.rs`.
+//! The cross-query ball cache's accounting: a repeated query hits, and
+//! the cache's lifetime tallies agree with each query's counters. That
+//! the cache (cold, warm or evicting) and the CH-less backend never
+//! change an answer is checked bitwise by `tests/differential.rs`.
 
 mod common;
 use common::{assert_bit_identical, corpus, query};
@@ -43,31 +43,28 @@ fn repeated_queries_report_a_rising_hit_rate() {
     let warm = query(&engine, &q, &Default::default());
     let (c, w) = (cold.metrics.counters, warm.metrics.counters);
     // The warm run re-asks exactly the cold run's questions, so every
-    // ball and distance it needs is resident.
+    // ball it needs is resident.
     assert!(
-        w[Counter::BallHits] >= c[Counter::BallHits]
-            && w[Counter::DistHits] >= c[Counter::DistHits],
+        w[Counter::BallHits] >= c[Counter::BallHits],
         "warm run lost hits: cold {c:?} warm {w:?}"
     );
     assert!(
-        w[Counter::BallHits] + w[Counter::DistHits] > 0,
-        "identical repeat query missed the cache entirely: {w:?}"
+        w[Counter::BallHits] > 0 && w[Counter::BallMisses] == 0,
+        "identical repeat query missed the cache: {w:?}"
     );
     assert!(w.hit_rate() > 0.0, "hit rate not reported: {w:?}");
     assert_bit_identical(cold.answer(), warm.answer(), "warm repeat vs cold");
 }
 
 #[test]
-fn lifetime_dist_tallies_match_per_query_cache_stats() {
-    // A cache small enough to evict mid-row: rows whose first keys are
-    // still resident but whose later keys were evicted are recomputed
-    // whole, and both tallies must count every key of such a row as a
-    // miss.
+fn lifetime_ball_tallies_match_per_query_cache_stats() {
+    // A cache small enough to evict between centers: both tallies must
+    // count a ball recomputed after its eviction as a miss.
     let ssn = synthetic(&SyntheticConfig::uni().scaled(0.004), 3);
     let tiny = DistanceCacheConfig {
-        ball_capacity: 16,
-        dist_capacity: 48,
+        ball_capacity: 4,
         shards: 2,
+        ..Default::default()
     };
     let engine = GpSsnEngine::build(&ssn, small_cfg(3, Some(tiny)));
     let cache = engine.distance_cache().expect("cache configured");
@@ -80,14 +77,18 @@ fn lifetime_dist_tallies_match_per_query_cache_stats() {
             let c = out.metrics.counters;
             assert_eq!(
                 (
-                    after.dist_hits - before.dist_hits,
-                    after.dist_misses - before.dist_misses
+                    after.ball_hits - before.ball_hits,
+                    after.ball_misses - before.ball_misses
                 ),
-                (c[Counter::DistHits], c[Counter::DistMisses]),
-                "lifetime dist tallies disagree with the query's cache counters for {q:?}"
+                (c[Counter::BallHits], c[Counter::BallMisses]),
+                "lifetime ball tallies disagree with the query's cache counters for {q:?}"
             );
-            lookups += c[Counter::DistHits] + c[Counter::DistMisses];
+            lookups += c[Counter::BallHits] + c[Counter::BallMisses];
         }
     }
     assert!(lookups > 0, "corpus never reached refinement");
+    assert!(
+        cache.lifetime_stats().ball_evictions > 0,
+        "the tiny cache never evicted"
+    );
 }
