@@ -7,7 +7,11 @@
 //!     --kind uni --scale 0.1 --seed 42 --out city.ssn
 //! ```
 
+use gpssn_bench::cli::{parse_flags, take};
 use gpssn_ssn::{save_ssn, DatasetKind, DatasetStats};
+
+const USAGE: &str =
+    "usage: datagen [--kind uni|zipf|bri-cal|gow-col] [--scale F] [--seed N] [--out FILE]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -15,48 +19,27 @@ fn main() {
     let mut scale = 0.1f64;
     let mut seed = 42u64;
     let mut out = String::from("dataset.ssn");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    parse_flags(&args, USAGE, |flag, i| {
+        match flag {
             "--kind" => {
-                i += 1;
-                kind = match args[i].to_lowercase().as_str() {
+                let name: String = take(&args, i, flag, "a dataset kind")?;
+                kind = match name.to_lowercase().as_str() {
                     "uni" => DatasetKind::Uni,
                     "zipf" => DatasetKind::Zipf,
                     "bri-cal" | "brical" | "bri+cal" => DatasetKind::BriCal,
                     "gow-col" | "gowcol" | "gow+col" => DatasetKind::GowCol,
                     other => {
-                        eprintln!("unknown kind {other:?} (uni|zipf|bri-cal|gow-col)");
-                        std::process::exit(2);
+                        return Err(format!("unknown kind {other:?} (uni|zipf|bri-cal|gow-col)"))
                     }
                 };
             }
-            "--scale" => {
-                i += 1;
-                scale = args[i].parse().expect("--scale takes a float");
-            }
-            "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("--seed takes an integer");
-            }
-            "--out" => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: datagen [--kind uni|zipf|bri-cal|gow-col] [--scale F] \
-                     [--seed N] [--out FILE]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown flag {other:?} (try --help)");
-                std::process::exit(2);
-            }
+            "--scale" => scale = take(&args, i, flag, "a float")?,
+            "--seed" => seed = take(&args, i, flag, "an integer")?,
+            "--out" => out = take(&args, i, flag, "a file path")?,
+            _ => return Ok(false),
         }
-        i += 1;
-    }
+        Ok(true)
+    });
     eprintln!(
         "generating {} at scale {scale} (seed {seed})...",
         kind.name()

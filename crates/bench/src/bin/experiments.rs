@@ -8,6 +8,7 @@
 //! Flags: `--scale <f64>` (dataset scale, default 0.1), `--seed <u64>`,
 //! `--queries <n>` (queries averaged per point, default 5).
 
+use gpssn_bench::cli;
 use gpssn_bench::experiments::{fig7, fig8, sweeps, tables};
 use gpssn_bench::runner::ExperimentContext;
 
@@ -28,19 +29,14 @@ const ALL: &[&str] = &[
 ];
 
 fn die_usage(msg: &str) -> ! {
-    eprintln!("experiments: {msg}");
-    eprintln!("usage: experiments [IDS...] [--scale F] [--seed N] [--queries N]  (ids: {ALL:?})");
-    std::process::exit(2);
+    let usage =
+        format!("usage: experiments [IDS...] [--scale F] [--seed N] [--queries N]  (ids: {ALL:?})");
+    cli::die_usage(&format!("experiments: {msg}"), &usage)
 }
 
 /// Parses the value following flag `name`, exiting with usage on errors.
 fn take<T: std::str::FromStr>(args: &[String], i: &mut usize, name: &str, what: &str) -> T {
-    *i += 1;
-    let Some(raw) = args.get(*i) else {
-        die_usage(&format!("{name} takes {what}"));
-    };
-    raw.parse()
-        .unwrap_or_else(|_| die_usage(&format!("{name} takes {what}, got {raw:?}")))
+    cli::take(args, i, name, what).unwrap_or_else(|e| die_usage(&e))
 }
 
 fn main() {

@@ -91,6 +91,7 @@
 //! A request line `{"control":"metrics"|"slo"|"flight"}` returns the
 //! same telemetry inline on stdout instead of running a query.
 
+use gpssn_bench::cli;
 use gpssn_core::{
     serve_jsonl, suggest_parameters, Completion, Counter, DegradationPolicy, EngineConfig,
     GpSsnEngine, GpSsnError, GpSsnQuery, OverloadPolicy, QueryBudget, QueryMode, QueryOptions,
@@ -112,9 +113,7 @@ const USAGE: &str = "usage: gpq --data FILE [--user N] [--tau N] [--gamma F] [--
      [--slow-ms N] [--head-rate N] [--flight-cap N] [--chaos-seed N]";
 
 fn die_usage(msg: &str) -> ! {
-    eprintln!("gpq: {msg}");
-    eprintln!("{USAGE}");
-    std::process::exit(2);
+    cli::die_usage(&format!("gpq: {msg}"), USAGE)
 }
 
 fn exit_code(e: &GpSsnError) -> i32 {
@@ -143,12 +142,7 @@ fn fail(e: &GpSsnError) -> ! {
 
 /// Parses the value following flag `name`, exiting with usage on errors.
 fn take<T: std::str::FromStr>(args: &[String], i: &mut usize, name: &str, what: &str) -> T {
-    *i += 1;
-    let Some(raw) = args.get(*i) else {
-        die_usage(&format!("{name} takes {what}"));
-    };
-    raw.parse()
-        .unwrap_or_else(|_| die_usage(&format!("{name} takes {what}, got {raw:?}")))
+    cli::take(args, i, name, what).unwrap_or_else(|e| die_usage(&e))
 }
 
 /// Loads the dataset (exit 66 on failure), narrating progress on
@@ -182,13 +176,7 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--data" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => data = v.clone(),
-                    None => die_usage("--data takes a file path"),
-                }
-            }
+            "--data" => data = take(&args, &mut i, "--data", "a file path"),
             "--user" => q.user = take(&args, &mut i, "--user", "an id"),
             "--tau" => q.tau = take(&args, &mut i, "--tau", "an integer"),
             "--gamma" => q.gamma = take(&args, &mut i, "--gamma", "a float"),
@@ -503,13 +491,7 @@ fn serve_main(args: &[String]) -> ! {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--data" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => data = v.clone(),
-                    None => die_usage("--data takes a file path"),
-                }
-            }
+            "--data" => data = take(args, &mut i, "--data", "a file path"),
             "--queries" => queries = Some(take(args, &mut i, "--queries", "a file path")),
             "--threads" => threads = take(args, &mut i, "--threads", "a count (0 = all cores)"),
             "--build-threads" => {

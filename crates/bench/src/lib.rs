@@ -10,6 +10,7 @@
 //! (who wins, monotone trends, crossovers) are the reproduction target —
 //! absolute numbers differ from the authors' C++/64 GB testbed.
 
+pub mod cli;
 pub mod experiments;
 pub mod runner;
 

@@ -24,12 +24,11 @@
 //!   *understates* the real speedup. On a machine with ≥`threads` real
 //!   cores the simulated makespan is the wall clock this single-core
 //!   container cannot measure directly (same discipline as
-//!   `serve_report` / BENCH.md §serve); measured wall clocks are still
+//!   `report serve` / BENCH.md §serve); measured wall clocks are still
 //!   reported for honesty.
 //!
 //! ```text
-//! cargo run --release -p gpssn-bench --bin build_report -- \
-//!     [--scale F] [--seed N] [--out BENCH_build.json]
+//! report build [--scale F] [--seed N] [--out BENCH_build.json]
 //! ```
 //!
 //! CI determinism mode — build once at a fixed thread count and dump the
@@ -37,10 +36,12 @@
 //! the files):
 //!
 //! ```text
-//! cargo run --release -p gpssn-bench --bin build_report -- \
-//!     --threads N --index-out road_index.bin [--scale F] [--seed N]
+//! report build --threads N --index-out road_index.bin [--scale F] [--seed N]
 //! ```
 
+use super::{cores, write_json};
+use gpssn_bench::cli::{parse_flags, take};
+use gpssn_index::build::PAR_FLOOR;
 use gpssn_index::{
     select_road_pivots, select_social_pivots, write_road_index, BuildStages, PivotSelectConfig,
     RoadIndex, RoadIndexConfig, SocialIndex, SocialIndexConfig,
@@ -48,7 +49,6 @@ use gpssn_index::{
 use gpssn_road::RoadPivots;
 use gpssn_social::SocialPivots;
 use gpssn_ssn::{DatasetKind, SpatialSocialNetwork};
-use std::io::Write;
 use std::time::{Duration, Instant};
 
 /// Pivot counts `h` / `l` (the engine defaults).
@@ -57,9 +57,6 @@ const NUM_PIVOTS: usize = 5;
 /// for chunk-parallel stages — the divisible item count and chunk
 /// floor (`None` = counted fully sequential).
 type StageRow = (&'static str, f64, Option<(usize, usize)>);
-/// The road/social builders' minimum items per worker
-/// (`gpssn_index::build::PAR_FLOOR`).
-const PAR_FLOOR: usize = 32;
 
 /// One full pipeline build at `threads` workers: road pivot tables,
 /// `I_R`, social pivot tables, `I_S` — exactly the engine's build path,
@@ -151,50 +148,26 @@ fn sim_chunked(cost_s: f64, items: usize, floor: usize, threads: usize) -> f64 {
     cost_s * chunk as f64 / items as f64
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+const USAGE: &str = "usage: report build [--scale F] [--seed N] [--out FILE]\n\
+                     \x20      report build --threads N --index-out FILE [--scale F] [--seed N]";
+
+pub fn run(args: &[String]) {
     let mut scale = 0.05f64;
     let mut seed = 42u64;
     let mut out = String::from("BENCH_build.json");
     let mut threads_mode: Option<usize> = None;
     let mut index_out: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = args[i].parse().expect("--scale takes a float");
-            }
-            "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("--seed takes an integer");
-            }
-            "--out" => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--threads" => {
-                i += 1;
-                threads_mode = Some(args[i].parse().expect("--threads takes a count (0 = all)"));
-            }
-            "--index-out" => {
-                i += 1;
-                index_out = Some(args[i].clone());
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: build_report [--scale F] [--seed N] [--out FILE]\n\
-                     \x20      build_report --threads N --index-out FILE [--scale F] [--seed N]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown flag {other:?} (try --help)");
-                std::process::exit(2);
-            }
+    parse_flags(args, USAGE, |flag, i| {
+        match flag {
+            "--scale" => scale = take(args, i, flag, "a float")?,
+            "--seed" => seed = take(args, i, flag, "an integer")?,
+            "--out" => out = take(args, i, flag, "a file path")?,
+            "--threads" => threads_mode = Some(take(args, i, flag, "a count (0 = all)")?),
+            "--index-out" => index_out = Some(take(args, i, flag, "a file path")?),
+            _ => return Ok(false),
         }
-        i += 1;
-    }
+        Ok(true)
+    });
 
     let ssn = DatasetKind::Uni.build(scale, seed);
     let n_pois = ssn.pois().len();
@@ -225,13 +198,15 @@ fn main() {
     // Determinism gate: every thread count must serialize to the same
     // bytes (and the same social index) before any cost is reported.
     let thread_counts = [1usize, 2, 4, 8, 0];
-    let mut builds = Vec::new();
-    for &t in &thread_counts {
-        builds.push((
-            t,
-            build_pipeline(&ssn, &road_pivot_ids, &social_pivot_ids, t),
-        ));
-    }
+    let builds: Vec<_> = thread_counts
+        .iter()
+        .map(|&t| {
+            (
+                t,
+                build_pipeline(&ssn, &road_pivot_ids, &social_pivot_ids, t),
+            )
+        })
+        .collect();
     let baseline_bytes = serialize_road(&builds[0].1.road);
     let crc = gpssn_index::crc32::crc32(&baseline_bytes);
     for (t, b) in &builds[1..] {
@@ -256,54 +231,26 @@ fn main() {
     let num_leaves = (0..one.social.num_pages() as u32)
         .filter(|&id| one.social.node(id).level == 0)
         .count();
-    let ch = one.road_stages.ch.expect("CH enabled by default");
-    let ch_total = one
-        .road_stages
-        .get("ch_contract")
-        .unwrap_or(Duration::ZERO)
-        .as_secs_f64();
-    let ch_par = (ch.par_ns as f64 * 1e-9).min(ch_total);
-    let ch_seq = ch_total - ch_par;
-    // (name, sequential cost, divisible items, chunk floor). `None`
-    // items = counted fully sequential in the simulation.
     let stage_of = |stages: &BuildStages, name: &str| -> f64 {
         stages.get(name).unwrap_or(Duration::ZERO).as_secs_f64()
     };
+    let ch = one.road_stages.ch.expect("CH enabled by default");
+    let ch_total = stage_of(&one.road_stages, "ch_contract");
+    let ch_par = (ch.par_ns as f64 * 1e-9).min(ch_total);
+    let ch_seq = ch_total - ch_par;
+    let road = |name, par| (name, stage_of(&one.road_stages, name), par);
+    let social = |name, par| (name, stage_of(&one.social_stages, name), par);
     let stages: Vec<StageRow> = vec![
         ("road_pivots", one.road_pivots_s, Some((NUM_PIVOTS, 1))),
         ("social_pivots", one.social_pivots_s, Some((NUM_PIVOTS, 1))),
-        (
-            "poi_augment",
-            stage_of(&one.road_stages, "poi_augment"),
-            Some((n_pois, PAR_FLOOR)),
-        ),
-        ("rstar_str", stage_of(&one.road_stages, "rstar_str"), None),
-        (
-            "node_aggregate",
-            stage_of(&one.road_stages, "node_aggregate"),
-            None,
-        ),
+        road("poi_augment", Some((n_pois, PAR_FLOOR))),
+        road("rstar_str", None),
+        road("node_aggregate", None),
         // ch_contract handled via its measured split below.
-        (
-            "user_tables",
-            stage_of(&one.social_stages, "user_tables"),
-            Some((m_users, PAR_FLOOR)),
-        ),
-        (
-            "leaf_partition",
-            stage_of(&one.social_stages, "leaf_partition"),
-            None,
-        ),
-        (
-            "leaf_nodes",
-            stage_of(&one.social_stages, "leaf_nodes"),
-            Some((num_leaves, PAR_FLOOR)),
-        ),
-        (
-            "tree_levels",
-            stage_of(&one.social_stages, "tree_levels"),
-            None,
-        ),
+        social("user_tables", Some((m_users, PAR_FLOOR))),
+        social("leaf_partition", None),
+        social("leaf_nodes", Some((num_leaves, PAR_FLOOR))),
+        social("tree_levels", None),
     ];
     let seq_total: f64 = stages.iter().map(|(_, c, _)| c).sum::<f64>() + ch_total;
     eprintln!(
@@ -313,16 +260,10 @@ fn main() {
         stage_of(&one.road_stages, "poi_augment"),
     );
 
-    let mut rows = String::new();
+    let mut rows = Vec::new();
     for &(t, ref b) in &builds {
         // `0` means "all cores": simulate at this machine's resolved count.
-        let threads = if t == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            t
-        };
+        let threads = if t == 0 { cores() } else { t };
         let sim_total: f64 = stages
             .iter()
             .map(|&(_, cost, par)| match par {
@@ -338,31 +279,25 @@ fn main() {
              measured wall {:.3}s",
             b.wall_s
         );
-        if !rows.is_empty() {
-            rows.push(',');
-        }
-        rows.push_str(&format!(
+        rows.push(format!(
             "{{\"threads\":{t},\"sim_total_s\":{sim_total:.6},\"sim_speedup\":{speedup:.4},\
              \"wall_s\":{:.6}}}",
             b.wall_s
         ));
     }
 
-    let mut stage_json = String::new();
-    for (name, cost, par) in &stages {
-        if !stage_json.is_empty() {
-            stage_json.push(',');
-        }
-        let model = match par {
-            Some((items, floor)) => format!("{{\"items\":{items},\"floor\":{floor}}}"),
-            None => String::from("\"sequential\""),
-        };
-        stage_json.push_str(&format!(
-            "{{\"name\":\"{name}\",\"seq_s\":{cost:.6},\"par\":{model}}}"
-        ));
-    }
-    stage_json.push_str(&format!(
-        ",{{\"name\":\"ch_contract\",\"seq_s\":{ch_total:.6},\
+    let mut stage_json: Vec<String> = stages
+        .iter()
+        .map(|(name, cost, par)| {
+            let model = match par {
+                Some((items, floor)) => format!("{{\"items\":{items},\"floor\":{floor}}}"),
+                None => String::from("\"sequential\""),
+            };
+            format!("{{\"name\":\"{name}\",\"seq_s\":{cost:.6},\"par\":{model}}}")
+        })
+        .collect();
+    stage_json.push(format!(
+        "{{\"name\":\"ch_contract\",\"seq_s\":{ch_total:.6},\
          \"par\":{{\"measured_par_s\":{ch_par:.6},\"measured_seq_s\":{ch_seq:.6}}}}}"
     ));
 
@@ -374,10 +309,8 @@ fn main() {
          \"sequential_s\":{seq_total:.6},\
          \"ch\":{{\"rounds\":{},\"shortcuts\":{},\"witness_resets\":{},\
          \"witness_recycles\":{},\"workspaces\":{},\"par_fraction\":{:.4}}},\
-         \"stages\":[{stage_json}],\"rows\":[{rows}]}}\n",
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+         \"stages\":[{}],\"rows\":[{}]}}\n",
+        cores(),
         baseline_bytes.len(),
         ch.rounds,
         ch.shortcuts,
@@ -385,8 +318,8 @@ fn main() {
         ch.witness_recycles,
         ch.workspaces,
         ch_par / ch_total.max(f64::MIN_POSITIVE),
+        stage_json.join(","),
+        rows.join(","),
     );
-    let mut f = std::fs::File::create(&out).expect("create output file");
-    f.write_all(json.as_bytes()).expect("write report");
-    eprintln!("report written to {out}");
+    write_json(&out, &json);
 }

@@ -5,68 +5,32 @@
 //! largest bench road graph (30k intersections by default). Both query
 //! shapes are asserted bitwise against Dijkstra before they are timed,
 //! and every sampled pair bitwise against its reverse.
-//! The same comparison runs under Criterion in `benches/ch.rs`; this bin
-//! trades statistical rigor for a single machine-readable artifact.
 //!
 //! ```text
-//! cargo run --release -p gpssn-bench --bin ch_report -- \
-//!     [--vertices N] [--seed N] [--out BENCH_ch.json]
+//! report ch [--vertices N] [--seed N] [--out BENCH_ch.json]
 //! ```
 
+use super::{median_secs, write_json};
+use gpssn_bench::cli::{parse_flags, take};
 use gpssn_graph::{dijkstra_targets, ChOracle, ChSearch, NodeId};
 use gpssn_road::{generate_road_network, RoadGenConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::io::Write;
-use std::time::Instant;
 
-/// Median wall-clock seconds of `reps` runs of `f` (first run discarded
-/// as warm-up when `reps > 1`).
-fn median_secs<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
-    let mut times: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed().as_secs_f64()
-        })
-        .collect();
-    if times.len() > 1 {
-        times.remove(0);
-    }
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
-}
+const USAGE: &str = "usage: report ch [--vertices N] [--seed N] [--out FILE]";
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+pub fn run(args: &[String]) {
     let mut vertices = 30_000usize;
     let mut seed = 7u64;
     let mut out = String::from("BENCH_ch.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--vertices" => {
-                i += 1;
-                vertices = args[i].parse().expect("--vertices takes an integer");
-            }
-            "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("--seed takes an integer");
-            }
-            "--out" => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: ch_report [--vertices N] [--seed N] [--out FILE]");
-                return;
-            }
-            other => {
-                eprintln!("unknown flag {other:?} (try --help)");
-                std::process::exit(2);
-            }
+    parse_flags(args, USAGE, |flag, i| {
+        match flag {
+            "--vertices" => vertices = take(args, i, flag, "an integer")?,
+            "--seed" => seed = take(args, i, flag, "an integer")?,
+            "--out" => out = take(args, i, flag, "a file path")?,
+            _ => return Ok(false),
         }
-        i += 1;
-    }
+        Ok(true)
+    });
 
     let cfg = RoadGenConfig {
         num_vertices: vertices,
@@ -211,7 +175,5 @@ fn main() {
         m2m_ch,
         m2m_speedup,
     );
-    let mut f = std::fs::File::create(&out).expect("create output file");
-    f.write_all(json.as_bytes()).expect("write report");
-    eprintln!("wrote {out}");
+    write_json(&out, &json);
 }

@@ -2,8 +2,6 @@
 //! time of a ≥200-query corpus under the four `Obs` configurations
 //! (absent, attached-but-disabled, metrics-only, metrics+tracing),
 //! plus the relative overhead of each against the no-`Obs` baseline.
-//! The same comparison runs under Criterion in `benches/obs_overhead.rs`;
-//! this bin trades statistical rigor for one machine-readable artifact.
 //!
 //! A fifth configuration, `flight_tail`, measures the always-on
 //! continuous serve layer: the disabled-`Obs` engine plus exactly the
@@ -18,10 +16,11 @@
 //! of the overhead ratios.
 //!
 //! ```text
-//! cargo run --release -p gpssn-bench --bin obs_report -- \
-//!     [--scale F] [--seed N] [--reps N] [--out BENCH_obs.json]
+//! report obs [--scale F] [--seed N] [--reps N] [--out BENCH_obs.json]
 //! ```
 
+use super::{median_secs, write_json};
+use gpssn_bench::cli::{parse_flags, take};
 use gpssn_bench::run_query;
 use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryOptions, QueryOutcome};
 use gpssn_obs::{
@@ -29,19 +28,10 @@ use gpssn_obs::{
     TailConfig, TailSampler, WindowConfig,
 };
 use gpssn_ssn::{DatasetKind, SpatialSocialNetwork};
-use std::io::Write;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A named timed pass over the corpus.
 type Pass<'a> = (&'a str, Box<dyn Fn() + 'a>);
-
-/// One timed wall-clock pass of `f`, in seconds.
-fn timed_pass<T>(mut f: impl FnMut() -> T) -> f64 {
-    let t0 = Instant::now();
-    std::hint::black_box(f());
-    t0.elapsed().as_secs_f64()
-}
 
 /// The ≥200-query corpus: the refinement suite's parameter grid over
 /// four seeds (3 group sizes x 3 gammas x 2 thetas x 3 radii x 4).
@@ -69,7 +59,7 @@ fn corpus(ssn: &SpatialSocialNetwork) -> Vec<GpSsnQuery> {
     qs
 }
 
-fn run(eng: &GpSsnEngine, queries: &[GpSsnQuery]) {
+fn run_corpus(eng: &GpSsnEngine, queries: &[GpSsnQuery]) {
     for q in queries {
         std::hint::black_box(run_query(eng, q, &QueryOptions::default()));
     }
@@ -125,42 +115,23 @@ fn run_recorded(eng: &GpSsnEngine, queries: &[GpSsnQuery], cont: &Continuous) {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+const USAGE: &str = "usage: report obs [--scale F] [--seed N] [--reps N] [--out FILE]";
+
+pub fn run(args: &[String]) {
     let mut scale = 0.05f64;
     let mut seed = 42u64;
     let mut reps = 9usize;
     let mut out = String::from("BENCH_obs.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = args[i].parse().expect("--scale takes a float");
-            }
-            "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("--seed takes an integer");
-            }
-            "--reps" => {
-                i += 1;
-                reps = args[i].parse().expect("--reps takes an integer");
-            }
-            "--out" => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: obs_report [--scale F] [--seed N] [--reps N] [--out FILE]");
-                return;
-            }
-            other => {
-                eprintln!("unknown flag {other:?} (try --help)");
-                std::process::exit(2);
-            }
+    parse_flags(args, USAGE, |flag, i| {
+        match flag {
+            "--scale" => scale = take(args, i, flag, "a float")?,
+            "--seed" => seed = take(args, i, flag, "an integer")?,
+            "--reps" => reps = take(args, i, flag, "an integer")?,
+            "--out" => out = take(args, i, flag, "a file path")?,
+            _ => return Ok(false),
         }
-        i += 1;
-    }
+        Ok(true)
+    });
 
     let ssn = DatasetKind::Uni.build(scale, seed);
     let queries = corpus(&ssn);
@@ -194,7 +165,7 @@ fn main() {
                     ..Default::default()
                 },
             );
-            run(&eng, &queries); // warm the cross-query cache
+            run_corpus(&eng, &queries); // warm the cross-query cache
             (name, eng)
         })
         .collect();
@@ -207,7 +178,7 @@ fn main() {
     let passes: Vec<Pass<'_>> = engines
         .iter()
         .map(|(name, eng)| {
-            let f: Box<dyn Fn() + '_> = Box::new(move || run(eng, queries));
+            let f: Box<dyn Fn() + '_> = Box::new(move || run_corpus(eng, queries));
             (*name, f)
         })
         .chain(std::iter::once((
@@ -222,7 +193,7 @@ fn main() {
     let mut best = vec![f64::INFINITY; passes.len()];
     for _ in 0..reps {
         for (i, (_, pass)) in passes.iter().enumerate() {
-            best[i] = best[i].min(timed_pass(pass));
+            best[i] = best[i].min(median_secs(1, pass));
         }
     }
     let mut secs = Vec::new();
@@ -239,13 +210,9 @@ fn main() {
             (t / base - 1.0) * 100.0
         ));
     }
-    // The recorder's own cost: always-on continuous layer over the
-    // disabled baseline it wraps.
-    let flight_tail = secs
-        .iter()
-        .find(|(n, _)| *n == "flight_tail")
-        .map(|(_, t)| *t)
-        .unwrap_or(disabled);
+    // The recorder's own cost: always-on continuous layer (the last
+    // pass) over the disabled baseline it wraps.
+    let flight_tail = secs[4].1;
     let recorder_pct = (flight_tail / disabled - 1.0) * 100.0;
     let json = format!(
         "{{\n  \"dataset\": {{\"kind\": \"Uni\", \"scale\": {scale}, \"seed\": {seed}, \
@@ -254,9 +221,7 @@ fn main() {
          \"flight_tail_vs_disabled_limit_pct\": 1.0}}\n}}\n",
         queries.len()
     );
-    let mut f = std::fs::File::create(&out).expect("create output file");
-    f.write_all(json.as_bytes()).expect("write report");
-    eprintln!("wrote {out}");
+    write_json(&out, &json);
     if std::env::var_os("GPSSN_OBS_ASSERT").is_some() {
         let disabled_pct = (disabled / base - 1.0) * 100.0;
         assert!(

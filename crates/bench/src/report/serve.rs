@@ -23,14 +23,13 @@
 //! any number is reported.
 //!
 //! ```text
-//! cargo run --release -p gpssn-bench --bin serve_report -- \
-//!     [--scale F] [--seed N] [--out BENCH_serve.json]
+//! report serve [--scale F] [--seed N] [--out BENCH_serve.json]
 //! ```
 
+use super::{cores, median_secs, write_json};
+use gpssn_bench::cli::{parse_flags, take};
 use gpssn_core::{EngineConfig, GpSsnEngine, GpSsnQuery, QueryBudget, QueryOptions, QueryOutcome};
 use gpssn_ssn::DatasetKind;
-use std::io::Write;
-use std::time::Instant;
 
 /// The skewed 64-query batch: `HEAVY` large-radius queries first (all
 /// land in worker 0's chunk under static chunking), then cheap
@@ -96,37 +95,21 @@ fn same_outcomes(
         })
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+const USAGE: &str = "usage: report serve [--scale F] [--seed N] [--out FILE]";
+
+pub fn run(args: &[String]) {
     let mut scale = 0.05f64;
     let mut seed = 42u64;
     let mut out = String::from("BENCH_serve.json");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = args[i].parse().expect("--scale takes a float");
-            }
-            "--seed" => {
-                i += 1;
-                seed = args[i].parse().expect("--seed takes an integer");
-            }
-            "--out" => {
-                i += 1;
-                out = args[i].clone();
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: serve_report [--scale F] [--seed N] [--out FILE]");
-                return;
-            }
-            other => {
-                eprintln!("unknown flag {other:?} (try --help)");
-                std::process::exit(2);
-            }
+    parse_flags(args, USAGE, |flag, i| {
+        match flag {
+            "--scale" => scale = take(args, i, flag, "a float")?,
+            "--seed" => seed = take(args, i, flag, "an integer")?,
+            "--out" => out = take(args, i, flag, "a file path")?,
+            _ => return Ok(false),
         }
-        i += 1;
-    }
+        Ok(true)
+    });
 
     let ssn = DatasetKind::Uni.build(scale, seed);
     let queries = skewed_batch(ssn.social().num_users() as u32);
@@ -154,12 +137,10 @@ fn main() {
     // Warm-up pass, then measure per-query sequential costs — the
     // inputs to the makespan simulation.
     std::hint::black_box(engine.try_query_batch(&queries, 1, &opts, &budget));
-    let mut measured = Vec::with_capacity(queries.len());
-    for q in &queries {
-        let t = Instant::now();
-        std::hint::black_box(engine.try_query(q, &opts, &budget).ok());
-        measured.push(t.elapsed().as_secs_f64());
-    }
+    let measured: Vec<f64> = queries
+        .iter()
+        .map(|q| median_secs(1, || engine.try_query(q, &opts, &budget).ok()))
+        .collect();
     // Submission order for the comparison: heaviest first. This is the
     // adversarial arrangement for static chunking (the heaviest
     // queries all land in the first worker's chunk) and matches how a
@@ -181,11 +162,12 @@ fn main() {
         costs[0]
     );
 
-    let mut rows = String::new();
+    let mut rows = Vec::new();
     for &threads in &[2usize, 4, 8] {
-        let tb = Instant::now();
-        let steal = engine.try_query_batch(&queries, threads, &opts, &budget);
-        let steal_wall = tb.elapsed().as_secs_f64();
+        let mut steal = Vec::new();
+        let steal_wall = median_secs(1, || {
+            steal = engine.try_query_batch(&queries, threads, &opts, &budget);
+        });
         assert!(
             same_outcomes(&baseline, &steal),
             "the batch must be bit-identical to sequential"
@@ -197,10 +179,7 @@ fn main() {
              ({:.2}x); measured batch wall {steal_wall:.3}s",
             sim_static / sim_steal
         );
-        if !rows.is_empty() {
-            rows.push(',');
-        }
-        rows.push_str(&format!(
+        rows.push(format!(
             "{{\"threads\":{threads},\"sim_static_s\":{sim_static:.6},\"sim_stealing_s\":{sim_steal:.6},\
              \"sim_speedup\":{:.4},\"wall_stealing_s\":{steal_wall:.6}}}",
             sim_static / sim_steal
@@ -210,13 +189,10 @@ fn main() {
     let json = format!(
         "{{\"bench\":\"serve\",\"dataset\":\"uni\",\"scale\":{scale},\"seed\":{seed},\
          \"batch\":{BATCH},\"heavy\":{HEAVY},\"sequential_s\":{sequential:.6},\
-         \"heavy_fraction\":{:.4},\"cores\":{},\"rows\":[{rows}]}}\n",
+         \"heavy_fraction\":{:.4},\"cores\":{},\"rows\":[{}]}}\n",
         heavy_cost / sequential,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+        cores(),
+        rows.join(","),
     );
-    let mut f = std::fs::File::create(&out).expect("create output file");
-    f.write_all(json.as_bytes()).expect("write report");
-    eprintln!("report written to {out}");
+    write_json(&out, &json);
 }

@@ -88,8 +88,8 @@ pub struct EngineConfig {
     /// spans (text flamegraph / Chrome trace) plus per-query counters
     /// and phase-duration histograms (Prometheus / JSON). `None` — the
     /// default — costs each instrumentation site one `Option` check; an
-    /// attached-but-disabled sink costs one relaxed atomic load (the
-    /// `obs_overhead` bench keeps this honest).
+    /// attached-but-disabled sink costs one relaxed atomic load (`report
+    /// obs` in crate `gpssn-bench` measures this).
     pub obs: Option<Arc<Obs>>,
 }
 

@@ -435,10 +435,33 @@ where
                 });
             }
 
+            // A submission the engine never sees (a slot rejected
+            // upstream, a request shed at admission) still takes its
+            // turn in the flight recorder, the SLO window and the
+            // ordered stream.
+            let respond_unserved = |seq: u64, id: u64, error: GpSsnError| {
+                let result = Err(error);
+                record_completion(
+                    tele,
+                    seq,
+                    &result,
+                    Duration::ZERO,
+                    Duration::ZERO,
+                    Vec::new(),
+                    false,
+                );
+                lock(&emitter).emit(
+                    seq,
+                    ServeResponse {
+                        id,
+                        result,
+                        queue_wait: Duration::ZERO,
+                    },
+                );
+            };
             // Submitter: the calling thread. Each submission gets the
             // next seq so responses come back in input order.
-            let mut seq = 0u64;
-            for sub in requests {
+            for (seq, sub) in (0u64..).zip(requests) {
                 stats.submitted += 1;
                 if let Some(o) = obs {
                     o.inc("gpssn_serve_submitted_total", &[], 1);
@@ -446,25 +469,7 @@ where
                 let req = match sub {
                     Submission::Rejected { id, error } => {
                         stats.rejected += 1;
-                        let result = Err(error);
-                        record_completion(
-                            tele,
-                            seq,
-                            &result,
-                            Duration::ZERO,
-                            Duration::ZERO,
-                            Vec::new(),
-                            false,
-                        );
-                        lock(&emitter).emit(
-                            seq,
-                            ServeResponse {
-                                id,
-                                result,
-                                queue_wait: Duration::ZERO,
-                            },
-                        );
-                        seq += 1;
+                        respond_unserved(seq, id, error);
                         continue;
                     }
                     Submission::Request(req) => req,
@@ -475,25 +480,7 @@ where
                 if req.budget.deadline.is_some_and(|d| d.is_zero()) {
                     stats.shed_expired += 1;
                     shed(obs, "expired");
-                    let result = Err(GpSsnError::DeadlineExpired);
-                    record_completion(
-                        tele,
-                        seq,
-                        &result,
-                        Duration::ZERO,
-                        Duration::ZERO,
-                        Vec::new(),
-                        false,
-                    );
-                    lock(&emitter).emit(
-                        seq,
-                        ServeResponse {
-                            id: req.id,
-                            result,
-                            queue_wait: Duration::ZERO,
-                        },
-                    );
-                    seq += 1;
+                    respond_unserved(seq, req.id, GpSsnError::DeadlineExpired);
                     continue;
                 }
                 let deadline_at = req.budget.deadline.map(|d| now + d);
@@ -524,25 +511,7 @@ where
                     drop(st);
                     stats.shed_overloaded += 1;
                     shed(obs, "overloaded");
-                    let result = Err(GpSsnError::Overloaded { depth, capacity });
-                    record_completion(
-                        tele,
-                        seq,
-                        &result,
-                        Duration::ZERO,
-                        Duration::ZERO,
-                        Vec::new(),
-                        false,
-                    );
-                    lock(&emitter).emit(
-                        seq,
-                        ServeResponse {
-                            id: req.id,
-                            result,
-                            queue_wait: Duration::ZERO,
-                        },
-                    );
-                    seq += 1;
+                    respond_unserved(seq, req.id, GpSsnError::Overloaded { depth, capacity });
                     continue;
                 }
                 st.queue.push_back(Queued {
@@ -555,7 +524,6 @@ where
                 note_depth(obs, depth);
                 drop(st);
                 not_empty.notify_one();
-                seq += 1;
             }
 
             // Graceful drain: close the queue; workers finish what is

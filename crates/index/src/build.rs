@@ -53,7 +53,7 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
 /// Wall-clock timings of one index build, stage by stage, plus the CH
 /// contraction counters when that stage ran. Returned by the
 /// `*_with_stages` builders; the engine folds these into the
-/// `gpssn_build_stage_ns{stage}` telemetry histogram and `build_report`
+/// `gpssn_build_stage_ns{stage}` telemetry histogram and `report build`
 /// turns them into `BENCH_build.json`.
 #[derive(Debug, Clone, Default)]
 pub struct BuildStages {
@@ -88,8 +88,10 @@ impl BuildStages {
 }
 
 /// Minimum items per worker before a build loop fans out: below this,
-/// thread spawn overhead beats the win and the loop runs inline.
-pub(crate) const PAR_FLOOR: usize = 32;
+/// thread spawn overhead beats the win and the loop runs inline. The
+/// bench harness's `report build` simulates the builders' chunking with
+/// this same floor.
+pub const PAR_FLOOR: usize = 32;
 
 /// Deterministic parallel map over `0..n`: the range is split into
 /// `workers` contiguous chunks (boundaries a function of `n` and the

@@ -114,7 +114,7 @@ impl RoadIndex {
 
     /// [`RoadIndex::build`], also returning per-stage wall-clock timings
     /// and the CH contraction counters (for the
-    /// `gpssn_build_stage_ns{stage}` telemetry and `build_report`).
+    /// `gpssn_build_stage_ns{stage}` telemetry and `report build`).
     pub fn build_with_stages(
         road: &RoadNetwork,
         pois: &PoiSet,

@@ -99,7 +99,7 @@ impl SocialIndex {
 
     /// [`SocialIndex::build`], also returning per-stage wall-clock
     /// timings (for the `gpssn_build_stage_ns{stage}` telemetry and
-    /// `build_report`).
+    /// `report build`).
     pub fn build_with_stages(
         ssn: &SpatialSocialNetwork,
         social_pivots: SocialPivots,

@@ -12,7 +12,7 @@
 //!
 //! The recorder is deliberately cheap enough to leave enabled in the
 //! "observability off" configuration: one short-lived lock and one
-//! `VecDeque` push per request. The `obs_report` overhead rows keep
+//! `VecDeque` push per request. The `report obs` overhead rows keep
 //! that claim honest.
 
 use std::collections::VecDeque;

@@ -9,7 +9,7 @@
 //! * enabled ⇒ spans cost two `Instant::now` calls and one ring push;
 //!   metrics are recorded once per query, not per distance.
 //!
-//! The `obs_overhead` bench (crate `gpssn-bench`) keeps the "disabled"
+//! `report obs` (crate `gpssn-bench`) keeps the "disabled"
 //! configuration honest.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
