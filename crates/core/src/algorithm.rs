@@ -15,14 +15,16 @@
 //!    set as Algorithm 2's level-synchronized loop; best-first order
 //!    simply pops the heap in a single pass.
 //! 3. **Refinement** — one center loop verifies candidate centers in
-//!    ascending `lb` order with early termination (`lb` reaching the
-//!    `k`-th best value; `k = 1` outside [`QueryMode::TopK`]).
+//!    ascending key order with early termination (the key reaching the
+//!    `k`-th best value; `k = 1` outside [`QueryMode::TopK`]). A
+//!    center's key is its `lb` until its first pop computes `c(u_q)`,
+//!    then `max(lb, c(u_q))`.
 //!
-//! Every [`QueryMode`] runs this one search and verifies each center with
-//! [`verify_center`]; the modes differ only in `k` and in how a center
-//! searches the users it reached ([`CenterSearch`]: exact enumeration, or
-//! subset sampling for [`QueryMode::Approximate`] and the ladder's
-//! rescue).
+//! Every [`QueryMode`] runs this one search and verifies each center the
+//! same way ([`crate::refinement::verify_center`]); the modes differ
+//! only in `k` and in how a center searches the users it reached
+//! ([`CenterSearch`]: exact enumeration, or subset sampling for
+//! [`QueryMode::Approximate`] and the ladder's rescue).
 //!
 //! **Exactness.** The paper's `δ` cut can, in corner cases, discard the
 //! region holding the only (or a better) feasible answer, because the
@@ -36,7 +38,7 @@
 //! stays exact (the property tests against brute force check this).
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
-use crate::cache::{DistanceCache, DistanceCacheConfig};
+use crate::cache::{BallRow, DistanceCache, DistanceCacheConfig};
 use crate::error::{BudgetState, Completion, GpSsnError, QueryBudget, Trip};
 use crate::pruning::{
     corollary2_filter, lb_match_score_node, lb_maxdist_node, lb_maxdist_poi,
@@ -45,7 +47,7 @@ use crate::pruning::{
 };
 use crate::query::{GpSsnAnswer, GpSsnQuery};
 use crate::refinement::{
-    probe_groups, verify_center, CenterSearch, CenterVerification, ChBackend, Probe, VerifyContext,
+    center_key, probe_groups, verify_keyed, CenterSearch, ChBackend, Probe, VerifyContext,
 };
 use crate::serve::{ServeConfig, ServeObs, ServeObsConfig, ServeRequest, Submission};
 use crate::stats::{Counter, QueryCounters, QueryMetrics, QueryOutcome};
@@ -252,13 +254,45 @@ pub struct GpSsnEngine<'a> {
     ch_breaker: CircuitBreaker,
 }
 
-/// Work items of the center loop: an `I_R` node still to read, or a
-/// candidate center. The derived order breaks [`MinHeap`] key ties:
-/// nodes before centers, then by id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Work items of the center loop: an `I_R` node still to read, a
+/// candidate center keyed by its pivot lower bound, or a center re-keyed
+/// by `c(u_q)`, which carries the ball it computed. The order breaks
+/// [`MinHeap`] key ties: nodes before centers, then by id (keyed or
+/// not).
+#[derive(Debug, Clone)]
 enum Item {
     Node(u32),
     Center(PoiId),
+    Keyed(PoiId, BallRow),
+}
+
+impl Item {
+    fn rank(&self) -> (bool, u32) {
+        match *self {
+            Item::Node(n) => (false, n),
+            Item::Center(c) | Item::Keyed(c, _) => (true, c),
+        }
+    }
+}
+
+impl PartialEq for Item {
+    fn eq(&self, other: &Self) -> bool {
+        self.rank() == other.rank()
+    }
+}
+
+impl Eq for Item {}
+
+impl PartialOrd for Item {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Item {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.rank().cmp(&other.rank())
+    }
 }
 
 /// One query's road-search state, shared by the traversal and the
@@ -630,7 +664,7 @@ impl<'a> GpSsnEngine<'a> {
     /// Dijkstra, and a fault inside a center's verification is absorbed
     /// per center. So the rung rescues budget trips and CH faults, but
     /// not a defect that fires at every center: the rescue shares the
-    /// one [`verify_center`], its centers fault too, and the query ends
+    /// one center loop, its centers fault too, and the query ends
     /// `Failed`. The rescue's own work (pages, pops, groups, settles,
     /// faults) is added to `counts`, and its traversal's center count
     /// replaces [`Counter::CandidatePois`].
@@ -788,11 +822,12 @@ impl<'a> GpSsnEngine<'a> {
     /// loop ([`GpSsnEngine::center_loop`]) twice — under the `refine`
     /// phase over the traversal's centers, and under `refine_fallback`
     /// over the deferred `δ`-cut items, keeping the answers found so
-    /// far (see the module docs). Every center is verified by
-    /// [`verify_center`] under `search`, on one [`VerifyContext`] (the CH
-    /// oracle when the road index has one, the breaker, the distance
-    /// cache, `meter`); at most `max_centers` centers are verified, and
-    /// later ones are skipped unverified. `obs` times the phases.
+    /// far (see the module docs). Every center is keyed by
+    /// [`center_key`] and verified by [`verify_keyed`] under `search`, on
+    /// one [`VerifyContext`] (the CH oracle when the road index has one,
+    /// the breaker, the distance cache, `meter`); at most `max_centers`
+    /// centers are verified, and later ones are skipped unverified.
+    /// `obs` times the phases.
     /// Returns the `k` best answers (ascending `maxdist`), the final `δ`,
     /// and the smallest lower bound left unresolved by a budget trip or
     /// an absorbed fault (`f64::INFINITY` when none).
@@ -868,7 +903,7 @@ impl<'a> GpSsnEngine<'a> {
                 self.touch(counts, gpssn_index::io::page_ids::road(n));
                 self.expand_node(&mut s, n, counts, true, &mut |lb, item| match item {
                     Item::Node(child) => heap.push(lb, child),
-                    Item::Center(_) => centers.push(lb, item),
+                    _ => centers.push(lb, item),
                 });
             }
             Some(s)
@@ -956,17 +991,33 @@ impl<'a> GpSsnEngine<'a> {
 
     /// Algorithm 2's center loop, shared by every mode and by both
     /// rounds of [`GpSsnEngine::road_search`]: pops `heap` in ascending
-    /// `(lb, item)` order, keeps the `k` best distinct answers in
-    /// `answers`, and stops once `lb` reaches the `k`-th best value (`∞`
-    /// while fewer than `k` are held). A center is verified on `ctx`
-    /// against that bound, with a `may_join` test that admits a query
-    /// candidate unless its pivot lower bound to the center reaches the
-    /// bound (skipped while the bound is infinite): such a user's exact
-    /// cost is at least as large, so verification would drop the user
-    /// anyway. A node (a deferred `δ`-cut subtree) is read and expanded, its
-    /// children and centers pushed back; only an expanded node is
-    /// charged a heap pop. Returns the smallest `lb` left unresolved by
-    /// a budget trip or an absorbed fault (`f64::INFINITY` when none).
+    /// `(key, item)` order, keeps the `k` best distinct answers in
+    /// `answers`, and stops once the key reaches the `k`-th best value
+    /// (`∞` while fewer than `k` are held). A node (a deferred `δ`-cut
+    /// subtree) is read and expanded, its children and centers pushed
+    /// back; only an expanded node is charged a heap pop.
+    ///
+    /// **Lazy re-keying.** A center is pushed at its pivot lower bound
+    /// `lb`. On its first pop it computes its ball and `c(u_q)`
+    /// ([`center_key`]); every group contains `u_q`, so `max(lb, c(u_q))`
+    /// is a lower bound too. If `c(u_q)` is above the popped key, the
+    /// center goes back at key `c(u_q)` as an [`Item::Keyed`], holding its
+    /// ball ([`Counter::CentersRekeyed`]); otherwise, and when a keyed
+    /// center pops, it is verified ([`verify_keyed`]) against the `k`-th
+    /// best value, with a `may_join` test that admits a query candidate
+    /// unless its pivot lower bound to the center reaches that value
+    /// (skipped while it is infinite): such a user's exact cost is at
+    /// least as large, so verification would drop the user anyway. At
+    /// most `centers_left` centers are verified; later ones are skipped.
+    ///
+    /// **Ties.** At equal key, nodes pop before centers, then centers by
+    /// POI id, keyed or not. Only a strictly better group replaces a held
+    /// one, so among answers with the same maxdist bits the first group
+    /// found wins.
+    ///
+    /// Returns the smallest key left unresolved by a budget trip or an
+    /// absorbed fault, during keying or verification (`f64::INFINITY`
+    /// when none).
     fn center_loop(
         &self,
         s: &mut RoadSearch<'_>,
@@ -977,27 +1028,46 @@ impl<'a> GpSsnEngine<'a> {
         ctx: &mut VerifyContext<'_>,
     ) -> f64 {
         let meter = ctx.budget;
+        let policy = s.opts.degradation;
         let mut unresolved = f64::INFINITY;
-        while let Some((lb, item)) = heap.pop() {
+        while let Some((key, item)) = heap.pop() {
             let bound = answers.get(k - 1).map_or(f64::INFINITY, |a| a.maxdist);
-            if lb >= bound {
+            if key >= bound {
                 break;
             }
             if let Item::Node(_) = item {
                 meter.note_pop();
             }
             if meter.is_tripped() {
-                unresolved = unresolved.min(lb);
+                unresolved = unresolved.min(key);
                 break;
             }
-            let center = match item {
+            let (center, ball, cq) = match item {
                 Item::Node(n) => {
                     self.touch(counts, gpssn_index::io::page_ids::road(n));
                     self.expand_node(s, n, counts, false, &mut |lb, item| heap.push(lb, item));
                     continue;
                 }
-                Item::Center(_) if s.centers_left == 0 => continue,
-                Item::Center(c) => c,
+                _ if s.centers_left == 0 => continue,
+                Item::Keyed(c, ball) => (c, ball, key),
+                Item::Center(c) => {
+                    let keyed = guarded(ctx, policy, key, &mut unresolved, |ctx| {
+                        center_key(self.ssn, s.q, c, ctx)
+                    });
+                    let Some((ball, cq)) = keyed.flatten() else {
+                        if meter.is_tripped() {
+                            unresolved = unresolved.min(key);
+                            break;
+                        }
+                        continue; // a fault, already folded in
+                    };
+                    if cq > key {
+                        meter.add(Counter::CentersRekeyed, 1);
+                        heap.push(cq, Item::Keyed(c, ball));
+                        continue;
+                    }
+                    (c, ball, cq)
+                }
             };
             s.centers_left -= 1;
             let center_rn = &self.road_index.poi(center).pivot_dists;
@@ -1006,16 +1076,12 @@ impl<'a> GpSsnEngine<'a> {
                     && (!bound.is_finite()
                         || lb_maxdist_poi(self.social_index.user_rn_dists(u), center_rn) < bound)
             };
-            let verified = verify_center_guarded(
-                self.ssn,
-                s.q,
-                (lb, center),
-                bound,
-                may_join,
-                ctx,
-                s.opts.degradation,
-                &mut unresolved,
-            );
+            let verified = guarded(ctx, policy, key, &mut unresolved, |ctx| {
+                verify_keyed(self.ssn, s.q, &ball, cq, bound, may_join, ctx)
+            });
+            if let Some(v) = &verified {
+                meter.add(Counter::PairsRefined, v.subsets_examined);
+            }
             if let Some(ans) = verified.and_then(|v| v.answer) {
                 // Centers with the same ball can verify the same (S, R)
                 // pair: hold it once, at the smaller value (for `k = 1`
@@ -1034,9 +1100,9 @@ impl<'a> GpSsnEngine<'a> {
             }
             if meter.is_tripped() {
                 // This center's verification was itself cut short, so it
-                // remains unresolved (items pop in ascending `lb`, so `lb`
-                // also bounds every item left in the heap).
-                unresolved = unresolved.min(lb);
+                // remains unresolved (items pop in ascending key, so the
+                // key also bounds every item left in the heap).
+                unresolved = unresolved.min(key);
                 break;
             }
         }
@@ -1150,49 +1216,35 @@ fn note_workspaces(meter: &BudgetState, ws: &DijkstraWorkspace, chws: &gpssn_gra
     meter.add(Counter::HeapRecycles, ws.recycles() + chws.recycles());
 }
 
-/// Runs [`verify_center`] on the center `(lb, center)` under the query's
-/// fault policy. Under [`DegradationPolicy::Ladder`] a *panic* inside
-/// verification is caught per-center and absorbed as a query fault,
-/// while `FailFast` lets it propagate to the batch isolation layer (the
-/// legacy behavior). A verified center's subsets count as pairs
-/// refined. A faulted center (`None`) stays unresolved: its `lb` is
-/// folded into `unresolved`, and the nonzero fault count keeps the
+/// Runs one step of a center's refinement, `step` (its keying or its
+/// verification), under the query's fault policy. Under
+/// [`DegradationPolicy::Ladder`] a *panic* inside the step is caught
+/// per-center and absorbed as a query fault, while `FailFast` lets it
+/// propagate to the batch isolation layer (the legacy behavior). A
+/// faulted step (`None`) leaves the center unresolved: its key is folded
+/// into `unresolved`, and the nonzero [`Counter::RefineFaults`] keeps the
 /// completion from claiming `Exact`.
-#[allow(clippy::too_many_arguments)]
-fn verify_center_guarded(
-    ssn: &SpatialSocialNetwork,
-    q: &GpSsnQuery,
-    (lb, center): (f64, PoiId),
-    bound: f64,
-    may_join: impl Fn(UserId) -> bool,
+fn guarded<R>(
     ctx: &mut VerifyContext<'_>,
     policy: DegradationPolicy,
+    key: f64,
     unresolved: &mut f64,
-) -> Option<CenterVerification> {
-    let verified = if policy == DegradationPolicy::Ladder {
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            verify_center(ssn, q, center, bound, may_join, ctx)
-        }));
-        if attempt.is_err() {
-            // The unwound verification may have left this worker's CH
-            // workspace mid-sweep; wipe it so later batches stay
-            // bit-identical.
-            if let Some(chb) = ctx.ch.as_mut() {
-                chb.search.hard_reset();
-            }
-        }
-        attempt.ok()
-    } else {
-        Some(verify_center(ssn, q, center, bound, may_join, ctx))
-    };
-    match &verified {
-        Some(v) => ctx.budget.add(Counter::PairsRefined, v.subsets_examined),
-        None => {
-            ctx.budget.add(Counter::RefineFaults, 1);
-            *unresolved = unresolved.min(lb);
-        }
+    step: impl FnOnce(&mut VerifyContext<'_>) -> R,
+) -> Option<R> {
+    if policy != DegradationPolicy::Ladder {
+        return Some(step(ctx));
     }
-    verified
+    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step(ctx)));
+    if attempt.is_err() {
+        // The unwound step may have left this worker's CH workspace
+        // mid-sweep; wipe it so later batches stay bit-identical.
+        if let Some(chb) = ctx.ch.as_mut() {
+            chb.search.hard_reset();
+        }
+        ctx.budget.add(Counter::RefineFaults, 1);
+        *unresolved = unresolved.min(key);
+    }
+    attempt.ok()
 }
 
 /// The error reported when a cut query verified nothing: the tripped
@@ -1320,7 +1372,7 @@ struct MinHeap<T> {
     data: Vec<(f64, T)>,
 }
 
-impl<T: Copy + Ord> MinHeap<T> {
+impl<T: Ord> MinHeap<T> {
     fn new() -> Self {
         MinHeap { data: Vec::new() }
     }
@@ -1483,31 +1535,43 @@ mod tests {
         assert_eq!(h.pop(), Some((3.0, 'a')));
         assert_eq!(h.pop(), None);
 
-        // Equal keys pop in `Item` order (nodes first, then by id), so
-        // the main phase verifies centers in ascending `(lb, id)` order
-        // whatever order they were pushed in.
+        // Equal keys pop in `Item` order (nodes first, then centers by
+        // id, re-keyed or not), so the loop verifies centers in ascending
+        // `(key, id)` order whatever order they were pushed in.
+        let ball = BallRow::default();
         let mut h = MinHeap::new();
         for (key, item) in [
             (2.0, Item::Center(9)),
             (1.0, Item::Center(7)),
+            (2.0, Item::Keyed(6, ball.clone())),
             (2.0, Item::Center(3)),
             (2.0, Item::Node(5)),
+            (1.0, Item::Keyed(8, ball.clone())),
             (1.0, Item::Center(2)),
             (2.0, Item::Center(4)),
         ] {
             h.push(key, item);
         }
-        let order: Vec<(f64, Item)> = std::iter::from_fn(|| h.pop()).collect();
-        assert_eq!(
-            order,
-            [
-                (1.0, Item::Center(2)),
-                (1.0, Item::Center(7)),
-                (2.0, Item::Node(5)),
-                (2.0, Item::Center(3)),
-                (2.0, Item::Center(4)),
-                (2.0, Item::Center(9)),
-            ]
-        );
+        let order: Vec<(f64, String)> = std::iter::from_fn(|| h.pop())
+            .map(|(key, item)| {
+                let label = match item {
+                    Item::Node(n) => format!("node {n}"),
+                    Item::Center(c) => format!("center {c}"),
+                    Item::Keyed(c, _) => format!("keyed {c}"),
+                };
+                (key, label)
+            })
+            .collect();
+        let want = [
+            (1.0, "center 2"),
+            (1.0, "center 7"),
+            (1.0, "keyed 8"),
+            (2.0, "node 5"),
+            (2.0, "center 3"),
+            (2.0, "center 4"),
+            (2.0, "keyed 6"),
+            (2.0, "center 9"),
+        ];
+        assert_eq!(order, want.map(|(k, l)| (k, l.to_string())));
     }
 }

@@ -55,7 +55,7 @@ impl Default for DistanceCacheConfig {
 type BallKey = (PoiId, u64);
 /// A cached ball row: the `(poi, dist_RN)` pairs inside `⊙(center, r)`,
 /// shared by `Arc` so hits never copy.
-type BallRow = Arc<Vec<(PoiId, f64)>>;
+pub(crate) type BallRow = Arc<Vec<(PoiId, f64)>>;
 
 /// Multiplicative word hasher (the FxHash mixing step) for the cache's
 /// integer keys: one rotate, xor and multiply per word written. It is

@@ -31,12 +31,14 @@
 //! groups from the same reached users.
 
 use crate::breaker::CircuitBreaker;
-use crate::cache::DistanceCache;
+use crate::cache::{BallRow, DistanceCache};
 use crate::error::BudgetState;
 use crate::query::{GpSsnAnswer, GpSsnQuery};
 use crate::stats::Counter;
 use gpssn_graph::{enumerate_connected_subsets, ChOracle, ChSearch, DijkstraWorkspace};
-use gpssn_road::{dist_rn_many_counted_with, dist_rn_matrix_ch, NetworkPoint, PoiId};
+use gpssn_road::{
+    dist_rn_many_counted_with, dist_rn_matrix_ch, dist_rn_pinned_ch, NetworkPoint, PoiId,
+};
 use gpssn_social::{SocialNetwork, UserId};
 use gpssn_ssn::{match_score_keywords, SpatialSocialNetwork};
 use rand::rngs::StdRng;
@@ -50,13 +52,14 @@ pub mod test_hooks {
     use std::sync::atomic::AtomicU32;
 
     /// When set to a user id, [`super::verify_center`] panics on entry
-    /// for queries from that user — simulating a defect deep inside
-    /// refinement. `u32::MAX` (the default) disarms the hook.
+    /// (in `center_key`, a center's first step) for queries from
+    /// that user — simulating a defect deep inside refinement. `u32::MAX`
+    /// (the default) disarms the hook.
     pub static PANIC_ON_USER: AtomicU32 = AtomicU32::new(u32::MAX);
 }
 
 /// Outcome of verifying one candidate center.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CenterVerification {
     /// Best feasible answer for this center, if any. When the budget
     /// trips mid-verification this holds the best *fully verified* group
@@ -229,11 +232,17 @@ pub struct ChBackend<'a> {
 /// bit-identical values (road lengths sit on the `2⁻³²` grid, so every
 /// sum is exact), and settles are charged to the same budget either way,
 /// on the backend that served them.
+///
+/// With `pin`, `sources` is the query user's home alone and the CH
+/// oracle serves it from the workspace's pinned sweep
+/// ([`dist_rn_pinned_ch`]): only the call that runs the sweep opens a
+/// `ch_p2p` span and counts a batch; later calls scan labels only.
 fn dist_batch(
     ssn: &SpatialSocialNetwork,
     ctx: &mut VerifyContext<'_>,
     sources: &[NetworkPoint],
     targets: &[NetworkPoint],
+    pin: bool,
 ) -> Vec<f64> {
     // `filter(tracing_on)` keeps the disabled path to one relaxed load —
     // no inert guard, no `Instant::now`.
@@ -244,9 +253,15 @@ fn dist_batch(
         // optional. Failures feed the breaker; an open breaker skips
         // the oracle (and the panic machinery) entirely.
         if ctx.breaker.is_none_or(|b| b.admit(ctx.obs)) {
-            let span = obs.map(|o| o.tracer().span("ch_p2p"));
+            let sweeps = !(pin && chb.search.is_pinned(&sources[0].seeds(ssn.road())));
+            let span = obs.filter(|_| sweeps).map(|o| o.tracer().span("ch_p2p"));
             let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                dist_rn_matrix_ch(ssn.road(), chb.oracle, chb.search, sources, targets)
+                let (road, oracle) = (ssn.road(), chb.oracle);
+                if pin {
+                    dist_rn_pinned_ch(road, oracle, chb.search, &sources[0], targets)
+                } else {
+                    dist_rn_matrix_ch(road, oracle, chb.search, sources, targets)
+                }
             }));
             drop(span);
             match attempt {
@@ -254,8 +269,10 @@ fn dist_batch(
                     if let Some(b) = ctx.breaker {
                         b.record_success(ctx.obs);
                     }
-                    ctx.budget.add(Counter::ChBatches, 1);
-                    ctx.budget.add_settles(Counter::ChSettles, settled);
+                    if sweeps {
+                        ctx.budget.add(Counter::ChBatches, 1);
+                        ctx.budget.add_settles(Counter::ChSettles, settled);
+                    }
                     return matrix;
                 }
                 Err(_) => {
@@ -300,7 +317,7 @@ fn user_costs(
     } else {
         (&homes[..], positions)
     };
-    let matrix = dist_batch(ssn, ctx, sources, targets);
+    let matrix = dist_batch(ssn, ctx, sources, targets, false);
     if ctx.budget.is_tripped() {
         return None;
     }
@@ -314,10 +331,11 @@ fn user_costs(
 }
 
 /// The query user's exact cost over `ball`, read from the context's
-/// [`UserRow`]: the ball POIs the row lacks are computed in one
-/// [`dist_batch`] call and kept. Sums are exact, so the maximum has the
-/// bits of costing `user` over the ball directly. `None` means the
-/// budget tripped.
+/// [`UserRow`]: the ball POIs the row lacks are computed in one pinned
+/// [`dist_batch`] call and kept, so on CH the query runs one forward
+/// sweep from `user`'s home and each later center scans only its new
+/// POIs' labels. Sums are exact, so the maximum has the bits of costing
+/// `user` over the ball directly. `None` means the budget tripped.
 fn query_user_cost(
     ssn: &SpatialSocialNetwork,
     ctx: &mut VerifyContext<'_>,
@@ -339,7 +357,7 @@ fn query_user_cost(
             .iter()
             .map(|&o| ssn.pois().get(o).position)
             .collect();
-        let row = dist_batch(ssn, ctx, &[ssn.home(user)], &targets);
+        let row = dist_batch(ssn, ctx, &[ssn.home(user)], &targets, true);
         for (&o, d) in missing.iter().zip(row) {
             ctx.uq_row.dists[o as usize] = d;
         }
@@ -358,7 +376,7 @@ fn center_ball(
     q: &GpSsnQuery,
     center: PoiId,
     ctx: &mut VerifyContext<'_>,
-) -> Arc<Vec<(PoiId, f64)>> {
+) -> BallRow {
     let cached = ctx
         .cache
         .map(|cache| (cache, cache.get_ball(center, q.radius)));
@@ -435,6 +453,28 @@ pub(crate) fn probe_groups(
     }
 }
 
+/// A center's key material: its ball `R` ([`center_ball`]) and the query
+/// user's exact cost over it, `c(u_q)` ([`query_user_cost`]). Every
+/// group at the center contains `u_q`, so `c(u_q)` bounds its maxdist
+/// from below; the center loop re-keys a center by it. `None` means the
+/// budget tripped.
+pub(crate) fn center_key(
+    ssn: &SpatialSocialNetwork,
+    q: &GpSsnQuery,
+    center: PoiId,
+    ctx: &mut VerifyContext<'_>,
+) -> Option<(BallRow, f64)> {
+    if q.user == test_hooks::PANIC_ON_USER.load(std::sync::atomic::Ordering::Relaxed) {
+        panic!("test hook: injected refinement fault for user {}", q.user);
+    }
+    if gpssn_failpoint::failpoint!("refine::verify_center") {
+        panic!("injected fault: refine::verify_center (center {center})");
+    }
+    let ball = center_ball(ssn, q, center, ctx);
+    let cq = query_user_cost(ssn, ctx, q.user, &ball)?;
+    Some((ball, cq))
+}
+
 /// Verifies candidate center `center`. `best_so_far` allows early exits:
 /// a center whose query-user cost already reaches it cannot improve the
 /// global answer. Dijkstra settles and admission checks are charged to
@@ -442,13 +482,16 @@ pub(crate) fn probe_groups(
 /// the best group it had fully verified by then (see
 /// [`CenterVerification::answer`]).
 ///
-/// **Settled on `u_q`.** The center is settled — no other user costed,
-/// no span opened — when `c(u_q)`, read from the context's row of the
-/// query user's distances, reaches `best_so_far`
-/// ([`Counter::CentersSettledCost`]), or else when `Match_Score(u_q, R)`
-/// is below `θ` ([`Counter::CentersSettledTheta`]). Either way no group
-/// at the center qualifies. Every other center counts as
-/// [`Counter::CentersSearched`] and runs under a `verify_center` span.
+/// **Settled on `u_q`.** The center's ball and `c(u_q)` come first
+/// (`c(u_q)` read from the context's row of the query user's
+/// distances). The center is settled — no other user costed, no span
+/// opened — when `c(u_q)` reaches `best_so_far`, or else when
+/// `Match_Score(u_q, R)` is below `θ` ([`Counter::CentersSettledTheta`]).
+/// Either way no group at the center qualifies. Every other center
+/// counts as [`Counter::CentersSearched`] and runs under a
+/// `verify_center` span. The engine's center loop never reaches the cost
+/// test: it verifies a center only once its key, `max(lb, c(u_q))`, is
+/// below the incumbent.
 ///
 /// **Reachable users only.** A group is connected, contains `u_q` and
 /// has `τ` members, each cheaper than `best_so_far` if the group is to
@@ -480,27 +523,31 @@ pub fn verify_center(
     may_join: impl Fn(UserId) -> bool,
     ctx: &mut VerifyContext<'_>,
 ) -> CenterVerification {
-    if q.user == test_hooks::PANIC_ON_USER.load(std::sync::atomic::Ordering::Relaxed) {
-        panic!("test hook: injected refinement fault for user {}", q.user);
+    match center_key(ssn, q, center, ctx) {
+        // Any group containing u_q costs at least cq.
+        Some((ball, cq)) if cq < best_so_far => {
+            verify_keyed(ssn, q, &ball, cq, best_so_far, may_join, ctx)
+        }
+        _ => CenterVerification::default(),
     }
-    if gpssn_failpoint::failpoint!("refine::verify_center") {
-        panic!("injected fault: refine::verify_center (center {center})");
-    }
-    let mut out = CenterVerification {
-        answer: None,
-        subsets_examined: 0,
-    };
+}
+
+/// [`verify_center`] past the cost test, on the ball and `c(u_q)` that
+/// [`center_key`] gave (`cq < best_so_far`): the θ test, then the
+/// search.
+pub(crate) fn verify_keyed(
+    ssn: &SpatialSocialNetwork,
+    q: &GpSsnQuery,
+    ball: &[(PoiId, f64)],
+    cq: f64,
+    best_so_far: f64,
+    may_join: impl Fn(UserId) -> bool,
+    ctx: &mut VerifyContext<'_>,
+) -> CenterVerification {
+    let mut out = CenterVerification::default();
     let budget = ctx.budget;
-    let ball = center_ball(ssn, q, center, ctx);
     if ball.is_empty() {
         return out;
-    }
-    let Some(cq) = query_user_cost(ssn, ctx, q.user, &ball) else {
-        return out;
-    };
-    if cq >= best_so_far {
-        budget.add(Counter::CentersSettledCost, 1);
-        return out; // any group containing u_q costs at least cq
     }
     let r_ids: Vec<PoiId> = ball.iter().map(|&(o, _)| o).collect();
     let union = ssn.pois().keyword_union(&r_ids);
@@ -881,10 +928,13 @@ pub(crate) mod tests {
             assert!(v.answer.is_none());
         }
         // One sweep from u_q's home served both centers, and neither
-        // costed another user.
+        // got past the cost test or costed another user.
         let c = budget.snapshot();
         assert_eq!(c[Counter::DijkstraBatches], 1);
-        assert_eq!(c[Counter::CentersSettledCost], 2);
+        assert_eq!(
+            c[Counter::CentersSettledTheta] + c[Counter::CentersSearched],
+            0
+        );
         // Below the incumbent, θ settles the center, still on u_q's row.
         let strict = GpSsnQuery { theta: 2.0, ..q };
         let v = verify_center(&ssn, &strict, 0, 10.0, |_| true, &mut ctx);

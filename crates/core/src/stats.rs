@@ -120,9 +120,10 @@ counters! {
     /// one per probe and far below [`Counter::GroupsEnumerated`], which
     /// counts the admission checks spent reaching them.
     PairsRefined => "pairs_refined", "gpssn_pairs_refined_total";
-    /// Centers settled on the query user's own cost: `c(u_q)` reached the
-    /// incumbent, so no group at the center can beat it.
-    CentersSettledCost => "centers_settled_cost", "gpssn_centers_total" ["outcome" = "settled_cost"];
+    /// Centers pushed back into the center loop's heap at key `c(u_q)`:
+    /// the query user's own cost over the ball was above the pivot lower
+    /// bound the center popped at (each center is re-keyed at most once).
+    CentersRekeyed => "centers_rekeyed", "gpssn_centers_total" ["outcome" = "rekeyed"];
     /// Centers settled on the query user's `Match_Score` over the ball,
     /// which is below `θ`.
     CentersSettledTheta => "centers_settled_theta",

@@ -431,6 +431,50 @@ impl ChOracle {
         (out, settles)
     }
 
+    /// Exact distances from `seeds` to every entry of `targets`, like
+    /// [`Self::dists`], but the forward sweep stays in `search` as its
+    /// *pinned* sweep: a later call with the same seeds runs no sweep and
+    /// only scans the targets' labels against it. A call with other
+    /// seeds replaces it, [`ChSearch::hard_reset`] drops it, and
+    /// [`Self::batch_dists`] leaves it alone. Returns the values
+    /// (bit-identical to [`Self::dists`]) and the vertices settled by the
+    /// sweep this call ran: 0 when the pinned sweep served it.
+    pub fn pinned_dists(
+        &self,
+        search: &mut ChSearch,
+        seeds: &[(NodeId, f64)],
+        targets: &[NodeId],
+    ) -> (Vec<f64>, u64) {
+        if self.n == 0 || targets.is_empty() {
+            return (vec![INFINITY; targets.len()], 0);
+        }
+        if gpssn_failpoint::failpoint!("ch::settle_exhaustion") {
+            panic!("injected fault: ch::settle_exhaustion");
+        }
+        let mut settles = 0;
+        if !search.is_pinned(seeds) {
+            search.pinned_seeds = None;
+            search.prepare(self.n);
+            // Sweep into the batch arrays, then swap them with the pinned
+            // ones, wiped first: the batch arrays come back clean.
+            for &v in &search.pinned_touched {
+                search.pinned_dist[v as usize] = INFINITY;
+            }
+            search.pinned_touched.clear();
+            search.pinned_dist.resize(search.dist.len(), INFINITY);
+            settles = self.upward_sweep(search, seeds);
+            std::mem::swap(&mut search.dist, &mut search.pinned_dist);
+            std::mem::swap(&mut search.touched, &mut search.pinned_touched);
+            search.reset_sweep();
+            search.pinned_seeds = Some(seeds.to_vec());
+        }
+        let out = targets
+            .iter()
+            .map(|&t| self.meet(&search.pinned_dist, t))
+            .collect();
+        (out, settles)
+    }
+
     /// Exact distance from the finished forward sweep (`dist`) to `t`:
     /// the best meeting key over `t`'s label. Vertices the sweep never
     /// reached sit at `INFINITY`.
@@ -712,6 +756,12 @@ pub struct ChSearch {
     tcol: Vec<u32>,
     /// Current source's distance to each distinct target.
     met: Vec<f64>,
+    /// The pinned sweep ([`ChOracle::pinned_dists`]): its seeds (`None`
+    /// when there is none), its distance per vertex (`INFINITY` where it
+    /// never reached) and the vertices it touched.
+    pinned_seeds: Option<Vec<(NodeId, f64)>>,
+    pinned_dist: Vec<f64>,
+    pinned_touched: Vec<NodeId>,
     /// Lifetime count of batches prepared by this workspace.
     resets: u64,
     /// Batches that reused already-sized storage (no growth needed).
@@ -747,6 +797,17 @@ impl ChSearch {
         self.recycles
     }
 
+    /// Whether the pinned sweep is the one from `seeds` (bitwise), so
+    /// that [`ChOracle::pinned_dists`] from them runs no sweep.
+    pub fn is_pinned(&self, seeds: &[(NodeId, f64)]) -> bool {
+        self.pinned_seeds.as_deref().is_some_and(|p| {
+            p.len() == seeds.len()
+                && p.iter()
+                    .zip(seeds)
+                    .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
+        })
+    }
+
     /// Restores `dist` to `INFINITY` at every vertex the latest sweep
     /// touched; clears the settled list.
     fn reset_sweep(&mut self) {
@@ -762,12 +823,15 @@ impl ChSearch {
     /// mid-batch (a panic unwound out of [`ChOracle::batch_dists`]).
     /// Unlike the incremental sweep reset between batches, this wipes the
     /// full sweep arrays — O(n), but only run on the fault path — so a
-    /// later batch on the same workspace stays bit-identical. Storage
-    /// capacity and lifetime counters are retained.
+    /// later batch on the same workspace stays bit-identical. The pinned
+    /// sweep is dropped too. Storage capacity and lifetime counters are
+    /// retained.
     pub fn hard_reset(&mut self) {
-        for d in &mut self.dist {
+        for d in self.dist.iter_mut().chain(&mut self.pinned_dist) {
             *d = INFINITY;
         }
+        self.pinned_seeds = None;
+        self.pinned_touched.clear();
         self.touched.clear();
         self.settled.clear();
         self.heap.clear();
@@ -1258,6 +1322,60 @@ mod tests {
             let (got, _) = ch.dists(&mut s, &seeds, &targets);
             for (j, &t) in targets.iter().enumerate() {
                 assert_bits_eq(got[j], want[j], &format!("round {round} target {t}"));
+            }
+        }
+    }
+
+    #[test]
+    fn pinned_sweep_serves_repeated_sources_bit_identically() {
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..60);
+            let g = random_graph(&mut rng, n, n, 0.05);
+            let ch = ChOracle::build(&g);
+            let mut s = ChSearch::new();
+            let pick = |rng: &mut StdRng| -> Vec<NodeId> {
+                let len = rng.gen_range(1..8);
+                (0..len).map(|_| rng.gen_range(0..n) as NodeId).collect()
+            };
+            let sources: Vec<[(NodeId, f64); 2]> = (0..3)
+                .map(|_| {
+                    let d = |rng: &mut StdRng| grid_nearest(rng.gen_range(0.0..2.0));
+                    [
+                        (rng.gen_range(0..n) as NodeId, d(&mut rng)),
+                        (rng.gen_range(0..n) as NodeId, d(&mut rng)),
+                    ]
+                })
+                .collect();
+            for seeds in &sources {
+                let mut charged = 0;
+                for call in 0..4 {
+                    let targets = pick(&mut rng);
+                    let (want, sweep) = ch.batch_dists(&mut ChSearch::new(), &[seeds], &targets);
+                    let (got, settles) = ch.pinned_dists(&mut s, seeds, &targets);
+                    let ctx = format!("seed {seed} source {seeds:?} call {call}");
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_bits_eq(*g, *w, &ctx);
+                    }
+                    assert_eq!(settles, if call == 0 { sweep } else { 0 }, "{ctx}");
+                    charged += settles;
+                    assert!(s.is_pinned(seeds), "{ctx}");
+                    // A batch on the same workspace leaves the pin alone.
+                    let other = pick(&mut rng);
+                    ch.batch_dists(&mut s, &[&[(0, 0.0)]], &other);
+                }
+                assert!(charged > 0, "seed {seed}: the first call swept");
+                // A fault drops the pin; re-pinning gives the same bits.
+                let targets = pick(&mut rng);
+                let (before, _) = ch.pinned_dists(&mut s, seeds, &targets);
+                ch.upward_sweep(&mut s, &[(0, 0.5)]);
+                s.hard_reset();
+                assert!(!s.is_pinned(seeds));
+                let (after, settles) = ch.pinned_dists(&mut s, seeds, &targets);
+                assert_eq!(settles, charged, "seed {seed}: re-pinning sweeps again");
+                for (a, b) in after.iter().zip(&before) {
+                    assert_bits_eq(*a, *b, &format!("seed {seed} after hard_reset"));
+                }
             }
         }
     }

@@ -120,16 +120,52 @@ pub fn dist_rn_matrix_ch(
     sources: &[NetworkPoint],
     targets: &[NetworkPoint],
 ) -> (Vec<f64>, u64) {
-    let mut endpoints: Vec<NodeId> = Vec::with_capacity(targets.len() * 2);
+    let seed_arrays: Vec<[(NodeId, f64); 2]> = sources.iter().map(|s| s.seeds(net)).collect();
+    let seed_refs: Vec<&[(NodeId, f64)]> = seed_arrays.iter().map(|s| &s[..]).collect();
+    let (d, settles) = ch.batch_dists(cs, &seed_refs, &endpoints(net, targets));
+    (compose_rows(net, sources, targets, &d), settles)
+}
+
+/// [`dist_rn_matrix_ch`] for one source, served from the workspace's
+/// pinned sweep ([`ChOracle::pinned_dists`]): the first call from
+/// `source` sweeps and keeps the sweep, later ones only scan the new
+/// targets' labels and settle nothing. Same bits as
+/// [`dist_rn_matrix_ch`]; the count is the settles of the sweep run (0
+/// when none ran, see [`ChSearch::is_pinned`]).
+pub fn dist_rn_pinned_ch(
+    net: &RoadNetwork,
+    ch: &ChOracle,
+    cs: &mut ChSearch,
+    source: &NetworkPoint,
+    targets: &[NetworkPoint],
+) -> (Vec<f64>, u64) {
+    let (d, settles) = ch.pinned_dists(cs, &source.seeds(net), &endpoints(net, targets));
+    (
+        compose_rows(net, std::slice::from_ref(source), targets, &d),
+        settles,
+    )
+}
+
+/// Both edge endpoints of every target, in target order.
+fn endpoints(net: &RoadNetwork, targets: &[NetworkPoint]) -> Vec<NodeId> {
+    let mut endpoints = Vec::with_capacity(targets.len() * 2);
     for t in targets {
         let (u, v, _) = net.edge(t.edge);
         endpoints.push(u);
         endpoints.push(v);
     }
-    let seed_arrays: Vec<[(NodeId, f64); 2]> = sources.iter().map(|s| s.seeds(net)).collect();
-    let seed_refs: Vec<&[(NodeId, f64)]> = seed_arrays.iter().map(|s| &s[..]).collect();
-    let (d, settles) = ch.batch_dists(cs, &seed_refs, &endpoints);
-    let cols = endpoints.len();
+    endpoints
+}
+
+/// Composes the row-major endpoint distances `d` (two columns per
+/// target) into the `sources × targets` point-distance matrix.
+fn compose_rows(
+    net: &RoadNetwork,
+    sources: &[NetworkPoint],
+    targets: &[NetworkPoint],
+    d: &[f64],
+) -> Vec<f64> {
+    let cols = targets.len() * 2;
     let mut out = Vec::with_capacity(sources.len() * targets.len());
     for (i, a) in sources.iter().enumerate() {
         for (j, t) in targets.iter().enumerate() {
@@ -143,7 +179,7 @@ pub fn dist_rn_matrix_ch(
             ));
         }
     }
-    (out, settles)
+    out
 }
 
 #[cfg(test)]
@@ -400,6 +436,13 @@ mod tests {
                         );
                     }
                 }
+            }
+            // The pinned row, served target by target from one sweep.
+            let (want, _) = dist_rn_many_counted_with(&net, &mut ws, &pts[0], &pts);
+            for (j, w) in want.iter().enumerate() {
+                let (row, _) = dist_rn_pinned_ch(&net, &ch, &mut cs, &pts[0], &pts[j..=j]);
+                prop_assert_eq!(row[0].to_bits(), w.to_bits(), "seed {} pinned target {}", seed, j);
+                prop_assert!(cs.is_pinned(&pts[0].seeds(&net)));
             }
         }
 

@@ -28,7 +28,7 @@ pub mod poi;
 
 pub use distance::{
     dist_rn, dist_rn_many, dist_rn_many_counted, dist_rn_many_counted_with, dist_rn_matrix_ch,
-    point_dist_from_map,
+    dist_rn_pinned_ch, point_dist_from_map,
 };
 pub use generator::{generate_pois, generate_road_network, PoiGenConfig, RoadGenConfig};
 pub use network::RoadNetwork;

@@ -1,14 +1,18 @@
 //! End-to-end runs over realistically shaped (scaled-down) datasets:
-//! answers validate against Definition 5, metrics behave sanely, and the
-//! pruning powers land in plausible ranges.
+//! answers validate against Definition 5, metrics behave sanely, the
+//! pruning powers land in plausible ranges, and the center loop searches
+//! no center the optimum rules out.
 
 mod common;
-use common::query;
+use common::{corpus, query};
 use gpssn::core::algorithm::{EngineConfig, QueryOptions};
 use gpssn::core::query::check_answer;
 use gpssn::core::{Counter, GpSsnEngine, GpSsnQuery};
 use gpssn::index::{PivotSelectConfig, SocialIndexConfig};
-use gpssn::ssn::{DatasetKind, SpatialSocialNetwork};
+use gpssn::road::dist_rn;
+use gpssn::ssn::{
+    match_score_keywords, synthetic, DatasetKind, SpatialSocialNetwork, SyntheticConfig,
+};
 
 fn engine_for(ssn: &SpatialSocialNetwork, seed: u64) -> GpSsnEngine<'_> {
     GpSsnEngine::build(
@@ -162,4 +166,58 @@ fn larger_tau_is_harder_or_equal() {
             "unexpected objective collapse"
         );
     }
+}
+
+/// Every group contains `u_q`, so the center loop keys a center by
+/// `max(lb, c(u_q))` and stops at the optimum `F`: it searches no center
+/// whose `c(u_q)` is above `F`. Brute force counts the POIs whose ball
+/// passes `u_q`'s θ test with `c(u_q) ≤ F`; `CentersSearched` never
+/// exceeds that count. (Keyed by `lb` alone, the loop also searched
+/// centers whose `c(u_q)` was above `F` until the incumbent fell.)
+#[test]
+fn searched_centers_never_exceed_those_the_optimum_admits() {
+    let mut searched = 0;
+    let mut answered = 0;
+    for (config, seeds) in [
+        (SyntheticConfig::uni(), 0..6),
+        (SyntheticConfig::zipf(), 20..24),
+    ] {
+        for seed in seeds {
+            let ssn = synthetic(&config.clone().scaled(0.004), seed);
+            let engine = engine_for(&ssn, seed);
+            let (road, pois) = (ssn.road(), ssn.pois());
+            for q in corpus(&ssn, seed) {
+                let out = query(&engine, &q, &Default::default());
+                let Some(f) = out.answer().map(|a| a.maxdist) else {
+                    continue;
+                };
+                let home = ssn.home(q.user);
+                let admitted = (0..pois.len() as u32)
+                    .filter(|&o| {
+                        let ball = pois.network_ball(road, &pois.get(o).position, q.radius);
+                        let ids: Vec<u32> = ball.iter().map(|&(p, _)| p).collect();
+                        let cq = ids
+                            .iter()
+                            .map(|&p| dist_rn(road, &home, &pois.get(p).position))
+                            .fold(0.0f64, f64::max);
+                        let union = pois.keyword_union(&ids);
+                        cq <= f
+                            && match_score_keywords(ssn.social().interest(q.user), &union)
+                                >= q.theta
+                    })
+                    .count() as u64;
+                let got = out.metrics.counters[Counter::CentersSearched];
+                assert!(
+                    got <= admitted,
+                    "seed {seed} {q:?}: {got} centers searched, {admitted} admitted by F = {f}"
+                );
+                searched += got;
+                answered += 1;
+            }
+        }
+    }
+    assert!(
+        answered >= 50 && searched > 0,
+        "{answered} answered, {searched} searched"
+    );
 }

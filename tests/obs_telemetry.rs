@@ -191,17 +191,20 @@ fn spans_mark_work_that_the_center_counters_account_for() {
         let records = obs.tracer().records();
         assert_eq!(obs.tracer().dropped(), 0, "ring buffer overflowed");
         let spans = |name: &str| records.iter().filter(|r| r.name == name).count() as u64;
-        // A center settled on u_q's cost or θ opens no span.
+        // A center re-keyed or settled on u_q's θ opens no span.
         assert_eq!(
             spans("verify_center"),
             sum[Counter::CentersSearched],
             "{pass}"
         );
         assert!(
-            sum[Counter::CentersSettledCost] + sum[Counter::CentersSettledTheta] > 0,
-            "{pass}: no center settled on u_q"
+            sum[Counter::CentersRekeyed] + sum[Counter::CentersSettledTheta] > 0,
+            "{pass}: no center re-keyed or settled on u_q"
         );
         assert_eq!(spans("ball"), sum[Counter::BallMisses], "{pass}");
+        // A CH call that reads u_q's pinned sweep runs no sweep and
+        // opens no span; every other CH call is one batch and one span.
+        assert_eq!(spans("ch_p2p"), sum[Counter::ChBatches], "{pass}");
         if pass == "warm" {
             assert_eq!(sum[Counter::BallMisses], 0, "warm pass recomputed a ball");
         }
