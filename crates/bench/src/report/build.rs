@@ -3,8 +3,9 @@
 //!
 //! The report first proves the tentpole invariant, then prices it:
 //!
-//! * **Determinism gate** — the full road-index pipeline (pivot tables,
-//!   POI augmentation, STR packing, CH contraction) is built at every
+//! * **Determinism gate** — the full road-index pipeline (Algorithm 1
+//!   pivot selection, pivot tables, POI augmentation, STR packing, CH
+//!   contraction) is built at every
 //!   thread count in `{1, 2, 4, 8, 0}` (`0` = all cores) and serialized;
 //!   the byte streams must be identical (one CRC-32 reported for all of
 //!   them) and the social index must match node-for-node. The gate runs
@@ -19,8 +20,10 @@
 //!   stage uses its *measured* parallel/sequential split
 //!   ([`gpssn_graph::ChBuildStats::par_ns`] clocks the fan-out sections,
 //!   the remainder is the inherently sequential select/merge); stages
-//!   the simulation cannot attribute (STR packing, node aggregation,
-//!   partition bookkeeping) are counted fully sequential — the model
+//!   the simulation cannot attribute (Algorithm 1, whose swap
+//!   evaluations compute at most one new column each, STR packing, node
+//!   aggregation, partition bookkeeping) are counted fully sequential —
+//!   the model
 //!   *understates* the real speedup. On a machine with ≥`threads` real
 //!   cores the simulated makespan is the wall clock this single-core
 //!   container cannot measure directly (same discipline as
@@ -31,9 +34,9 @@
 //! report build [--scale F] [--seed N] [--out BENCH_build.json]
 //! ```
 //!
-//! CI determinism mode — build once at a fixed thread count and dump the
-//! serialized index (the workflow builds at 1 and 4 threads and diffs
-//! the files):
+//! CI determinism mode — build once (pivot selection included) at a
+//! fixed thread count and dump the serialized index (the workflow builds
+//! at 1 and 4 threads and diffs the files):
 //!
 //! ```text
 //! report build --threads N --index-out road_index.bin [--scale F] [--seed N]
@@ -58,51 +61,64 @@ const NUM_PIVOTS: usize = 5;
 /// floor (`None` = counted fully sequential).
 type StageRow = (&'static str, f64, Option<(usize, usize)>);
 
-/// One full pipeline build at `threads` workers: road pivot tables,
-/// `I_R`, social pivot tables, `I_S` — exactly the engine's build path,
-/// with pivot *selection* (thread-independent by construction) hoisted
-/// out so every build contracts the same inputs.
+/// One full pipeline build at `threads` workers: road pivot selection
+/// and tables, `I_R`, social pivot selection and tables, `I_S` — the
+/// engine's build path, with selection timed apart from the tables.
 struct PipelineBuild {
     road: RoadIndex,
     social: SocialIndex,
     road_stages: BuildStages,
     social_stages: BuildStages,
+    road_select_s: f64,
     road_pivots_s: f64,
+    social_select_s: f64,
     social_pivots_s: f64,
     wall_s: f64,
 }
 
-fn build_pipeline(
-    ssn: &SpatialSocialNetwork,
-    road_pivot_ids: &[u32],
-    social_pivot_ids: &[u32],
-    threads: usize,
-) -> PipelineBuild {
+fn build_pipeline(ssn: &SpatialSocialNetwork, threads: usize) -> PipelineBuild {
+    let ps = PivotSelectConfig {
+        count: NUM_PIVOTS,
+        ..Default::default()
+    };
     let t_all = Instant::now();
     let t0 = Instant::now();
-    let road_pivots = RoadPivots::new_with_threads(ssn.road(), road_pivot_ids.to_vec(), threads);
+    let road_pivot_ids = select_road_pivots(ssn.road(), &ps, threads);
+    let road_select_s = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    let road_pivots = RoadPivots::new_with_threads(ssn.road(), road_pivot_ids, threads);
     let road_pivots_s = t0.elapsed().as_secs_f64();
 
-    let mut road_cfg = RoadIndexConfig::default();
-    road_cfg.build.threads = threads;
-    let (road, road_stages) =
-        RoadIndex::build_with_stages(ssn.road(), ssn.pois(), road_pivots, road_cfg);
+    let (road, road_stages) = RoadIndex::build_with_stages(
+        ssn.road(),
+        ssn.pois(),
+        road_pivots,
+        RoadIndexConfig::default(),
+        threads,
+    );
 
     let t0 = Instant::now();
-    let social_pivots =
-        SocialPivots::new_with_threads(ssn.social(), social_pivot_ids.to_vec(), threads);
+    let social_pivot_ids = select_social_pivots(ssn.social(), &ps, threads);
+    let social_select_s = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    let social_pivots = SocialPivots::new_with_threads(ssn.social(), social_pivot_ids, threads);
     let social_pivots_s = t0.elapsed().as_secs_f64();
 
-    let mut social_cfg = SocialIndexConfig::default();
-    social_cfg.build.threads = threads;
-    let (social, social_stages) =
-        SocialIndex::build_with_stages(ssn, social_pivots, road.pivots(), &social_cfg);
+    let (social, social_stages) = SocialIndex::build_with_stages(
+        ssn,
+        social_pivots,
+        road.pivots(),
+        &SocialIndexConfig::default(),
+        threads,
+    );
     PipelineBuild {
         road,
         social,
         road_stages,
         social_stages,
+        road_select_s,
         road_pivots_s,
+        social_select_s,
         social_pivots_s,
         wall_s: t_all.elapsed().as_secs_f64(),
     }
@@ -174,17 +190,10 @@ pub fn run(args: &[String]) {
     let m_users = ssn.social().num_users();
     eprintln!("dataset Uni scale {scale}: {n_pois} POIs, {m_users} users");
 
-    let ps = PivotSelectConfig {
-        count: NUM_PIVOTS,
-        ..Default::default()
-    };
-    let road_pivot_ids = select_road_pivots(ssn.road(), &ps);
-    let social_pivot_ids = select_social_pivots(ssn.social(), &ps);
-
     // CI determinism mode: one build, dump the serialized index, done.
     if let Some(path) = index_out {
         let threads = threads_mode.unwrap_or(1);
-        let b = build_pipeline(&ssn, &road_pivot_ids, &social_pivot_ids, threads);
+        let b = build_pipeline(&ssn, threads);
         let bytes = serialize_road(&b.road);
         let crc = gpssn_index::crc32::crc32(&bytes);
         std::fs::write(&path, &bytes).expect("write index file");
@@ -200,12 +209,7 @@ pub fn run(args: &[String]) {
     let thread_counts = [1usize, 2, 4, 8, 0];
     let builds: Vec<_> = thread_counts
         .iter()
-        .map(|&t| {
-            (
-                t,
-                build_pipeline(&ssn, &road_pivot_ids, &social_pivot_ids, t),
-            )
-        })
+        .map(|&t| (t, build_pipeline(&ssn, t)))
         .collect();
     let baseline_bytes = serialize_road(&builds[0].1.road);
     let crc = gpssn_index::crc32::crc32(&baseline_bytes);
@@ -241,7 +245,9 @@ pub fn run(args: &[String]) {
     let road = |name, par| (name, stage_of(&one.road_stages, name), par);
     let social = |name, par| (name, stage_of(&one.social_stages, name), par);
     let stages: Vec<StageRow> = vec![
+        ("road_select", one.road_select_s, None),
         ("road_pivots", one.road_pivots_s, Some((NUM_PIVOTS, 1))),
+        ("social_select", one.social_select_s, None),
         ("social_pivots", one.social_pivots_s, Some((NUM_PIVOTS, 1))),
         road("poi_augment", Some((n_pois, PAR_FLOOR))),
         road("rstar_str", None),
@@ -263,7 +269,7 @@ pub fn run(args: &[String]) {
     let mut rows = Vec::new();
     for &(t, ref b) in &builds {
         // `0` means "all cores": simulate at this machine's resolved count.
-        let threads = if t == 0 { cores() } else { t };
+        let threads = gpssn_graph::workers(t);
         let sim_total: f64 = stages
             .iter()
             .map(|&(_, cost, par)| match par {

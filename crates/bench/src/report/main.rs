@@ -58,9 +58,7 @@ fn median_secs<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 
 /// This machine's core count, as the artifacts record it.
 fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    gpssn_graph::workers(0)
 }
 
 /// Writes a finished artifact to `out`.

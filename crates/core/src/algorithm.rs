@@ -77,6 +77,11 @@ pub struct EngineConfig {
     pub social_index: SocialIndexConfig,
     /// Algorithm 1 parameters.
     pub pivot_select: PivotSelectConfig,
+    /// Index-build worker count (`0`, the default, = all cores): pivot
+    /// selection, pivot tables, `I_R` (CH contraction included) and
+    /// `I_S`. The built indexes are bit-identical for every thread
+    /// count; only the build wall clock changes.
+    pub build_threads: usize,
     /// Optional LRU buffer pool (in pages) in front of the simulated
     /// index file: I/O then counts misses only. `None` reproduces the
     /// paper's raw page-access metric.
@@ -103,6 +108,7 @@ impl Default for EngineConfig {
             road_index: RoadIndexConfig::default(),
             social_index: SocialIndexConfig::default(),
             pivot_select: PivotSelectConfig::default(),
+            build_threads: 0,
             page_cache_capacity: None,
             distance_cache: Some(DistanceCacheConfig::default()),
             obs: None,
@@ -111,13 +117,10 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Sets the index-build worker count (`0` = all cores) on both the
-    /// `I_R` and `I_S` builders — the `gpq --build-threads` knob. The
-    /// built indexes are bit-identical for every thread count; only the
-    /// build wall clock changes.
+    /// Sets [`EngineConfig::build_threads`] — the `gpq --build-threads`
+    /// knob.
     pub fn with_build_threads(mut self, threads: usize) -> Self {
-        self.road_index.build.threads = threads;
-        self.social_index.build.threads = threads;
+        self.build_threads = threads;
         self
     }
 }
@@ -313,33 +316,27 @@ struct RoadSearch<'s> {
 impl<'a> GpSsnEngine<'a> {
     /// Builds the engine: pivot selection (Algorithm 1), `I_R`, `I_S`.
     ///
-    /// Index construction honours the build-thread knobs on
-    /// `cfg.road_index.build` / `cfg.social_index.build` (see
-    /// [`EngineConfig::with_build_threads`]); the built indexes are
-    /// bit-identical for every thread count. With a metrics-enabled
-    /// telemetry sink attached, each build stage's wall clock lands in
-    /// the `gpssn_build_stage_ns{stage}` histogram and the CH
-    /// contraction's witness-workspace reuse counters in
-    /// `gpssn_build_witness_{resets,recycles}_total`.
+    /// Every build stage runs on [`EngineConfig::build_threads`]
+    /// workers; the built indexes are bit-identical for every thread
+    /// count. With a metrics-enabled telemetry sink attached, each build
+    /// stage's wall clock lands in the `gpssn_build_stage_ns{stage}`
+    /// histogram and the CH contraction's witness-workspace reuse
+    /// counters in `gpssn_build_witness_{resets,recycles}_total`.
     pub fn build(ssn: &'a SpatialSocialNetwork, cfg: EngineConfig) -> Self {
         let mut stages: Vec<(&'static str, std::time::Duration)> = Vec::new();
         let t0 = Instant::now();
         let mut ps_road = cfg.pivot_select.clone();
         ps_road.count = cfg.num_road_pivots;
-        let road_pivot_ids = select_road_pivots(ssn.road(), &ps_road);
-        let road_pivots =
-            RoadPivots::new_with_threads(ssn.road(), road_pivot_ids, cfg.road_index.build.threads);
+        let threads = cfg.build_threads;
+        let road_pivot_ids = select_road_pivots(ssn.road(), &ps_road, threads);
+        let road_pivots = RoadPivots::new_with_threads(ssn.road(), road_pivot_ids, threads);
         stages.push(("road_pivots", t0.elapsed()));
 
         let t0 = Instant::now();
         let mut ps_soc = cfg.pivot_select.clone();
         ps_soc.count = cfg.num_social_pivots;
-        let social_pivot_ids = select_social_pivots(ssn.social(), &ps_soc);
-        let social_pivots = SocialPivots::new_with_threads(
-            ssn.social(),
-            social_pivot_ids,
-            cfg.social_index.build.threads,
-        );
+        let social_pivot_ids = select_social_pivots(ssn.social(), &ps_soc, threads);
+        let social_pivots = SocialPivots::new_with_threads(ssn.social(), social_pivot_ids, threads);
         stages.push(("social_pivots", t0.elapsed()));
 
         let (road_index, road_stages) = RoadIndex::build_with_stages(
@@ -347,12 +344,14 @@ impl<'a> GpSsnEngine<'a> {
             ssn.pois(),
             road_pivots,
             cfg.road_index.clone(),
+            threads,
         );
         let (social_index, social_stages) = SocialIndex::build_with_stages(
             ssn,
             social_pivots,
             road_index.pivots(),
             &cfg.social_index,
+            threads,
         );
         if let Some(o) = cfg.obs.as_deref().filter(|o| o.metrics_on()) {
             for (name, d) in stages
@@ -584,7 +583,7 @@ impl<'a> GpSsnEngine<'a> {
             ..Default::default()
         };
         let cfg = ServeConfig {
-            threads: resolve_threads(threads, queries.len()),
+            threads: gpssn_graph::workers(threads).min(queries.len().max(1)),
             options: opts.clone(),
             telemetry: Arc::new(ServeObs::new(&keep_every_trace)),
             ..Default::default()
@@ -1328,21 +1327,6 @@ fn completion_of(
     }
 }
 
-/// Resolves a requested thread count against the number of work items:
-/// `0` means the machine's available parallelism, and counts beyond the
-/// item count are clamped (one item still gets one thread). The batch
-/// call and the serving layer both size their worker pool through this
-/// one helper so `threads == 0` cannot drift between them.
-pub(crate) fn resolve_threads(requested: usize, items: usize) -> usize {
-    let t = match requested {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        n => n,
-    };
-    t.min(items.max(1))
-}
-
 /// Answers one query with the panic isolation the batch and serving
 /// layers rely on: a panic anywhere inside the query is caught at this
 /// boundary and surfaced as [`GpSsnError::Internal`] carrying the panic
@@ -1434,7 +1418,6 @@ mod tests {
             social_index: SocialIndexConfig {
                 leaf_size: 16,
                 fanout: 4,
-                ..Default::default()
             },
             ..Default::default()
         }

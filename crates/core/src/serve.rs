@@ -60,7 +60,7 @@
 //! pressure; under [`OverloadPolicy::Block`] a full queue only delays
 //! the submitter, so the fault is counted but admits the request.
 
-use crate::algorithm::{resolve_threads, run_isolated, GpSsnEngine, QueryOptions};
+use crate::algorithm::{run_isolated, GpSsnEngine, QueryOptions};
 use crate::error::{Completion, GpSsnError, QueryBudget};
 use crate::query::{GpSsnAnswer, GpSsnQuery};
 use crate::stats::{Counter, QueryOutcome};
@@ -362,7 +362,7 @@ where
     I: IntoIterator<Item = Submission>,
     F: FnMut(ServeResponse) + Send,
 {
-    let threads = resolve_threads(cfg.threads, usize::MAX);
+    let threads = gpssn_graph::workers(cfg.threads);
     let capacity = match cfg.overload {
         OverloadPolicy::Block => cfg.queue_capacity.max(1),
         OverloadPolicy::Shed => cfg.queue_capacity,

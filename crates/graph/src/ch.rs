@@ -41,6 +41,7 @@
 use crate::csr::{grid_up, CsrGraph, NodeId};
 use crate::dijkstra::INFINITY;
 use crate::heap::IndexedMinHeap;
+use crate::par::par_map;
 use std::io::{self, BufRead, Write};
 
 /// Rank sentinel for not-yet-contracted vertices during construction.
@@ -51,10 +52,10 @@ const UNRANKED: u32 = u32::MAX;
 /// witness, which adds a redundant shortcut — never drops a needed one.
 const WITNESS_SETTLE_CAP: usize = 64;
 
-/// Minimum items before a build phase fans out over worker threads —
-/// below this the spawn overhead dominates. Thread-count invariance does
-/// not depend on it (results are always merged in input order), so it is
-/// a pure tuning knob.
+/// Minimum items per worker when a build phase fans out (the
+/// [`crate::par_map`] grain) — below this the spawn overhead dominates.
+/// Thread-count invariance does not depend on it (results are always
+/// merged in input order), so it is a pure tuning knob.
 const PAR_BUILD_FLOOR: usize = 256;
 
 /// One arc of the contraction arena: every original edge and every
@@ -148,7 +149,7 @@ impl ChOracle {
     /// strict local minimum among its unranked neighbours — an
     /// independent set, since two adjacent vertices cannot both be local
     /// minima — simulates all their contractions concurrently against
-    /// the immutable pre-round adjacency (scoped threads, one reused
+    /// the immutable pre-round adjacency ([`par_map`], one reused
     /// `WitnessSearch` workspace per worker), and then merges
     /// shortcuts and assigns ranks sequentially in ascending key order.
     /// Selection, the per-candidate witness searches, and the merge are
@@ -183,14 +184,7 @@ impl ChOracle {
         let mut rank: Vec<u32> = vec![UNRANKED; n];
         let mut deleted_neighbors: Vec<u32> = vec![0; n];
 
-        let workers = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|w| w.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .min(n.max(1));
+        let workers = crate::par::workers(threads).min(n.max(1));
         let mut pool: Vec<BuildWorkspace> = (0..workers).map(|_| BuildWorkspace::new(n)).collect();
         let mut stats = ChBuildStats {
             workspaces: workers as u32,
@@ -199,20 +193,17 @@ impl ChOracle {
 
         // Initial priorities: one contraction simulation per vertex,
         // independent given the (immutable) initial adjacency.
-        let all: Vec<NodeId> = (0..n as NodeId).collect();
-        let mut key: Vec<u64> = vec![0; n];
-        {
+        let mut key: Vec<u64> = {
             let adj = &adj;
             let rank = &rank;
             let deleted = &deleted_neighbors;
             let t0 = std::time::Instant::now();
-            let keys = fan_out(&mut pool, &all, |ws, v| {
-                key_bits(simulate_priority(adj, rank, deleted, ws, v))
+            let keys = par_map(&mut pool, n, PAR_BUILD_FLOOR, |ws, v| {
+                key_bits(simulate_priority(adj, rank, deleted, ws, v as NodeId))
             });
             stats.par_ns += t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            key.copy_from_slice(&keys);
-        }
-        drop(all);
+            keys
+        };
 
         let mut next_rank: u32 = 0;
         let mut selected: Vec<NodeId> = Vec::new();
@@ -245,8 +236,9 @@ impl ChOracle {
                 let adj = &adj;
                 let rank = &rank;
                 let t0 = std::time::Instant::now();
-                let outputs = fan_out(&mut pool, &selected, |ws, v| {
-                    contract_candidate(adj, rank, ws, v)
+                let selected = &selected;
+                let outputs = par_map(&mut pool, selected.len(), PAR_BUILD_FLOOR, |ws, i| {
+                    contract_candidate(adj, rank, ws, selected[i])
                 });
                 stats.par_ns += t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
                 outputs
@@ -290,8 +282,9 @@ impl ChOracle {
                 let rank = &rank;
                 let deleted = &deleted_neighbors;
                 let t0 = std::time::Instant::now();
-                let keys = fan_out(&mut pool, &affected, |ws, v| {
-                    key_bits(simulate_priority(adj, rank, deleted, ws, v))
+                let affected = &affected;
+                let keys = par_map(&mut pool, affected.len(), PAR_BUILD_FLOOR, |ws, i| {
+                    key_bits(simulate_priority(adj, rank, deleted, ws, affected[i]))
                 });
                 stats.par_ns += t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
                 for (&v, &kb) in affected.iter().zip(keys.iter()) {
@@ -656,39 +649,6 @@ struct CandidateOutput {
     neighbors: Vec<AdjArc>,
     /// Shortcut pairs to insert: `(u_i arc, u_j arc)` out of `v`.
     shortcuts: Vec<(AdjArc, AdjArc)>,
-}
-
-/// Fans `items` out over the worker pool in contiguous chunks and returns
-/// the per-item outputs **in input order** — the merge order (and hence
-/// the hierarchy) is independent of the number of workers. Small batches
-/// run inline on the first workspace.
-// Audited expect: `join` only fails when a worker panicked, and
-// propagating that panic is exactly the intended behavior.
-#[allow(clippy::expect_used)]
-fn fan_out<T, F>(pool: &mut [BuildWorkspace], items: &[NodeId], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&mut BuildWorkspace, NodeId) -> T + Sync,
-{
-    if pool.len() <= 1 || items.len() < PAR_BUILD_FLOOR {
-        let ws = &mut pool[0];
-        return items.iter().map(|&v| f(ws, v)).collect();
-    }
-    let chunk = items.len().div_ceil(pool.len());
-    let f = &f;
-    let mut out: Vec<T> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(pool.len());
-        for (ws, chunk_items) in pool.iter_mut().zip(items.chunks(chunk)) {
-            handles.push(
-                scope.spawn(move || chunk_items.iter().map(|&v| f(ws, v)).collect::<Vec<T>>()),
-            );
-        }
-        for h in handles {
-            out.extend(h.join().expect("contraction worker panicked"));
-        }
-    });
-    out
 }
 
 /// Simulates contracting `v` against the current adjacency: collects its

@@ -16,6 +16,9 @@
 //! * [`partition`] — a balanced, connectivity-aware graph partitioner used
 //!   to form the leaf nodes of the social-network index `I_S` (stand-in for
 //!   METIS, reference \[28\] of the paper).
+//! * [`par`] — the deterministic parallel map ([`par_map`]) every
+//!   index-build fan-out runs through, and the one `0 = all cores` rule
+//!   ([`workers`]).
 //! * [`subgraph`] — enumeration of connected vertex subsets of a fixed size
 //!   containing a given root, used by the refinement step of GP-SSN query
 //!   answering.
@@ -29,6 +32,7 @@ pub mod components;
 pub mod csr;
 pub mod dijkstra;
 pub mod heap;
+pub mod par;
 pub mod partition;
 pub mod sampling;
 pub mod subgraph;
@@ -40,6 +44,7 @@ pub use components::{connected_components, is_connected_subset};
 pub use csr::{grid_nearest, grid_up, CsrGraph, EdgeId, NodeId, GRID_HEADROOM};
 pub use dijkstra::{dijkstra_all, dijkstra_bounded, dijkstra_targets, DistanceMap, INFINITY};
 pub use heap::IndexedMinHeap;
+pub use par::{par_map, workers};
 pub use partition::{partition_graph, Partitioning};
 pub use sampling::{IndexSampler, ValueDistribution};
 pub use subgraph::enumerate_connected_subsets;

@@ -415,12 +415,11 @@ fn assemble(
         r_max,
         samples_per_node,
         build_ch: ch.is_some(),
-        build: crate::build::BuildOptions::default(),
     };
     // The pivot table is h exact Dijkstra columns — deterministic (and
-    // thread-count invariant), so it is rebuilt in parallel rather than
+    // thread-count invariant), so it is rebuilt on all cores rather than
     // stored.
-    let pivots = RoadPivots::new_with_threads(road, pivot_ids, cfg.build.threads);
+    let pivots = RoadPivots::new_with_threads(road, pivot_ids, 0);
     Ok(HealedLoad {
         index: RoadIndex::from_loaded_parts(pois, pivots, cfg, poi_aug, ch),
         rebuilt_ch,

@@ -16,9 +16,9 @@
 //! * [`pivot_select`] — the paper's Algorithm 1: random-restart local
 //!   search maximizing a bound-tightness cost model (Appendices L/M are
 //!   re-derived; see DESIGN.md).
-//! * [`build`] — the shared build-parallelism knob ([`BuildOptions`])
-//!   and per-stage wall-clock accounting ([`BuildStages`]) behind the
-//!   deterministic parallel builders of both indexes.
+//! * [`build`] — per-stage wall-clock accounting ([`BuildStages`]) and
+//!   the work grain of the deterministic parallel builders of both
+//!   indexes (every fan-out runs through [`gpssn_graph::par_map`]).
 //! * [`io`] — page-access accounting, reproducing the paper's I/O-cost
 //!   metric over a simulated paged index file (one node = one page), plus
 //!   the checksummed persistence format with per-section corruption
@@ -35,7 +35,7 @@ pub mod pivot_select;
 pub mod road_index;
 pub mod social_index;
 
-pub use build::{BuildOptions, BuildStages};
+pub use build::BuildStages;
 pub use io::{
     corrupt_section, load_road_index, load_road_index_healing, read_road_index,
     read_road_index_healing, save_road_index, unsupported_version, write_road_index,

@@ -18,11 +18,11 @@
 //! across swap iterations, so the whole search costs `O(global_iter ·
 //! swap_iter)` single-source traversals in the worst case. Columns missing
 //! from the cache are independent single-source runs, so each evaluation
-//! fans them out over scoped threads; results are merged back in candidate
-//! order, keeping the selection bit-deterministic given the seed
-//! regardless of thread count.
+//! fans them out over the build threads ([`gpssn_graph::par_map`]);
+//! results are merged back in candidate order, keeping the selection
+//! bit-deterministic given the seed regardless of thread count.
 
-use gpssn_graph::{bfs, dijkstra_all, NodeId};
+use gpssn_graph::{bfs, dijkstra_all, par_map, workers, NodeId};
 use gpssn_road::RoadNetwork;
 use gpssn_social::SocialNetwork;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -56,19 +56,29 @@ impl Default for PivotSelectConfig {
 }
 
 /// Selects road-network pivots (vertices of `G_r`) via Algorithm 1 with
-/// Dijkstra distance columns.
-pub fn select_road_pivots(net: &RoadNetwork, cfg: &PivotSelectConfig) -> Vec<NodeId> {
+/// Dijkstra distance columns, computed over `threads` build workers
+/// (`0` = all cores). The selection is identical for every thread count.
+pub fn select_road_pivots(
+    net: &RoadNetwork,
+    cfg: &PivotSelectConfig,
+    threads: usize,
+) -> Vec<NodeId> {
     let n = net.num_vertices();
-    select_pivots(n, cfg, |p| dijkstra_all(net.graph(), &[(p, 0.0)]))
+    select_pivots(n, cfg, threads, |p| dijkstra_all(net.graph(), &[(p, 0.0)]))
 }
 
 /// Selects social-network pivots (users of `G_s`) via Algorithm 1 with
 /// BFS hop columns (unreachable mapped to a large finite sentinel so the
-/// cost stays comparable).
-pub fn select_social_pivots(net: &SocialNetwork, cfg: &PivotSelectConfig) -> Vec<NodeId> {
+/// cost stays comparable), computed over `threads` build workers (`0` =
+/// all cores). The selection is identical for every thread count.
+pub fn select_social_pivots(
+    net: &SocialNetwork,
+    cfg: &PivotSelectConfig,
+    threads: usize,
+) -> Vec<NodeId> {
     let n = net.num_users();
     let far = (n + 1) as f64;
-    select_pivots(n, cfg, |p| {
+    select_pivots(n, cfg, threads, |p| {
         bfs::hop_distances(net.graph(), p)
             .into_iter()
             .map(|h| if h == bfs::UNREACHABLE { far } else { h as f64 })
@@ -78,7 +88,7 @@ pub fn select_social_pivots(net: &SocialNetwork, cfg: &PivotSelectConfig) -> Vec
 
 /// Generic Algorithm 1 over any single-source distance oracle. A graph
 /// with fewer than `cfg.count` vertices gets every vertex as a pivot.
-fn select_pivots<F>(n: usize, cfg: &PivotSelectConfig, column: F) -> Vec<NodeId>
+fn select_pivots<F>(n: usize, cfg: &PivotSelectConfig, threads: usize, column: F) -> Vec<NodeId>
 where
     F: Fn(NodeId) -> Vec<f64> + Sync,
 {
@@ -91,9 +101,10 @@ where
         .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
         .collect();
     let mut columns: HashMap<NodeId, Vec<f64>> = HashMap::new();
-    let cost_of = |pivots: &[NodeId], columns: &mut HashMap<NodeId, Vec<f64>>| -> f64 {
+    let mut pool = vec![(); workers(threads)];
+    let mut cost_of = |pivots: &[NodeId], columns: &mut HashMap<NodeId, Vec<f64>>| -> f64 {
         // Uncached columns are independent single-source runs: fan out
-        // over scoped threads, merge in candidate order (the cost below
+        // over the build threads, merge in candidate order (the cost below
         // is order-insensitive anyway — max over pivots — but the merge
         // keeps the cache contents deterministic too).
         let missing: Vec<NodeId> = {
@@ -105,9 +116,8 @@ where
             }
             missing
         };
-        for (p, col) in missing.iter().zip(columns_parallel(&missing, &column)) {
-            columns.insert(*p, col);
-        }
+        let computed = par_map(&mut pool, missing.len(), 1, |_, i| column(missing[i]));
+        columns.extend(missing.into_iter().zip(computed));
         pairs
             .iter()
             .map(|&(a, b)| {
@@ -158,32 +168,6 @@ where
     global_best
 }
 
-/// Computes the distance columns of `missing` concurrently (one scoped
-/// thread per column — there are at most `cfg.count` of them per
-/// evaluation), returning them in input order.
-// Audited expect: `join` only fails when a column worker panicked, and
-// propagating that panic is exactly the intended behavior.
-#[allow(clippy::expect_used)]
-fn columns_parallel<F>(missing: &[NodeId], column: &F) -> Vec<Vec<f64>>
-where
-    F: Fn(NodeId) -> Vec<f64> + Sync,
-{
-    if missing.len() <= 1 {
-        return missing.iter().map(|&p| column(p)).collect();
-    }
-    let mut out: Vec<Vec<f64>> = Vec::with_capacity(missing.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = missing
-            .iter()
-            .map(|&p| scope.spawn(move || column(p)))
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("pivot column worker panicked"));
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,7 +199,7 @@ mod tests {
             count: 4,
             ..Default::default()
         };
-        let pivots = select_road_pivots(&net, &cfg);
+        let pivots = select_road_pivots(&net, &cfg, 1);
         assert_eq!(pivots.len(), 4);
         let mut dedup = pivots.clone();
         dedup.dedup();
@@ -229,7 +213,7 @@ mod tests {
             count: 10,
             ..Default::default()
         };
-        assert_eq!(select_road_pivots(&grid(2, 2), &cfg), vec![0, 1, 2, 3]);
+        assert_eq!(select_road_pivots(&grid(2, 2), &cfg, 1), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -240,8 +224,8 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            select_road_pivots(&net, &cfg),
-            select_road_pivots(&net, &cfg)
+            select_road_pivots(&net, &cfg, 1),
+            select_road_pivots(&net, &cfg, 4)
         );
     }
 
@@ -277,8 +261,8 @@ mod tests {
             }
             total
         };
-        let random = select_road_pivots(&net, &base_cfg);
-        let optimized = select_road_pivots(&net, &opt_cfg);
+        let random = select_road_pivots(&net, &base_cfg, 1);
+        let optimized = select_road_pivots(&net, &opt_cfg, 1);
         assert!(
             eval(&optimized) >= eval(&random) * 0.95,
             "optimization made bounds much worse"
@@ -299,6 +283,7 @@ mod tests {
                 count: 3,
                 ..Default::default()
             },
+            1,
         );
         assert_eq!(pivots.len(), 3);
     }

@@ -11,7 +11,8 @@
 //!   and lower/upper pivot-distance bounds over all descendant POIs
 //!   (Eqs. 7–8).
 
-use crate::build::{par_map, BuildOptions, BuildStages};
+use crate::build::{BuildStages, PAR_FLOOR};
+use gpssn_graph::{par_map, workers, DijkstraWorkspace};
 use gpssn_road::{PoiId, PoiSet, RoadNetwork, RoadPivots};
 use gpssn_spatial::{Entry, KeywordSignature, NodeId, RStarTree};
 
@@ -33,10 +34,6 @@ pub struct RoadIndexConfig {
     /// query speed for build time — the engine then falls back to plain
     /// Dijkstra.
     pub build_ch: bool,
-    /// Build parallelism (`0` = auto). A runtime-only knob: the built
-    /// index is bit-identical for every thread count, and it is not
-    /// serialized with the index.
-    pub build: BuildOptions,
 }
 
 impl Default for RoadIndexConfig {
@@ -47,7 +44,6 @@ impl Default for RoadIndexConfig {
             r_max: 4.0,
             samples_per_node: 3,
             build_ch: true,
-            build: BuildOptions::default(),
         }
     }
 }
@@ -101,25 +97,28 @@ impl RoadIndex {
     ///
     /// Cost: one bounded Dijkstra per POI per radius (`r_min`, `2·r_max`)
     /// plus one Dijkstra per pivot (inside [`RoadPivots::new`], already
-    /// done by the caller). Parallelized over `cfg.build.threads`
-    /// workers; the result is bit-identical for every thread count.
+    /// done by the caller). Parallelized over all cores; the result is
+    /// bit-identical for every thread count.
     pub fn build(
         road: &RoadNetwork,
         pois: &PoiSet,
         pivots: RoadPivots,
         cfg: RoadIndexConfig,
     ) -> Self {
-        Self::build_with_stages(road, pois, pivots, cfg).0
+        Self::build_with_stages(road, pois, pivots, cfg, 0).0
     }
 
-    /// [`RoadIndex::build`], also returning per-stage wall-clock timings
-    /// and the CH contraction counters (for the
-    /// `gpssn_build_stage_ns{stage}` telemetry and `report build`).
+    /// [`RoadIndex::build`] over `threads` workers (`0` = all cores),
+    /// also returning per-stage wall-clock timings and the CH
+    /// contraction counters (for the `gpssn_build_stage_ns{stage}`
+    /// telemetry and `report build`). The thread count changes wall
+    /// clock only, never the index.
     pub fn build_with_stages(
         road: &RoadNetwork,
         pois: &PoiSet,
         pivots: RoadPivots,
         cfg: RoadIndexConfig,
+        threads: usize,
     ) -> (Self, BuildStages) {
         assert!(
             cfg.r_min > 0.0 && cfg.r_max >= cfg.r_min,
@@ -127,7 +126,6 @@ impl RoadIndex {
         );
         let mut stages = BuildStages::default();
         let n = pois.len();
-        let threads = cfg.build.threads;
         // The hottest loop of the build: two radius-bounded ball
         // Dijkstras per POI. Each POI's augment is a pure function of
         // the POI id, so the loop fans out over contiguous id chunks —
@@ -135,7 +133,10 @@ impl RoadIndex {
         // result is the sequential one, in id order, for every thread
         // count.
         let poi_aug: Vec<PoiAugment> = stages.time("poi_augment", || {
-            par_map(threads, n, gpssn_graph::DijkstraWorkspace::new, |ws, i| {
+            let mut pool: Vec<DijkstraWorkspace> = (0..workers(threads))
+                .map(|_| DijkstraWorkspace::new())
+                .collect();
+            par_map(&mut pool, n, PAR_FLOOR, |ws, i| {
                 let id = i as PoiId;
                 let center = pois.get(id).position;
                 let sup_ball: Vec<PoiId> = pois
@@ -164,10 +165,9 @@ impl RoadIndex {
         });
 
         let tree = stages.time("rstar_str", || {
-            RStarTree::str_bulk_load_with_threads(
+            RStarTree::str_bulk_load(
                 cfg.node_capacity,
                 (0..n as PoiId).map(|id| (id, pois.location(id))),
-                threads,
             )
         });
         let node_aug = stages.time("node_aggregate", || {
@@ -210,10 +210,9 @@ impl RoadIndex {
         ch: Option<gpssn_graph::ChOracle>,
     ) -> Self {
         let n = poi_aug.len();
-        let tree = RStarTree::str_bulk_load_with_threads(
+        let tree = RStarTree::str_bulk_load(
             cfg.node_capacity,
             (0..n as PoiId).map(|id| (id, pois.location(id))),
-            cfg.build.threads,
         );
         let node_aug = aggregate(&tree, &poi_aug, pivots.len(), cfg.samples_per_node);
         RoadIndex {
@@ -507,16 +506,17 @@ mod tests {
         let (road, pois) = small_instance();
         let build_at = |threads: usize| {
             let pivots = RoadPivots::new(&road, vec![0, 50, 100]);
-            RoadIndex::build(
+            RoadIndex::build_with_stages(
                 &road,
                 &pois,
                 pivots,
                 RoadIndexConfig {
                     r_max: 3.0,
-                    build: BuildOptions::with_threads(threads),
                     ..Default::default()
                 },
+                threads,
             )
+            .0
         };
         let base = build_at(1);
         let mut base_bytes = Vec::new();
@@ -556,6 +556,7 @@ mod tests {
                 r_max: 3.0,
                 ..Default::default()
             },
+            1,
         );
         let names: Vec<&str> = stages.stages.iter().map(|(n, _)| *n).collect();
         assert_eq!(

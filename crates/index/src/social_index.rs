@@ -17,8 +17,8 @@
 //! than any finite hop distance), which keeps every triangle-inequality
 //! bound valid across components — see the module tests.
 
-use crate::build::{par_map, BuildOptions, BuildStages};
-use gpssn_graph::{partition_graph, CsrGraph, NodeId as GraphNodeId};
+use crate::build::{BuildStages, PAR_FLOOR};
+use gpssn_graph::{par_map, partition_graph, workers, CsrGraph, NodeId as GraphNodeId};
 use gpssn_road::RoadPivots;
 use gpssn_social::{SocialPivots, UserId, UNREACHABLE_HOPS};
 use gpssn_ssn::SpatialSocialNetwork;
@@ -30,9 +30,6 @@ pub struct SocialIndexConfig {
     pub leaf_size: usize,
     /// Children per internal node.
     pub fanout: usize,
-    /// Build parallelism (`0` = auto). Runtime-only: the built index is
-    /// bit-identical for every thread count.
-    pub build: BuildOptions,
 }
 
 impl Default for SocialIndexConfig {
@@ -40,7 +37,6 @@ impl Default for SocialIndexConfig {
         SocialIndexConfig {
             leaf_size: 64,
             fanout: 8,
-            build: BuildOptions::default(),
         }
     }
 }
@@ -85,30 +81,31 @@ pub struct SocialIndex {
 }
 
 impl SocialIndex {
-    /// Builds `I_S` with the given pivots. Parallelized over
-    /// `cfg.build.threads` workers; the result is bit-identical for
-    /// every thread count.
+    /// Builds `I_S` with the given pivots. Parallelized over all cores;
+    /// the result is bit-identical for every thread count.
     pub fn build(
         ssn: &SpatialSocialNetwork,
         social_pivots: SocialPivots,
         road_pivots: &RoadPivots,
         cfg: &SocialIndexConfig,
     ) -> Self {
-        Self::build_with_stages(ssn, social_pivots, road_pivots, cfg).0
+        Self::build_with_stages(ssn, social_pivots, road_pivots, cfg, 0).0
     }
 
-    /// [`SocialIndex::build`], also returning per-stage wall-clock
-    /// timings (for the `gpssn_build_stage_ns{stage}` telemetry and
-    /// `report build`).
+    /// [`SocialIndex::build`] over `threads` workers (`0` = all cores),
+    /// also returning per-stage wall-clock timings (for the
+    /// `gpssn_build_stage_ns{stage}` telemetry and `report build`). The
+    /// thread count changes wall clock only, never the index.
     pub fn build_with_stages(
         ssn: &SpatialSocialNetwork,
         social_pivots: SocialPivots,
         road_pivots: &RoadPivots,
         cfg: &SocialIndexConfig,
+        threads: usize,
     ) -> (Self, BuildStages) {
         assert!(cfg.leaf_size >= 1 && cfg.fanout >= 2, "invalid index shape");
         let mut stages = BuildStages::default();
-        let threads = cfg.build.threads;
+        let mut pool = vec![(); workers(threads)];
         let social = ssn.social();
         let m = social.num_users();
         let hop_saturation = (m + 1) as u32;
@@ -124,24 +121,16 @@ impl SocialIndex {
         // and dominates, so both fan out over contiguous user chunks
         // (each user's row is a pure function of the user id).
         let (user_sn, user_rn) = stages.time("user_tables", || {
-            let user_sn: Vec<Vec<u32>> = par_map(
-                threads,
-                m,
-                || (),
-                |_, u| {
-                    social_pivots
-                        .user_dists(u as UserId)
-                        .into_iter()
-                        .map(saturate)
-                        .collect()
-                },
-            );
-            let user_rn: Vec<Vec<f64>> = par_map(
-                threads,
-                m,
-                || (),
-                |_, u| road_pivots.point_dists(ssn.road(), &ssn.home(u as UserId)),
-            );
+            let user_sn: Vec<Vec<u32>> = par_map(&mut pool, m, PAR_FLOOR, |_, u| {
+                social_pivots
+                    .user_dists(u as UserId)
+                    .into_iter()
+                    .map(saturate)
+                    .collect()
+            });
+            let user_rn: Vec<Vec<f64>> = par_map(&mut pool, m, PAR_FLOOR, |_, u| {
+                road_pivots.point_dists(ssn.road(), &ssn.home(u as UserId))
+            });
             (user_sn, user_rn)
         });
 
@@ -176,33 +165,28 @@ impl SocialIndex {
         };
         stages.stages.push(("leaf_partition", t0.elapsed()));
         let t0 = std::time::Instant::now();
-        let mut nodes: Vec<SocialNode> = par_map(
-            threads,
-            leaf_parts.len(),
-            || (),
-            |_, i| {
-                let members = &leaf_parts[i];
-                let mut node = blank(0);
-                node.users = members.clone();
-                for &u in members {
-                    let w = social.interest(u);
-                    for f in 0..d {
-                        node.lb_w[f] = node.lb_w[f].min(w.weight(f));
-                        node.ub_w[f] = node.ub_w[f].max(w.weight(f));
-                    }
-                    for (k, &d) in user_sn[u as usize].iter().enumerate() {
-                        node.lb_sn[k] = node.lb_sn[k].min(d);
-                        node.ub_sn[k] = node.ub_sn[k].max(d);
-                    }
-                    for (k, &d) in user_rn[u as usize].iter().enumerate() {
-                        node.lb_rn[k] = node.lb_rn[k].min(d);
-                        node.ub_rn[k] = node.ub_rn[k].max(d);
-                    }
+        let mut nodes: Vec<SocialNode> = par_map(&mut pool, leaf_parts.len(), PAR_FLOOR, |_, i| {
+            let members = &leaf_parts[i];
+            let mut node = blank(0);
+            node.users = members.clone();
+            for &u in members {
+                let w = social.interest(u);
+                for f in 0..d {
+                    node.lb_w[f] = node.lb_w[f].min(w.weight(f));
+                    node.ub_w[f] = node.ub_w[f].max(w.weight(f));
                 }
-                node.user_count = members.len();
-                node
-            },
-        );
+                for (k, &d) in user_sn[u as usize].iter().enumerate() {
+                    node.lb_sn[k] = node.lb_sn[k].min(d);
+                    node.ub_sn[k] = node.ub_sn[k].max(d);
+                }
+                for (k, &d) in user_rn[u as usize].iter().enumerate() {
+                    node.lb_rn[k] = node.lb_rn[k].min(d);
+                    node.ub_rn[k] = node.ub_rn[k].max(d);
+                }
+            }
+            node.user_count = members.len();
+            node
+        });
         let mut current: Vec<u32> = (0..nodes.len() as u32).collect();
         let mut part_of_user = vec![0u32; m];
         for (i, node) in nodes.iter().enumerate() {
@@ -453,7 +437,6 @@ mod tests {
             &SocialIndexConfig {
                 leaf_size: 16,
                 fanout: 4,
-                ..Default::default()
             },
         )
     }
@@ -547,16 +530,17 @@ mod tests {
         let build_at = |threads: usize| {
             let sp = SocialPivots::new(ssn.social(), vec![0, 1]);
             let rp = RoadPivots::new(ssn.road(), vec![0, 5]);
-            SocialIndex::build(
+            SocialIndex::build_with_stages(
                 &ssn,
                 sp,
                 &rp,
                 &SocialIndexConfig {
                     leaf_size: 16,
                     fanout: 4,
-                    build: crate::build::BuildOptions::with_threads(threads),
                 },
+                threads,
             )
+            .0
         };
         let base = build_at(1);
         for threads in [2, 8, 0] {
@@ -589,8 +573,8 @@ mod tests {
             &SocialIndexConfig {
                 leaf_size: 16,
                 fanout: 4,
-                ..Default::default()
             },
+            1,
         );
         let names: Vec<&str> = stages.stages.iter().map(|(n, _)| *n).collect();
         assert_eq!(
@@ -611,7 +595,6 @@ mod tests {
             &SocialIndexConfig {
                 leaf_size: 100_000,
                 fanout: 4,
-                ..Default::default()
             },
         );
         // Nothing splits a dominant-topic bucket: one leaf per bucket.

@@ -13,7 +13,7 @@
 
 use crate::network::RoadNetwork;
 use crate::poi::NetworkPoint;
-use gpssn_graph::{dijkstra_all, NodeId};
+use gpssn_graph::{dijkstra_all, par_map, workers, NodeId};
 
 /// A set of road-network pivots with full distance tables.
 #[derive(Debug, Clone)]
@@ -31,12 +31,14 @@ impl RoadPivots {
     }
 
     /// [`RoadPivots::new`] with the columns computed over `threads`
-    /// scoped workers (`0` = all cores). Each column is an independent
+    /// workers (`0` = all cores). Each column is an independent
     /// single-source Dijkstra merged back in pivot order, so the table
     /// is bit-identical for every thread count.
     pub fn new_with_threads(net: &RoadNetwork, pivots: Vec<NodeId>, threads: usize) -> Self {
         assert!(!pivots.is_empty(), "at least one pivot is required");
-        let table = pivot_columns(net, &pivots, threads);
+        let table = par_map(&mut vec![(); workers(threads)], pivots.len(), 1, |_, k| {
+            dijkstra_all(net.graph(), &[(pivots[k], 0.0)])
+        });
         RoadPivots { pivots, table }
     }
 
@@ -76,47 +78,6 @@ impl RoadPivots {
             })
             .collect()
     }
-}
-
-/// Computes the pivot distance columns, fanning contiguous pivot chunks
-/// out over scoped threads when more than one worker is requested.
-/// Chunk boundaries depend only on the pivot count, and each column is
-/// computed whole by one worker, so the merged table matches the
-/// sequential one exactly.
-// Audited expect: `join` only fails when a column worker panicked, and
-// propagating that panic is exactly the intended behavior.
-#[allow(clippy::expect_used)]
-fn pivot_columns(net: &RoadNetwork, pivots: &[NodeId], threads: usize) -> Vec<Vec<f64>> {
-    let auto = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    let workers = if threads == 0 { auto() } else { threads }.min(pivots.len());
-    if workers <= 1 {
-        return pivots
-            .iter()
-            .map(|&p| dijkstra_all(net.graph(), &[(p, 0.0)]))
-            .collect();
-    }
-    let chunk = pivots.len().div_ceil(workers);
-    let mut table = Vec::with_capacity(pivots.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pivots
-            .chunks(chunk)
-            .map(|ps| {
-                scope.spawn(move || {
-                    ps.iter()
-                        .map(|&p| dijkstra_all(net.graph(), &[(p, 0.0)]))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            table.extend(h.join().expect("pivot column worker panicked"));
-        }
-    });
-    table
 }
 
 /// Triangle-inequality lower bound on `d(a,b)` from per-pivot distance

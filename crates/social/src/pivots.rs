@@ -10,7 +10,7 @@
 
 use crate::hops::UNREACHABLE_HOPS;
 use crate::network::{SocialNetwork, UserId};
-use gpssn_graph::bfs;
+use gpssn_graph::{bfs, par_map, workers};
 
 /// A set of social pivots with full hop-distance tables.
 #[derive(Debug, Clone)]
@@ -28,12 +28,14 @@ impl SocialPivots {
     }
 
     /// [`SocialPivots::new`] with the columns computed over `threads`
-    /// scoped workers (`0` = all cores). Each column is an independent
+    /// workers (`0` = all cores). Each column is an independent
     /// BFS merged back in pivot order, so the table is identical for
     /// every thread count.
     pub fn new_with_threads(net: &SocialNetwork, pivots: Vec<UserId>, threads: usize) -> Self {
         assert!(!pivots.is_empty(), "at least one pivot is required");
-        let table = hop_columns(net, &pivots, threads);
+        let table = par_map(&mut vec![(); workers(threads)], pivots.len(), 1, |_, k| {
+            bfs::hop_distances(net.graph(), pivots[k])
+        });
         SocialPivots { pivots, table }
     }
 
@@ -85,47 +87,6 @@ impl SocialPivots {
         }
         lb
     }
-}
-
-/// Computes the pivot hop columns, fanning contiguous pivot chunks out
-/// over scoped threads when more than one worker is requested. Chunk
-/// boundaries depend only on the pivot count, and each column is
-/// computed whole by one worker, so the merged table matches the
-/// sequential one exactly.
-// Audited expect: `join` only fails when a column worker panicked, and
-// propagating that panic is exactly the intended behavior.
-#[allow(clippy::expect_used)]
-fn hop_columns(net: &SocialNetwork, pivots: &[UserId], threads: usize) -> Vec<Vec<u32>> {
-    let auto = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    let workers = if threads == 0 { auto() } else { threads }.min(pivots.len());
-    if workers <= 1 {
-        return pivots
-            .iter()
-            .map(|&p| bfs::hop_distances(net.graph(), p))
-            .collect();
-    }
-    let chunk = pivots.len().div_ceil(workers);
-    let mut table = Vec::with_capacity(pivots.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pivots
-            .chunks(chunk)
-            .map(|ps| {
-                scope.spawn(move || {
-                    ps.iter()
-                        .map(|&p| bfs::hop_distances(net.graph(), p))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            table.extend(h.join().expect("pivot column worker panicked"));
-        }
-    });
-    table
 }
 
 #[cfg(test)]

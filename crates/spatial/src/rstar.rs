@@ -68,17 +68,6 @@ pub struct RStarTree {
     len: usize,
 }
 
-/// Resolves a thread-count knob: `0` means "use all available cores".
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
 /// Splits `items` into chunks of at most `cap`, redistributing the final
 /// remainder so every chunk holds at least `min` items (assumes
 /// `min <= cap / 2`, which [`RStarTree::new`] guarantees).
@@ -277,31 +266,11 @@ impl RStarTree {
     ///
     /// # Panics
     /// Panics if `max_entries < 4`.
-    ///
-    /// Sequential convenience wrapper around
-    /// [`RStarTree::str_bulk_load_with_threads`] (which yields the same
-    /// tree for every thread count).
+    // Audited unwraps: `partial_cmp` over finite input coordinates.
+    #[allow(clippy::unwrap_used)]
     pub fn str_bulk_load(
         max_entries: usize,
         items: impl IntoIterator<Item = (ItemId, Point)>,
-    ) -> Self {
-        Self::str_bulk_load_with_threads(max_entries, items, 1)
-    }
-
-    /// STR bulk loading with the per-slab y-sorts fanned out over
-    /// `threads` scoped worker threads (`0` = all available cores).
-    ///
-    /// The resulting tree is **bit-identical for every thread count**:
-    /// the slab boundaries are fixed by the sequential x-sort before any
-    /// worker starts, each slab is sorted in full by exactly one worker
-    /// with the same stable comparator, and nodes are packed from the
-    /// slabs in slab order after all workers have joined.
-    // Audited unwraps: `partial_cmp` over finite input coordinates.
-    #[allow(clippy::unwrap_used)]
-    pub fn str_bulk_load_with_threads(
-        max_entries: usize,
-        items: impl IntoIterator<Item = (ItemId, Point)>,
-        threads: usize,
     ) -> Self {
         let mut tree = RStarTree::new(max_entries);
         let mut pts: Vec<(ItemId, Point)> = items.into_iter().collect();
@@ -315,29 +284,8 @@ impl RStarTree {
         let leaf_count = pts.len().div_ceil(cap);
         let slabs = (leaf_count as f64).sqrt().ceil() as usize;
         let per_slab = pts.len().div_ceil(slabs).max(1);
-        let workers = resolve_threads(threads).min(pts.len().div_ceil(per_slab));
-        if workers > 1 {
-            // Deal the slab slices round-robin onto the workers; each
-            // slab is sorted wholly by one worker, so the assignment
-            // cannot affect the result.
-            let mut buckets: Vec<Vec<&mut [(ItemId, Point)]>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (i, slab) in pts.chunks_mut(per_slab).enumerate() {
-                buckets[i % workers].push(slab);
-            }
-            std::thread::scope(|s| {
-                for bucket in buckets {
-                    s.spawn(move || {
-                        for slab in bucket {
-                            slab.sort_by(|a, b| a.1.y.partial_cmp(&b.1.y).unwrap());
-                        }
-                    });
-                }
-            });
-        } else {
-            for slab in pts.chunks_mut(per_slab) {
-                slab.sort_by(|a, b| a.1.y.partial_cmp(&b.1.y).unwrap());
-            }
+        for slab in pts.chunks_mut(per_slab) {
+            slab.sort_by(|a, b| a.1.y.partial_cmp(&b.1.y).unwrap());
         }
         // Reserve the arena up front: exact leaf count from the slab
         // layout, then one `div_ceil(cap)` layer at a time up to the root.
@@ -587,23 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn str_bulk_load_is_thread_count_invariant() {
-        let items: Vec<(ItemId, Point)> = (0..700)
-            .map(|i| (i, Point::new((i * 37 % 211) as f64, (i * 53 % 193) as f64)))
-            .collect();
-        let base = RStarTree::str_bulk_load_with_threads(12, items.iter().copied(), 1);
-        base.validate();
-        for threads in [2usize, 8, 0] {
-            let t = RStarTree::str_bulk_load_with_threads(12, items.iter().copied(), threads);
-            assert_eq!(
-                format!("{base:?}"),
-                format!("{t:?}"),
-                "STR tree differs at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
     fn str_bulk_load_empty_and_tiny() {
         let tree = RStarTree::str_bulk_load(8, std::iter::empty());
         assert!(tree.is_empty());
@@ -616,9 +547,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// STR-built trees at 1 and 4 build threads answer range, exact
-        /// point, ball (within-radius) and kNN queries on random point sets
-        /// exactly as a linear scan over the items does.
+        /// STR-built trees answer range, exact point, ball (within-radius)
+        /// and kNN queries on random point sets exactly as a linear scan
+        /// over the items does.
         #[test]
         fn str_matches_scan_on_queries(
             seed in 0u64..200,
@@ -640,23 +571,21 @@ mod tests {
             let c = Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0));
             let r = rng.gen_range(0.0..60.0);
             let k = rng.gen_range(1..=n);
-            for threads in [1usize, 4] {
-                let tree = RStarTree::str_bulk_load_with_threads(cap, items.iter().copied(), threads);
-                tree.validate();
-                prop_assert_eq!(
-                    sorted_ids(tree.range_query(&rect)),
-                    scan(&items, |p| rect.contains_point(p))
-                );
-                prop_assert_eq!(
-                    sorted_ids(tree.range_query(&point_rect)),
-                    scan(&items, |p| point_rect.contains_point(p))
-                );
-                prop_assert_eq!(
-                    sorted_ids(tree.within_radius(&c, r)),
-                    scan(&items, |p| c.distance(p) <= r)
-                );
-                check_nearest_k(&tree, &items, &c, k);
-            }
+            let tree = RStarTree::str_bulk_load(cap, items.iter().copied());
+            tree.validate();
+            prop_assert_eq!(
+                sorted_ids(tree.range_query(&rect)),
+                scan(&items, |p| rect.contains_point(p))
+            );
+            prop_assert_eq!(
+                sorted_ids(tree.range_query(&point_rect)),
+                scan(&items, |p| point_rect.contains_point(p))
+            );
+            prop_assert_eq!(
+                sorted_ids(tree.within_radius(&c, r)),
+                scan(&items, |p| c.distance(p) <= r)
+            );
+            check_nearest_k(&tree, &items, &c, k);
         }
 
         /// STR bulk load: invariants and full retrievability on random

@@ -30,7 +30,6 @@ fn main() -> Result<(), GpSsnError> {
         social_index: SocialIndexConfig {
             leaf_size: 4,
             fanout: 2,
-            ..Default::default()
         },
         ..Default::default()
     };

@@ -1,16 +1,19 @@
 //! Acceptance properties for the parallel deterministic index build.
 //!
-//! The whole point of the parallel builders (STR packing, independent-set
-//! CH contraction, chunked pivot tables and augmentation) is that the
-//! *serialized* index is a pure function of the inputs — the thread
-//! count sizes the worker pool and nothing else. These tests pin that
-//! contract at the workspace level, over the real on-disk format:
+//! The whole point of the parallel builders (Algorithm 1's distance
+//! columns, independent-set CH contraction, chunked pivot tables and
+//! augmentation) is that the *serialized* index is a pure function of
+//! the inputs — the thread count sizes the worker pool and nothing else.
+//! These tests pin that contract at the workspace level, over the real
+//! on-disk format:
 //!
-//! 1. **Road-index bytes** — the full pipeline (pivot tables, POI
-//!    augmentation, STR tree, CH oracle) built at 1, 2, 8, and 0 (= all
-//!    cores) threads serializes to byte-identical `write_road_index`
-//!    output, checked via both the raw bytes and the CRC-32 the healing
-//!    loader trusts.
+//! 1. **Road-index bytes** — the full pipeline (pivot selection, pivot
+//!    tables, POI augmentation, STR tree, CH oracle) built at 1, 2, 8,
+//!    and 0 (= all cores) threads serializes to byte-identical
+//!    `write_road_index` output, checked via both the raw bytes and the
+//!    CRC-32 the healing loader trusts. Algorithm 1 alone is pinned
+//!    too: it picks the same road and social pivots at every thread
+//!    count.
 //! 2. **Round-trip under threads** — an index written by a parallel
 //!    build reads back and re-serializes to the same bytes, so a healed
 //!    or reloaded index can never drift from a fresh parallel build.
@@ -35,11 +38,15 @@ fn road_bytes(ssn: &SpatialSocialNetwork, threads: usize) -> Vec<u8> {
         count: 4,
         ..Default::default()
     };
-    let ids = select_road_pivots(ssn.road(), &ps);
+    let ids = select_road_pivots(ssn.road(), &ps, threads);
     let pivots = RoadPivots::new_with_threads(ssn.road(), ids, threads);
-    let mut cfg = RoadIndexConfig::default();
-    cfg.build.threads = threads;
-    let idx = RoadIndex::build(ssn.road(), ssn.pois(), pivots, cfg);
+    let (idx, _) = RoadIndex::build_with_stages(
+        ssn.road(),
+        ssn.pois(),
+        pivots,
+        RoadIndexConfig::default(),
+        threads,
+    );
     let mut bytes = Vec::new();
     write_road_index(&idx, &mut bytes).expect("serialize road index");
     bytes
@@ -58,6 +65,31 @@ fn road_index_bytes_identical_across_thread_counts() {
             "crc32 diverges at threads={threads}"
         );
         assert_eq!(bytes, base, "serialized bytes diverge at threads={threads}");
+    }
+}
+
+#[test]
+fn pivot_selection_identical_across_thread_counts() {
+    let ssn = small_ssn(5);
+    let ps = PivotSelectConfig {
+        count: 5,
+        ..Default::default()
+    };
+    let road = select_road_pivots(ssn.road(), &ps, 1);
+    let social = select_social_pivots(ssn.social(), &ps, 1);
+    assert_eq!(road.len(), 5);
+    assert_eq!(social.len(), 5);
+    for threads in [2usize, 8, 0] {
+        assert_eq!(
+            select_road_pivots(ssn.road(), &ps, threads),
+            road,
+            "road pivots diverge at threads={threads}"
+        );
+        assert_eq!(
+            select_social_pivots(ssn.social(), &ps, threads),
+            social,
+            "social pivots diverge at threads={threads}"
+        );
     }
 }
 
@@ -81,18 +113,19 @@ fn social_index_identical_across_thread_counts() {
     let build = |threads: usize| -> SocialIndex {
         let sp = SocialPivots::new_with_threads(
             ssn.social(),
-            select_social_pivots(ssn.social(), &ps),
+            select_social_pivots(ssn.social(), &ps, threads),
             threads,
         );
-        let rp =
-            RoadPivots::new_with_threads(ssn.road(), select_road_pivots(ssn.road(), &ps), threads);
-        let mut cfg = SocialIndexConfig {
+        let rp = RoadPivots::new_with_threads(
+            ssn.road(),
+            select_road_pivots(ssn.road(), &ps, threads),
+            threads,
+        );
+        let cfg = SocialIndexConfig {
             leaf_size: 8,
             fanout: 3,
-            ..Default::default()
         };
-        cfg.build.threads = threads;
-        SocialIndex::build(&ssn, sp, &rp, &cfg)
+        SocialIndex::build_with_stages(&ssn, sp, &rp, &cfg, threads).0
     };
     let base = build(1);
     let m = ssn.social().num_users();

@@ -17,7 +17,6 @@ pub fn small_cfg() -> EngineConfig {
         social_index: SocialIndexConfig {
             leaf_size: 16,
             fanout: 4,
-            ..Default::default()
         },
         ..Default::default()
     }

@@ -168,7 +168,6 @@ impl<'a> Engines<'a> {
             social_index: SocialIndexConfig {
                 leaf_size: 8,
                 fanout: 3,
-                ..Default::default()
             },
             pivot_select: PivotSelectConfig {
                 seed: self.seed,

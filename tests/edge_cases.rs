@@ -20,7 +20,6 @@ fn tiny_engine_cfg() -> EngineConfig {
         social_index: SocialIndexConfig {
             leaf_size: 4,
             fanout: 2,
-            ..Default::default()
         },
         pivot_select: PivotSelectConfig {
             sample_pairs: 8,
@@ -271,7 +270,6 @@ fn boundary_radii_match_brute_force() {
             social_index: SocialIndexConfig {
                 leaf_size: 16,
                 fanout: 4,
-                ..Default::default()
             },
             ..Default::default()
         },

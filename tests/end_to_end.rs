@@ -23,7 +23,6 @@ fn engine_for(ssn: &SpatialSocialNetwork, seed: u64) -> GpSsnEngine<'_> {
             social_index: SocialIndexConfig {
                 leaf_size: 32,
                 fanout: 6,
-                ..Default::default()
             },
             pivot_select: PivotSelectConfig {
                 seed,

@@ -32,7 +32,6 @@ fn small_cfg(seed: u64, obs: Option<Arc<Obs>>) -> EngineConfig {
         social_index: SocialIndexConfig {
             leaf_size: 8,
             fanout: 3,
-            ..Default::default()
         },
         pivot_select: PivotSelectConfig {
             seed,

@@ -17,7 +17,6 @@ fn small_cfg(seed: u64, cache: Option<DistanceCacheConfig>) -> EngineConfig {
         social_index: SocialIndexConfig {
             leaf_size: 8,
             fanout: 3,
-            ..Default::default()
         },
         pivot_select: PivotSelectConfig {
             seed,

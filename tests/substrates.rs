@@ -39,7 +39,6 @@ fn social_index_hop_bounds_are_sound() {
         &SocialIndexConfig {
             leaf_size: 16,
             fanout: 4,
-            ..Default::default()
         },
     );
     let mut rng = StdRng::seed_from_u64(2);
