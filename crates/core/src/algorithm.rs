@@ -1,7 +1,7 @@
 //! The GP-SSN query answering engine (paper Section 5, Algorithm 2).
 //!
-//! Index construction selects pivots (Algorithm 1), builds `I_R` and
-//! `I_S`, and the query path then runs:
+//! Index construction contracts the road CH, selects pivots
+//! (Algorithm 1), builds `I_R` and `I_S`, and the query path then runs:
 //!
 //! 1. **Social traversal** — level-by-level expansion of `I_S` from the
 //!    root, pruning nodes by the interest-region test (Lemma 8) and the
@@ -53,8 +53,8 @@ use crate::serve::{ServeConfig, ServeObs, ServeObsConfig, ServeRequest, Submissi
 use crate::stats::{Counter, QueryCounters, QueryMetrics, QueryOutcome};
 use gpssn_graph::DijkstraWorkspace;
 use gpssn_index::{
-    select_road_pivots, select_social_pivots, PivotSelectConfig, RoadIndex, RoadIndexConfig,
-    SocialIndex, SocialIndexConfig,
+    select_road_pivots, select_social_pivots, BuildStages, PivotSelectConfig, RoadIndex,
+    RoadIndexConfig, SocialIndex, SocialIndexConfig,
 };
 use gpssn_obs::{Obs, TailConfig};
 use gpssn_road::{PoiId, RoadPivots};
@@ -77,9 +77,10 @@ pub struct EngineConfig {
     pub social_index: SocialIndexConfig,
     /// Algorithm 1 parameters.
     pub pivot_select: PivotSelectConfig,
-    /// Index-build worker count (`0`, the default, = all cores): pivot
-    /// selection, pivot tables, `I_R` (CH contraction included) and
-    /// `I_S`. The built indexes are bit-identical for every thread
+    /// Index-build worker count (`0`, the default, = all cores): CH
+    /// contraction, pivot tables, `I_R` and `I_S` (pivot selection is
+    /// one batch kernel call per network and runs on the calling
+    /// thread). The built indexes are bit-identical for every thread
     /// count; only the build wall clock changes.
     pub build_threads: usize,
     /// Optional LRU buffer pool (in pages) in front of the simulated
@@ -314,7 +315,10 @@ struct RoadSearch<'s> {
 }
 
 impl<'a> GpSsnEngine<'a> {
-    /// Builds the engine: pivot selection (Algorithm 1), `I_R`, `I_S`.
+    /// Builds the engine: the road graph's CH, pivot selection
+    /// (Algorithm 1, pricing its road candidates with that CH), `I_R`,
+    /// `I_S`. The CH is contracted once per build; `I_R` keeps it when
+    /// `cfg.road_index.build_ch`.
     ///
     /// Every build stage runs on [`EngineConfig::build_threads`]
     /// workers; the built indexes are bit-identical for every thread
@@ -323,27 +327,28 @@ impl<'a> GpSsnEngine<'a> {
     /// histogram and the CH contraction's witness-workspace reuse
     /// counters in `gpssn_build_witness_{resets,recycles}_total`.
     pub fn build(ssn: &'a SpatialSocialNetwork, cfg: EngineConfig) -> Self {
-        let mut stages: Vec<(&'static str, std::time::Duration)> = Vec::new();
-        let t0 = Instant::now();
+        let threads = cfg.build_threads;
+        let mut stages = BuildStages::default();
+        let ch = stages.contract_ch(ssn.road().graph(), threads);
         let mut ps_road = cfg.pivot_select.clone();
         ps_road.count = cfg.num_road_pivots;
-        let threads = cfg.build_threads;
-        let road_pivot_ids = select_road_pivots(ssn.road(), &ps_road, threads);
-        let road_pivots = RoadPivots::new_with_threads(ssn.road(), road_pivot_ids, threads);
-        stages.push(("road_pivots", t0.elapsed()));
-
-        let t0 = Instant::now();
+        let road_pivots = stages.time("road_pivots", || {
+            let ids = select_road_pivots(ssn.road(), &ch, &ps_road);
+            RoadPivots::new_with_threads(ssn.road(), ids, threads)
+        });
         let mut ps_soc = cfg.pivot_select.clone();
         ps_soc.count = cfg.num_social_pivots;
-        let social_pivot_ids = select_social_pivots(ssn.social(), &ps_soc, threads);
-        let social_pivots = SocialPivots::new_with_threads(ssn.social(), social_pivot_ids, threads);
-        stages.push(("social_pivots", t0.elapsed()));
+        let social_pivots = stages.time("social_pivots", || {
+            let ids = select_social_pivots(ssn.social(), &ps_soc);
+            SocialPivots::new_with_threads(ssn.social(), ids, threads)
+        });
 
         let (road_index, road_stages) = RoadIndex::build_with_stages(
             ssn.road(),
             ssn.pois(),
             road_pivots,
             cfg.road_index.clone(),
+            Some(ch),
             threads,
         );
         let (social_index, social_stages) = SocialIndex::build_with_stages(
@@ -355,6 +360,7 @@ impl<'a> GpSsnEngine<'a> {
         );
         if let Some(o) = cfg.obs.as_deref().filter(|o| o.metrics_on()) {
             for (name, d) in stages
+                .stages
                 .iter()
                 .chain(road_stages.stages.iter())
                 .chain(social_stages.stages.iter())
@@ -365,7 +371,7 @@ impl<'a> GpSsnEngine<'a> {
                     d.as_nanos().min(u64::MAX as u128) as u64,
                 );
             }
-            if let Some(ch) = road_stages.ch {
+            if let Some(ch) = stages.ch {
                 o.inc("gpssn_build_witness_resets_total", &[], ch.witness_resets);
                 o.inc(
                     "gpssn_build_witness_recycles_total",

@@ -38,7 +38,7 @@ pub mod sampling;
 pub mod subgraph;
 pub mod workspace;
 
-pub use bfs::{bounded_hops, hop_distances};
+pub use bfs::{bounded_hops, hop_distances, multi_source_hops};
 pub use ch::{ChBuildStats, ChOracle, ChSearch};
 pub use components::{connected_components, is_connected_subset};
 pub use csr::{grid_nearest, grid_up, CsrGraph, EdgeId, NodeId, GRID_HEADROOM};

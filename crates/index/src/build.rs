@@ -11,6 +11,7 @@
 //! `0` (all cores). `tests/build_determinism.rs` and the CI
 //! build-determinism job enforce this end to end.
 
+use gpssn_graph::ChOracle;
 use std::time::{Duration, Instant};
 
 /// Wall-clock timings of one index build, stage by stage, plus the CH
@@ -23,17 +24,26 @@ pub struct BuildStages {
     /// `(stage name, wall clock)` in execution order.
     pub stages: Vec<(&'static str, Duration)>,
     /// Contraction counters from [`gpssn_graph::ChOracle::build_with_stats`]
-    /// (present only when the road index built a CH oracle).
+    /// (present once [`BuildStages::contract_ch`] ran).
     pub ch: Option<gpssn_graph::ChBuildStats>,
 }
 
 impl BuildStages {
     /// Runs `f`, recording its wall clock under `name`.
-    pub(crate) fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
+    pub fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let out = f();
         self.stages.push((name, t0.elapsed()));
         out
+    }
+
+    /// Contracts `graph`'s CH over `threads` workers as the
+    /// `ch_contract` stage, keeping its counters in [`Self::ch`]. The
+    /// oracle is bit-identical for every thread count.
+    pub fn contract_ch(&mut self, graph: &gpssn_graph::CsrGraph, threads: usize) -> ChOracle {
+        let (ch, stats) = self.time("ch_contract", || ChOracle::build_with_stats(graph, threads));
+        self.ch = Some(stats);
+        ch
     }
 
     /// Duration of the named stage, if it ran.

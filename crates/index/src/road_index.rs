@@ -12,7 +12,7 @@
 //!   (Eqs. 7–8).
 
 use crate::build::{BuildStages, PAR_FLOOR};
-use gpssn_graph::{par_map, workers, DijkstraWorkspace};
+use gpssn_graph::{par_map, workers, ChOracle, DijkstraWorkspace};
 use gpssn_road::{PoiId, PoiSet, RoadNetwork, RoadPivots};
 use gpssn_spatial::{Entry, KeywordSignature, NodeId, RStarTree};
 
@@ -28,11 +28,13 @@ pub struct RoadIndexConfig {
     pub r_max: f64,
     /// Sample POIs retained per node for Eq. (18).
     pub samples_per_node: usize,
-    /// Build a contraction-hierarchy distance oracle at index time so
+    /// Keep the contraction-hierarchy distance oracle in the index so
     /// refinement can answer `dist_RN` probes without full Dijkstra runs
-    /// (bit-identical answers; see `gpssn_graph::ch`). Disable to trade
-    /// query speed for build time — the engine then falls back to plain
-    /// Dijkstra.
+    /// (bit-identical answers; see `gpssn_graph::ch`). The engine
+    /// contracts the CH either way, because Algorithm 1 prices its road
+    /// candidates with it, so disabling this saves no build time; it
+    /// drops the oracle after selection, and queries fall back to plain
+    /// Dijkstra (the differential harness's no-CH cells).
     pub build_ch: bool,
 }
 
@@ -86,14 +88,15 @@ pub struct RoadIndex {
     node_aug: Vec<RoadNodeAugment>,
     pivots: RoadPivots,
     cfg: RoadIndexConfig,
-    /// Contraction-hierarchy oracle over the road graph, built once at
-    /// index time (absent when the index was built or loaded without
+    /// Contraction-hierarchy oracle over the road graph, contracted once
+    /// per build (absent when the index was built or loaded without
     /// one — queries then fall back to Dijkstra).
-    ch: Option<gpssn_graph::ChOracle>,
+    ch: Option<ChOracle>,
 }
 
 impl RoadIndex {
-    /// Builds `I_R` over the POIs of `pois` with the given road pivots.
+    /// Builds `I_R` over the POIs of `pois` with the given road pivots,
+    /// contracting the road graph's CH first when `cfg.build_ch`.
     ///
     /// Cost: one bounded Dijkstra per POI per radius (`r_min`, `2·r_max`)
     /// plus one Dijkstra per pivot (inside [`RoadPivots::new`], already
@@ -105,12 +108,16 @@ impl RoadIndex {
         pivots: RoadPivots,
         cfg: RoadIndexConfig,
     ) -> Self {
-        Self::build_with_stages(road, pois, pivots, cfg, 0).0
+        let ch = cfg.build_ch.then(|| ChOracle::build(road.graph()));
+        Self::build_with_stages(road, pois, pivots, cfg, ch, 0).0
     }
 
-    /// [`RoadIndex::build`] over `threads` workers (`0` = all cores),
-    /// also returning per-stage wall-clock timings and the CH
-    /// contraction counters (for the `gpssn_build_stage_ns{stage}`
+    /// [`RoadIndex::build`] over `threads` workers (`0` = all cores)
+    /// around an already contracted CH of the road graph (see
+    /// [`BuildStages::contract_ch`]; the engine contracts it before pivot
+    /// selection, which prices its road candidates with it). The index
+    /// keeps `ch` only when `cfg.build_ch`. Also returns per-stage
+    /// wall-clock timings (for the `gpssn_build_stage_ns{stage}`
     /// telemetry and `report build`). The thread count changes wall
     /// clock only, never the index.
     pub fn build_with_stages(
@@ -118,6 +125,7 @@ impl RoadIndex {
         pois: &PoiSet,
         pivots: RoadPivots,
         cfg: RoadIndexConfig,
+        ch: Option<ChOracle>,
         threads: usize,
     ) -> (Self, BuildStages) {
         assert!(
@@ -173,18 +181,7 @@ impl RoadIndex {
         let node_aug = stages.time("node_aggregate", || {
             aggregate(&tree, &poi_aug, pivots.len(), cfg.samples_per_node)
         });
-        let (ch, ch_stats) = {
-            let t0 = std::time::Instant::now();
-            let built = cfg
-                .build_ch
-                .then(|| gpssn_graph::ChOracle::build_with_stats(road.graph(), threads));
-            stages.stages.push(("ch_contract", t0.elapsed()));
-            match built {
-                Some((oracle, stats)) => (Some(oracle), Some(stats)),
-                None => (None, None),
-            }
-        };
-        stages.ch = ch_stats;
+        let ch = ch.filter(|_| cfg.build_ch);
         let idx = RoadIndex {
             tree,
             poi_aug,
@@ -207,7 +204,7 @@ impl RoadIndex {
         pivots: RoadPivots,
         cfg: RoadIndexConfig,
         poi_aug: Vec<PoiAugment>,
-        ch: Option<gpssn_graph::ChOracle>,
+        ch: Option<ChOracle>,
     ) -> Self {
         let n = poi_aug.len();
         let tree = RStarTree::str_bulk_load(
@@ -227,7 +224,7 @@ impl RoadIndex {
 
     /// The contraction-hierarchy oracle, if the index carries one.
     #[inline]
-    pub fn ch(&self) -> Option<&gpssn_graph::ChOracle> {
+    pub fn ch(&self) -> Option<&ChOracle> {
         self.ch.as_ref()
     }
 
@@ -514,6 +511,7 @@ mod tests {
                     r_max: 3.0,
                     ..Default::default()
                 },
+                Some(ChOracle::build_with_threads(road.graph(), threads)),
                 threads,
             )
             .0
@@ -548,6 +546,8 @@ mod tests {
     fn build_stages_cover_the_pipeline() {
         let (road, pois) = small_instance();
         let pivots = RoadPivots::new(&road, vec![0, 50]);
+        let mut contract = BuildStages::default();
+        let oracle = contract.contract_ch(road.graph(), 1);
         let (idx, stages) = RoadIndex::build_with_stages(
             &road,
             &pois,
@@ -556,16 +556,15 @@ mod tests {
                 r_max: 3.0,
                 ..Default::default()
             },
+            Some(oracle),
             1,
         );
         let names: Vec<&str> = stages.stages.iter().map(|(n, _)| *n).collect();
-        assert_eq!(
-            names,
-            ["poi_augment", "rstar_str", "node_aggregate", "ch_contract"]
-        );
+        assert_eq!(names, ["poi_augment", "rstar_str", "node_aggregate"]);
         assert!(stages.total() >= stages.get("poi_augment").unwrap());
-        // CH ran, so its counters rode along.
-        let ch = stages.ch.expect("CH stage stats");
+        // The contraction is its own stage, and its counters ride along.
+        assert!(contract.get("ch_contract").is_some());
+        let ch = contract.ch.expect("CH stage stats");
         assert!(idx.ch().is_some());
         assert_eq!(ch.shortcuts, idx.ch().unwrap().num_shortcuts());
         assert!(ch.witness_resets > 0);

@@ -1,19 +1,18 @@
 //! Acceptance properties for the parallel deterministic index build.
 //!
-//! The whole point of the parallel builders (Algorithm 1's distance
-//! columns, independent-set CH contraction, chunked pivot tables and
-//! augmentation) is that the *serialized* index is a pure function of
+//! The whole point of the parallel builders (independent-set CH
+//! contraction, chunked pivot tables and augmentation) is that the *serialized* index is a pure function of
 //! the inputs — the thread count sizes the worker pool and nothing else.
 //! These tests pin that contract at the workspace level, over the real
 //! on-disk format:
 //!
-//! 1. **Road-index bytes** — the full pipeline (pivot selection, pivot
-//!    tables, POI augmentation, STR tree, CH oracle) built at 1, 2, 8,
-//!    and 0 (= all cores) threads serializes to byte-identical
-//!    `write_road_index` output, checked via both the raw bytes and the
-//!    CRC-32 the healing loader trusts. Algorithm 1 alone is pinned
-//!    too: it picks the same road and social pivots at every thread
-//!    count.
+//! 1. **Road-index bytes** — the full pipeline (CH oracle, pivot
+//!    selection priced on it, pivot tables, POI augmentation, STR tree)
+//!    built at 1, 2, 8, and 0 (= all cores) threads serializes to
+//!    byte-identical `write_road_index` output, checked via both the raw
+//!    bytes and the CRC-32 the healing loader trusts. Algorithm 1 alone
+//!    is pinned too: it picks the same road pivots over a CH contracted
+//!    at every thread count, and the same social pivots on every call.
 //! 2. **Round-trip under threads** — an index written by a parallel
 //!    build reads back and re-serializes to the same bytes, so a healed
 //!    or reloaded index can never drift from a fresh parallel build.
@@ -21,6 +20,7 @@
 //!    sequential one node-for-node and table-for-table (it has no
 //!    serializer; the public surface is compared bit-for-bit).
 
+use gpssn::graph::ChOracle;
 use gpssn::index::{
     crc32::crc32, read_road_index, select_road_pivots, select_social_pivots, write_road_index,
     PivotSelectConfig, RoadIndex, RoadIndexConfig, SocialIndex, SocialIndexConfig,
@@ -38,13 +38,15 @@ fn road_bytes(ssn: &SpatialSocialNetwork, threads: usize) -> Vec<u8> {
         count: 4,
         ..Default::default()
     };
-    let ids = select_road_pivots(ssn.road(), &ps, threads);
+    let ch = ChOracle::build_with_threads(ssn.road().graph(), threads);
+    let ids = select_road_pivots(ssn.road(), &ch, &ps);
     let pivots = RoadPivots::new_with_threads(ssn.road(), ids, threads);
     let (idx, _) = RoadIndex::build_with_stages(
         ssn.road(),
         ssn.pois(),
         pivots,
         RoadIndexConfig::default(),
+        Some(ch),
         threads,
     );
     let mut bytes = Vec::new();
@@ -75,18 +77,22 @@ fn pivot_selection_identical_across_thread_counts() {
         count: 5,
         ..Default::default()
     };
-    let road = select_road_pivots(ssn.road(), &ps, 1);
-    let social = select_social_pivots(ssn.social(), &ps, 1);
+    let road_over = |threads: usize| {
+        let ch = ChOracle::build_with_threads(ssn.road().graph(), threads);
+        select_road_pivots(ssn.road(), &ch, &ps)
+    };
+    let road = road_over(1);
+    let social = select_social_pivots(ssn.social(), &ps);
     assert_eq!(road.len(), 5);
     assert_eq!(social.len(), 5);
     for threads in [2usize, 8, 0] {
         assert_eq!(
-            select_road_pivots(ssn.road(), &ps, threads),
+            road_over(threads),
             road,
             "road pivots diverge at threads={threads}"
         );
         assert_eq!(
-            select_social_pivots(ssn.social(), &ps, threads),
+            select_social_pivots(ssn.social(), &ps),
             social,
             "social pivots diverge at threads={threads}"
         );
@@ -113,12 +119,16 @@ fn social_index_identical_across_thread_counts() {
     let build = |threads: usize| -> SocialIndex {
         let sp = SocialPivots::new_with_threads(
             ssn.social(),
-            select_social_pivots(ssn.social(), &ps, threads),
+            select_social_pivots(ssn.social(), &ps),
             threads,
         );
         let rp = RoadPivots::new_with_threads(
             ssn.road(),
-            select_road_pivots(ssn.road(), &ps, threads),
+            select_road_pivots(
+                ssn.road(),
+                &ChOracle::build_with_threads(ssn.road().graph(), threads),
+                &ps,
+            ),
             threads,
         );
         let cfg = SocialIndexConfig {
